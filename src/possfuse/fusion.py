@@ -28,6 +28,7 @@ from .gaussmax import (
     WEIGHT_UNDERFLOW,
     GaussianMaxMixture,
     GaussianPossibility,
+    _conditioned_covariance,
     _cross_arrays,
     sup_linear_gaussian_product,
 )
@@ -65,8 +66,8 @@ def _fused_mixture(
 ) -> tuple[GaussianMaxMixture, float]:
     """All-pairs fused mixture, normalised; returns (mixture, log_alpha)."""
     log_w, means, covs = _cross_arrays(
-        e1, np.log(a.weights), a.means, a.covariances,
-        e2, np.log(b.weights), b.means, b.covariances,
+        [e1], np.log(a.weights), a.means, a.covariances,
+        [e2], np.log(b.weights), b.means, b.covariances,
     )
     log_w = log_w.reshape(-1)
     means = means.reshape(-1, a.dim)
@@ -82,6 +83,18 @@ def _fused_mixture(
     return GaussianMaxMixture(weights, means[keep], covs[keep]), log_alpha
 
 
+def _check_pair(a: BernoulliPossState, b: BernoulliPossState) -> None:
+    """Reject a pair that no exponents in (0, 1] can fuse."""
+    if a.spatial.dim != b.spatial.dim:
+        raise ValueError(
+            f"states have different spatial dimensions: {a.spatial.dim} and {b.spatial.dim}"
+        )
+    # With positive exponents a fused existence cell is zero exactly when
+    # one of its inputs is, so both cells vanish together for every omega.
+    if min(a.q_absent, b.q_absent) == 0.0 and min(a.q_present, b.q_present) == 0.0:
+        raise ValueError("fusion inputs are in total conflict; every possibility is zero")
+
+
 def _fuse(
     a: BernoulliPossState,
     b: BernoulliPossState,
@@ -89,10 +102,7 @@ def _fuse(
     e2: float,
     reduction: Optional[ReductionConfig],
 ) -> FusionResult:
-    if a.spatial.dim != b.spatial.dim:
-        raise ValueError(
-            f"states have different spatial dimensions: {a.spatial.dim} and {b.spatial.dim}"
-        )
+    _check_pair(a, b)
     mixture, log_alpha = _fused_mixture(a.spatial, b.spatial, e1, e2)
 
     def _log(q: float) -> float:
@@ -101,8 +111,6 @@ def _fuse(
     log_absent = e1 * _log(a.q_absent) + e2 * _log(b.q_absent)
     log_present = e1 * _log(a.q_present) + e2 * _log(b.q_present) + log_alpha
     log_norm = max(log_absent, log_present)
-    if log_norm == -math.inf:
-        raise ValueError("fusion inputs are in total conflict; every possibility is zero")
     q0 = math.exp(log_absent - log_norm)
     q1 = math.exp(log_present - log_norm)
     if reduction is not None:
@@ -185,25 +193,43 @@ def parse_omega_strategy(strategy) -> tuple[str, Optional[float]]:
 def select_omega(a: BernoulliPossState, b: BernoulliPossState, strategy="min-trace") -> float:
     """Choose the Chernoff exponent.
 
-    "fixed(v)" returns v.  "min-trace" scans OMEGA_GRID and picks the
+    "fixed(v)" returns v.  "min-trace" picks, from OMEGA_GRID, the
     exponent whose fused top component has the smallest covariance trace;
     ties break toward 0.5, then toward the smaller exponent, so the
-    choice is deterministic.
+    choice is deterministic.  The search is one batched fusion over the
+    whole grid: it runs every check that fusing at each exponent would
+    (finite, positive definite covariances and finite weights in each
+    trial mixture) and compares the traces of the conditioned top
+    covariances, without building the trial mixtures.
     """
     kind, value = parse_omega_strategy(strategy)
     if kind == "fixed":
         return float(value)
-    best: tuple[float, float, float] | None = None
-    best_omega = 0.5
-    for omega in OMEGA_GRID:
-        result = _fuse(a, b, 1.0 - omega, omega, None)
-        mix = result.state.spatial
-        tr = float(np.trace(mix.covariances[mix.argmax_component()]))
-        key = (tr, abs(omega - 0.5), omega)
-        if best is None or key < best:
-            best = key
-            best_omega = float(omega)
-    return best_omega
+    _check_pair(a, b)
+    sa, sb = a.spatial, b.spatial
+    omegas = np.asarray(OMEGA_GRID)
+    log_w, _, covs = _cross_arrays(
+        1.0 - omegas, np.log(sa.weights), sa.means, sa.covariances,
+        omegas, np.log(sb.weights), sb.means, sb.covariances,
+    )
+    log_w = log_w.reshape(omegas.size, -1)
+    rows = np.arange(omegas.size)
+    # Each row is the trial mixture _fused_mixture would build at that
+    # omega: its top pair plus every pair above the underflow floor.
+    top = np.argmax(log_w, axis=1)
+    keep = np.exp(log_w) >= WEIGHT_UNDERFLOW
+    keep[rows, top] = True
+    weights = np.exp(log_w - log_w[rows, top][:, None])
+    covs = _conditioned_covariance(covs.reshape(keep.shape + covs.shape[-2:])[keep])
+    kept_weights = weights[keep]
+    if not np.all(np.isfinite(kept_weights) & (kept_weights > 0.0)):
+        raise ValueError("weights must be finite and strictly positive")
+    # The trial's heaviest component is its first kept pair of largest
+    # weight; locate it among the kept pairs, which are in row order.
+    head = np.argmax(np.where(keep, weights, -1.0), axis=1)
+    position = np.cumsum(keep).reshape(keep.shape)[rows, head] - 1
+    traces = np.trace(covs[position], axis1=-2, axis2=-1)
+    return min(zip(traces.tolist(), np.abs(omegas - 0.5).tolist(), OMEGA_GRID))[2]
 
 
 # ---------------------------------------------------------------------------

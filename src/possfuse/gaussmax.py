@@ -284,18 +284,20 @@ class GaussianMaxMixture:
 
 
 def _cross_arrays(
-    e1: float,
+    e1,
     log_w1: np.ndarray,
     means1: np.ndarray,
     covs1: np.ndarray,
-    e2: float,
+    e2,
     log_w2: np.ndarray,
     means2: np.ndarray,
     covs2: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exponentiated-product components for every pair (i, j), batched.
+    """Exponentiated-product components for every exponent pair and every
+    component pair (i, j), batched.
 
-    Computes, for exponents (e1, e2), the closed form of
+    e1 and e2 are exponent vectors of shape (k,).  For each exponent pair
+    (e1, e2) this computes the closed form of
     [w1_i N(x; m1_i, P1_i)] ** e1 * [w2_j N(x; m2_j, P2_j)] ** e2:
     a single Gaussian component with
 
@@ -304,21 +306,29 @@ def _cross_arrays(
         log weight = e1 log w1_i + e2 log w2_j
                      - 0.5 (m1_i - m2_j)' inv(P1_i / e1 + P2_j / e2) (m1_i - m2_j)
 
-    Returns (log_w, means, covs) with leading shape (n1, n2).  Weights
-    stay in log scale so widely separated pairs cannot underflow here.
+    Returns (log_w, means, covs) with leading shape (k, n1, n2).  Each
+    exponent slice equals the result of a call with that pair alone, bit
+    for bit.  Weights stay in log scale so widely separated pairs cannot
+    underflow here.
     """
+    e1 = np.asarray(e1, dtype=float)[:, None, None]
+    e2 = np.asarray(e2, dtype=float)[:, None, None]
     inv1 = np.linalg.inv(covs1)
     inv2 = np.linalg.inv(covs2)
-    prec = e1 * inv1[:, None] + e2 * inv2[None, :]
-    cov = np.linalg.inv(prec)
-    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    # The (k, n1, n2, d, d) stacks dominate memory; at most two of them are
+    # alive at any time.
+    cov = np.linalg.inv(e1[..., None, None] * inv1[:, None] + e2[..., None, None] * inv2[None, :])
+    cov = cov + np.swapaxes(cov, -1, -2)
+    cov *= 0.5
     a1 = np.einsum("nij,nj->ni", inv1, means1)
     a2 = np.einsum("nij,nj->ni", inv2, means2)
-    mean = np.einsum("abij,abj->abi", cov, e1 * a1[:, None] + e2 * a2[None, :])
+    mean = np.einsum(
+        "kabij,kabj->kabi", cov, e1[..., None] * a1[:, None] + e2[..., None] * a2[None, :]
+    )
     diff = means1[:, None] - means2[None, :]
-    spread = covs1[:, None] / e1 + covs2[None, :] / e2
-    sol = np.linalg.solve(spread, diff[..., None])[..., 0]
-    quad = np.maximum(np.einsum("abi,abi->ab", diff, sol), 0.0)
+    spread = covs1[:, None] / e1[..., None, None] + covs2[None, :] / e2[..., None, None]
+    sol = np.linalg.solve(spread, diff[..., None])
+    quad = np.maximum(np.einsum("abi,kabi->kab", diff, sol[..., 0]), 0.0)
     log_w = e1 * log_w1[:, None] + e2 * log_w2[None, :] - 0.5 * quad
     return log_w, mean, cov
 
@@ -329,19 +339,19 @@ def _fuse_pair(
     if c1.gaussian.dim != c2.gaussian.dim:
         raise ValueError("components must share a dimension")
     log_w, mean, cov = _cross_arrays(
-        e1,
+        [e1],
         np.array([math.log(c1.weight)]),
         c1.gaussian.mean[None, :],
         c1.gaussian.covariance[None, :, :],
-        e2,
+        [e2],
         np.array([math.log(c2.weight)]),
         c2.gaussian.mean[None, :],
         c2.gaussian.covariance[None, :, :],
     )
-    w = float(np.exp(log_w[0, 0]))
+    w = float(np.exp(log_w[0, 0, 0]))
     if w < WEIGHT_UNDERFLOW:
         raise ValueError("fused component weight underflows; inputs are numerically disjoint")
-    return WeightedComponent(w, GaussianPossibility(mean[0, 0], cov[0, 0]))
+    return WeightedComponent(w, GaussianPossibility(mean[0, 0, 0], cov[0, 0, 0]))
 
 
 def chernoff_component_fusion(

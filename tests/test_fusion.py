@@ -7,16 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import possfuse.fusion as fusion_mod
+import possfuse.runner as runner_mod
 from possfuse.bernoulli import BernoulliPossState, ReductionConfig
+from possfuse.config import parse_experiment
 from possfuse.fusion import (
     OMEGA_GRID,
+    _fuse,
     fuse_chernoff,
     fuse_independent,
     parse_omega_strategy,
     select_omega,
     selftest,
 )
-from possfuse.gaussmax import GaussianMaxMixture
+from possfuse.gaussmax import GaussianMaxMixture, _cross_arrays
+from possfuse.runner import run_once
 from support import (
     gauss_value,
     mixture_box,
@@ -257,6 +262,142 @@ class TestOmegaStrategy:
         a = single_comp_state(1.0, 1.0, 0.0, 1.0)
         b = single_comp_state(1.0, 1.0, 0.0, 4.0)
         assert select_omega(a, b, "fixed(0.7)") == 0.7
+
+
+def sized_state(rng, n, dim=4):
+    """Random state whose spatial mixture has exactly n components."""
+    weights = rng.uniform(0.05, 1.0, size=n)
+    weights[int(rng.integers(n))] = 1.0
+    means = rng.uniform(-4.0, 4.0, size=(n, dim))
+    A = rng.normal(size=(n, dim, dim)) * 0.5
+    covs = A @ np.swapaxes(A, -1, -2) + np.eye(dim) * rng.uniform(0.4, 1.5, size=(n, 1, 1))
+    return BernoulliPossState(1.0, float(rng.uniform(0.2, 1.0)), GaussianMaxMixture(weights, means, covs))
+
+
+def reference_select_omega(a, b):
+    """The min-trace rule as a plain loop of whole trial fusions."""
+    best = None
+    for omega in OMEGA_GRID:
+        mix = _fuse(a, b, 1.0 - omega, omega, None).state.spatial
+        tr = float(np.trace(mix.covariances[mix.argmax_component()]))
+        key = (tr, abs(omega - 0.5), omega)
+        if best is None or key < best:
+            best = key
+    return best[2]
+
+
+@pytest.fixture(scope="module")
+def dependent_pairs():
+    """Every (a, b) pair that one min-trace fuse-dependent run fuses."""
+    cfg = parse_experiment({"runs": 1, "fusion": {"omega_strategy": "min-trace"}})
+    pairs = []
+    original = runner_mod.select_omega
+
+    def record(a, b, strategy="min-trace"):
+        pairs.append((a, b))
+        return original(a, b, strategy)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner_mod, "select_omega", record)
+        run_once(cfg, 0, "dependent")
+    return pairs
+
+
+class TestBatchedOmegaSearch:
+    @pytest.mark.parametrize("seed, dim", [(0, 1), (1, 2), (2, 4), (3, 4)])
+    def test_exponent_vector_matches_single_calls(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        a = sized_state(rng, int(rng.integers(1, 18)), dim).spatial
+        b = sized_state(rng, int(rng.integers(1, 18)), dim).spatial
+        e2 = np.array([*OMEGA_GRID, 1.0])
+        e1 = np.array([*(1.0 - o for o in OMEGA_GRID), 1.0])
+        args_a = (np.log(a.weights), a.means, a.covariances)
+        args_b = (np.log(b.weights), b.means, b.covariances)
+        batched = _cross_arrays(e1, *args_a, e2, *args_b)
+        assert batched[0].shape == (e1.size, a.n_components, b.n_components)
+        for k in range(e1.size):
+            single = _cross_arrays(e1[k : k + 1], *args_a, e2[k : k + 1], *args_b)
+            for got, want in zip(batched, single):
+                np.testing.assert_array_equal(got[k], want[0])
+
+    @pytest.mark.parametrize(
+        "seed, n_a, n_b", [(10, 1, 1), (11, 1, 17), (12, 17, 1), (13, 3, 5), (14, 17, 17), (15, 16, 17)]
+    )
+    def test_matches_loop_of_trial_fusions(self, seed, n_a, n_b):
+        rng = np.random.default_rng(seed)
+        a = sized_state(rng, n_a)
+        b = sized_state(rng, n_b)
+        assert select_omega(a, b, "min-trace") == reference_select_omega(a, b)
+        assert select_omega(b, a, "min-trace") == reference_select_omega(b, a)
+
+    def test_matches_loop_on_dependent_run_states(self, dependent_pairs):
+        assert len(dependent_pairs) == 50
+        for a, b in dependent_pairs:
+            assert select_omega(a, b, "min-trace") == reference_select_omega(a, b)
+
+    @staticmethod
+    def _corrupting(monkeypatch, corrupt):
+        original = fusion_mod._cross_arrays
+
+        def patched(*args):
+            log_w, means, covs = original(*args)
+            corrupt(log_w, covs)
+            return log_w, means, covs
+
+        monkeypatch.setattr(fusion_mod, "_cross_arrays", patched)
+
+    def _pair(self):
+        rng = np.random.default_rng(50)
+        return sized_state(rng, 2, dim=2), sized_state(rng, 2, dim=2)
+
+    def test_kept_non_positive_definite_trial_raises(self, monkeypatch):
+        a, b = self._pair()
+
+        def corrupt(log_w, covs):
+            covs[7, 1, 0] = np.diag([1.0, -1.0])
+
+        self._corrupting(monkeypatch, corrupt)
+        with pytest.raises(ValueError, match="not positive definite"):
+            select_omega(a, b, "min-trace")
+
+    def test_kept_non_finite_trial_covariance_raises(self, monkeypatch):
+        a, b = self._pair()
+
+        def corrupt(log_w, covs):
+            covs[3, 0, 1] = np.nan
+
+        self._corrupting(monkeypatch, corrupt)
+        with pytest.raises(ValueError, match="covariance"):
+            select_omega(a, b, "min-trace")
+
+    def test_non_finite_trial_weight_raises(self, monkeypatch):
+        a, b = self._pair()
+
+        def corrupt(log_w, covs):
+            log_w[12, 1, 1] = np.nan
+
+        self._corrupting(monkeypatch, corrupt)
+        with pytest.raises(ValueError, match="weights must be finite"):
+            select_omega(a, b, "min-trace")
+
+    def test_underflowed_pair_is_not_checked(self, monkeypatch):
+        # A pair whose weight underflows is dropped from the trial mixture,
+        # so its covariance is never validated, as in a real fusion.
+        a, b = self._pair()
+        want = select_omega(a, b, "min-trace")
+
+        def corrupt(log_w, covs):
+            log_w[7, 1, 0] = -800.0
+            covs[7, 1, 0] = np.diag([1.0, -1.0])
+
+        self._corrupting(monkeypatch, corrupt)
+        assert select_omega(a, b, "min-trace") == want
+
+    def test_total_conflict_raises(self):
+        a = single_comp_state(1.0, 0.0, 0.0, 1.0)
+        b = single_comp_state(0.0, 1.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="total conflict"):
+            select_omega(a, b, "min-trace")
 
 
 class TestSelftest:
