@@ -45,6 +45,10 @@ __all__ = [
 
 # Candidate exponents for the min-trace search.
 OMEGA_GRID = tuple(np.round(np.linspace(0.05, 0.95, 19), 2).tolist())
+# Fused traces within this relative distance of the smallest count as tied,
+# so rounding noise cannot pick among exponents that fuse alike (as every
+# exponent does when a state is fused with itself).
+TRACE_TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +198,8 @@ def select_omega(a: BernoulliPossState, b: BernoulliPossState, strategy="min-tra
     """Choose the Chernoff exponent.
 
     "fixed(v)" returns v.  "min-trace" picks, from OMEGA_GRID, the
-    exponent whose fused top component has the smallest covariance trace;
+    exponent whose fused top component has the smallest covariance trace.
+    Traces within a relative TRACE_TIE_RTOL of the smallest are tied, and
     ties break toward 0.5, then toward the smaller exponent, so the
     choice is deterministic.  The search is one batched fusion over the
     whole grid: it runs every check that fusing at each exponent would
@@ -229,7 +234,9 @@ def select_omega(a: BernoulliPossState, b: BernoulliPossState, strategy="min-tra
     head = np.argmax(np.where(keep, weights, -1.0), axis=1)
     position = np.cumsum(keep).reshape(keep.shape)[rows, head] - 1
     traces = np.trace(covs[position], axis1=-2, axis2=-1)
-    return min(zip(traces.tolist(), np.abs(omegas - 0.5).tolist(), OMEGA_GRID))[2]
+    floor = traces.min()
+    tied = (traces - floor <= TRACE_TIE_RTOL * floor).tolist()
+    return min((abs(omega - 0.5), omega) for omega, t in zip(OMEGA_GRID, tied) if t)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -276,14 +276,13 @@ def sized_state(rng, n, dim=4):
 
 def reference_select_omega(a, b):
     """The min-trace rule as a plain loop of whole trial fusions."""
-    best = None
+    traces = []
     for omega in OMEGA_GRID:
         mix = _fuse(a, b, 1.0 - omega, omega, None).state.spatial
-        tr = float(np.trace(mix.covariances[mix.argmax_component()]))
-        key = (tr, abs(omega - 0.5), omega)
-        if best is None or key < best:
-            best = key
-    return best[2]
+        traces.append(float(np.trace(mix.covariances[mix.argmax_component()])))
+    floor = min(traces)
+    tied = [o for o, t in zip(OMEGA_GRID, traces) if t - floor <= 1e-9 * floor]
+    return min(tied, key=lambda o: (abs(o - 0.5), o))
 
 
 @pytest.fixture(scope="module")
@@ -334,6 +333,14 @@ class TestBatchedOmegaSearch:
         assert len(dependent_pairs) == 50
         for a, b in dependent_pairs:
             assert select_omega(a, b, "min-trace") == reference_select_omega(a, b)
+
+    def test_self_fusion_of_dependent_run_states_picks_balanced(self, dependent_pairs):
+        # Fusing a state with itself gives the same trace at every omega up
+        # to rounding, so the tie rule must return 0.5.
+        multi = [a for a, _ in dependent_pairs if a.spatial.n_components > 1]
+        assert len(multi) >= 5
+        for s in multi:
+            assert select_omega(s, s, "min-trace") == 0.5
 
     @staticmethod
     def _corrupting(monkeypatch, corrupt):
