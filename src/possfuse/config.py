@@ -9,6 +9,7 @@ path, so typos cannot silently disable a setting.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -145,7 +146,10 @@ def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
 def _number(obj: Any, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(path, f"expected a number, got {type(obj).__name__}")
-    return float(obj)
+    value = float(obj)
+    if not math.isfinite(value):
+        raise ConfigError(path, f"expected a finite number, got {value}")
+    return value
 
 
 def _integer(obj: Any, path: str) -> int:

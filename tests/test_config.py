@@ -108,12 +108,31 @@ class TestValidation:
             parse_experiment({"scenario": {"dt": "fast"}})
         assert "scenario.dt" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("clutter_rate", float("nan")), ("noise_var", float("inf")), ("noise_var", float("-inf"))],
+    )
+    def test_non_finite_number_reports_path(self, field, value):
+        with pytest.raises(ConfigError) as err:
+            parse_experiment({"scenario": {"sensors": [{field: value}, {}]}})
+        assert err.value.path == f"scenario.sensors[0].{field}"
+        assert "finite" in str(err.value)
+
     def test_non_mapping_document(self):
         with pytest.raises(ConfigError):
             parse_experiment([1, 2, 3])
 
 
 class TestLoadErrors:
+    @pytest.mark.parametrize("field, literal", [("clutter_rate", "NaN"), ("noise_var", "Infinity")])
+    def test_json_non_finite_literal(self, tmp_path, field, literal):
+        # Python's json module accepts these non-standard literals.
+        path = tmp_path / "exp.json"
+        path.write_text('{"scenario": {"sensors": [{"%s": %s}, {}]}}' % (field, literal))
+        with pytest.raises(ConfigError) as err:
+            load_experiment(path)
+        assert err.value.path == f"scenario.sensors[0].{field}"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_experiment(tmp_path / "nope.json")

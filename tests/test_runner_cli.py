@@ -215,6 +215,15 @@ class TestCli:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_nan_config_value_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_text('{"scenario": {"sensors": [{"clutter_rate": NaN}, {}]}}')
+        code = main(["single", "--config", str(path), "--runs", "1", "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error: scenario.sensors[0].clutter_rate" in err
+        assert "finite" in err
+
     def test_bad_flag_value_is_exit_2(self, tmp_path, capsys):
         code = main(["single", "--runs", "0", "--out", str(tmp_path / "x")])
         assert code == 2
