@@ -73,18 +73,27 @@ def _fused_mixture(
         [e1], np.log(a.weights), a.means, a.covariances,
         [e2], np.log(b.weights), b.means, b.covariances,
     )
-    log_w = log_w.reshape(-1)
-    means = means.reshape(-1, a.dim)
-    covs = covs.reshape(-1, a.dim, a.dim)
-    top = int(np.argmax(log_w))
-    log_alpha = float(log_w[top])
-    # Pairs whose unnormalised weight underflows in linear scale carry no
-    # information; drop them, but never the top pair, so the mixture is
-    # never empty even under severe conflict.
+    log_alpha, keep = _kept_pairs(log_w.reshape(1, -1))
+    log_alpha, keep = float(log_alpha[0]), keep[0]
+    weights = np.exp(log_w.reshape(-1)[keep] - log_alpha)
+    means = means.reshape(-1, a.dim)[keep]
+    covs = covs.reshape(-1, a.dim, a.dim)[keep]
+    return GaussianMaxMixture(weights, means, covs), log_alpha
+
+
+def _kept_pairs(log_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of pair log weights (k, n): log alpha, the largest log
+    weight, and the mask of the pairs a fused mixture keeps.
+
+    Pairs whose unnormalised weight underflows in linear scale carry no
+    information; they are dropped, but never the top pair, so the mixture
+    is never empty even under severe conflict.
+    """
+    rows = np.arange(log_w.shape[0])
+    top = np.argmax(log_w, axis=1)
     keep = np.exp(log_w) >= WEIGHT_UNDERFLOW
-    keep[top] = True
-    weights = np.exp(log_w[keep] - log_alpha)
-    return GaussianMaxMixture(weights, means[keep], covs[keep]), log_alpha
+    keep[rows, top] = True
+    return log_w[rows, top], keep
 
 
 def _check_pair(a: BernoulliPossState, b: BernoulliPossState) -> None:
@@ -217,22 +226,18 @@ def select_omega(a: BernoulliPossState, b: BernoulliPossState, strategy="min-tra
         1.0 - omegas, np.log(sa.weights), sa.means, sa.covariances,
         omegas, np.log(sb.weights), sb.means, sb.covariances,
     )
+    # Row r holds the pairs of the trial mixture fusing at OMEGA_GRID[r].
     log_w = log_w.reshape(omegas.size, -1)
-    rows = np.arange(omegas.size)
-    # Each row is the trial mixture _fused_mixture would build at that
-    # omega: its top pair plus every pair above the underflow floor.
-    top = np.argmax(log_w, axis=1)
-    keep = np.exp(log_w) >= WEIGHT_UNDERFLOW
-    keep[rows, top] = True
-    weights = np.exp(log_w - log_w[rows, top][:, None])
+    log_alpha, keep = _kept_pairs(log_w)
+    weights = np.exp(log_w - log_alpha[:, None])
     covs = _conditioned_covariance(covs.reshape(keep.shape + covs.shape[-2:])[keep])
     kept_weights = weights[keep]
     if not np.all(np.isfinite(kept_weights) & (kept_weights > 0.0)):
         raise ValueError("weights must be finite and strictly positive")
-    # The trial's heaviest component is its first kept pair of largest
+    # A trial's heaviest component is its first kept pair of largest
     # weight; locate it among the kept pairs, which are in row order.
     head = np.argmax(np.where(keep, weights, -1.0), axis=1)
-    position = np.cumsum(keep).reshape(keep.shape)[rows, head] - 1
+    position = np.cumsum(keep).reshape(keep.shape)[np.arange(omegas.size), head] - 1
     traces = np.trace(covs[position], axis1=-2, axis2=-1)
     floor = traces.min()
     tied = (traces - floor <= TRACE_TIE_RTOL * floor).tolist()
