@@ -49,6 +49,11 @@ OMEGA_GRID = tuple(np.round(np.linspace(0.05, 0.95, 19), 2).tolist())
 # so rounding noise cannot pick among exponents that fuse alike (as every
 # exponent does when a state is fused with itself).
 TRACE_TIE_RTOL = 1e-9
+# Most (omega, component pair) combinations one batched search fusion holds.
+# Its temporaries grow with their number, so when both mixtures are large
+# the search walks OMEGA_GRID in blocks to keep peak memory near that of a
+# single fusion.
+SEARCH_BLOCK_PAIRS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,22 +216,34 @@ def select_omega(a: BernoulliPossState, b: BernoulliPossState, strategy="min-tra
     Traces within a relative TRACE_TIE_RTOL of the smallest are tied, and
     ties break toward 0.5, then toward the smaller exponent, so the
     choice is deterministic.  The search is one batched fusion over the
-    whole grid: it runs every check that fusing at each exponent would
-    (finite, positive definite covariances and finite weights in each
-    trial mixture) and compares the traces of the conditioned top
-    covariances, without building the trial mixtures.
+    whole grid (over blocks of it when both mixtures are large): it runs
+    every check that fusing at each exponent would (finite, positive
+    definite covariances and finite weights in each trial mixture) and
+    compares the traces of the conditioned top covariances, without
+    building the trial mixtures.
     """
     kind, value = parse_omega_strategy(strategy)
     if kind == "fixed":
         return float(value)
     _check_pair(a, b)
-    sa, sb = a.spatial, b.spatial
     omegas = np.asarray(OMEGA_GRID)
-    log_w, _, covs = _cross_arrays(
-        1.0 - omegas, np.log(sa.weights), sa.means, sa.covariances,
-        omegas, np.log(sb.weights), sb.means, sb.covariances,
+    step = max(1, SEARCH_BLOCK_PAIRS // (a.spatial.n_components * b.spatial.n_components))
+    traces = np.concatenate(
+        [_top_traces(a.spatial, b.spatial, omegas[i : i + step]) for i in range(0, omegas.size, step)]
     )
-    # Row r holds the pairs of the trial mixture fusing at OMEGA_GRID[r].
+    floor = traces.min()
+    tied = (traces - floor <= TRACE_TIE_RTOL * floor).tolist()
+    return min((abs(omega - 0.5), omega) for omega, t in zip(OMEGA_GRID, tied) if t)[1]
+
+
+def _top_traces(a: GaussianMaxMixture, b: GaussianMaxMixture, omegas: np.ndarray) -> np.ndarray:
+    """Covariance trace of the heaviest component of the Chernoff fusion of
+    a and b at each omega, with every check that fusion runs."""
+    log_w, _, covs = _cross_arrays(
+        1.0 - omegas, np.log(a.weights), a.means, a.covariances,
+        omegas, np.log(b.weights), b.means, b.covariances,
+    )
+    # Row r holds the pairs of the trial mixture fusing at omegas[r].
     log_w = log_w.reshape(omegas.size, -1)
     log_alpha, keep = _kept_pairs(log_w)
     weights = np.exp(log_w - log_alpha[:, None])
@@ -238,10 +255,7 @@ def select_omega(a: BernoulliPossState, b: BernoulliPossState, strategy="min-tra
     # weight; locate it among the kept pairs, which are in row order.
     head = np.argmax(np.where(keep, weights, -1.0), axis=1)
     position = np.cumsum(keep).reshape(keep.shape)[np.arange(omegas.size), head] - 1
-    traces = np.trace(covs[position], axis1=-2, axis2=-1)
-    floor = traces.min()
-    tied = (traces - floor <= TRACE_TIE_RTOL * floor).tolist()
-    return min((abs(omega - 0.5), omega) for omega, t in zip(OMEGA_GRID, tied) if t)[1]
+    return np.trace(covs[position], axis1=-2, axis2=-1)
 
 
 # ---------------------------------------------------------------------------
