@@ -78,8 +78,8 @@ def _fused_mixture(
         [e1], np.log(a.weights), a.means, a.covariances,
         [e2], np.log(b.weights), b.means, b.covariances,
     )
-    log_alpha, keep = _kept_pairs(log_w.reshape(1, -1))
-    log_alpha, keep = float(log_alpha[0]), keep[0]
+    log_alphas, keeps = _kept_pairs(log_w.reshape(1, -1))
+    log_alpha, keep = float(log_alphas[0]), keeps[0]
     weights = np.exp(log_w.reshape(-1)[keep] - log_alpha)
     means = means.reshape(-1, a.dim)[keep]
     covs = covs.reshape(-1, a.dim, a.dim)[keep]
@@ -108,7 +108,8 @@ def _check_pair(a: BernoulliPossState, b: BernoulliPossState) -> None:
             f"states have different spatial dimensions: {a.spatial.dim} and {b.spatial.dim}"
         )
     # With positive exponents a fused existence cell is zero exactly when
-    # one of its inputs is, so both cells vanish together for every omega.
+    # one of its inputs is, so whether both cells vanish does not depend on
+    # the exponents.
     if min(a.q_absent, b.q_absent) == 0.0 and min(a.q_present, b.q_present) == 0.0:
         raise ValueError("fusion inputs are in total conflict; every possibility is zero")
 
