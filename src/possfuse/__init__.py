@@ -17,7 +17,6 @@ from .bernoulli import (
     MotionModel,
     ReductionConfig,
     TransitionPossibilityMatrix,
-    compute_theta,
     extract,
     predict,
     probability_interval_to_possibility,
@@ -41,10 +40,6 @@ from .fusion import (
 )
 from .gaussmax import (
     GaussianMaxMixture,
-    GaussianPossibility,
-    WeightedComponent,
-    chernoff_component_fusion,
-    independent_component_fusion,
     sup_linear_gaussian_product,
 )
 from .metrics import AggregateResult, RunRecord, SeriesTrack, aggregate, ospa
@@ -66,7 +61,6 @@ from .simulate import (
     build_birth_mixture,
     cv_process_noise,
     cv_transition,
-    generate_measurements,
     generate_truth,
     ignorance_mixture,
     position_observation,
@@ -82,7 +76,6 @@ __all__ = [
     "MotionModel",
     "ReductionConfig",
     "TransitionPossibilityMatrix",
-    "compute_theta",
     "extract",
     "predict",
     "probability_interval_to_possibility",
@@ -100,10 +93,6 @@ __all__ = [
     "select_omega",
     "selftest",
     "GaussianMaxMixture",
-    "GaussianPossibility",
-    "WeightedComponent",
-    "chernoff_component_fusion",
-    "independent_component_fusion",
     "sup_linear_gaussian_product",
     "AggregateResult",
     "RunRecord",
@@ -125,7 +114,6 @@ __all__ = [
     "build_birth_mixture",
     "cv_process_noise",
     "cv_transition",
-    "generate_measurements",
     "generate_truth",
     "ignorance_mixture",
     "position_observation",

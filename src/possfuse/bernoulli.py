@@ -54,7 +54,6 @@ __all__ = [
     "Estimate",
     "probability_interval_to_possibility",
     "predict",
-    "compute_theta",
     "update",
     "reduce",
     "extract",
@@ -344,29 +343,6 @@ def _log_match_table(
     return math.log(meas.clutter_ratio()) + np.log(mix.weights)[None, :] - 0.5 * quad
 
 
-def compute_theta(
-    pred: BernoulliPossState,
-    scan: Scan,
-    meas: MeasurementModel,
-    det: DetectionPossibility,
-) -> float:
-    """Exact update normaliser.
-
-    theta = max(nondetection, detection * max over measurements of the
-    clutter ratio times the best component match), where the best match
-    uses the closed-form supremum of the linear-Gaussian product, namely
-    w_i * N(z; H m_i, H P_i H' + R).  An empty scan leaves only the
-    non-detection branch, so theta equals the non-detection possibility.
-    """
-    if scan.points.shape[0] == 0:
-        return det.nondetection
-    if meas.state_dim != pred.spatial.dim:
-        raise ValueError("measurement model does not match state dimension")
-    eta, S = _innovation_terms(pred.spatial, meas)
-    table = _log_match_table(pred.spatial, scan.points, eta, S, meas)
-    return max(det.nondetection, det.detection * math.exp(float(table.max())))
-
-
 def update(
     pred: BernoulliPossState,
     scan: Scan,
@@ -375,6 +351,10 @@ def update(
 ) -> BernoulliPossState:
     """One measurement update of the Bernoulli recursion.
 
+    The normaliser is theta = max(nondetection, detection * max over
+    measurements z and components i of clutter_ratio * w_i *
+    N(z; H m_i, H P_i H' + R)), the closed-form supremum of each
+    linear-Gaussian product; an empty scan gives theta = nondetection.
     Existence divides (q_absent', theta * q_present') by its max.  The
     posterior mixture is the pointwise max of a non-detection branch,
     which keeps every prior component scaled by nondetection / theta, and

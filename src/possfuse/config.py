@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
 
 from .bernoulli import ReductionConfig
 from .fusion import parse_omega_strategy
-from .simulate import Rect, ScenarioConfig, SensorConfig
+from .simulate import ScenarioConfig
 
 __all__ = [
     "ConfigError",
@@ -130,252 +130,94 @@ def default_experiment() -> ExperimentConfig:
 # --- strict parsing ---------------------------------------------------------
 
 
-def _as_mapping(obj: Any, path: str) -> dict:
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _parse(obj: Any, tp: Any, default: Any, path: str) -> Any:
+    """Parse the JSON value obj as type tp, reporting errors at path.
+
+    Dataclass sections start from default (or the class defaults when
+    default is None) and change only the keys the document gives.
+    """
+    if is_dataclass(tp):
+        return _parse_section(obj, tp, default, path)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Union:
+        if obj is None:
+            return None
+        (inner,) = [a for a in args if a is not type(None)]
+        return _parse(obj, inner, default, path)
+    if origin is tuple:
+        if not isinstance(obj, (list, tuple)):
+            raise ConfigError(path, f"expected a list, got {type(obj).__name__}")
+        if args[-1] is Ellipsis:
+            args = (args[0],) * len(obj)
+        elif len(obj) != len(args):
+            raise ConfigError(path, f"expected {len(args)} entries, got {len(obj)}")
+        return tuple(_parse(v, t, None, f"{path}[{i}]") for i, (v, t) in enumerate(zip(obj, args)))
+    if tp is float:
+        if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+            raise ConfigError(path, f"expected a number, got {type(obj).__name__}")
+        value = float(obj)
+        if not math.isfinite(value):
+            raise ConfigError(path, f"expected a finite number, got {value}")
+        return value
+    if tp is int:
+        if isinstance(obj, bool) or not isinstance(obj, int):
+            raise ConfigError(path, f"expected an integer, got {type(obj).__name__}")
+        return obj
+    if tp is str:
+        if not isinstance(obj, str):
+            raise ConfigError(path, f"expected a string, got {type(obj).__name__}")
+        return obj
+    raise TypeError(f"no parser for {tp!r} at {path}")
+
+
+def _parse_section(obj: Any, cls: type, default: Any, path: str) -> Any:
     if not isinstance(obj, dict):
-        raise ConfigError(path, f"expected an object, got {type(obj).__name__}")
-    return obj
-
-
-def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
-    unknown = set(obj) - allowed
+        raise ConfigError(path or "<config>", f"expected an object, got {type(obj).__name__}")
+    base = cls() if default is None else default
+    hints = get_type_hints(cls)
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
     if unknown:
-        key = sorted(unknown)[0]
-        raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
-
-
-def _number(obj: Any, path: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ConfigError(path, f"expected a number, got {type(obj).__name__}")
-    value = float(obj)
-    if not math.isfinite(value):
-        raise ConfigError(path, f"expected a finite number, got {value}")
-    return value
-
-
-def _integer(obj: Any, path: str) -> int:
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        raise ConfigError(path, f"expected an integer, got {type(obj).__name__}")
-    return obj
-
-
-def _string(obj: Any, path: str) -> str:
-    if not isinstance(obj, str):
-        raise ConfigError(path, f"expected a string, got {type(obj).__name__}")
-    return obj
-
-
-def _number_list(obj: Any, path: str, length: Optional[int] = None) -> list[float]:
-    if not isinstance(obj, (list, tuple)):
-        raise ConfigError(path, f"expected a list, got {type(obj).__name__}")
-    if length is not None and len(obj) != length:
-        raise ConfigError(path, f"expected {length} entries, got {len(obj)}")
-    return [_number(v, f"{path}[{i}]") for i, v in enumerate(obj)]
-
-
-def _build(path: str, factory, *args, **kwargs):
+        raise ConfigError(_join(path, unknown[0]), "unknown key")
+    changes = {k: _parse(v, hints[k], getattr(base, k), _join(path, k)) for k, v in obj.items()}
     try:
-        return factory(*args, **kwargs)
+        return replace(base, **changes)
     except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
-
-
-def _parse_region(obj: Any, path: str) -> Rect:
-    obj = _as_mapping(obj, path)
-    allowed = {"xmin", "xmax", "ymin", "ymax"}
-    _check_keys(obj, allowed, path)
-    kwargs = {k: _number(obj[k], f"{path}.{k}") for k in obj}
-    return _build(path, Rect, **{**{"xmin": 0.0, "xmax": 60.0, "ymin": 0.0, "ymax": 60.0}, **kwargs})
-
-
-def _parse_sensor(obj: Any, path: str) -> SensorConfig:
-    obj = _as_mapping(obj, path)
-    _check_keys(obj, {"pd_true", "noise_var", "clutter_rate"}, path)
-    kwargs = {k: _number(obj[k], f"{path}.{k}") for k in obj}
-    return _build(path, SensorConfig, **kwargs)
-
-
-def _parse_scenario(obj: Any, path: str) -> ScenarioConfig:
-    obj = _as_mapping(obj, path)
-    allowed = {
-        "region", "steps", "dt", "psd", "initial_state", "birth_step",
-        "death_step", "sensors", "p_birth", "p_survive",
-    }
-    _check_keys(obj, allowed, path)
-    kwargs: dict[str, Any] = {}
-    if "region" in obj:
-        kwargs["region"] = _parse_region(obj["region"], f"{path}.region")
-    for key in ("dt", "psd", "p_birth", "p_survive"):
-        if key in obj:
-            kwargs[key] = _number(obj[key], f"{path}.{key}")
-    for key in ("steps", "birth_step", "death_step"):
-        if key in obj:
-            kwargs[key] = _integer(obj[key], f"{path}.{key}")
-    if "initial_state" in obj:
-        kwargs["initial_state"] = tuple(
-            _number_list(obj["initial_state"], f"{path}.initial_state", length=4)
-        )
-    if "sensors" in obj:
-        sensors = obj["sensors"]
-        if not isinstance(sensors, list):
-            raise ConfigError(f"{path}.sensors", "expected a list")
-        kwargs["sensors"] = tuple(
-            _parse_sensor(s, f"{path}.sensors[{i}]") for i, s in enumerate(sensors)
-        )
-    return _build(path, ScenarioConfig, **kwargs)
-
-
-def _parse_reduction(obj: Any, path: str) -> ReductionConfig:
-    obj = _as_mapping(obj, path)
-    _check_keys(obj, {"prune_ratio", "merge_mahalanobis", "max_components"}, path)
-    kwargs: dict[str, Any] = {}
-    if "prune_ratio" in obj:
-        kwargs["prune_ratio"] = _number(obj["prune_ratio"], f"{path}.prune_ratio")
-    if "merge_mahalanobis" in obj:
-        kwargs["merge_mahalanobis"] = _number(obj["merge_mahalanobis"], f"{path}.merge_mahalanobis")
-    if "max_components" in obj:
-        kwargs["max_components"] = _integer(obj["max_components"], f"{path}.max_components")
-    return _build(path, ReductionConfig, **kwargs)
-
-
-def _parse_birth(obj: Any, path: str) -> BirthSettings:
-    obj = _as_mapping(obj, path)
-    _check_keys(obj, {"pos_var", "vel_var"}, path)
-    kwargs: dict[str, Any] = {}
-    if "pos_var" in obj:
-        kwargs["pos_var"] = None if obj["pos_var"] is None else _number(obj["pos_var"], f"{path}.pos_var")
-    if "vel_var" in obj:
-        kwargs["vel_var"] = _number(obj["vel_var"], f"{path}.vel_var")
-    return _build(path, BirthSettings, **kwargs)
-
-
-def _parse_filter(obj: Any, path: str) -> FilterSettings:
-    obj = _as_mapping(obj, path)
-    _check_keys(obj, {"pd_interval", "phi", "reduction", "birth"}, path)
-    kwargs: dict[str, Any] = {}
-    if "pd_interval" in obj:
-        kwargs["pd_interval"] = tuple(_number_list(obj["pd_interval"], f"{path}.pd_interval", length=2))
-    if "phi" in obj:
-        rows = obj["phi"]
-        if not isinstance(rows, (list, tuple)) or len(rows) != 2:
-            raise ConfigError(f"{path}.phi", "expected a 2x2 matrix")
-        kwargs["phi"] = tuple(
-            tuple(_number_list(row, f"{path}.phi[{i}]", length=2)) for i, row in enumerate(rows)
-        )
-    if "reduction" in obj:
-        kwargs["reduction"] = _parse_reduction(obj["reduction"], f"{path}.reduction")
-    if "birth" in obj:
-        kwargs["birth"] = _parse_birth(obj["birth"], f"{path}.birth")
-    return _build(path, FilterSettings, **kwargs)
-
-
-def _parse_fusion(obj: Any, path: str) -> FusionSettings:
-    obj = _as_mapping(obj, path)
-    _check_keys(obj, {"mode", "omega_strategy"}, path)
-    kwargs: dict[str, Any] = {}
-    if "mode" in obj:
-        mode = _string(obj["mode"], f"{path}.mode")
-        if mode not in FUSION_MODES:
-            raise ConfigError(f"{path}.mode", f"must be one of {FUSION_MODES}, got {mode!r}")
-        kwargs["mode"] = mode
-    if "omega_strategy" in obj:
-        strategy = _string(obj["omega_strategy"], f"{path}.omega_strategy")
-        try:
-            parse_omega_strategy(strategy)
-        except ValueError as exc:
-            raise ConfigError(f"{path}.omega_strategy", str(exc)) from None
-        kwargs["omega_strategy"] = strategy
-    return _build(path, FusionSettings, **kwargs)
-
-
-def _parse_metrics(obj: Any, path: str) -> MetricSettings:
-    obj = _as_mapping(obj, path)
-    _check_keys(obj, {"ospa_cutoff", "ospa_order"}, path)
-    kwargs = {k: _number(obj[k], f"{path}.{k}") for k in obj}
-    return _build(path, MetricSettings, **kwargs)
+        # The section's __post_init__ holds every range check.  Blame the
+        # first field it rejects on its own; a constraint between fields
+        # belongs to the section.
+        for key, value in changes.items():
+            try:
+                replace(base, **{key: value})
+            except ValueError as own:
+                raise ConfigError(_join(path, key), str(own)) from None
+        raise ConfigError(path or "<config>", str(exc)) from None
 
 
 def parse_experiment(data: Any) -> ExperimentConfig:
     """Parse a JSON-compatible mapping into an ExperimentConfig.
 
-    Missing sections use the benchmark defaults; unknown keys raise
-    ConfigError with the offending path.
+    Missing sections and keys keep the benchmark defaults; unknown keys,
+    wrong types, non-finite numbers and out-of-range values raise
+    ConfigError with the offending field's path.
     """
-    data = _as_mapping(data, "<config>")
-    allowed = {"scenario", "filter", "fusion", "metrics", "runs", "master_seed", "output_dir"}
-    _check_keys(data, allowed, "")
-    kwargs: dict[str, Any] = {}
-    if "scenario" in data:
-        kwargs["scenario"] = _parse_scenario(data["scenario"], "scenario")
-    if "filter" in data:
-        kwargs["filter"] = _parse_filter(data["filter"], "filter")
-    if "fusion" in data:
-        kwargs["fusion"] = _parse_fusion(data["fusion"], "fusion")
-    if "metrics" in data:
-        kwargs["metrics"] = _parse_metrics(data["metrics"], "metrics")
-    if "runs" in data:
-        runs = _integer(data["runs"], "runs")
-        if runs < 1:
-            raise ConfigError("runs", f"must be at least 1, got {runs}")
-        kwargs["runs"] = runs
-    if "master_seed" in data:
-        seed = _integer(data["master_seed"], "master_seed")
-        if seed < 0:
-            raise ConfigError("master_seed", f"must not be negative, got {seed}")
-        kwargs["master_seed"] = seed
-    if "output_dir" in data:
-        kwargs["output_dir"] = _string(data["output_dir"], "output_dir")
-    return _build("<config>", ExperimentConfig, **kwargs)
+    return _parse(data, ExperimentConfig, None, "")
 
 
 def serialize_experiment(cfg: ExperimentConfig) -> dict:
     """Plain-JSON form of a configuration; parse_experiment inverts it."""
-    sc = cfg.scenario
-    return {
-        "scenario": {
-            "region": {
-                "xmin": sc.region.xmin,
-                "xmax": sc.region.xmax,
-                "ymin": sc.region.ymin,
-                "ymax": sc.region.ymax,
-            },
-            "steps": sc.steps,
-            "dt": sc.dt,
-            "psd": sc.psd,
-            "initial_state": list(sc.initial_state),
-            "birth_step": sc.birth_step,
-            "death_step": sc.death_step,
-            "sensors": [
-                {"pd_true": s.pd_true, "noise_var": s.noise_var, "clutter_rate": s.clutter_rate}
-                for s in sc.sensors
-            ],
-            "p_birth": sc.p_birth,
-            "p_survive": sc.p_survive,
-        },
-        "filter": {
-            "pd_interval": list(cfg.filter.pd_interval),
-            "phi": [list(row) for row in cfg.filter.phi],
-            "reduction": {
-                "prune_ratio": cfg.filter.reduction.prune_ratio,
-                "merge_mahalanobis": cfg.filter.reduction.merge_mahalanobis,
-                "max_components": cfg.filter.reduction.max_components,
-            },
-            "birth": {
-                "pos_var": cfg.filter.birth.pos_var,
-                "vel_var": cfg.filter.birth.vel_var,
-            },
-        },
-        "fusion": {
-            "mode": cfg.fusion.mode,
-            "omega_strategy": cfg.fusion.omega_strategy,
-        },
-        "metrics": {
-            "ospa_cutoff": cfg.metrics.ospa_cutoff,
-            "ospa_order": cfg.metrics.ospa_order,
-        },
-        "runs": cfg.runs,
-        "master_seed": cfg.master_seed,
-        "output_dir": cfg.output_dir,
-    }
+    return _plain(cfg)
+
+
+def _plain(value: Any) -> Any:
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
 def load_experiment(path) -> ExperimentConfig:

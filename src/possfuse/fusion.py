@@ -27,7 +27,6 @@ from .bernoulli import BernoulliPossState, ReductionConfig, reduce
 from .gaussmax import (
     WEIGHT_UNDERFLOW,
     GaussianMaxMixture,
-    GaussianPossibility,
     _conditioned_covariance,
     _cross_arrays,
     sup_linear_gaussian_product,
@@ -357,8 +356,8 @@ def selftest(n_pairs: int = 12, seed: int = 2024, verbose: bool = True) -> bool:
         R = B @ B.T + np.eye(dim) * rng.uniform(0.5, 2.0)
         z = H @ m + rng.uniform(-2.0, 2.0, size=dim)
         analytic = sup_linear_gaussian_product(z, H, R, m, P)
-        zg = GaussianPossibility(z, R)
-        xg = GaussianPossibility(m, P)
+        zg = GaussianMaxMixture([1.0], z, R)
+        xg = GaussianMaxMixture([1.0], m, P)
 
         # The product is unimodal, so iteratively zooming the grid onto
         # the best point converges on the true supremum.

@@ -16,9 +16,8 @@ and the mixture is normalised exactly when that weight is 1.
 
 Closed-form operations that stay inside this family:
 
-* powers: (w, m, P) ** a = (w ** a, m, P / a), exact pointwise;
-* Chernoff fusion of two components with exponents (1 - omega, omega);
-* independent-product fusion (both exponents 1);
+* the exponentiated product of two mixtures, all component pairs at once
+  (_cross_arrays), on which Chernoff and independent-product fusion rest;
 * the supremum of a linear-Gaussian product over the state.
 
 All types here are immutable values.  Operations return new objects, never
@@ -27,21 +26,12 @@ mutate their inputs, and hold no global state.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
-__all__ = [
-    "GaussianPossibility",
-    "WeightedComponent",
-    "GaussianMaxMixture",
-    "chernoff_component_fusion",
-    "independent_component_fusion",
-    "sup_linear_gaussian_product",
-]
+__all__ = ["GaussianMaxMixture", "sup_linear_gaussian_product"]
 
 # Tolerance for accepting a matrix as symmetric, relative to its magnitude.
 SYMMETRY_TOL = 1e-9
@@ -72,6 +62,9 @@ def _conditioned_covariance(P: np.ndarray, *, dim: int | None = None) -> np.ndar
         raise ValueError(f"covariance dimension {P.shape[-1]} does not match mean dimension {dim}")
     scale = np.maximum(1.0, np.abs(P).max(axis=(-2, -1), keepdims=True))
     if not np.all(np.abs(P - np.swapaxes(P, -1, -2)) <= SYMMETRY_TOL * scale):
+        # NaN and inf fail the symmetry test too; name them apart.
+        if not np.all(np.isfinite(P)):
+            raise ValueError("covariance is not finite")
         raise ValueError("covariance is not symmetric within tolerance")
     P = 0.5 * (P + np.swapaxes(P, -1, -2))
     eigs = np.linalg.eigvalsh(P)
@@ -89,66 +82,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
-
-
-@dataclass(frozen=True, eq=False)
-class GaussianPossibility:
-    """Sup-normalised Gaussian-shaped possibility function.
-
-    value(x) = exp(-0.5 * (x - mean)' inv(covariance) (x - mean)), which
-    lies in (0, 1] and equals 1 only at the mean.  The covariance must be
-    symmetric positive definite; 1-d problems may pass scalars.
-    """
-
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def __post_init__(self) -> None:
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        if mean.ndim != 1:
-            raise ValueError(f"mean must be a vector, got shape {mean.shape}")
-        cov = _conditioned_covariance(self.covariance, dim=mean.size)
-        if cov.ndim != 2:
-            raise ValueError(f"covariance must be a single matrix, got shape {cov.shape}")
-        object.__setattr__(self, "mean", _readonly(mean))
-        object.__setattr__(self, "covariance", _readonly(cov))
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
-    @cached_property
-    def _chol(self) -> np.ndarray:
-        return np.linalg.cholesky(self.covariance)
-
-    def value(self, x) -> float:
-        return float(self.values(np.atleast_1d(np.asarray(x, dtype=float))[None, :])[0])
-
-    def values(self, xs: np.ndarray) -> np.ndarray:
-        """Evaluate at a batch of points, shape (k, dim) -> (k,)."""
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 2 or xs.shape[1] != self.dim:
-            raise ValueError(f"points must have shape (k, {self.dim}), got {xs.shape}")
-        y = np.linalg.solve(self._chol, (xs - self.mean).T)
-        quad = np.maximum(np.sum(y * y, axis=0), 0.0)
-        return np.exp(-0.5 * quad)
-
-
-@dataclass(frozen=True, eq=False)
-class WeightedComponent:
-    """A Gaussian possibility scaled by a weight in (0, 1]."""
-
-    weight: float
-    gaussian: GaussianPossibility
-
-    def __post_init__(self) -> None:
-        w = float(self.weight)
-        if not (0.0 < w <= 1.0 + NORM_TOL):
-            raise ValueError(f"component weight must lie in (0, 1], got {w}")
-        object.__setattr__(self, "weight", min(w, 1.0))
-
-    def value(self, x) -> float:
-        return self.weight * self.gaussian.value(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,6 +108,8 @@ class GaussianMaxMixture:
             raise ValueError("a mixture needs at least one component")
         if means.ndim != 2 or means.shape[0] != w.size:
             raise ValueError(f"means must have shape ({w.size}, d), got {means.shape}")
+        if not np.isfinite(means).all():
+            raise ValueError("means must be finite")
         covs = np.asarray(self.covariances, dtype=float)
         if covs.ndim == 2 and w.size == 1:
             covs = covs[None, :, :]
@@ -191,17 +126,6 @@ class GaussianMaxMixture:
         object.__setattr__(self, "weights", _readonly(w))
         object.__setattr__(self, "means", _readonly(means))
         object.__setattr__(self, "covariances", _readonly(covs))
-
-    @classmethod
-    def from_components(cls, components: Iterable[WeightedComponent]) -> "GaussianMaxMixture":
-        comps = list(components)
-        if not comps:
-            raise ValueError("a mixture needs at least one component")
-        return cls(
-            weights=np.array([c.weight for c in comps]),
-            means=np.stack([c.gaussian.mean for c in comps]),
-            covariances=np.stack([c.gaussian.covariance for c in comps]),
-        )
 
     @property
     def n_components(self) -> int:
@@ -223,22 +147,9 @@ class GaussianMaxMixture:
         """Index of the heaviest component; ties resolve to the lowest index."""
         return int(np.argmax(self.weights))
 
-    def component(self, i: int) -> WeightedComponent:
-        return WeightedComponent(
-            weight=float(self.weights[i]),
-            gaussian=GaussianPossibility(self.means[i], self.covariances[i]),
-        )
-
-    @property
-    def components(self) -> tuple[WeightedComponent, ...]:
-        return tuple(self.component(i) for i in range(self.n_components))
-
     @cached_property
     def _chols(self) -> np.ndarray:
         return np.linalg.cholesky(self.covariances)
-
-    def value(self, x) -> float:
-        return float(self.values(np.atleast_1d(np.asarray(x, dtype=float))[None, :])[0])
 
     def values(self, xs: np.ndarray) -> np.ndarray:
         """Evaluate the mixture at a batch of points, shape (k, dim) -> (k,)."""
@@ -252,35 +163,6 @@ class GaussianMaxMixture:
             quad = np.maximum(np.sum(y * y, axis=0), 0.0)
             np.maximum(best, self.weights[i] * np.exp(-0.5 * quad), out=best)
         return best
-
-    def supremum(self) -> float:
-        """sup_x value(x), equal to the largest component weight."""
-        return self.max_weight
-
-    def normalized(self) -> "GaussianMaxMixture":
-        """Rescale by one global constant so the supremum is exactly 1."""
-        s = self.max_weight
-        if s == 1.0:
-            return self
-        return GaussianMaxMixture(self.weights / s, self.means, self.covariances)
-
-    def power(self, a: float) -> "GaussianMaxMixture":
-        """Pointwise a-th power, exact in closed form.
-
-        Raising exp(-q / 2) to a scales the quadratic by a, which divides
-        the covariance by a; weights become weight ** a.  Normalisation is
-        preserved because x -> x ** a is monotone on [0, 1].
-        """
-        a = float(a)
-        if not (0.0 < a <= 1.0):
-            raise ValueError(f"exponent must lie in (0, 1], got {a}")
-        if a == 1.0:
-            return self
-        return GaussianMaxMixture(
-            np.exp(a * np.log(self.weights)),
-            self.means,
-            self.covariances / a,
-        )
 
 
 def _cross_arrays(
@@ -333,58 +215,6 @@ def _cross_arrays(
     return log_w, mean, cov
 
 
-def _fuse_pair(
-    c1: WeightedComponent, c2: WeightedComponent, e1: float, e2: float
-) -> WeightedComponent:
-    if c1.gaussian.dim != c2.gaussian.dim:
-        raise ValueError("components must share a dimension")
-    log_w, mean, cov = _cross_arrays(
-        [e1],
-        np.array([math.log(c1.weight)]),
-        c1.gaussian.mean[None, :],
-        c1.gaussian.covariance[None, :, :],
-        [e2],
-        np.array([math.log(c2.weight)]),
-        c2.gaussian.mean[None, :],
-        c2.gaussian.covariance[None, :, :],
-    )
-    w = float(np.exp(log_w[0, 0, 0]))
-    if w < WEIGHT_UNDERFLOW:
-        raise ValueError("fused component weight underflows; inputs are numerically disjoint")
-    return WeightedComponent(w, GaussianPossibility(mean[0, 0, 0], cov[0, 0, 0]))
-
-
-def chernoff_component_fusion(
-    c1: WeightedComponent, c2: WeightedComponent, omega: float
-) -> WeightedComponent:
-    """Exact Chernoff fusion of two weighted Gaussian possibility components.
-
-    Returns the single component equal pointwise to
-    [c1(x)] ** (1 - omega) * [c2(x)] ** omega.  The fused covariance is the
-    inverse of the convex precision combination, the mean is the matching
-    precision-weighted average, and the weight picks up the separation
-    factor N(m1 - m2; 0, P1 / (1 - omega) + P2 / omega).  Fusing a
-    component with itself returns it unchanged for every omega, which is
-    the idempotence that makes this rule safe under unknown correlation.
-    """
-    omega = float(omega)
-    if not (0.0 < omega < 1.0):
-        raise ValueError(f"omega must lie strictly inside (0, 1), got {omega}")
-    return _fuse_pair(c1, c2, 1.0 - omega, omega)
-
-
-def independent_component_fusion(
-    c1: WeightedComponent, c2: WeightedComponent
-) -> WeightedComponent:
-    """Product fusion of two components under an independence assumption.
-
-    Equal pointwise to c1(x) * c2(x): precisions add, so fusing identical
-    components halves the covariance.  That sharpening is only justified
-    when the two sources are genuinely independent.
-    """
-    return _fuse_pair(c1, c2, 1.0, 1.0)
-
-
 def sup_linear_gaussian_product(z, H, R, m, P) -> float:
     """sup over x of N(z; H x, R) * N(x; m, P), in closed form.
 
@@ -401,5 +231,5 @@ def sup_linear_gaussian_product(z, H, R, m, P) -> float:
         raise ValueError(f"H must have shape ({z.size}, {m.size}), got {H.shape}")
     R = _conditioned_covariance(R, dim=z.size)
     P = _conditioned_covariance(P, dim=m.size)
-    S = _conditioned_covariance(H @ P @ H.T + R)
-    return GaussianPossibility(H @ m, S).value(z)
+    peak = GaussianMaxMixture([1.0], H @ m, H @ P @ H.T + R)
+    return float(peak.values(z[None, :])[0])

@@ -18,7 +18,7 @@ estimate), so the subset DP is more than fast enough.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -73,6 +73,10 @@ def _min_cost_assignment(costs: np.ndarray) -> float:
     return min(dp[mask] for mask in range(1 << n) if mask.bit_count() == m)
 
 
+def _sorted_points(points: list[np.ndarray]) -> list[tuple[float, ...]]:
+    return sorted(tuple(p.tolist()) for p in points)
+
+
 def ospa(X: Sequence, Y: Sequence, cutoff: float = 10.0, order: float = 1.0) -> float:
     """OSPA distance between two point sets.
 
@@ -91,7 +95,13 @@ def ospa(X: Sequence, Y: Sequence, cutoff: float = 10.0, order: float = 1.0) -> 
     ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in Y]
     if len(xs) == 0 and len(ys) == 0:
         return 0.0
-    if len(xs) > len(ys):
+    # The smaller set gives the rows; of two equal sizes, the one whose
+    # sorted points compare lexicographically smaller.  The assignment adds
+    # costs in row order, so a rule that ignores argument order keeps the
+    # distance bitwise symmetric.  A single pair costs the same either way.
+    if len(xs) > len(ys) or (
+        len(xs) == len(ys) > 1 and _sorted_points(xs) > _sorted_points(ys)
+    ):
         xs, ys = ys, xs
     n = len(ys)
     if len(xs) == 0:
@@ -108,28 +118,21 @@ def ospa(X: Sequence, Y: Sequence, cutoff: float = 10.0, order: float = 1.0) -> 
     return float((total / n) ** (1.0 / order))
 
 
-def covariance_trace(estimate: Estimate, positions_only: bool = False) -> float:
-    """Trace of an estimate's covariance, optionally of the position block."""
+def covariance_trace(estimate: Estimate) -> float:
+    """Trace of an estimate's covariance."""
     if estimate is None:
         raise ValueError("cannot take the covariance trace of an absent estimate")
-    P = estimate.covariance
-    if positions_only:
-        if P.shape[0] <= max(POSITION_INDICES):
-            raise ValueError(
-                f"state dimension {P.shape[0]} has no position block at {POSITION_INDICES}"
-            )
-        return float(sum(P[i, i] for i in POSITION_INDICES))
-    return float(np.trace(P))
+    return float(np.trace(estimate.covariance))
 
 
 @dataclass
 class SeriesTrack:
     """Per-run history of one reported series (a filter or a fuser)."""
 
-    estimates: list[Optional[Estimate]]
-    q_absent: list[float]
-    q_present: list[float]
-    n_components: list[int]
+    estimates: list[Optional[Estimate]] = field(default_factory=list)
+    q_absent: list[float] = field(default_factory=list)
+    q_present: list[float] = field(default_factory=list)
+    n_components: list[int] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.estimates)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -151,26 +151,13 @@ def _run_seeds(master_seed: int, run_idx: int, count: int) -> list[int]:
     return [int(w) for w in ss.generate_state(count, dtype=np.uint64)]
 
 
-@dataclass
-class _Track:
-    estimates: list = field(default_factory=list)
-    q_absent: list = field(default_factory=list)
-    q_present: list = field(default_factory=list)
-    n_components: list = field(default_factory=list)
-
-    def append_state(self, state: BernoulliPossState) -> None:
-        self.estimates.append(extract(state))
-        self.q_absent.append(state.q_absent)
-        self.q_present.append(state.q_present)
-        self.n_components.append(state.spatial.n_components)
-
-    def as_series(self) -> SeriesTrack:
-        return SeriesTrack(
-            estimates=self.estimates,
-            q_absent=self.q_absent,
-            q_present=self.q_present,
-            n_components=self.n_components,
-        )
+def _append_state(track: SeriesTrack, state: BernoulliPossState) -> None:
+    # extract is looked up in this module at call time, so a wrapper set
+    # on runner.extract (as possbench's tracer does) sees every call.
+    track.estimates.append(extract(state))
+    track.q_absent.append(state.q_absent)
+    track.q_present.append(state.q_present)
+    track.n_components.append(state.spatial.n_components)
 
 
 class _Filter:
@@ -267,14 +254,14 @@ def run_once(
         fused_names = _fused_series(cfg.fusion.mode)
 
     engines = [_Filter(setup) for setup in filters]
-    tracks = {name: _Track() for name in names}
-    fused_tracks = {name: _Track() for name in fused_names}
+    tracks = {name: SeriesTrack() for name in names}
+    fused_tracks = {name: SeriesTrack() for name in fused_names}
 
     for step in range(1, scenario.steps + 1):
         try:
             for engine, name, stream in zip(engines, names, streams):
                 engine.advance(stream[step - 1], audit, name, step)
-                tracks[name].append_state(engine.state)
+                _append_state(tracks[name], engine.state)
             if fused_names:
                 a, b = engines[0].state, engines[1].state
                 if SERIES_CHERNOFF in fused_tracks:
@@ -283,26 +270,21 @@ def run_once(
                     else:
                         omega = select_omega(a, b, "min-trace")
                     fused = fuse_chernoff(a, b, omega, reduction=cfg.filter.reduction).state
-                    fused_tracks[SERIES_CHERNOFF].append_state(fused)
+                    _append_state(fused_tracks[SERIES_CHERNOFF], fused)
                     if audit is not None:
                         audit.append(_audit_of(fused, step, "fused", SERIES_CHERNOFF))
                 if SERIES_CENTRALIZED in fused_tracks:
                     fused = fuse_independent(a, b, reduction=cfg.filter.reduction).state
-                    fused_tracks[SERIES_CENTRALIZED].append_state(fused)
+                    _append_state(fused_tracks[SERIES_CENTRALIZED], fused)
                     if audit is not None:
                         audit.append(_audit_of(fused, step, "fused", SERIES_CENTRALIZED))
         except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
             raise NumericsError(run_idx, step, exc) from exc
 
-    series: dict[str, SeriesTrack] = {}
-    if mode == "dependent":
-        # The two local filters are identical; report one of them.
-        series["single"] = tracks["single"].as_series()
-    else:
-        for name in names:
-            series[name] = tracks[name].as_series()
-    for name in fused_names:
-        series[name] = fused_tracks[name].as_series()
+    # In dependent mode the two local filters are identical; report one.
+    reported = ["single"] if mode == "dependent" else names
+    series = {name: tracks[name] for name in reported}
+    series.update(fused_tracks)
     return RunRecord(truth_positions=positions, series=series)
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "cv_process_noise",
     "position_observation",
     "generate_truth",
-    "generate_measurements",
     "generate_labeled_measurements",
     "ignorance_mixture",
     "build_birth_mixture",
@@ -74,10 +73,6 @@ class Rect:
     def center(self) -> tuple[float, float]:
         return (0.5 * (self.xmin + self.xmax), 0.5 * (self.ymin + self.ymax))
 
-    def contains(self, point) -> bool:
-        x, y = float(point[0]), float(point[1])
-        return self.xmin <= x <= self.xmax and self.ymin <= y <= self.ymax
-
 
 @dataclass(frozen=True)
 class SensorConfig:
@@ -112,10 +107,6 @@ class ScenarioConfig:
         SensorConfig(pd_true=0.8),
         SensorConfig(pd_true=0.6),
     )
-    # Birth / survival probabilities of the underlying scenario; recorded
-    # for completeness, the possibilistic filter does not consume them.
-    p_birth: float = 0.05
-    p_survive: float = 0.99
 
     def __post_init__(self) -> None:
         if self.steps < 1:
@@ -180,6 +171,8 @@ class Scan:
             pts = pts.reshape(0, 2)
         if pts.ndim != 2:
             raise ValueError(f"scan points must have shape (n, 2), got {pts.shape}")
+        if not np.isfinite(pts).all():
+            raise ValueError("scan points must be finite")
         object.__setattr__(self, "points", _readonly(pts))
         object.__setattr__(self, "time_index", int(self.time_index))
 
@@ -210,7 +203,7 @@ def generate_labeled_measurements(
     region: Rect,
     seed: int,
 ) -> list[tuple[Scan, np.ndarray]]:
-    """Scans plus a boolean clutter label per point, for debugging dumps.
+    """Scans plus a boolean clutter label per point (the labels feed scans.csv).
 
     At each step the target, when present, is detected with probability
     pd_true and observed at its position plus isotropic Gaussian noise;
@@ -248,15 +241,6 @@ def generate_labeled_measurements(
         else:
             out.append((Scan(step, np.zeros((0, 2))), np.zeros(0, dtype=bool)))
     return out
-
-
-def generate_measurements(
-    truth: list[Optional[np.ndarray]],
-    sensor: SensorConfig,
-    region: Rect,
-    seed: int,
-) -> list[Scan]:
-    return [scan for scan, _ in generate_labeled_measurements(truth, sensor, region, seed)]
 
 
 @dataclass(frozen=True)

@@ -109,7 +109,12 @@ def ospa_permutations(X, Y, cutoff: float, order: float) -> float:
     """OSPA by trying every assignment permutation explicitly."""
     X = [np.asarray(x, dtype=float) for x in X]
     Y = [np.asarray(y, dtype=float) for y in Y]
-    if len(X) > len(Y):
+    # Same row rule as ospa: the smaller set, or the lexicographically
+    # smaller sorted set between equal sizes.
+    def key(points):
+        return sorted(tuple(p.tolist()) for p in points)
+
+    if len(X) > len(Y) or (len(X) == len(Y) and key(X) > key(Y)):
         X, Y = Y, X
     m, n = len(X), len(Y)
     if n == 0:

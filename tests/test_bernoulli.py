@@ -14,7 +14,6 @@ from possfuse.bernoulli import (
     MotionModel,
     ReductionConfig,
     TransitionPossibilityMatrix,
-    compute_theta,
     extract,
     predict,
     probability_interval_to_possibility,
@@ -173,10 +172,32 @@ def planar_state(q0, q1, weights, means, covs):
 DET_BENCH = probability_interval_to_possibility(0.5, 1.0)
 
 
+def update_theta(state, scan, meas, det) -> float:
+    """The update normaliser, read off the posterior existence pair.
+
+    From a q = (1, 1) prior, update gives (1, theta) / max(1, theta):
+    q_absent = 1 / theta when theta > 1, and q_present = theta otherwise.
+    """
+    assert state.q_absent == state.q_present == 1.0
+    post = update(state, scan, meas, det)
+    return 1.0 / post.q_absent if post.q_absent < 1.0 else post.q_present
+
+
+def theta_oracle(weights, means, covs, points, meas, det) -> float:
+    """max(d0, d1 * clutter ratio * max over z and i of w_i N(z; m_i, P_i + R)),
+    for the identity observation of planar_meas, with explicit inverses."""
+    best = max(
+        (w * gauss_value(z, m, np.asarray(P) + meas.noise)
+         for w, m, P in zip(weights, means, covs) for z in points),
+        default=0.0,
+    )
+    return max(det.nondetection, det.detection * meas.clutter_ratio() * best)
+
+
 class TestTheta:
     def test_empty_scan_gives_nondetection(self):
         state = planar_state(1.0, 1.0, [1.0], [[30.0, 30.0]], [np.eye(2)])
-        theta = compute_theta(state, Scan(1, np.empty((0, 2))), planar_meas(), DET_BENCH)
+        theta = update_theta(state, Scan(1, np.empty((0, 2))), planar_meas(), DET_BENCH)
         assert theta == 0.5
 
     def test_single_component_single_point(self):
@@ -184,7 +205,7 @@ class TestTheta:
         assert meas.clutter_ratio() == 900.0
         state = planar_state(1.0, 1.0, [1.0], [[10.0, 20.0]], [2.0 * np.eye(2)])
         z = np.array([11.0, 21.0])
-        theta = compute_theta(state, Scan(1, z[None, :]), meas, DET_BENCH)
+        theta = update_theta(state, Scan(1, z[None, :]), meas, DET_BENCH)
         expected = 1.0 * 900.0 * gauss_value(z, [10.0, 20.0], 3.0 * np.eye(2))
         assert theta == pytest.approx(expected, rel=1e-12)
 
@@ -199,7 +220,7 @@ class TestTheta:
         )
         state = planar_state(1.0, 1.0, [1.0], [[10.0, 10.0]], [np.eye(2)])
         scan = Scan(1, np.array([[50.0, 50.0]]))
-        assert compute_theta(state, scan, meas, DET_BENCH) == 0.5
+        assert update_theta(state, scan, meas, DET_BENCH) == 0.5
 
     def test_max_over_measurements_and_components(self):
         meas = planar_meas()
@@ -210,12 +231,11 @@ class TestTheta:
             [np.eye(2), 2.0 * np.eye(2)],
         )
         scan = Scan(1, np.array([[12.0, 10.0], [40.5, 40.0]]))
-        best = 0.0
-        for w, m, P in [(1.0, [10.0, 10.0], np.eye(2)), (0.4, [40.0, 40.0], 2 * np.eye(2))]:
-            for z in scan.points:
-                best = max(best, w * gauss_value(z, m, np.asarray(P) + np.eye(2)))
-        expected = max(0.5, 1.0 * 900.0 * best)
-        theta = compute_theta(state, scan, meas, DET_BENCH)
+        expected = theta_oracle(
+            [1.0, 0.4], [[10.0, 10.0], [40.0, 40.0]], [np.eye(2), 2.0 * np.eye(2)],
+            scan.points, meas, DET_BENCH,
+        )
+        theta = update_theta(state, scan, meas, DET_BENCH)
         assert theta == pytest.approx(expected, rel=1e-12)
 
 
@@ -231,11 +251,25 @@ class TestUpdate:
         assert post.q_absent == 1.0
         assert post.q_present == 0.5
 
+    @given(st.integers(0, 2**32 - 1), st.floats(0.01, 1.0), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_empty_scan_keeps_every_component(self, seed, d, detection_top):
+        rng = np.random.default_rng(seed)
+        w, m, P = random_mixture(rng, 2, max_comps=5)
+        state = planar_state(1.0, 1.0, w, m + 30.0, P)
+        det = DetectionPossibility(nondetection=d, detection=1.0) if detection_top else (
+            DetectionPossibility(nondetection=1.0, detection=d)
+        )
+        post = update(state, Scan(1, np.empty((0, 2))), planar_meas(), det)
+        np.testing.assert_array_equal(post.spatial.means, state.spatial.means)
+        np.testing.assert_array_equal(post.spatial.covariances, state.spatial.covariances)
+        assert post.spatial.max_weight == 1.0
+
     def test_existence_follows_theta(self):
         meas = planar_meas()
         state = planar_state(1.0, 1.0, [1.0], [[10.0, 20.0]], [2.0 * np.eye(2)])
         z = np.array([[11.0, 21.0]])
-        theta = compute_theta(state, Scan(1, z), meas, DET_BENCH)
+        theta = theta_oracle([1.0], [[10.0, 20.0]], [2.0 * np.eye(2)], z, meas, DET_BENCH)
         post = update(state, Scan(1, z), meas, DET_BENCH)
         assert theta > 1.0
         assert post.q_absent == pytest.approx(1.0 / theta, rel=1e-14)
@@ -294,7 +328,7 @@ class TestUpdate:
                 [rng.uniform(26.0, 34.0, size=(2, 2)), rng.uniform(0.0, 60.0, size=(1, 2))]
             )
             post = update(state, Scan(1, pts), meas, DET_BENCH)
-            theta = compute_theta(state, Scan(1, pts), meas, DET_BENCH)
+            theta = theta_oracle(w, m, P, pts, meas, DET_BENCH)
 
             xs = rng.uniform(24.0, 36.0, size=(120, 2))
             impl = post.spatial.values(xs)

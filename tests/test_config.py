@@ -118,6 +118,27 @@ class TestValidation:
         assert err.value.path == f"scenario.sensors[0].{field}"
         assert "finite" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            ({"filter": {"reduction": {"prune_ratio": 1.5}}}, "filter.reduction.prune_ratio"),
+            ({"scenario": {"steps": 0}}, "scenario.steps"),
+            ({"scenario": {"sensors": [{}, {"pd_true": 2.0}]}}, "scenario.sensors[1].pd_true"),
+            ({"fusion": {"omega_strategy": "fixed(2.0)"}}, "fusion.omega_strategy"),
+            # Each value is fine alone; only the pair conflicts.
+            ({"scenario": {"birth_step": 20, "death_step": 10}}, "scenario"),
+        ],
+    )
+    def test_range_error_names_leaf_field(self, doc, path):
+        with pytest.raises(ConfigError) as err:
+            parse_experiment(doc)
+        assert err.value.path == path
+
+    def test_unconsumed_scenario_probabilities_are_unknown(self):
+        with pytest.raises(ConfigError) as err:
+            parse_experiment({"scenario": {"p_birth": 0.05}})
+        assert err.value.path == "scenario.p_birth"
+
     def test_non_mapping_document(self):
         with pytest.raises(ConfigError):
             parse_experiment([1, 2, 3])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import possfuse.fusion as fusion_mod
 import possfuse.runner as runner_mod
-from possfuse.bernoulli import BernoulliPossState, ReductionConfig
+from possfuse.bernoulli import BernoulliPossState, ReductionConfig, reduce
 from possfuse.config import parse_experiment
 from possfuse.fusion import (
     OMEGA_GRID,
@@ -98,6 +98,87 @@ class TestIdempotence:
         np.testing.assert_allclose(
             res.state.spatial.covariances[j], a.spatial.covariances[i], atol=1e-12
         )
+
+
+def probe_points(rng, *triples, n=60):
+    lo, hi = mixture_box(list(triples))
+    return np.column_stack([rng.uniform(lo[k], hi[k], size=n) for k in range(lo.size)])
+
+
+def assert_same_fusion(got, want, rtol):
+    """Two unreduced fusion results describe the same possibility: equal
+    existence pairs and constants, and equal spatial values pointwise."""
+    for attr in ("normalizer", "alpha"):
+        assert getattr(got, attr) == pytest.approx(getattr(want, attr), rel=rtol)
+    for attr in ("q_absent", "q_present"):
+        assert getattr(got.state, attr) == pytest.approx(getattr(want.state, attr), rel=rtol)
+
+
+class TestAlgebraProperties:
+    @given(st.floats(0.01, 0.99), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_chernoff_swap_symmetry(self, omega, seed):
+        # Covariance-intersection symmetry: exponents (1 - w, w) on (a, b)
+        # are exponents (w, 1 - w) on (b, a).
+        rng = np.random.default_rng(seed)
+        a, ta = random_state(rng)
+        b, tb = random_state(rng)
+        ab = fuse_chernoff(a, b, omega)
+        ba = fuse_chernoff(b, a, 1.0 - omega)
+        assert_same_fusion(ab, ba, rtol=1e-9)
+        pts = probe_points(rng, ta, tb)
+        np.testing.assert_allclose(
+            ab.state.spatial.values(pts), ba.state.spatial.values(pts), rtol=1e-9, atol=1e-12
+        )
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_independent_is_symmetric(self, seed):
+        rng = np.random.default_rng(seed)
+        a, ta = random_state(rng)
+        b, tb = random_state(rng)
+        ab = fuse_independent(a, b)
+        ba = fuse_independent(b, a)
+        assert_same_fusion(ab, ba, rtol=1e-12)
+        assert ab.state.spatial.n_components == ba.state.spatial.n_components
+        pts = probe_points(rng, ta, tb)
+        np.testing.assert_allclose(
+            ab.state.spatial.values(pts), ba.state.spatial.values(pts), rtol=1e-12, atol=1e-15
+        )
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 0.5),
+        st.floats(0.0, 4.0),
+        st.integers(1, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_reduce_keeps_supremum_at_one(self, seed, prune, merge, cap):
+        rng = np.random.default_rng(seed)
+        a, _ = random_state(rng, max_comps=6)
+        b, _ = random_state(rng, max_comps=6)
+        mixture = fuse_independent(a, b).state.spatial
+        cfg = ReductionConfig(prune_ratio=prune, merge_mahalanobis=merge, max_components=cap)
+        reduced = reduce(mixture, cfg)
+        assert reduced.max_weight == 1.0
+        assert 1 <= reduced.n_components <= min(cap, mixture.n_components)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_reduce_without_pruning_or_merging_is_identity(self, seed):
+        rng = np.random.default_rng(seed)
+        triple = random_mixture(rng, 2, max_comps=6)
+        mixture = GaussianMaxMixture(*triple)
+        cfg = ReductionConfig(prune_ratio=0.0, merge_mahalanobis=0.0, max_components=100)
+        reduced = reduce(mixture, cfg)
+        assert reduced.n_components == mixture.n_components
+        # Components come back reordered by weight but bit for bit.
+        order = np.argsort(-mixture.weights, kind="stable")
+        np.testing.assert_array_equal(reduced.weights, mixture.weights[order])
+        np.testing.assert_array_equal(reduced.means, mixture.means[order])
+        np.testing.assert_array_equal(reduced.covariances, mixture.covariances[order])
+        pts = probe_points(rng, triple)
+        np.testing.assert_array_equal(reduced.values(pts), mixture.values(pts))
 
 
 class TestFrozenExamples:

@@ -1,23 +1,16 @@
-"""Gaussian possibility and max-mixture algebra."""
-
-import math
+"""Gaussian max-mixture algebra, one-component fusion, and the
+linear-Gaussian supremum."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from possfuse.gaussmax import (
-    GaussianMaxMixture,
-    GaussianPossibility,
-    WeightedComponent,
-    chernoff_component_fusion,
-    independent_component_fusion,
-    sup_linear_gaussian_product,
-)
+from possfuse.bernoulli import BernoulliPossState, ReductionConfig, reduce
+from possfuse.fusion import fuse_chernoff, fuse_independent
+from possfuse.gaussmax import GaussianMaxMixture, sup_linear_gaussian_product
 from support import (
     gauss_value,
-    mixture_box,
     mixture_values,
     random_mixture,
     refine_maximum,
@@ -29,55 +22,75 @@ def mk_mixture(triple) -> GaussianMaxMixture:
     return GaussianMaxMixture(w, m, P)
 
 
+def single(mean, cov, weight=1.0) -> GaussianMaxMixture:
+    """A one-component mixture: one weighted Gaussian possibility."""
+    return GaussianMaxMixture([weight], np.atleast_1d(mean), cov)
+
+
+def value(mix: GaussianMaxMixture, x) -> float:
+    return float(mix.values(np.atleast_1d(np.asarray(x, dtype=float))[None, :])[0])
+
+
+def present(mix: GaussianMaxMixture, q_present: float = 1.0) -> BernoulliPossState:
+    return BernoulliPossState(q_absent=1.0, q_present=q_present, spatial=mix)
+
+
 class TestGaussianPossibility:
+    """A Gaussian possibility is a one-component mixture of weight 1."""
+
     def test_peak_is_one_at_mean(self):
-        g = GaussianPossibility([1.0, -2.0], np.diag([2.0, 3.0]))
-        assert g.value([1.0, -2.0]) == 1.0
+        g = single([1.0, -2.0], np.diag([2.0, 3.0]))
+        assert value(g, [1.0, -2.0]) == 1.0
 
     def test_one_sigma_value(self):
-        g = GaussianPossibility(0.0, 1.0)
-        assert g.value(1.0) == pytest.approx(0.6065306597126334, abs=1e-15)
+        g = single(0.0, 1.0)
+        assert value(g, 1.0) == pytest.approx(0.6065306597126334, abs=1e-15)
 
     def test_matches_explicit_inverse_formula(self):
         rng = np.random.default_rng(11)
         A = rng.normal(size=(3, 3))
         P = A @ A.T + np.eye(3)
         m = rng.normal(size=3)
-        g = GaussianPossibility(m, P)
+        g = single(m, P)
         for _ in range(20):
             x = rng.normal(size=3) * 3
-            assert g.value(x) == pytest.approx(gauss_value(x, m, P), abs=1e-12)
+            assert value(g, x) == pytest.approx(gauss_value(x, m, P), abs=1e-12)
 
     def test_rejects_asymmetric_covariance(self):
-        with pytest.raises(ValueError):
-            GaussianPossibility([0.0, 0.0], [[1.0, 0.5], [0.2, 1.0]])
+        with pytest.raises(ValueError, match="not symmetric"):
+            single([0.0, 0.0], [[1.0, 0.5], [0.2, 1.0]])
 
     def test_rejects_non_positive_definite(self):
-        with pytest.raises(ValueError):
-            GaussianPossibility([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(ValueError, match="not positive definite"):
+            single([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
 
     def test_values_batch_matches_scalar(self):
-        g = GaussianPossibility([0.0], [[4.0]])
+        g = single([0.0], [[4.0]])
         xs = np.linspace(-5, 5, 11)[:, None]
         batch = g.values(xs)
         for x, v in zip(xs, batch):
-            assert g.value(x) == v
+            assert value(g, x) == v
 
     def test_fields_are_readonly(self):
-        g = GaussianPossibility([0.0], [[1.0]])
+        g = single([0.0], [[1.0]])
         with pytest.raises(ValueError):
-            g.mean[0] = 3.0
+            g.means[0, 0] = 3.0
+        with pytest.raises(ValueError):
+            g.covariances[0, 0, 0] = 3.0
 
 
 class TestWeightedComponent:
+    """A weighted component is a one-component mixture."""
+
     def test_scales_value(self):
-        c = WeightedComponent(0.5, GaussianPossibility(0.0, 1.0))
-        assert c.value(0.0) == 0.5
+        c = single(0.0, 1.0, weight=0.5)
+        assert value(c, 0.0) == 0.5
+        assert value(c, 1.0) == 0.5 * value(single(0.0, 1.0), 1.0)
 
     @pytest.mark.parametrize("w", [0.0, -0.1, 1.1])
     def test_rejects_bad_weights(self, w):
         with pytest.raises(ValueError):
-            WeightedComponent(w, GaussianPossibility(0.0, 1.0))
+            single(0.0, 1.0, weight=w)
 
 
 class TestMixture:
@@ -95,118 +108,113 @@ class TestMixture:
             [[0.0], [2.0], [5.0]],
             np.ones((3, 1, 1)),
         )
-        assert mix.supremum() == 1.0
+        assert mix.max_weight == 1.0
         assert mix.argmax_component() == 1
         assert mix.is_normalized
+        # The supremum is attained at the heaviest mean and nowhere exceeded.
+        assert value(mix, 2.0) == 1.0
+        assert mix.values(np.linspace(-5, 10, 301)[:, None]).max() <= 1.0
 
     def test_normalized_rescales_globally(self):
+        # Renormalisation lives in reduce: one global constant, the max
+        # weight, divides every weight; the components keep their means.
         mix = GaussianMaxMixture(
             [0.2, 0.5], [[0.0], [1.0]], np.ones((2, 1, 1))
         )
-        norm = mix.normalized()
-        np.testing.assert_allclose(norm.weights, [0.4, 1.0])
-        # Already-normalised mixtures come back as the same object.
-        assert norm.normalized() is norm
-
-    def test_from_components_round_trip(self):
-        comps = [
-            WeightedComponent(1.0, GaussianPossibility([0.0, 1.0], np.eye(2))),
-            WeightedComponent(0.4, GaussianPossibility([2.0, -1.0], 2 * np.eye(2))),
-        ]
-        mix = GaussianMaxMixture.from_components(comps)
-        assert mix.n_components == 2
-        back = mix.components
-        assert back[1].weight == 0.4
-        np.testing.assert_array_equal(back[0].gaussian.mean, [0.0, 1.0])
+        keep_all = ReductionConfig(prune_ratio=0.0, merge_mahalanobis=0.0)
+        norm = reduce(mix, keep_all)
+        np.testing.assert_allclose(norm.weights, [1.0, 0.4])
+        np.testing.assert_array_equal(norm.means, [[1.0], [0.0]])
+        assert norm.is_normalized
 
     def test_empty_mixture_rejected(self):
         with pytest.raises(ValueError):
-            GaussianMaxMixture.from_components([])
+            GaussianMaxMixture([], np.zeros((0, 1)), np.zeros((0, 1, 1)))
 
     def test_overweight_rejected(self):
         with pytest.raises(ValueError):
             GaussianMaxMixture([1.2], [[0.0]], [[[1.0]]])
 
-    @given(st.floats(0.05, 1.0), st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_power_is_exact_pointwise(self, a, seed):
-        rng = np.random.default_rng(seed)
-        triple = random_mixture(rng, 1, max_comps=3)
-        mix = mk_mixture(triple)
-        powered = mix.power(a)
-        pts = np.linspace(-8, 8, 60)[:, None]
-        np.testing.assert_allclose(
-            powered.values(pts), mix.values(pts) ** a, atol=1e-12
-        )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_means_rejected(self, bad):
+        with pytest.raises(ValueError, match="means must be finite"):
+            GaussianMaxMixture([1.0, 0.5], [[0.0, 1.0], [bad, 0.0]], np.stack([np.eye(2)] * 2))
 
-    def test_power_validates_exponent(self):
-        mix = GaussianMaxMixture([1.0], [[0.0]], [[[1.0]]])
-        for a in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                mix.power(a)
-        assert mix.power(1.0) is mix
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_covariance_named(self, bad):
+        with pytest.raises(ValueError, match="covariance is not finite"):
+            single([0.0, 0.0], [[1.0, bad], [bad, 1.0]])
 
 
 class TestComponentFusion:
+    """Closed-form fusion of two one-component states.  With weight-1
+    components, alpha is the weight of the unnormalised fused component."""
+
     def test_chernoff_frozen_example(self):
         # Unit-variance components at 0 and 2, equal split: the fused
         # component sits at 1 with unit variance and weight exp(-1/2).
-        c1 = WeightedComponent(1.0, GaussianPossibility(0.0, 1.0))
-        c2 = WeightedComponent(1.0, GaussianPossibility(2.0, 1.0))
-        fused = chernoff_component_fusion(c1, c2, 0.5)
-        assert fused.weight == pytest.approx(0.6065306597126334, abs=1e-15)
-        assert fused.gaussian.mean[0] == pytest.approx(1.0, abs=1e-15)
-        assert fused.gaussian.covariance[0, 0] == pytest.approx(1.0, abs=1e-15)
+        a, b = present(single(0.0, 1.0)), present(single(2.0, 1.0))
+        fused = fuse_chernoff(a, b, 0.5)
+        assert fused.alpha == pytest.approx(0.6065306597126334, abs=1e-15)
+        assert fused.state.q_present == pytest.approx(fused.alpha, abs=1e-15)
+        assert fused.state.q_absent == 1.0
+        assert fused.state.spatial.n_components == 1
+        assert fused.state.spatial.means[0, 0] == pytest.approx(1.0, abs=1e-15)
+        assert fused.state.spatial.covariances[0, 0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_independent_frozen_example(self):
-        c1 = WeightedComponent(1.0, GaussianPossibility(0.0, 1.0))
-        c2 = WeightedComponent(1.0, GaussianPossibility(2.0, 1.0))
-        fused = independent_component_fusion(c1, c2)
-        assert fused.weight == pytest.approx(0.36787944117144233, abs=1e-15)
-        assert fused.gaussian.mean[0] == pytest.approx(1.0, abs=1e-14)
-        assert fused.gaussian.covariance[0, 0] == pytest.approx(0.5, abs=1e-15)
+        a, b = present(single(0.0, 1.0)), present(single(2.0, 1.0))
+        fused = fuse_independent(a, b)
+        assert fused.alpha == pytest.approx(0.36787944117144233, abs=1e-15)
+        assert fused.state.spatial.means[0, 0] == pytest.approx(1.0, abs=1e-14)
+        assert fused.state.spatial.covariances[0, 0, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_independent_identical_halves_covariance(self):
+        # Presence possibility 0.8 on both sides squares to 0.64, as the
+        # weight of a 0.8-weighted component would.
         P = np.array([[2.0, 0.3], [0.3, 1.0]])
-        c = WeightedComponent(0.8, GaussianPossibility([1.0, -1.0], P))
-        fused = independent_component_fusion(c, c)
-        np.testing.assert_allclose(fused.gaussian.covariance, P / 2, atol=1e-12)
-        assert fused.weight == pytest.approx(0.64, abs=1e-12)
+        s = present(single([1.0, -1.0], P), q_present=0.8)
+        fused = fuse_independent(s, s)
+        np.testing.assert_allclose(fused.state.spatial.covariances[0], P / 2, atol=1e-12)
+        np.testing.assert_allclose(fused.state.spatial.means[0], [1.0, -1.0], atol=1e-12)
+        assert fused.alpha == pytest.approx(1.0, abs=1e-12)
+        assert fused.state.q_present == pytest.approx(0.64, abs=1e-12)
+        assert fused.state.q_absent == 1.0
 
     @given(st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_chernoff_pointwise_identity(self, omega, seed):
         rng = np.random.default_rng(seed)
-        w1, m1, P1 = random_mixture(rng, 2, max_comps=1)
-        w2, m2, P2 = random_mixture(rng, 2, max_comps=1)
-        c1 = WeightedComponent(w1[0], GaussianPossibility(m1[0], P1[0]))
-        c2 = WeightedComponent(w2[0], GaussianPossibility(m2[0], P2[0]))
-        fused = chernoff_component_fusion(c1, c2, omega)
+        c1 = mk_mixture(random_mixture(rng, 2, max_comps=1))
+        c2 = mk_mixture(random_mixture(rng, 2, max_comps=1))
+        fused = fuse_chernoff(present(c1), present(c2), omega)
         pts = rng.uniform(-6, 6, size=(40, 2))
-        for x in pts:
-            direct = c1.value(x) ** (1 - omega) * c2.value(x) ** omega
-            assert fused.value(x) == pytest.approx(direct, abs=1e-9)
+        got = fused.alpha * fused.state.spatial.values(pts)
+        direct = c1.values(pts) ** (1 - omega) * c2.values(pts) ** omega
+        np.testing.assert_allclose(got, direct, rtol=0, atol=1e-9)
 
     def test_chernoff_idempotent_on_component(self):
         P = np.array([[1.5, -0.2], [-0.2, 0.9]])
-        c = WeightedComponent(1.0, GaussianPossibility([0.5, 2.0], P))
+        s = present(single([0.5, 2.0], P))
         for omega in (0.1, 0.5, 0.9):
-            fused = chernoff_component_fusion(c, c, omega)
-            np.testing.assert_allclose(fused.gaussian.covariance, P, atol=1e-12)
-            np.testing.assert_allclose(fused.gaussian.mean, [0.5, 2.0], atol=1e-12)
-            assert fused.weight == pytest.approx(1.0, abs=1e-12)
+            fused = fuse_chernoff(s, s, omega)
+            np.testing.assert_allclose(fused.state.spatial.covariances[0], P, atol=1e-12)
+            np.testing.assert_allclose(fused.state.spatial.means[0], [0.5, 2.0], atol=1e-12)
+            assert fused.alpha == pytest.approx(1.0, abs=1e-12)
 
     def test_omega_bounds(self):
-        c = WeightedComponent(1.0, GaussianPossibility(0.0, 1.0))
-        for omega in (0.0, 1.0, -0.2, 1.3):
+        s = present(single(0.0, 1.0))
+        for omega in (-0.2, 1.3, float("nan")):
             with pytest.raises(ValueError):
-                chernoff_component_fusion(c, c, omega)
+                fuse_chernoff(s, s, omega)
 
     def test_dimension_mismatch(self):
-        c1 = WeightedComponent(1.0, GaussianPossibility(0.0, 1.0))
-        c2 = WeightedComponent(1.0, GaussianPossibility([0.0, 0.0], np.eye(2)))
+        a = present(single(0.0, 1.0))
+        b = present(single([0.0, 0.0], np.eye(2)))
         with pytest.raises(ValueError):
-            independent_component_fusion(c1, c2)
+            fuse_independent(a, b)
+        with pytest.raises(ValueError):
+            fuse_chernoff(a, b, 0.5)
 
 
 class TestSupLinearGaussianProduct:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from possfuse.bernoulli import Estimate
@@ -79,6 +79,7 @@ class TestOspaProperties:
         assert ospa(X, Y, cutoff=10.0, order=1.0) == ospa_permutations(X, Y, 10.0, 1.0)
 
     @given(points_strategy, points_strategy)
+    @example([(0.0, 0.0)] * 4, [(0.0, 0.0), (0.0, 1.0), (1.0, 3.0), (1.0, 1.0)])
     @settings(max_examples=60, deadline=None)
     def test_symmetry_and_bounds(self, xs, ys):
         X = [np.array(p) for p in xs]
@@ -116,10 +117,6 @@ class TestCovarianceTrace:
     def test_diagonal(self):
         est = mk_estimate([0, 0, 0, 0], np.diag([1.0, 2.0, 3.0, 4.0]))
         assert covariance_trace(est) == 10.0
-
-    def test_positions_only(self):
-        est = mk_estimate([0, 0, 0, 0], np.diag([1.0, 2.0, 3.0, 4.0]))
-        assert covariance_trace(est, positions_only=True) == 4.0
 
     def test_absent_estimate_rejected(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ from possfuse.simulate import (
     cv_process_noise,
     cv_transition,
     generate_labeled_measurements,
-    generate_measurements,
     generate_truth,
     ignorance_mixture,
     position_observation,
@@ -32,9 +31,14 @@ class TestRect:
         assert r.center == (30.0, 25.0)
 
     def test_contains(self):
+        # Clutter scattered over a region lands inside its bounds.
         r = Rect(0.0, 10.0, 0.0, 10.0)
-        assert r.contains(np.array([5.0, 5.0]))
-        assert not r.contains(np.array([11.0, 5.0]))
+        sensor = SensorConfig(pd_true=0.0, clutter_rate=20.0)
+        labeled = generate_labeled_measurements([None] * 20, sensor, r, seed=4)
+        pts = np.concatenate([scan.points for scan, _ in labeled])
+        assert pts.shape[0] > 0
+        assert np.all((r.xmin <= pts[:, 0]) & (pts[:, 0] <= r.xmax))
+        assert np.all((r.ymin <= pts[:, 1]) & (pts[:, 1] <= r.ymax))
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
@@ -111,17 +115,23 @@ class TestMeasurements:
         truth = generate_truth(cfg, seed=1)
         sensor = cfg.sensors[0]
         labeled = generate_labeled_measurements(truth, sensor, cfg.region, seed=2)
-        plain = generate_measurements(truth, sensor, cfg.region, seed=2)
-        assert len(labeled) == len(plain) == 50
-        for (scan_l, labels), scan_p in zip(labeled, plain):
-            np.testing.assert_array_equal(scan_l.points, scan_p.points)
-            assert labels.shape == (scan_l.points.shape[0],)
-            assert scan_l.time_index == scan_p.time_index
+        again = generate_labeled_measurements(truth, sensor, cfg.region, seed=2)
+        assert len(labeled) == len(again) == 50
+        for step, ((scan, labels), (scan_again, labels_again)) in enumerate(zip(labeled, again), 1):
+            np.testing.assert_array_equal(scan.points, scan_again.points)
+            np.testing.assert_array_equal(labels, labels_again)
+            assert labels.shape == (scan.points.shape[0],)
+            assert scan.time_index == scan_again.time_index == step
 
     def test_scan_points_readonly(self):
         scan = Scan(1, np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError):
             scan.points[0, 0] = 5.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_scan_rejects_non_finite_points(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Scan(1, np.array([[1.0, 2.0], [bad, 3.0]]))
 
     def test_detection_frequency(self):
         n = 10000
@@ -220,9 +230,6 @@ class TestConfigDefaults:
         assert cfg.sensors[1].pd_true == 0.6
         assert cfg.sensors[0].noise_var == 2.0
         assert cfg.sensors[0].clutter_rate == 4.0
-        # probabilistic parameters are carried but nothing consumes them
-        assert cfg.p_birth == 0.05
-        assert cfg.p_survive == 0.99
 
     def test_validation(self):
         with pytest.raises(ValueError):
