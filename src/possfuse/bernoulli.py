@@ -42,7 +42,7 @@ from .gaussmax import (
     _conditioned_covariance,
     _readonly,
 )
-from .simulate import Rect, Scan
+from .simulate import Rect, Scan, _check_int
 
 __all__ = [
     "TransitionPossibilityMatrix",
@@ -250,7 +250,8 @@ class ReductionConfig:
             raise ValueError(f"prune_ratio must lie in [0, 1), got {self.prune_ratio}")
         if self.merge_mahalanobis < 0.0:
             raise ValueError(f"merge_mahalanobis must be nonnegative, got {self.merge_mahalanobis}")
-        if int(self.max_components) < 1:
+        _check_int("max_components", self.max_components)
+        if self.max_components < 1:
             raise ValueError(f"max_components must be at least 1, got {self.max_components}")
 
 
@@ -308,7 +309,11 @@ def predict(
         F = motion.transition
         w_parts.append(survive_scale * mix.weights)
         m_parts.append(mix.means @ F.T)
-        P_parts.append(np.einsum("ij,njk,lk->nil", F, mix.covariances, F) + motion.process_noise)
+        P_parts.append(
+            _conditioned_covariance(
+                np.einsum("ij,njk,lk->nil", F, mix.covariances, F) + motion.process_noise
+            )
+        )
     if birth_scale > 0.0:
         w_parts.append(birth_scale * birth.weights)
         m_parts.append(birth.means)
@@ -316,7 +321,7 @@ def predict(
     if not w_parts:
         raise ValueError("prediction is degenerate: no birth and no survival possibility")
     w = np.concatenate(w_parts)
-    spatial = GaussianMaxMixture(
+    spatial = GaussianMaxMixture._derived(
         w / w.max(), np.concatenate(m_parts), np.concatenate(P_parts)
     )
     return BernoulliPossState(q_absent=q0p, q_present=q1p, spatial=spatial)
@@ -334,10 +339,10 @@ def _innovation_terms(
 
 
 def _log_match_table(
-    mix: GaussianMaxMixture, points: np.ndarray, eta: np.ndarray, S: np.ndarray, meas: MeasurementModel
+    mix: GaussianMaxMixture, nu: np.ndarray, S: np.ndarray, meas: MeasurementModel
 ) -> np.ndarray:
-    """log[clutter_ratio * w_i * N(z; eta_i, S_i)] for every (z, component)."""
-    nu = points[:, None, :] - eta[None, :, :]
+    """log[clutter_ratio * w_i * N(z; eta_i, S_i)] for every (z, component),
+    from the innovations nu[z, i] = z - eta_i."""
     sol = np.linalg.solve(S[None, ...], nu[..., None])[..., 0]
     quad = np.maximum(np.einsum("mni,mni->mn", nu, sol), 0.0)
     return math.log(meas.clutter_ratio()) + np.log(mix.weights)[None, :] - 0.5 * quad
@@ -375,7 +380,7 @@ def update(
         theta = d0
         q0, q1 = _normalized_pair(pred.q_absent, theta * pred.q_present)
         w = (d0 / theta) * mix.weights
-        spatial = GaussianMaxMixture(w / w.max(), mix.means, mix.covariances)
+        spatial = GaussianMaxMixture._derived(w / w.max(), mix.means, mix.covariances)
         return BernoulliPossState(q0, q1, spatial)
     if points.shape[1] != meas.meas_dim:
         raise ValueError(
@@ -399,26 +404,27 @@ def update(
     P_upd = np.einsum("nij,njk,nlk->nil", IKH, P, IKH) + np.einsum(
         "nij,jk,nlk->nil", K, R, K
     )
-    P_upd = 0.5 * (P_upd + P_upd.swapaxes(1, 2))
+    P_upd = _conditioned_covariance(0.5 * (P_upd + P_upd.swapaxes(1, 2)))
 
-    table = _log_match_table(mix, points, eta, S, meas)
+    nu = points[:, None, :] - eta[None, :, :]
+    table = _log_match_table(mix, nu, S, meas)
     theta = max(d0, d1 * math.exp(float(table.max())))
     q0, q1 = _normalized_pair(pred.q_absent, theta * pred.q_present)
 
     nd_w = (d0 / theta) * mix.weights
     det_w = np.exp(math.log(d1) - math.log(theta) + table)
-    nu = points[:, None, :] - eta[None, :, :]
     det_means = m[None, :, :] + np.einsum("nij,mnj->mni", K, nu)
 
     weights = np.concatenate([nd_w, det_w.reshape(-1)])
     means = np.concatenate([m, det_means.reshape(-1, nx)])
-    covs = np.concatenate(
-        [P, np.broadcast_to(P_upd[None], (n_meas, n_comp, nx, nx)).reshape(-1, nx, nx)]
-    )
-    keep = weights >= WEIGHT_UNDERFLOW
-    keep[int(np.argmax(weights))] = True
-    weights, means, covs = weights[keep], means[keep], covs[keep]
-    spatial = GaussianMaxMixture(weights / weights.max(), means, covs)
+    covs = np.empty((n_comp * (1 + n_meas), nx, nx))
+    covs[:n_comp] = P
+    covs[n_comp:].reshape(n_meas, n_comp, nx, nx)[...] = P_upd
+    if weights.min() < WEIGHT_UNDERFLOW:
+        keep = weights >= WEIGHT_UNDERFLOW
+        keep[int(np.argmax(weights))] = True
+        weights, means, covs = weights[keep], means[keep], covs[keep]
+    spatial = GaussianMaxMixture._derived(weights / weights.max(), means, covs)
     return BernoulliPossState(q0, q1, spatial)
 
 
@@ -436,31 +442,46 @@ def reduce(mixture: GaussianMaxMixture, config: ReductionConfig) -> GaussianMaxM
     """
     w_all = mixture.weights
     keep = w_all >= config.prune_ratio * w_all.max()
-    w = w_all[keep]
-    means = mixture.means[keep]
-    covs = mixture.covariances[keep]
+    if keep.all():
+        w, means, covs = w_all, mixture.means, mixture.covariances
+    else:
+        w, means, covs = w_all[keep], mixture.means[keep], mixture.covariances[keep]
+    n = w.size
 
-    order = np.argsort(-w, kind="stable")
-    alive = np.ones(w.size, dtype=bool)
-    thresh2 = float(config.merge_mahalanobis) ** 2
-    out_w: list[float] = []
-    out_m: list[np.ndarray] = []
-    out_P: list[np.ndarray] = []
-    for head in order:
+    # near[h][j]: component j lies within merge_mahalanobis of component h
+    # in h's metric.  One batched factorisation and solve give the whole
+    # table; the greedy walk below reads only the rows of its heads.
+    if n > 1:
+        diff = means[None, :, :] - means[:, None, :]
+        y = np.linalg.solve(np.linalg.cholesky(covs), diff.swapaxes(1, 2))
+        near = ((y * y).sum(axis=1) <= float(config.merge_mahalanobis) ** 2).tolist()
+    else:
+        near = [[True]]
+
+    alive = [True] * n
+    heads: list[int] = []
+    clusters: list[list[int]] = []
+    for head in np.argsort(-w, kind="stable").tolist():
         if not alive[head]:
             continue
-        cand = np.flatnonzero(alive)
-        diff = means[cand] - means[head]
-        L = np.linalg.cholesky(covs[head])
-        y = np.linalg.solve(L, diff.T)
-        dist2 = np.sum(y * y, axis=0)
-        cluster = cand[dist2 <= thresh2]
-        if cluster.size == 1:
-            # Untouched components keep their exact mean and covariance.
-            out_w.append(float(w[head]))
-            out_m.append(means[head])
-            out_P.append(covs[head])
-        else:
+        cluster = [j for j, close in enumerate(near[head]) if close and alive[j]]
+        for j in cluster:
+            alive[j] = False
+        heads.append(head)
+        clusters.append(cluster)
+    # Clusters were emitted in descending head weight, so capping keeps
+    # the heaviest ones and the order is deterministic.
+    n_keep = min(len(heads), config.max_components)
+    heads = heads[:n_keep]
+    # Untouched components keep their exact mean and covariance.
+    w_out = w[heads]
+    m_out = means[heads]
+    P_out = covs[heads]
+    merged = [i for i in range(n_keep) if len(clusters[i]) > 1]
+    if merged:
+        P_merged = []
+        for i in merged:
+            cluster = clusters[i]
             cw = w[cluster]
             cm = means[cluster]
             cP = covs[cluster]
@@ -470,17 +491,10 @@ def reduce(mixture: GaussianMaxMixture, config: ReductionConfig) -> GaussianMaxM
             Pbar = (
                 cw[:, None, None] * (cP + dd[:, :, None] * dd[:, None, :])
             ).sum(axis=0) / total
-            out_w.append(float(w[head]))
-            out_m.append(mbar)
-            out_P.append(Pbar)
-        alive[cluster] = False
-    # Clusters were emitted in descending head weight, so capping keeps
-    # the heaviest ones and the order is deterministic.
-    n_keep = min(len(out_w), int(config.max_components))
-    w_arr = np.array(out_w[:n_keep])
-    m_arr = np.stack(out_m[:n_keep])
-    P_arr = np.stack(out_P[:n_keep])
-    return GaussianMaxMixture(w_arr / w_arr.max(), m_arr, P_arr)
+            m_out[i] = mbar
+            P_merged.append(Pbar)
+        P_out[merged] = _conditioned_covariance(np.stack(P_merged))
+    return GaussianMaxMixture._derived(w_out / w_out.max(), m_out, P_out)
 
 
 def extract(state: BernoulliPossState) -> Optional[Estimate]:

@@ -15,7 +15,7 @@ from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
 
 from .bernoulli import ReductionConfig
 from .fusion import parse_omega_strategy
-from .simulate import ScenarioConfig
+from .simulate import ScenarioConfig, _check_int
 
 __all__ = [
     "ConfigError",
@@ -114,9 +114,11 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
-        if int(self.runs) < 1:
+        _check_int("runs", self.runs)
+        _check_int("master_seed", self.master_seed)
+        if self.runs < 1:
             raise ValueError(f"runs must be at least 1, got {self.runs}")
-        if int(self.master_seed) < 0:
+        if self.master_seed < 0:
             raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
 
 

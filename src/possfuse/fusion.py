@@ -81,8 +81,8 @@ def _fused_mixture(
     log_alpha, keep = float(log_alphas[0]), keeps[0]
     weights = np.exp(log_w.reshape(-1)[keep] - log_alpha)
     means = means.reshape(-1, a.dim)[keep]
-    covs = covs.reshape(-1, a.dim, a.dim)[keep]
-    return GaussianMaxMixture(weights, means, covs), log_alpha
+    covs = _conditioned_covariance(covs.reshape(-1, a.dim, a.dim)[keep])
+    return GaussianMaxMixture._derived(weights, means, covs), log_alpha
 
 
 def _kept_pairs(log_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -47,11 +47,17 @@ WEIGHT_UNDERFLOW = 1e-300
 def _conditioned_covariance(P: np.ndarray, *, dim: int | None = None) -> np.ndarray:
     """Validate a covariance (or a stack of them) and make it safely SPD.
 
-    Accepts shape (..., n, n).  Rejects non-square, asymmetric, or
-    non-positive-definite input.  Near-singular matrices, where the
+    Accepts shape (..., n, n).  Rejects non-square, non-finite, asymmetric,
+    or non-positive-definite input.  Near-singular matrices, where the
     smallest eigenvalue is below EIG_FLOOR times the largest, get a
     diagonal jitter of EIG_FLOOR * trace / n so later factorisations
-    cannot blow up.  Returns a fresh symmetrised array.
+    cannot blow up.  Returns a bitwise-symmetric array, which is P itself
+    when P already is one and needs no jitter.
+
+    This is the one covariance check: the public GaussianMaxMixture
+    constructor runs it on its input, and every operation runs it once on
+    the covariances it computes.  Covariances copied from a mixture that
+    was already checked are not checked again, so they keep their bits.
     """
     P = np.asarray(P, dtype=float)
     if P.ndim == 0:
@@ -60,19 +66,27 @@ def _conditioned_covariance(P: np.ndarray, *, dim: int | None = None) -> np.ndar
         raise ValueError(f"covariance must be square, got shape {P.shape}")
     if dim is not None and P.shape[-1] != dim:
         raise ValueError(f"covariance dimension {P.shape[-1]} does not match mean dimension {dim}")
-    scale = np.maximum(1.0, np.abs(P).max(axis=(-2, -1), keepdims=True))
-    if not np.all(np.abs(P - np.swapaxes(P, -1, -2)) <= SYMMETRY_TOL * scale):
-        # NaN and inf fail the symmetry test too; name them apart.
-        if not np.all(np.isfinite(P)):
-            raise ValueError("covariance is not finite")
-        raise ValueError("covariance is not symmetric within tolerance")
-    P = 0.5 * (P + np.swapaxes(P, -1, -2))
+    # Checked first, so that inf - inf never reaches the symmetry test.
+    if not np.isfinite(P).all():
+        raise ValueError("covariance is not finite")
+    bits = P.view(np.int64)
+    if not (bits == bits.swapaxes(-1, -2)).all():
+        # Symmetrising a bitwise-symmetric matrix would return its bits, so
+        # only other input pays for the tolerance test and the average.
+        PT = P.swapaxes(-1, -2)
+        scale = np.maximum(np.abs(P).max(axis=(-2, -1), keepdims=True), 1.0)
+        if not (np.abs(P - PT) <= SYMMETRY_TOL * scale).all():
+            raise ValueError("covariance is not symmetric within tolerance")
+        P = 0.5 * (P + PT)
     eigs = np.linalg.eigvalsh(P)
-    if np.any(eigs[..., 0] <= 0.0):
-        raise ValueError("covariance is not positive definite")
-    n = P.shape[-1]
-    low = eigs[..., 0] < EIG_FLOOR * eigs[..., -1]
-    if np.any(low):
+    lowest = eigs[..., 0]
+    # One test clears the common case; a non-positive lowest eigenvalue
+    # also fails it, as it is never above EIG_FLOOR times the largest.
+    if not (lowest > EIG_FLOOR * eigs[..., -1]).all():
+        if (lowest <= 0.0).any():
+            raise ValueError("covariance is not positive definite")
+        low = lowest < EIG_FLOOR * eigs[..., -1]
+        n = P.shape[-1]
         jitter = EIG_FLOOR * (np.trace(P, axis1=-2, axis2=-1) / n)
         P = P + np.where(low, jitter, 0.0)[..., None, None] * np.eye(n)
     return P
@@ -82,6 +96,26 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Mark an array the caller owns read-only, without copying it."""
+    a.setflags(write=False)
+    return a
+
+
+def _checked_weights(w: np.ndarray) -> np.ndarray:
+    """Check that weights are finite, positive and at most 1 up to
+    NORM_TOL, then clip them to 1 in place."""
+    lo, hi = w.min(), w.max()
+    # Both comparisons fail on NaN.
+    if not (lo > 0.0 and hi <= 1.0 + NORM_TOL):
+        if not (lo > 0.0 and np.isfinite(hi)):
+            raise ValueError("weights must be finite and strictly positive")
+        raise ValueError(f"weights must not exceed 1, got max {hi}")
+    if hi > 1.0:
+        np.minimum(w, 1.0, out=w)
+    return w
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,8 +134,8 @@ class GaussianMaxMixture:
     covariances: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        means = np.asarray(self.means, dtype=float)
+        w = np.atleast_1d(np.array(self.weights, dtype=float))
+        means = np.array(self.means, dtype=float)
         if means.ndim == 1:
             means = means[:, None] if w.size == means.shape[0] else means[None, :]
         if w.ndim != 1 or w.size == 0:
@@ -110,7 +144,7 @@ class GaussianMaxMixture:
             raise ValueError(f"means must have shape ({w.size}, d), got {means.shape}")
         if not np.isfinite(means).all():
             raise ValueError("means must be finite")
-        covs = np.asarray(self.covariances, dtype=float)
+        covs = np.array(self.covariances, dtype=float)
         if covs.ndim == 2 and w.size == 1:
             covs = covs[None, :, :]
         if covs.ndim == 1 or covs.ndim == 0:
@@ -118,14 +152,29 @@ class GaussianMaxMixture:
         covs = _conditioned_covariance(covs, dim=means.shape[1])
         if covs.shape != (w.size, means.shape[1], means.shape[1]):
             raise ValueError(f"covariances must have shape ({w.size}, {means.shape[1]}, {means.shape[1]}), got {covs.shape}")
-        if np.any(~np.isfinite(w)) or np.any(w <= 0.0):
-            raise ValueError("weights must be finite and strictly positive")
-        if np.any(w > 1.0 + NORM_TOL):
-            raise ValueError(f"weights must not exceed 1, got max {w.max()}")
-        w = np.minimum(w, 1.0)
-        object.__setattr__(self, "weights", _readonly(w))
-        object.__setattr__(self, "means", _readonly(means))
-        object.__setattr__(self, "covariances", _readonly(covs))
+        object.__setattr__(self, "weights", _frozen(_checked_weights(w)))
+        object.__setattr__(self, "means", _frozen(means))
+        object.__setattr__(self, "covariances", _frozen(covs))
+
+    @classmethod
+    def _derived(
+        cls, weights: np.ndarray, means: np.ndarray, covariances: np.ndarray
+    ) -> "GaussianMaxMixture":
+        """A mixture an operation has computed from checked mixtures.
+
+        covariances must be conditioned already: either computed and passed
+        through _conditioned_covariance by the operation, or taken from a
+        checked mixture.  Weights and means are checked here, since every
+        operation computes them anew.  The arrays are frozen in place, not
+        copied, so the caller must not keep a writable reference to them.
+        """
+        if not np.isfinite(means).all():
+            raise ValueError("means must be finite")
+        mixture = object.__new__(cls)
+        object.__setattr__(mixture, "weights", _frozen(_checked_weights(weights)))
+        object.__setattr__(mixture, "means", _frozen(means))
+        object.__setattr__(mixture, "covariances", _frozen(covariances))
+        return mixture
 
     @property
     def n_components(self) -> int:

@@ -12,8 +12,10 @@ Comparing two empty sets gives 0 by convention.
 The optimal assignment is solved exactly by dynamic programming over
 column subsets.  That is deliberate: tests check it against brute-force
 permutation search, so the solver must not itself be a permutation
-search.  Set sizes here are tiny (this tracker reports at most one
-estimate), so the subset DP is more than fast enough.
+search.  This tracker reports at most one estimate against at most one
+true target, so aggregate scores every (run, step) with the single-pair
+closed form over whole arrays; ospa serves general sets and is the
+reference that closed form is tested against.
 """
 
 from __future__ import annotations
@@ -180,10 +182,6 @@ class AggregateResult:
     mean_q_present: dict[str, np.ndarray]
 
 
-def _estimate_position(est: Estimate) -> np.ndarray:
-    return est.mean[list(POSITION_INDICES)]
-
-
 def aggregate(
     records: Sequence[RunRecord], cutoff: float = 10.0, order: float = 1.0
 ) -> AggregateResult:
@@ -191,6 +189,11 @@ def aggregate(
 
     The fold is a plain ordered sum over the records as given, so the
     result is bit-identical no matter how the runs were computed.
+
+    Truth and estimate sets hold at most one point each, so the OSPA of a
+    (run, step) is min(cutoff, |t - e|) when both points exist (the
+    order-p power and root of a single term), cutoff when one is missing,
+    and 0 when both are; each value equals what ospa returns for the pair.
     """
     if not records:
         raise ValueError("need at least one run record")
@@ -199,38 +202,58 @@ def aggregate(
     for rec in records:
         if rec.steps != steps or tuple(rec.series.keys()) != names:
             raise ValueError("all run records must share steps and series")
-
-    mean_ospa = {s: np.zeros(steps) for s in names}
-    trace_sum = {s: np.zeros(steps) for s in names}
-    count = {s: np.zeros(steps, dtype=np.int64) for s in names}
-    q0_sum = {s: np.zeros(steps) for s in names}
-    q1_sum = {s: np.zeros(steps) for s in names}
-
-    for rec in records:
-        for s in names:
-            track = rec.series[s]
-            for k in range(steps):
-                truth = rec.truth_positions[k]
-                truth_set = [truth] if truth is not None else []
-                est = track.estimates[k]
-                est_set = [_estimate_position(est)] if est is not None else []
-                mean_ospa[s][k] += ospa(truth_set, est_set, cutoff, order)
-                if est is not None:
-                    trace_sum[s][k] += covariance_trace(est)
-                    count[s][k] += 1
-                q0_sum[s][k] += track.q_absent[k]
-                q1_sum[s][k] += track.q_present[k]
+    cutoff = float(cutoff)
+    order = float(order)
+    if cutoff <= 0.0:
+        raise ValueError(f"cutoff must be positive, got {cutoff}")
+    if order < 1.0:
+        raise ValueError(f"order must be at least 1, got {order}")
 
     n = len(records)
+    truths = [t for rec in records for t in rec.truth_positions]
+    has_truth = np.array([t is not None for t in truths], dtype=bool)
+    truth_xy = _stack_present(truths, has_truth)
+
+    mean_ospa = {}
     mean_trace = {}
+    count = {}
+    q0_mean = {}
+    q1_mean = {}
     for s in names:
+        tracks = [rec.series[s] for rec in records]
+        estimates = [e for track in tracks for e in track.estimates]
+        has_est = np.array([e is not None for e in estimates], dtype=bool)
+        present = [e for e in estimates if e is not None]
+        est_xy = np.zeros((has_est.size, len(POSITION_INDICES)))
+        traces = np.zeros(has_est.size)
+        if present:
+            est_xy[has_est] = np.stack([e.mean for e in present])[:, list(POSITION_INDICES)]
+            traces[has_est] = np.trace(np.stack([e.covariance for e in present]), axis1=-2, axis2=-1)
+
+        both = has_truth & has_est
+        dist = np.where(has_truth | has_est, cutoff, 0.0)
+        if both.any():
+            if truth_xy.shape[1] != est_xy.shape[1]:
+                raise ValueError(
+                    f"all points must share a dimension, got sizes {sorted({truth_xy.shape[1], est_xy.shape[1]})}"
+                )
+            d = truth_xy[both] - est_xy[both]
+            # vecdot, like the dot inside np.linalg.norm, and Python's pow,
+            # like ospa's scalar arithmetic, keep every value bit-identical.
+            dist[both] = [
+                (min(cutoff, x) ** order) ** (1.0 / order)
+                for x in np.sqrt(np.vecdot(d, d)).tolist()
+            ]
+
+        mean_ospa[s] = _run_sum(dist.reshape(n, steps)) / n
+        c = has_est.reshape(n, steps).sum(axis=0, dtype=np.int64)
         with np.errstate(invalid="ignore", divide="ignore"):
             mean_trace[s] = np.where(
-                count[s] > 0, trace_sum[s] / np.maximum(count[s], 1), np.nan
+                c > 0, _run_sum(traces.reshape(n, steps)) / np.maximum(c, 1), np.nan
             )
-        mean_ospa[s] /= n
-        q0_sum[s] /= n
-        q1_sum[s] /= n
+        count[s] = c
+        q0_mean[s] = _run_sum(np.array([t.q_absent for t in tracks], dtype=float)) / n
+        q1_mean[s] = _run_sum(np.array([t.q_present for t in tracks], dtype=float)) / n
     return AggregateResult(
         runs=n,
         steps=steps,
@@ -238,6 +261,25 @@ def aggregate(
         mean_ospa=mean_ospa,
         mean_trace=mean_trace,
         present_count=count,
-        mean_q_absent=q0_sum,
-        mean_q_present=q1_sum,
+        mean_q_absent=q0_mean,
+        mean_q_present=q1_mean,
     )
+
+
+def _stack_present(points: list, present: np.ndarray) -> np.ndarray:
+    """(len(points), dim) array of the points, zero rows where absent."""
+    kept = [p for p in points if p is not None]
+    if not kept:
+        return np.zeros((len(points), len(POSITION_INDICES)))
+    stacked = np.stack([np.atleast_1d(np.asarray(p, dtype=float)) for p in kept])
+    out = np.zeros((len(points), stacked.shape[1]))
+    out[present] = stacked
+    return out
+
+
+def _run_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum of the (runs, steps) rows, added one run at a time in run order."""
+    total = np.zeros(rows.shape[1])
+    for row in rows:
+        total += row
+    return total

@@ -14,12 +14,13 @@ trajectory and vice versa.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .gaussmax import GaussianMaxMixture, _readonly
+from .gaussmax import GaussianMaxMixture, _conditioned_covariance, _readonly
 
 __all__ = [
     "Rect",
@@ -38,6 +39,12 @@ __all__ = [
 
 # Sub-stream tags for per-purpose random generators.
 _TRUTH, _DETECT, _NOISE, _CLUTTER, _ORDER = 0, 1, 2, 3, 4
+
+
+def _check_int(name: str, value) -> None:
+    """Reject a bool or non-integer value for the integer field name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _stream(seed: int, purpose: int) -> np.random.Generator:
@@ -109,6 +116,8 @@ class ScenarioConfig:
     )
 
     def __post_init__(self) -> None:
+        for name in ("steps", "birth_step", "death_step"):
+            _check_int(name, getattr(self, name))
         if self.steps < 1:
             raise ValueError(f"steps must be at least 1, got {self.steps}")
         if not (1 <= self.birth_step <= self.death_step <= self.steps):
@@ -297,9 +306,7 @@ def build_birth_mixture(
     means = np.zeros((n, 4))
     means[:, 0] = pts[:, 0]
     means[:, 2] = pts[:, 1]
-    cov = np.diag([birth_cfg.pos_var, birth_cfg.vel_var, birth_cfg.pos_var, birth_cfg.vel_var])
-    return GaussianMaxMixture(
-        weights=np.ones(n),
-        means=means,
-        covariances=np.broadcast_to(cov, (n, 4, 4)).copy(),
+    cov = _conditioned_covariance(
+        np.diag([birth_cfg.pos_var, birth_cfg.vel_var, birth_cfg.pos_var, birth_cfg.vel_var])
     )
+    return GaussianMaxMixture._derived(np.ones(n), means, np.broadcast_to(cov, (n, 4, 4)))

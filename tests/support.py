@@ -142,3 +142,108 @@ def random_mixture(rng: np.random.Generator, dim: int, max_comps: int = 4):
         A = rng.normal(size=(dim, dim)) * 0.5
         covs[i] = A @ A.T + np.eye(dim) * rng.uniform(0.4, 1.5)
     return weights, means, covs
+
+
+def reduce_reference(mixture, config):
+    """Mixture reduction by the original per-head loop.
+
+    Each head factorises its own covariance and measures only the
+    components still alive; the result goes through the public
+    constructor.  Covariances that are already conditioned and well away
+    from singular come out with the same bits as the operation's.
+    """
+    from possfuse.gaussmax import GaussianMaxMixture
+
+    w_all = mixture.weights
+    keep = w_all >= config.prune_ratio * w_all.max()
+    w = w_all[keep]
+    means = mixture.means[keep]
+    covs = mixture.covariances[keep]
+
+    order = np.argsort(-w, kind="stable")
+    alive = np.ones(w.size, dtype=bool)
+    thresh2 = float(config.merge_mahalanobis) ** 2
+    out_w, out_m, out_P = [], [], []
+    for head in order:
+        if not alive[head]:
+            continue
+        cand = np.flatnonzero(alive)
+        diff = means[cand] - means[head]
+        L = np.linalg.cholesky(covs[head])
+        y = np.linalg.solve(L, diff.T)
+        dist2 = np.sum(y * y, axis=0)
+        cluster = cand[dist2 <= thresh2]
+        if cluster.size == 1:
+            out_w.append(float(w[head]))
+            out_m.append(means[head])
+            out_P.append(covs[head])
+        else:
+            cw = w[cluster]
+            cm = means[cluster]
+            cP = covs[cluster]
+            total = cw.sum()
+            mbar = (cw[:, None] * cm).sum(axis=0) / total
+            dd = cm - mbar
+            Pbar = (
+                cw[:, None, None] * (cP + dd[:, :, None] * dd[:, None, :])
+            ).sum(axis=0) / total
+            out_w.append(float(w[head]))
+            out_m.append(mbar)
+            out_P.append(Pbar)
+        alive[cluster] = False
+    n_keep = min(len(out_w), int(config.max_components))
+    w_arr = np.array(out_w[:n_keep])
+    m_arr = np.stack(out_m[:n_keep])
+    P_arr = np.stack(out_P[:n_keep])
+    return GaussianMaxMixture(w_arr / w_arr.max(), m_arr, P_arr)
+
+
+def aggregate_reference(records, cutoff: float, order: float):
+    """Per-step means by calling ospa and covariance_trace for every
+    (run, series, step) and adding into per-step sums in run order.
+
+    Returns the AggregateResult fields as a dict.
+    """
+    from possfuse.metrics import POSITION_INDICES, covariance_trace, ospa
+
+    steps = records[0].steps
+    names = tuple(records[0].series.keys())
+    mean_ospa = {s: np.zeros(steps) for s in names}
+    trace_sum = {s: np.zeros(steps) for s in names}
+    count = {s: np.zeros(steps, dtype=np.int64) for s in names}
+    q0_sum = {s: np.zeros(steps) for s in names}
+    q1_sum = {s: np.zeros(steps) for s in names}
+    for rec in records:
+        for s in names:
+            track = rec.series[s]
+            for k in range(steps):
+                truth = rec.truth_positions[k]
+                truth_set = [truth] if truth is not None else []
+                est = track.estimates[k]
+                est_set = [est.mean[list(POSITION_INDICES)]] if est is not None else []
+                mean_ospa[s][k] += ospa(truth_set, est_set, cutoff, order)
+                if est is not None:
+                    trace_sum[s][k] += covariance_trace(est)
+                    count[s][k] += 1
+                q0_sum[s][k] += track.q_absent[k]
+                q1_sum[s][k] += track.q_present[k]
+    n = len(records)
+    mean_trace = {}
+    for s in names:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mean_trace[s] = np.where(
+                count[s] > 0, trace_sum[s] / np.maximum(count[s], 1), np.nan
+            )
+        mean_ospa[s] /= n
+        q0_sum[s] /= n
+        q1_sum[s] /= n
+    return {
+        "runs": n,
+        "steps": steps,
+        "series": names,
+        "mean_ospa": mean_ospa,
+        "mean_trace": mean_trace,
+        "present_count": count,
+        "mean_q_absent": q0_sum,
+        "mean_q_present": q1_sum,
+    }

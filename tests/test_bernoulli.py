@@ -22,7 +22,7 @@ from possfuse.bernoulli import (
 )
 from possfuse.gaussmax import GaussianMaxMixture
 from possfuse.simulate import Rect, Scan
-from support import gauss_value, mixture_value, random_mixture
+from support import gauss_value, mixture_value, random_mixture, reduce_reference
 
 BENCH_PHI = TransitionPossibilityMatrix.from_matrix([[1.0, 0.01], [0.01, 1.0]])
 REGION = Rect(0.0, 60.0, 0.0, 60.0)
@@ -428,6 +428,38 @@ class TestReduce:
             ReductionConfig(prune_ratio=0.1, merge_mahalanobis=-1.0, max_components=10)
         with pytest.raises(ValueError):
             ReductionConfig(prune_ratio=0.1, merge_mahalanobis=2.0, max_components=0)
+
+    @pytest.mark.parametrize("cap", [2.5, True, None, "3"])
+    def test_config_rejects_non_integer_cap(self, cap):
+        with pytest.raises(ValueError, match="max_components must be an integer"):
+            ReductionConfig(max_components=cap)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 14),
+        st.sampled_from([1, 2, 4]),
+        st.sampled_from([0.0, 1e-3, 0.2, 0.6]),
+        st.sampled_from([0.0, 0.5, 2.0, 4.0]),
+        st.integers(1, 8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_head_loop(self, seed, n, dim, prune, merge, cap):
+        # Clustered means and a few repeated weights make the walk merge,
+        # prune, cap and break ties by index.
+        rng = np.random.default_rng(seed)
+        w = rng.choice([5e-4, 0.05, 0.3, 0.5, 0.8, 1.0], size=n)
+        w[int(rng.integers(n))] = 1.0
+        centres = rng.uniform(-6.0, 6.0, size=(3, dim))
+        means = centres[rng.integers(0, 3, size=n)] + rng.normal(scale=0.8, size=(n, dim))
+        A = rng.normal(size=(n, dim, dim)) * 0.6
+        covs = A @ A.swapaxes(1, 2) + np.eye(dim) * rng.uniform(0.3, 2.0, size=(n, 1, 1))
+        mix = GaussianMaxMixture(w, means, covs)
+        cfg = ReductionConfig(prune_ratio=prune, merge_mahalanobis=merge, max_components=cap)
+        got = reduce(mix, cfg)
+        want = reduce_reference(mix, cfg)
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.means.tobytes() == want.means.tobytes()
+        assert got.covariances.tobytes() == want.covariances.tobytes()
 
 
 class TestStateAndExtract:

@@ -2,15 +2,19 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from possfuse.bernoulli import ReductionConfig
 from possfuse.config import (
     ConfigError,
+    ExperimentConfig,
     default_experiment,
     load_experiment,
     parse_experiment,
     serialize_experiment,
 )
+from possfuse.simulate import ScenarioConfig
 
 
 class TestDefaults:
@@ -138,6 +142,39 @@ class TestValidation:
         with pytest.raises(ConfigError) as err:
             parse_experiment({"scenario": {"p_birth": 0.05}})
         assert err.value.path == "scenario.p_birth"
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: ExperimentConfig(runs=1.5), "runs"),
+            (lambda: ExperimentConfig(runs=True), "runs"),
+            (lambda: ExperimentConfig(master_seed=2.0), "master_seed"),
+            (lambda: ReductionConfig(max_components=2.5), "max_components"),
+            (lambda: ScenarioConfig(steps=10.5, death_step=10), "steps"),
+            (lambda: ScenarioConfig(birth_step=True), "birth_step"),
+            (lambda: ScenarioConfig(death_step=50.0), "death_step"),
+        ],
+    )
+    def test_python_construction_rejects_non_integers(self, build, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            build()
+
+    def test_numpy_integers_are_integers(self):
+        cfg = ExperimentConfig(runs=np.int64(3), master_seed=np.int32(4))
+        assert cfg.runs == 3 and cfg.master_seed == 4
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            ({"runs": 1.5}, "runs"),
+            ({"scenario": {"steps": 10.0}}, "scenario.steps"),
+            ({"filter": {"reduction": {"max_components": True}}}, "filter.reduction.max_components"),
+        ],
+    )
+    def test_json_non_integers_keep_parser_error(self, doc, path):
+        with pytest.raises(ConfigError, match="expected an integer") as err:
+            parse_experiment(doc)
+        assert err.value.path == path
 
     def test_non_mapping_document(self):
         with pytest.raises(ConfigError):

@@ -14,7 +14,7 @@ from possfuse.metrics import (
     covariance_trace,
     ospa,
 )
-from support import ospa_permutations
+from support import aggregate_reference, ospa_permutations
 
 
 class TestOspaExamples:
@@ -201,6 +201,56 @@ class TestAggregate:
                 ]
             )
             assert agg.mean_ospa["s"][k] == pytest.approx(expected, abs=1e-12)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 5),
+        st.integers(1, 6),
+        st.integers(1, 3),
+        st.sampled_from([0.5, 2.0, 5.0, 10.0]),
+        st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_step_ospa_loop(self, seed, runs, steps, n_series, cutoff, order):
+        rng = np.random.default_rng(seed)
+        names = [f"s{i}" for i in range(n_series)]
+        recs = []
+        for _ in range(runs):
+            truth = [
+                rng.uniform(-8.0, 8.0, size=2) if rng.random() < 0.7 else None
+                for _ in range(steps)
+            ]
+            series = {}
+            for name in names:
+                estimates = []
+                for _ in range(steps):
+                    if rng.random() < 0.6:
+                        A = rng.normal(size=(4, 4))
+                        estimates.append(mk_estimate(rng.uniform(-8.0, 8.0, size=4), A @ A.T + np.eye(4)))
+                    else:
+                        estimates.append(None)
+                series[name] = SeriesTrack(
+                    estimates=estimates,
+                    q_absent=rng.uniform(0.0, 1.0, size=steps).tolist(),
+                    q_present=rng.uniform(0.0, 1.0, size=steps).tolist(),
+                    n_components=[1] * steps,
+                )
+            recs.append(RunRecord(truth_positions=truth, series=series))
+        got = aggregate(recs, cutoff=cutoff, order=order)
+        want = aggregate_reference(recs, cutoff, order)
+        assert (got.runs, got.steps, got.series) == (want["runs"], want["steps"], want["series"])
+        for field in ("mean_ospa", "mean_trace", "present_count", "mean_q_absent", "mean_q_present"):
+            for name in names:
+                a = getattr(got, field)[name]
+                b = want[field][name]
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes(), (field, name)
+
+    @pytest.mark.parametrize("cutoff, order", [(0.0, 1.0), (10.0, 0.5)])
+    def test_bad_cutoff_or_order_rejected(self, cutoff, order):
+        rec = mk_record([[0.0, 0.0]], [[0.0, 0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError):
+            aggregate([rec], cutoff=cutoff, order=order)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
