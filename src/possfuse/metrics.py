@@ -209,77 +209,63 @@ def aggregate(
     if order < 1.0:
         raise ValueError(f"order must be at least 1, got {order}")
 
-    n = len(records)
-    truths = [t for rec in records for t in rec.truth_positions]
-    has_truth = np.array([t is not None for t in truths], dtype=bool)
-    truth_xy = _stack_present(truths, has_truth)
+    ospa_sum = {s: np.zeros(steps) for s in names}
+    trace_sum = {s: np.zeros(steps) for s in names}
+    count = {s: np.zeros(steps, dtype=np.int64) for s in names}
+    q0_sum = {s: np.zeros(steps) for s in names}
+    q1_sum = {s: np.zeros(steps) for s in names}
+    positions = list(POSITION_INDICES)
 
-    mean_ospa = {}
-    mean_trace = {}
-    count = {}
-    q0_mean = {}
-    q1_mean = {}
-    for s in names:
-        tracks = [rec.series[s] for rec in records]
-        estimates = [e for track in tracks for e in track.estimates]
-        has_est = np.array([e is not None for e in estimates], dtype=bool)
-        present = [e for e in estimates if e is not None]
-        est_xy = np.zeros((has_est.size, len(POSITION_INDICES)))
-        traces = np.zeros(has_est.size)
-        if present:
-            est_xy[has_est] = np.stack([e.mean for e in present])[:, list(POSITION_INDICES)]
-            traces[has_est] = np.trace(np.stack([e.covariance for e in present]), axis1=-2, axis2=-1)
-
-        both = has_truth & has_est
-        dist = np.where(has_truth | has_est, cutoff, 0.0)
-        if both.any():
-            if truth_xy.shape[1] != est_xy.shape[1]:
-                raise ValueError(
-                    f"all points must share a dimension, got sizes {sorted({truth_xy.shape[1], est_xy.shape[1]})}"
+    for rec in records:
+        has_truth = np.array([t is not None for t in rec.truth_positions], dtype=bool)
+        truth = [t for t in rec.truth_positions if t is not None]
+        for s in names:
+            track = rec.series[s]
+            has_est = np.array([e is not None for e in track.estimates], dtype=bool)
+            present = [e for e in track.estimates if e is not None]
+            dist = np.where(has_truth | has_est, cutoff, 0.0)
+            if present:
+                trace_sum[s][has_est] += np.fromiter(
+                    (e.covariance.trace() for e in present), float, len(present)
                 )
-            d = truth_xy[both] - est_xy[both]
-            # vecdot, like the dot inside np.linalg.norm, and Python's pow,
-            # like ospa's scalar arithmetic, keep every value bit-identical.
-            dist[both] = [
-                (min(cutoff, x) ** order) ** (1.0 / order)
-                for x in np.sqrt(np.vecdot(d, d)).tolist()
-            ]
+                both = has_truth & has_est
+                if both.any():
+                    truth_xy = np.array(truth, dtype=float)[both[has_truth]]
+                    est_xy = np.array([e.mean for e in present])[both[has_est]][:, positions]
+                    if truth_xy.shape != est_xy.shape:
+                        raise ValueError(
+                            f"all points must share a dimension, got {truth_xy.shape[1:]} and {est_xy.shape[1:]}"
+                        )
+                    d = truth_xy - est_xy
+                    # vecdot matches the dot inside np.linalg.norm and
+                    # Python's pow matches ospa's scalar arithmetic, bit
+                    # for bit; numpy's vectorised power does not.
+                    dist[both] = [
+                        (min(cutoff, x) ** order) ** (1.0 / order)
+                        for x in np.sqrt(np.vecdot(d, d)).tolist()
+                    ]
+            ospa_sum[s] += dist
+            count[s] += has_est
+            q0_sum[s] += track.q_absent
+            q1_sum[s] += track.q_present
 
-        mean_ospa[s] = _run_sum(dist.reshape(n, steps)) / n
-        c = has_est.reshape(n, steps).sum(axis=0, dtype=np.int64)
+    n = len(records)
+    mean_trace = {}
+    for s in names:
         with np.errstate(invalid="ignore", divide="ignore"):
             mean_trace[s] = np.where(
-                c > 0, _run_sum(traces.reshape(n, steps)) / np.maximum(c, 1), np.nan
+                count[s] > 0, trace_sum[s] / np.maximum(count[s], 1), np.nan
             )
-        count[s] = c
-        q0_mean[s] = _run_sum(np.array([t.q_absent for t in tracks], dtype=float)) / n
-        q1_mean[s] = _run_sum(np.array([t.q_present for t in tracks], dtype=float)) / n
+        ospa_sum[s] /= n
+        q0_sum[s] /= n
+        q1_sum[s] /= n
     return AggregateResult(
         runs=n,
         steps=steps,
         series=names,
-        mean_ospa=mean_ospa,
+        mean_ospa=ospa_sum,
         mean_trace=mean_trace,
         present_count=count,
-        mean_q_absent=q0_mean,
-        mean_q_present=q1_mean,
+        mean_q_absent=q0_sum,
+        mean_q_present=q1_sum,
     )
-
-
-def _stack_present(points: list, present: np.ndarray) -> np.ndarray:
-    """(len(points), dim) array of the points, zero rows where absent."""
-    kept = [p for p in points if p is not None]
-    if not kept:
-        return np.zeros((len(points), len(POSITION_INDICES)))
-    stacked = np.stack([np.atleast_1d(np.asarray(p, dtype=float)) for p in kept])
-    out = np.zeros((len(points), stacked.shape[1]))
-    out[present] = stacked
-    return out
-
-
-def _run_sum(rows: np.ndarray) -> np.ndarray:
-    """Sum of the (runs, steps) rows, added one run at a time in run order."""
-    total = np.zeros(rows.shape[1])
-    for row in rows:
-        total += row
-    return total

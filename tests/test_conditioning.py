@@ -120,6 +120,14 @@ class TestConditionedOnce:
         fused = fuse_independent(state, state)
         assert calls == [(fused.state.spatial.n_components, 4, 4)]
 
+    def test_birth_components_share_the_conditioned_diagonal(self):
+        cfg = BirthConfig(region=REGION, pos_var=3.0, vel_var=0.25)
+        birth = build_birth_mixture(Scan(1, [[1.0, 2.0], [3.0, 4.0]]), cfg)
+        expected = gaussmax_mod._conditioned_covariance(np.diag([3.0, 0.25, 3.0, 0.25]))
+        assert birth.covariances.shape == (2, 4, 4)
+        for P in birth.covariances:
+            assert P.tobytes() == expected.tobytes()
+
 
 class TestJitterOnce:
     """A near-singular covariance is jittered once, where it enters; a
@@ -189,10 +197,12 @@ class TestPublicConstructor:
         w[0], m[0, 0], P[0, 0, 0] = 0.5, 9.0, 9.0
         assert mix.weights[0] == 1.0 and mix.means[0, 0] == 1.0 and mix.covariances[0, 0, 0] == 1.0
 
-    def test_birth_covariance_conditioned_once(self):
-        cfg = BirthConfig(region=REGION, pos_var=3.0, vel_var=0.25)
-        birth = build_birth_mixture(Scan(1, [[1.0, 2.0], [3.0, 4.0]]), cfg)
-        expected = gaussmax_mod._conditioned_covariance(np.diag([3.0, 0.25, 3.0, 0.25]))
-        assert birth.covariances.shape == (2, 4, 4)
-        for P in birth.covariances:
-            assert P.tobytes() == expected.tobytes()
+    def test_near_symmetric_input_is_averaged(self):
+        P = np.array([[2.0, 0.5 + 1e-12], [0.5, 1.0]])
+        mix = GaussianMaxMixture([1.0], [0.0, 0.0], P)
+        assert mix.covariances[0].tobytes() == (0.5 * (P + P.T)).tobytes()
+
+    def test_signed_zeros_are_made_symmetric(self):
+        mix = GaussianMaxMixture([1.0], [0.0, 0.0], np.array([[1.0, 0.0], [-0.0, 1.0]]))
+        bits = mix.covariances[0].view(np.int64)
+        assert (bits == bits.T).all()
