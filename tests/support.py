@@ -1,9 +1,13 @@
 """Shared brute-force oracles for the test suite.
 
-Everything here is deliberately independent of the package internals:
+The oracles are deliberately independent of the package internals:
 possibility values are computed with explicit matrix inversion and plain
 loops, assignments by exhaustive permutation, suprema by refining grid
 search.  Tests compare package results against these routes.
+
+The module also keeps the earlier loop forms of reduce and aggregate
+(the latter built on ospa, itself checked against the permutation
+oracle), which the package's batched versions must match bit for bit.
 """
 
 from __future__ import annotations
@@ -12,6 +16,9 @@ import itertools
 import math
 
 import numpy as np
+
+from possfuse.gaussmax import GaussianMaxMixture
+from possfuse.metrics import POSITION_INDICES, covariance_trace, ospa
 
 
 def gauss_value(x, mean, cov) -> float:
@@ -152,8 +159,6 @@ def reduce_reference(mixture, config):
     constructor.  Covariances that are already conditioned and well away
     from singular come out with the same bits as the operation's.
     """
-    from possfuse.gaussmax import GaussianMaxMixture
-
     w_all = mixture.weights
     keep = w_all >= config.prune_ratio * w_all.max()
     w = w_all[keep]
@@ -204,8 +209,6 @@ def aggregate_reference(records, cutoff: float, order: float):
 
     Returns the AggregateResult fields as a dict.
     """
-    from possfuse.metrics import POSITION_INDICES, covariance_trace, ospa
-
     steps = records[0].steps
     names = tuple(records[0].series.keys())
     mean_ospa = {s: np.zeros(steps) for s in names}
