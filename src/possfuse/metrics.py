@@ -234,7 +234,8 @@ def aggregate(
                     est_xy = np.array([e.mean for e in present])[both[has_est]][:, positions]
                     if truth_xy.shape != est_xy.shape:
                         raise ValueError(
-                            f"all points must share a dimension, got {truth_xy.shape[1:]} and {est_xy.shape[1:]}"
+                            "all points must share a dimension, got "
+                            f"{truth_xy.shape[1:]} and {est_xy.shape[1:]}"
                         )
                     d = truth_xy - est_xy
                     # vecdot matches the dot inside np.linalg.norm and

@@ -27,7 +27,8 @@ NEAR_SINGULAR = np.diag([1.0, 1e-12, 1.0, 1.0])
 def random_state(rng, max_comps=5) -> BernoulliPossState:
     w, m, P = random_mixture(rng, 4, max_comps)
     mix = GaussianMaxMixture(w, m * 5.0 + 30.0, P)
-    q0, q1 = (1.0, float(rng.uniform(0.2, 1.0))) if rng.random() < 0.5 else (float(rng.uniform(0.2, 1.0)), 1.0)
+    q = float(rng.uniform(0.2, 1.0))
+    q0, q1 = (1.0, q) if rng.random() < 0.5 else (q, 1.0)
     return BernoulliPossState(q0, q1, mix)
 
 

@@ -226,7 +226,8 @@ class TestAggregate:
                 for _ in range(steps):
                     if rng.random() < 0.6:
                         A = rng.normal(size=(4, 4))
-                        estimates.append(mk_estimate(rng.uniform(-8.0, 8.0, size=4), A @ A.T + np.eye(4)))
+                        mean = rng.uniform(-8.0, 8.0, size=4)
+                        estimates.append(mk_estimate(mean, A @ A.T + np.eye(4)))
                     else:
                         estimates.append(None)
                 series[name] = SeriesTrack(
