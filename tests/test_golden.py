@@ -1,4 +1,4 @@
-"""Golden outputs: the CLI's CSVs for three small experiments, byte for byte.
+"""Golden outputs: the CLI's CSVs for four small experiments, byte for byte.
 
 Each case runs one subcommand for 3 runs at master seed 11 and compares
 every file it writes with the copy under tests/golden/<case>/.  A change
@@ -23,6 +23,7 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = {
     "fuse-independent": (["fuse-independent"], None),
     "fuse-dependent-mintrace": (["fuse-dependent"], {"fusion": {"omega_strategy": "min-trace"}}),
+    "fuse-dependent-fixed": (["fuse-dependent", "--dump-scans"], None),
     "single": (["single", "--dump-scans"], None),
 }
 
