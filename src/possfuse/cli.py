@@ -4,7 +4,8 @@ Subcommands map one-to-one onto the experiment drivers:
 
 * ``possfuse single``: per-sensor filtering, no fusion;
 * ``possfuse fuse-independent``: two sensors, fused each step;
-* ``possfuse fuse-dependent``: one stream into two filters, fused each step;
+* ``possfuse fuse-dependent``: one stream into one filter, whose posterior
+  is fused with itself each step, as two identical filters would be;
 * ``possfuse selftest``: closed-form fusion and supremum checks against
   brute-force grid evaluation.
 
@@ -61,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_run_flags(p_ind)
 
     p_dep = sub.add_parser(
-        "fuse-dependent", help="fuse two identical filters fed by one sensor"
+        "fuse-dependent",
+        help="fuse one sensor's filter with itself, as two identical filters would be",
     )
     add_run_flags(p_dep)
 

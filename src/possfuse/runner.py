@@ -6,9 +6,11 @@ Three experiment shapes share one per-run engine:
 * independent: two sensors with independent noise and clutter feed two
   filters whose posteriors are fused each step, both by the independent
   product (the centralised reference) and by Chernoff fusion;
-* dependent: one sensor's measurement stream feeds two identically
-  configured filters, a deliberately fully-correlated setup that shows
-  why the independent product double-counts and Chernoff fusion does not.
+* dependent: one sensor's measurement stream feeds one filter whose
+  posterior is fused with itself each step.  That is exactly what two
+  identically configured filters on the same stream would compute, a
+  deliberately fully-correlated setup that shows why the independent
+  product double-counts and Chernoff fusion does not.
 
 Fusion here is reporting, not feedback: each local filter keeps recursing
 on its own posterior.
@@ -201,6 +203,20 @@ def _fused_series(mode: str) -> tuple[str, ...]:
     return (SERIES_CHERNOFF, SERIES_CENTRALIZED)
 
 
+def _check_sensor_count(scenario, mode: str) -> None:
+    if mode in ("independent", "dependent") and len(scenario.sensors) != 2:
+        raise ConfigError(
+            "scenario.sensors",
+            f"{mode} fusion needs exactly 2 sensors, got {len(scenario.sensors)}",
+        )
+
+
+def _fed_sensors(scenario, mode: str) -> tuple[SensorConfig, ...]:
+    """The sensors whose scans a mode filters: dependent mode feeds only
+    the first."""
+    return scenario.sensors[:1] if mode == "dependent" else scenario.sensors
+
+
 def _truth_positions(truth) -> list[Optional[np.ndarray]]:
     H = position_observation()
     return [None if x is None else H @ x for x in truth]
@@ -221,41 +237,26 @@ def run_once(
     if mode not in ("single", "independent", "dependent"):
         raise ValueError(f"unknown run mode {mode!r}")
     scenario = cfg.scenario
-    if mode in ("independent", "dependent") and len(scenario.sensors) != 2:
-        raise ValueError(f"{mode} fusion needs exactly 2 sensors, got {len(scenario.sensors)}")
+    _check_sensor_count(scenario, mode)
 
+    # Seeds are drawn for every configured sensor, so a sensor's scans do
+    # not depend on which sensors the mode feeds.
     seeds = _run_seeds(cfg.master_seed, run_idx, 1 + len(scenario.sensors))
     truth = generate_truth(scenario, seeds[0])
     positions = _truth_positions(truth)
 
-    scans_by_sensor = [
-        [scan for scan, _ in generate_labeled_measurements(truth, sensor, scenario.region, seeds[1 + i])]
-        for i, sensor in enumerate(scenario.sensors)
+    sensors = _fed_sensors(scenario, mode)
+    streams = [
+        [scan for scan, _ in generate_labeled_measurements(
+            truth, sensor, scenario.region, seeds[1 + i])]
+        for i, sensor in enumerate(sensors)
     ]
-
-    omega_kind, omega_value = parse_omega_strategy(cfg.fusion.omega_strategy)
-
-    if mode == "single":
-        names = [f"sensor{i + 1}" for i in range(len(scenario.sensors))]
-        filters = [build_filter_setup(cfg, s) for s in scenario.sensors]
-        streams = scans_by_sensor
-        fused_names: tuple[str, ...] = ()
-    elif mode == "independent":
-        names = ["sensor1", "sensor2"]
-        filters = [build_filter_setup(cfg, s) for s in scenario.sensors]
-        streams = scans_by_sensor
-        fused_names = _fused_series(cfg.fusion.mode)
-    else:
-        # Same stream, same sensor model, two filter instances.
-        names = ["single", "shadow"]
-        setup = build_filter_setup(cfg, scenario.sensors[0])
-        filters = [setup, setup]
-        streams = [scans_by_sensor[0], scans_by_sensor[0]]
-        fused_names = _fused_series(cfg.fusion.mode)
-
-    engines = [_Filter(setup) for setup in filters]
+    engines = [_Filter(build_filter_setup(cfg, s)) for s in sensors]
+    names = ["single"] if mode == "dependent" else [f"sensor{i + 1}" for i in range(len(sensors))]
     tracks = {name: SeriesTrack() for name in names}
+    fused_names = () if mode == "single" else _fused_series(cfg.fusion.mode)
     fused_tracks = {name: SeriesTrack() for name in fused_names}
+    omega_kind, omega_value = parse_omega_strategy(cfg.fusion.omega_strategy)
 
     for step in range(1, scenario.steps + 1):
         try:
@@ -263,7 +264,8 @@ def run_once(
                 engine.advance(stream[step - 1], audit, name, step)
                 _append_state(tracks[name], engine.state)
             if fused_names:
-                a, b = engines[0].state, engines[1].state
+                # Dependent mode has one filter, fused with itself.
+                a, b = engines[0].state, engines[-1].state
                 if SERIES_CHERNOFF in fused_tracks:
                     if omega_kind == "fixed":
                         omega = float(omega_value)
@@ -281,11 +283,8 @@ def run_once(
         except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
             raise NumericsError(run_idx, step, exc) from exc
 
-    # In dependent mode the two local filters are identical; report one.
-    reported = ["single"] if mode == "dependent" else names
-    series = {name: tracks[name] for name in reported}
-    series.update(fused_tracks)
-    return RunRecord(truth_positions=positions, series=series)
+    tracks.update(fused_tracks)
+    return RunRecord(truth_positions=positions, series=tracks)
 
 
 # --- worker pool ------------------------------------------------------------
@@ -371,15 +370,12 @@ def _write_scan_dump(out_dir: Path, cfg: ExperimentConfig, mode: str) -> Path:
     matches what the filters saw.
     """
     scenario = cfg.scenario
-    sensor_count = len(scenario.sensors) if mode != "dependent" else 1
     lines = ["run,step,sensor,x_km,y_km,is_clutter"]
     for run_idx in range(cfg.runs):
         seeds = _run_seeds(cfg.master_seed, run_idx, 1 + len(scenario.sensors))
         truth = generate_truth(scenario, seeds[0])
-        for i in range(sensor_count):
-            labeled = generate_labeled_measurements(
-                truth, scenario.sensors[i], scenario.region, seeds[1 + i]
-            )
+        for i, sensor in enumerate(_fed_sensors(scenario, mode)):
+            labeled = generate_labeled_measurements(truth, sensor, scenario.region, seeds[1 + i])
             for scan, labels in labeled:
                 for p, is_clutter in zip(scan.points, labels):
                     lines.append(
@@ -398,6 +394,9 @@ class ExperimentResult:
 
 
 def _drive(cfg: ExperimentConfig, mode: str, out_dir, dump_scans: bool) -> ExperimentResult:
+    # Checked here as well as in run_once, so a bad count is one
+    # ConfigError before the pool starts rather than one per worker.
+    _check_sensor_count(cfg.scenario, mode)
     records = _collect_runs(cfg, mode)
     agg = aggregate(records, cfg.metrics.ospa_cutoff, cfg.metrics.ospa_order)
     out_path = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
@@ -422,5 +421,7 @@ def run_fusion_independent(
 def run_fusion_dependent(
     cfg: ExperimentConfig, out_dir=None, dump_scans: bool = False
 ) -> ExperimentResult:
-    """One stream into two identical filters, fused every step."""
+    """One sensor's stream into one filter, whose posterior is fused with
+    itself every step: exactly what two identical filters on that stream
+    would compute."""
     return _drive(cfg, "dependent", out_dir, dump_scans)

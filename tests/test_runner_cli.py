@@ -53,6 +53,19 @@ class TestRunOnce:
         with pytest.raises(ValueError):
             run_once(cfg, 0, "dependent")
 
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("driver", [run_fusion_independent, run_fusion_dependent])
+    def test_drivers_check_sensor_count_before_any_run(self, driver, count, monkeypatch, tmp_path):
+        def no_runs(*args):
+            raise AssertionError("runs started")
+
+        monkeypatch.setattr(runner_mod, "_collect_runs", no_runs)
+        cfg = small_cfg(sensors=(SensorConfig(),) * count)
+        with pytest.raises(ConfigError) as err:
+            driver(cfg, out_dir=tmp_path / "out")
+        assert err.value.path == "scenario.sensors"
+        assert f"got {count}" in str(err.value)
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             run_once(small_cfg(), 0, "tandem")
@@ -68,6 +81,49 @@ class TestRunOnce:
         assert ("fused", "centralized") in phases
         per_filter = 50 * 2  # predicted + updated per step
         assert len(audit) == 2 * per_filter + 2 * 50
+
+    def test_dependent_audit_has_one_filter(self):
+        audit = []
+        run_once(small_cfg(), 0, "dependent", audit=audit)
+        phases = {(a.phase, a.series) for a in audit}
+        assert phases == {
+            ("predicted", "single"),
+            ("updated", "single"),
+            ("fused", "chernoff"),
+            ("fused", "centralized"),
+        }
+        assert len(audit) == 50 * 2 + 2 * 50
+
+    def test_dependent_runs_one_filter(self, monkeypatch):
+        calls = {"predict": 0, "update": 0, "generate_labeled_measurements": 0}
+
+        def counted(name):
+            inner = getattr(runner_mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(runner_mod, name, counted(name))
+        cfg = small_cfg(steps=12, death_step=12)
+        run_once(cfg, 0, "dependent")
+        assert calls == {"predict": 12, "update": 12, "generate_labeled_measurements": 1}
+
+    def test_dependent_fuses_the_filter_with_itself(self, monkeypatch):
+        pairs = []
+        inner = runner_mod.fuse_independent
+
+        def recording(a, b, **kwargs):
+            pairs.append((a, b))
+            return inner(a, b, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "fuse_independent", recording)
+        run_once(small_cfg(steps=5, death_step=5), 0, "dependent")
+        assert len(pairs) == 5
+        assert all(a is b for a, b in pairs)
 
     def test_runs_differ_by_index(self):
         cfg = small_cfg()
@@ -223,6 +279,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert "configuration error: scenario.sensors[0].clutter_rate" in err
         assert "finite" in err
+
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("command", ["fuse-independent", "fuse-dependent"])
+    def test_fusion_sensor_count_is_exit_2(self, command, count, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("POSSFUSE_THREADS", "2")
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"scenario": {"sensors": [{}] * count}}))
+        out = tmp_path / "x"
+        code = main([command, "--config", str(path), "--runs", "2", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: scenario.sensors:")
+        assert err.count("exactly 2 sensors") == 1
+        assert not out.exists()
 
     def test_bad_flag_value_is_exit_2(self, tmp_path, capsys):
         code = main(["single", "--runs", "0", "--out", str(tmp_path / "x")])
