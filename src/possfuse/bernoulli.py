@@ -151,6 +151,10 @@ class MotionModel:
         Q = np.asarray(self.process_noise, dtype=float)
         if Q.shape != F.shape:
             raise ValueError(f"process noise shape {Q.shape} does not match transition {F.shape}")
+        if not np.isfinite(F).all():
+            raise ValueError("transition matrix must be finite")
+        if not np.isfinite(Q).all():
+            raise ValueError("process noise must be finite")
         scale = max(1.0, float(np.abs(Q).max()))
         if np.abs(Q - Q.T).max() > SYMMETRY_TOL * scale:
             raise ValueError("process noise must be symmetric")
@@ -184,9 +188,11 @@ class MeasurementModel:
         H = np.asarray(self.observation, dtype=float)
         if H.ndim != 2:
             raise ValueError(f"observation matrix must be 2-d, got shape {H.shape}")
+        if not np.isfinite(H).all():
+            raise ValueError("observation matrix must be finite")
         R = _conditioned_covariance(self.noise, dim=H.shape[0])
-        if float(self.clutter_rate) <= 0.0:
-            raise ValueError(f"clutter rate must be positive, got {self.clutter_rate}")
+        if not 0.0 < float(self.clutter_rate) < np.inf:
+            raise ValueError(f"clutter rate must be positive and finite, got {self.clutter_rate}")
         object.__setattr__(self, "observation", _readonly(H))
         object.__setattr__(self, "noise", _readonly(R))
         object.__setattr__(self, "clutter_rate", float(self.clutter_rate))

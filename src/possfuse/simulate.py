@@ -14,6 +14,7 @@ trajectory and vice versa.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Optional
@@ -47,6 +48,12 @@ def _check_int(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_finite(name: str, value) -> None:
+    """Reject a NaN or infinite value for the float field name."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _stream(seed: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), purpose)))
 
@@ -61,6 +68,8 @@ class Rect:
     ymax: float
 
     def __post_init__(self) -> None:
+        for name in ("xmin", "xmax", "ymin", "ymax"):
+            _check_finite(name, getattr(self, name))
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
             raise ValueError(f"region must have positive extent, got {self}")
 
@@ -91,6 +100,8 @@ class SensorConfig:
     clutter_rate: float = 4.0
 
     def __post_init__(self) -> None:
+        for name in ("pd_true", "noise_var", "clutter_rate"):
+            _check_finite(name, getattr(self, name))
         if not (0.0 <= self.pd_true <= 1.0):
             raise ValueError(f"pd_true must lie in [0, 1], got {self.pd_true}")
         if self.noise_var <= 0.0:
@@ -118,6 +129,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         for name in ("steps", "birth_step", "death_step"):
             _check_int(name, getattr(self, name))
+        for name in ("dt", "psd"):
+            _check_finite(name, getattr(self, name))
         if self.steps < 1:
             raise ValueError(f"steps must be at least 1, got {self.steps}")
         if not (1 <= self.birth_step <= self.death_step <= self.steps):
@@ -131,6 +144,8 @@ class ScenarioConfig:
             raise ValueError(f"psd must be nonnegative, got {self.psd}")
         if len(self.initial_state) != 4:
             raise ValueError("initial_state must have 4 entries (x, vx, y, vy)")
+        for i, v in enumerate(self.initial_state):
+            _check_finite(f"initial_state[{i}]", v)
         if not self.sensors:
             raise ValueError("at least one sensor is required")
 

@@ -85,6 +85,39 @@ class TestTransitionMatrix:
             TransitionPossibilityMatrix.from_matrix([[1.0, 1.2], [0.1, 1.0]])
 
 
+class TestModelInputs:
+    NAN = float("nan")
+    INF = float("inf")
+
+    @pytest.mark.parametrize("bad", [NAN, INF])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_non_finite_process_noise_named(self, bad, where):
+        Q = np.eye(2)
+        Q[where] = Q[where[::-1]] = bad
+        with pytest.raises(ValueError, match="process noise must be finite"):
+            MotionModel(np.eye(2), Q)
+
+    @pytest.mark.parametrize("bad", [NAN, INF])
+    def test_non_finite_transition_named(self, bad):
+        F = np.eye(2)
+        F[0, 1] = bad
+        with pytest.raises(ValueError, match="transition matrix must be finite"):
+            MotionModel(F, np.eye(2))
+
+    def test_cv_process_noise_with_infinite_psd_named(self):
+        from possfuse.simulate import cv_process_noise, cv_transition
+
+        with pytest.raises(ValueError, match="process noise must be finite"):
+            MotionModel(cv_transition(2.0), cv_process_noise(2.0, self.INF))
+
+    @pytest.mark.parametrize("bad", [NAN, INF])
+    def test_non_finite_measurement_inputs_named(self, bad):
+        with pytest.raises(ValueError, match="clutter rate must be positive and finite"):
+            planar_meas(clutter_rate=bad)
+        with pytest.raises(ValueError, match="observation matrix must be finite"):
+            MeasurementModel(np.array([[1.0, bad]]), np.eye(1), 4.0, REGION)
+
+
 def one_d_state(q0, q1, weights, means, variances):
     mix = GaussianMaxMixture(
         np.asarray(weights, dtype=float),

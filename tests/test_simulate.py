@@ -1,5 +1,7 @@
 """Scenario generation: truth, measurements, clutter, birth mixtures."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -43,6 +45,11 @@ class TestRect:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             Rect(5.0, 5.0, 0.0, 10.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_bound_named(self, bad):
+        with pytest.raises(ValueError, match="xmax must be finite"):
+            Rect(0.0, bad, 0.0, 10.0)
 
 
 class TestMotionMatrices:
@@ -240,3 +247,19 @@ class TestConfigDefaults:
             SensorConfig(pd_true=1.5)
         with pytest.raises(ValueError):
             SensorConfig(clutter_rate=-1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "build,field",
+        [
+            (lambda v: ScenarioConfig(psd=v), "psd"),
+            (lambda v: ScenarioConfig(dt=v), "dt"),
+            (lambda v: ScenarioConfig(initial_state=(10.0, v, 55.0, -0.35)), "initial_state[1]"),
+            (lambda v: SensorConfig(pd_true=v), "pd_true"),
+            (lambda v: SensorConfig(noise_var=v), "noise_var"),
+            (lambda v: SensorConfig(clutter_rate=v), "clutter_rate"),
+        ],
+    )
+    def test_non_finite_field_named(self, build, field, bad):
+        with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be finite"):
+            build(bad)
