@@ -21,7 +21,7 @@ from possfuse.bernoulli import (
     update,
 )
 from possfuse.gaussmax import GaussianMaxMixture
-from possfuse.simulate import Rect, Scan
+from possfuse.simulate import Rect, Scan, cv_process_noise, cv_transition
 from support import gauss_value, mixture_value, random_mixture, reduce_reference
 
 BENCH_PHI = TransitionPossibilityMatrix.from_matrix([[1.0, 0.01], [0.01, 1.0]])
@@ -105,8 +105,6 @@ class TestModelInputs:
             MotionModel(F, np.eye(2))
 
     def test_cv_process_noise_with_infinite_psd_named(self):
-        from possfuse.simulate import cv_process_noise, cv_transition
-
         with pytest.raises(ValueError, match="process noise must be finite"):
             MotionModel(cv_transition(2.0), cv_process_noise(2.0, self.INF))
 

@@ -82,9 +82,8 @@ class TestRunOnce:
         per_filter = 50 * 2  # predicted + updated per step
         assert len(audit) == 2 * per_filter + 2 * 50
 
-    def test_dependent_audit_has_one_filter(self):
         audit = []
-        run_once(small_cfg(), 0, "dependent", audit=audit)
+        run_once(cfg, 0, "dependent", audit=audit)
         phases = {(a.phase, a.series) for a in audit}
         assert phases == {
             ("predicted", "single"),
@@ -92,7 +91,7 @@ class TestRunOnce:
             ("fused", "chernoff"),
             ("fused", "centralized"),
         }
-        assert len(audit) == 50 * 2 + 2 * 50
+        assert len(audit) == per_filter + 2 * 50
 
     def test_dependent_runs_one_filter(self, monkeypatch):
         calls = {"predict": 0, "update": 0, "generate_labeled_measurements": 0}
