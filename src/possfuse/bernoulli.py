@@ -40,9 +40,10 @@ from .gaussmax import (
     WEIGHT_UNDERFLOW,
     GaussianMaxMixture,
     _conditioned_covariance,
+    _log_sup_product,
     _readonly,
 )
-from .simulate import Rect, Scan, _check_int
+from .simulate import Rect, Scan, _check_finite, _check_int
 
 __all__ = [
     "TransitionPossibilityMatrix",
@@ -254,6 +255,7 @@ class ReductionConfig:
     def __post_init__(self) -> None:
         if not (0.0 <= self.prune_ratio < 1.0):
             raise ValueError(f"prune_ratio must lie in [0, 1), got {self.prune_ratio}")
+        _check_finite("merge_mahalanobis", self.merge_mahalanobis)
         if self.merge_mahalanobis < 0.0:
             raise ValueError(f"merge_mahalanobis must be nonnegative, got {self.merge_mahalanobis}")
         _check_int("max_components", self.max_components)
@@ -333,27 +335,6 @@ def predict(
     return BernoulliPossState(q_absent=q0p, q_present=q1p, spatial=spatial)
 
 
-def _innovation_terms(
-    mix: GaussianMaxMixture, meas: MeasurementModel
-) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted measurement means and innovation covariances per component."""
-    H = meas.observation
-    P = mix.covariances
-    eta = mix.means @ H.T
-    S = np.einsum("ij,njk,lk->nil", H, P, H) + meas.noise
-    return eta, 0.5 * (S + S.swapaxes(1, 2))
-
-
-def _log_match_table(
-    mix: GaussianMaxMixture, nu: np.ndarray, S: np.ndarray, meas: MeasurementModel
-) -> np.ndarray:
-    """log[clutter_ratio * w_i * N(z; eta_i, S_i)] for every (z, component),
-    from the innovations nu[z, i] = z - eta_i."""
-    sol = np.linalg.solve(S[None, ...], nu[..., None])[..., 0]
-    quad = np.maximum(np.einsum("mni,mni->mn", nu, sol), 0.0)
-    return math.log(meas.clutter_ratio()) + np.log(mix.weights)[None, :] - 0.5 * quad
-
-
 def update(
     pred: BernoulliPossState,
     scan: Scan,
@@ -400,7 +381,8 @@ def update(
     n_comp, nx = m.shape
     n_meas = points.shape[0]
 
-    eta, S = _innovation_terms(mix, meas)
+    S = np.einsum("ij,njk,lk->nil", H, P, H) + R
+    S = 0.5 * (S + S.swapaxes(1, 2))
     # Kalman gain via solves: K = P H' inv(S), using (inv(S) H P)' with P, S symmetric.
     HP = np.einsum("ij,njk->nik", H, P)
     K = np.linalg.solve(S, HP).swapaxes(1, 2)
@@ -412,8 +394,9 @@ def update(
     )
     P_upd = _conditioned_covariance(0.5 * (P_upd + P_upd.swapaxes(1, 2)))
 
-    nu = points[:, None, :] - eta[None, :, :]
-    table = _log_match_table(mix, nu, S, meas)
+    # log[clutter_ratio * w_i * N(z; H m_i, S_i)] for every (z, component).
+    nu = points[:, None, :] - (m @ H.T)[None, :, :]
+    table = math.log(meas.clutter_ratio()) + np.log(mix.weights) + _log_sup_product(nu, S)
     theta = max(d0, d1 * math.exp(float(table.max())))
     q0, q1 = _normalized_pair(pred.q_absent, theta * pred.q_present)
 

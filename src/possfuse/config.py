@@ -15,7 +15,7 @@ from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
 
 from .bernoulli import ReductionConfig
 from .fusion import parse_omega_strategy
-from .simulate import ScenarioConfig, _check_int
+from .simulate import ScenarioConfig, _check_finite, _check_int
 
 __all__ = [
     "ConfigError",
@@ -40,6 +40,11 @@ class ConfigError(ValueError):
         self.path = path
         super().__init__(f"{path}: {message}")
 
+    def __reduce__(self):
+        # A pool worker hands its error to the parent by pickle, which
+        # rebuilds it from these arguments.
+        return type(self), (self.path, str(self)[len(self.path) + 2 :])
+
 
 @dataclass(frozen=True)
 class BirthSettings:
@@ -52,6 +57,9 @@ class BirthSettings:
     vel_var: float = 0.25
 
     def __post_init__(self) -> None:
+        if self.pos_var is not None:
+            _check_finite("pos_var", self.pos_var)
+        _check_finite("vel_var", self.vel_var)
         if self.pos_var is not None and self.pos_var <= 0.0:
             raise ValueError(f"pos_var must be positive, got {self.pos_var}")
         if self.vel_var <= 0.0:
@@ -97,6 +105,8 @@ class MetricSettings:
     ospa_order: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("ospa_cutoff", "ospa_order"):
+            _check_finite(name, getattr(self, name))
         if self.ospa_cutoff <= 0.0:
             raise ValueError(f"ospa_cutoff must be positive, got {self.ospa_cutoff}")
         if self.ospa_order < 1.0:

@@ -27,6 +27,7 @@ from .bernoulli import BernoulliPossState, ReductionConfig, reduce
 from .gaussmax import (
     WEIGHT_UNDERFLOW,
     GaussianMaxMixture,
+    _checked_weights,
     _conditioned_covariance,
     _cross_arrays,
     sup_linear_gaussian_product,
@@ -248,9 +249,7 @@ def _top_traces(a: GaussianMaxMixture, b: GaussianMaxMixture, omegas: np.ndarray
     log_alpha, keep = _kept_pairs(log_w)
     weights = np.exp(log_w - log_alpha[:, None])
     covs = _conditioned_covariance(covs.reshape(keep.shape + covs.shape[-2:])[keep])
-    kept_weights = weights[keep]
-    if not np.all(np.isfinite(kept_weights) & (kept_weights > 0.0)):
-        raise ValueError("weights must be finite and strictly positive")
+    _checked_weights(weights[keep])
     # A trial's heaviest component is its first kept pair of largest
     # weight; locate it among the kept pairs, which are in row order.
     head = np.argmax(np.where(keep, weights, -1.0), axis=1)

@@ -18,7 +18,8 @@ Closed-form operations that stay inside this family:
 
 * the exponentiated product of two mixtures, all component pairs at once
   (_cross_arrays), on which Chernoff and independent-product fusion rest;
-* the supremum of a linear-Gaussian product over the state.
+* the supremum of a product of two Gaussians (_log_sup_product), which
+  weights every fused pair and gives the filter update's normaliser.
 
 All types here are immutable values.  Operations return new objects, never
 mutate their inputs, and hold no global state.
@@ -26,6 +27,7 @@ mutate their inputs, and hold no global state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -258,10 +260,20 @@ def _cross_arrays(
     )
     diff = means1[:, None] - means2[None, :]
     spread = covs1[:, None] / e1[..., None, None] + covs2[None, :] / e2[..., None, None]
-    sol = np.linalg.solve(spread, diff[..., None])
-    quad = np.maximum(np.einsum("abi,kabi->kab", diff, sol[..., 0]), 0.0)
-    log_w = e1 * log_w1[:, None] + e2 * log_w2[None, :] - 0.5 * quad
+    log_w = e1 * log_w1[:, None] + e2 * log_w2[None, :] + _log_sup_product(diff, spread)
     return log_w, mean, cov
+
+
+def _log_sup_product(d: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """log sup_x N(x; a, A) N(x; b, B) = -0.5 d' inv(C) d for d = a - b and
+    C = A + B, over the broadcast leading axes of d (..., n) and C (..., n, n).
+
+    The one Gaussian-product supremum: update's theta, every fused pair
+    weight and sup_linear_gaussian_product rest on it.  Each pair is its own
+    one right-hand-side solve, so its bits do not depend on the batch.
+    """
+    sol = np.linalg.solve(C, d[..., None])[..., 0]
+    return -0.5 * np.maximum(np.einsum("...i,...i->...", d, sol), 0.0)
 
 
 def sup_linear_gaussian_product(z, H, R, m, P) -> float:
@@ -280,5 +292,5 @@ def sup_linear_gaussian_product(z, H, R, m, P) -> float:
         raise ValueError(f"H must have shape ({z.size}, {m.size}), got {H.shape}")
     R = _conditioned_covariance(R, dim=z.size)
     P = _conditioned_covariance(P, dim=m.size)
-    peak = GaussianMaxMixture([1.0], H @ m, H @ P @ H.T + R)
-    return float(peak.values(z[None, :])[0])
+    S = H @ P @ H.T + R
+    return math.exp(_log_sup_product(z - H @ m, 0.5 * (S + S.T)))

@@ -90,6 +90,11 @@ class NumericsError(RuntimeError):
         self.step = step
         super().__init__(f"numerical failure in run {run} at step {step}: {cause}")
 
+    def __reduce__(self):
+        # A pool worker hands its failure to the parent by pickle, which
+        # rebuilds the error from these arguments.
+        return type(self), (self.run, self.step, str(self).split(": ", 1)[1])
+
 
 @dataclass(frozen=True)
 class StateAudit:
@@ -146,11 +151,6 @@ def initial_state(setup: FilterSetup) -> BernoulliPossState:
         q_present=1.0,
         spatial=ignorance_mixture(setup.birth.region, setup.birth.vel_var),
     )
-
-
-def _run_seeds(master_seed: int, run_idx: int, count: int) -> list[int]:
-    ss = np.random.SeedSequence(entropy=(int(master_seed), int(run_idx)))
-    return [int(w) for w in ss.generate_state(count, dtype=np.uint64)]
 
 
 def _append_state(track: SeriesTrack, state: BernoulliPossState) -> None:
@@ -211,10 +211,23 @@ def _check_sensor_count(scenario, mode: str) -> None:
         )
 
 
-def _fed_sensors(scenario, mode: str) -> tuple[SensorConfig, ...]:
-    """The sensors whose scans a mode filters: dependent mode feeds only
-    the first."""
-    return scenario.sensors[:1] if mode == "dependent" else scenario.sensors
+def _simulate_run(cfg: ExperimentConfig, run_idx: int, mode: str) -> tuple[list, list]:
+    """A run's truth and the labelled scans of every sensor the mode
+    feeds, in sensor order: dependent mode feeds only the first.
+
+    Seeds are drawn for every configured sensor, so a sensor's scans do
+    not depend on which sensors the mode feeds.
+    """
+    scenario = cfg.scenario
+    sequence = np.random.SeedSequence(entropy=(int(cfg.master_seed), int(run_idx)))
+    seeds = [int(w) for w in sequence.generate_state(1 + len(scenario.sensors), dtype=np.uint64)]
+    truth = generate_truth(scenario, seeds[0])
+    sensors = scenario.sensors[:1] if mode == "dependent" else scenario.sensors
+    labeled = [
+        generate_labeled_measurements(truth, sensor, scenario.region, seeds[1 + i])
+        for i, sensor in enumerate(sensors)
+    ]
+    return truth, labeled
 
 
 def _truth_positions(truth) -> list[Optional[np.ndarray]]:
@@ -239,20 +252,11 @@ def run_once(
     scenario = cfg.scenario
     _check_sensor_count(scenario, mode)
 
-    # Seeds are drawn for every configured sensor, so a sensor's scans do
-    # not depend on which sensors the mode feeds.
-    seeds = _run_seeds(cfg.master_seed, run_idx, 1 + len(scenario.sensors))
-    truth = generate_truth(scenario, seeds[0])
+    truth, labeled = _simulate_run(cfg, run_idx, mode)
     positions = _truth_positions(truth)
-
-    sensors = _fed_sensors(scenario, mode)
-    streams = [
-        [scan for scan, _ in generate_labeled_measurements(
-            truth, sensor, scenario.region, seeds[1 + i])]
-        for i, sensor in enumerate(sensors)
-    ]
-    engines = [_Filter(build_filter_setup(cfg, s)) for s in sensors]
-    names = ["single"] if mode == "dependent" else [f"sensor{i + 1}" for i in range(len(sensors))]
+    streams = [[scan for scan, _ in scans] for scans in labeled]
+    engines = [_Filter(build_filter_setup(cfg, s)) for s in scenario.sensors[: len(streams)]]
+    names = ["single"] if mode == "dependent" else [f"sensor{i + 1}" for i in range(len(streams))]
     tracks = {name: SeriesTrack() for name in names}
     fused_names = () if mode == "single" else _fused_series(cfg.fusion.mode)
     fused_tracks = {name: SeriesTrack() for name in fused_names}
@@ -366,16 +370,12 @@ def _write_outputs(out_dir: Path, agg: AggregateResult) -> dict[str, Path]:
 def _write_scan_dump(out_dir: Path, cfg: ExperimentConfig, mode: str) -> Path:
     """Regenerate every run's scans with labels and dump them.
 
-    Uses the same seed derivation as the runs themselves, so the dump
-    matches what the filters saw.
+    The scans come from the same simulation as the runs themselves, so
+    the dump matches what the filters saw.
     """
-    scenario = cfg.scenario
     lines = ["run,step,sensor,x_km,y_km,is_clutter"]
     for run_idx in range(cfg.runs):
-        seeds = _run_seeds(cfg.master_seed, run_idx, 1 + len(scenario.sensors))
-        truth = generate_truth(scenario, seeds[0])
-        for i, sensor in enumerate(_fed_sensors(scenario, mode)):
-            labeled = generate_labeled_measurements(truth, sensor, scenario.region, seeds[1 + i])
+        for i, labeled in enumerate(_simulate_run(cfg, run_idx, mode)[1]):
             for scan, labels in labeled:
                 for p, is_clutter in zip(scan.points, labels):
                     lines.append(

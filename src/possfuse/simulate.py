@@ -281,6 +281,8 @@ class BirthConfig:
     vel_var: float = 0.25
 
     def __post_init__(self) -> None:
+        for name in ("pos_var", "vel_var"):
+            _check_finite(name, getattr(self, name))
         if self.pos_var <= 0.0 or self.vel_var <= 0.0:
             raise ValueError("birth variances must be positive")
 

@@ -20,7 +20,7 @@ from possfuse.bernoulli import (
     reduce,
     update,
 )
-from possfuse.gaussmax import GaussianMaxMixture
+from possfuse.gaussmax import GaussianMaxMixture, sup_linear_gaussian_product
 from possfuse.simulate import Rect, Scan, cv_process_noise, cv_transition
 from support import gauss_value, mixture_value, random_mixture, reduce_reference
 
@@ -268,6 +268,32 @@ class TestTheta:
         )
         theta = update_theta(state, scan, meas, DET_BENCH)
         assert theta == pytest.approx(expected, rel=1e-12)
+
+    def test_matches_linear_gaussian_supremum(self):
+        # Theta's detection term is the supremum that criterion 7 checks
+        # against a refined grid, for any observation matrix.
+        rng = np.random.default_rng(12)
+        detected = 0
+        for _ in range(200):
+            nx, nz = int(rng.integers(1, 5)), int(rng.integers(1, 3))
+            H = rng.uniform(-1.0, 1.0, size=(nz, nx))
+            A, B = rng.normal(size=(nx, nx)), rng.normal(size=(nz, nz))
+            meas = MeasurementModel(
+                observation=H,
+                noise=B @ B.T + np.eye(nz),
+                clutter_rate=float(rng.uniform(1.0, 4000.0)),
+                region=REGION,
+            )
+            prior = GaussianMaxMixture([1.0], rng.uniform(-5.0, 5.0, size=nx), A @ A.T + np.eye(nx))
+            m, P = prior.means[0], prior.covariances[0]
+            z = H @ m + rng.normal(scale=2.0, size=nz)
+            state = BernoulliPossState(1.0, 1.0, prior)
+            theta = update_theta(state, Scan(1, z[None, :]), meas, DET_BENCH)
+            sup = sup_linear_gaussian_product(z, H, meas.noise, m, P)
+            expected = max(DET_BENCH.nondetection, DET_BENCH.detection * meas.clutter_ratio() * sup)
+            assert theta == pytest.approx(expected, rel=1e-12)
+            detected += theta > DET_BENCH.nondetection
+        assert 50 < detected < 200
 
 
 class TestUpdate:

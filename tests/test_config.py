@@ -7,14 +7,16 @@ import pytest
 
 from possfuse.bernoulli import ReductionConfig
 from possfuse.config import (
+    BirthSettings,
     ConfigError,
     ExperimentConfig,
+    MetricSettings,
     default_experiment,
     load_experiment,
     parse_experiment,
     serialize_experiment,
 )
-from possfuse.simulate import ScenarioConfig
+from possfuse.simulate import BirthConfig, Rect, ScenarioConfig
 
 
 class TestDefaults:
@@ -157,6 +159,24 @@ class TestValidation:
     )
     def test_python_construction_rejects_non_integers(self, build, field):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            build()
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: MetricSettings(ospa_cutoff=float("nan")), "ospa_cutoff"),
+            (lambda: MetricSettings(ospa_cutoff=float("inf")), "ospa_cutoff"),
+            (lambda: MetricSettings(ospa_order=float("inf")), "ospa_order"),
+            (lambda: BirthSettings(pos_var=float("nan")), "pos_var"),
+            (lambda: BirthSettings(vel_var=float("inf")), "vel_var"),
+            (lambda: ReductionConfig(merge_mahalanobis=float("nan")), "merge_mahalanobis"),
+            (lambda: ReductionConfig(merge_mahalanobis=float("inf")), "merge_mahalanobis"),
+            (lambda: BirthConfig(Rect(0.0, 1.0, 0.0, 1.0), pos_var=float("nan")), "pos_var"),
+            (lambda: BirthConfig(Rect(0.0, 1.0, 0.0, 1.0), vel_var=float("inf")), "vel_var"),
+        ],
+    )
+    def test_python_construction_rejects_non_finite_floats(self, build, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
             build()
 
     def test_numpy_integers_are_integers(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from possfuse.bernoulli import BernoulliPossState, ReductionConfig, reduce
 from possfuse.fusion import fuse_chernoff, fuse_independent
-from possfuse.gaussmax import GaussianMaxMixture, sup_linear_gaussian_product
+from possfuse.gaussmax import GaussianMaxMixture, _log_sup_product, sup_linear_gaussian_product
 from support import (
     gauss_value,
     mixture_values,
@@ -241,3 +241,38 @@ class TestSupLinearGaussianProduct:
         m = np.array([1.0, 2.0])
         val = sup_linear_gaussian_product(m, np.eye(2), np.eye(2), m, np.eye(2))
         assert val == 1.0
+
+
+def spd_stack(rng, shape, dim):
+    A = rng.normal(size=(*shape, dim, dim))
+    return A @ A.swapaxes(-1, -2) + rng.uniform(0.1, 2.0, size=(*shape, 1, 1)) * np.eye(dim)
+
+
+class TestLogSupProduct:
+    """The one kernel gives the bits of the two batched forms it replaced:
+    update's (measurement, component) table and the (exponent, pair)
+    table of _cross_arrays."""
+
+    def test_matches_update_table_bitwise(self):
+        rng = np.random.default_rng(70)
+        for _ in range(200):
+            n_meas, n_comp, dim = (int(v) for v in rng.integers(1, [9, 18, 4]))
+            S = spd_stack(rng, (n_comp,), dim)
+            nu = rng.normal(scale=5.0, size=(n_meas, n_comp, dim))
+            sol = np.linalg.solve(S[None, ...], nu[..., None])[..., 0]
+            quad = np.maximum(np.einsum("mni,mni->mn", nu, sol), 0.0)
+            np.testing.assert_array_equal(_log_sup_product(nu, S), -0.5 * quad)
+
+    def test_matches_cross_table_bitwise(self):
+        rng = np.random.default_rng(71)
+        for trial in range(200):
+            k = 19 if trial % 2 else int(rng.integers(1, 4))
+            n1, n2, dim = (int(v) for v in rng.integers(1, [18, 18, 5]))
+            e2 = rng.uniform(0.05, 1.0, size=k)[:, None, None, None, None]
+            e1 = 1.0 - e2 if trial % 3 else np.ones_like(e2)
+            covs1, covs2 = spd_stack(rng, (n1,), dim), spd_stack(rng, (n2,), dim)
+            diff = rng.normal(scale=5.0, size=(n1, 1, dim)) - rng.normal(size=(1, n2, dim))
+            spread = covs1[:, None] / e1 + covs2[None, :] / e2
+            sol = np.linalg.solve(spread, diff[..., None])
+            quad = np.maximum(np.einsum("abi,kabi->kab", diff, sol[..., 0]), 0.0)
+            np.testing.assert_array_equal(_log_sup_product(diff, spread), -0.5 * quad)

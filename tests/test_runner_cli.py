@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import multiprocessing
+import pickle
 
 import numpy as np
 import pytest
@@ -143,6 +145,47 @@ class TestRunOnce:
         assert err.value.step == 1
         assert "run 3" in str(err.value)
         assert "step 1" in str(err.value)
+
+    def test_errors_round_trip_through_pickle(self):
+        # Pool workers hand their failures to the parent by pickle.
+        err = NumericsError(4, 7, ValueError("singular: matrix"))
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is NumericsError
+        assert (back.run, back.step, str(back)) == (4, 7, str(err))
+        err = ConfigError("scenario.sensors", "needs 2: got 3")
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is ConfigError
+        assert (back.path, str(back)) == ("scenario.sensors", str(err))
+
+    def test_fed_scans_match_scan_dump(self, monkeypatch, tmp_path):
+        cfg = small_cfg(steps=10, death_step=10)
+        fed = []
+        inner = runner_mod.generate_labeled_measurements
+
+        def recording(*args, **kwargs):
+            labeled = inner(*args, **kwargs)
+            fed.append(labeled)
+            return labeled
+
+        rows = []
+        for run_idx in range(cfg.runs):
+            fed.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(runner_mod, "generate_labeled_measurements", recording)
+                run_once(cfg, run_idx, "single")
+            for sensor, labeled in enumerate(fed, start=1):
+                for scan, labels in labeled:
+                    for (x, y), is_clutter in zip(scan.points.tolist(), labels.tolist()):
+                        rows.append((run_idx, scan.time_index, sensor, x, y, int(is_clutter)))
+        assert len(fed) == 2
+
+        run_single(cfg, out_dir=tmp_path, dump_scans=True)
+        lines = (tmp_path / "scans.csv").read_text().splitlines()
+        dumped = [
+            (int(r), int(k), int(s), float(x), float(y), int(c))
+            for r, k, s, x, y, c in (line.split(",") for line in lines[1:])
+        ]
+        assert dumped == rows
 
 
 class TestNearIdealOracle:
@@ -292,6 +335,21 @@ class TestCli:
         assert err.startswith("configuration error: scenario.sensors:")
         assert err.count("exactly 2 sensors") == 1
         assert not out.exists()
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers see the replaced update only when forked",
+    )
+    def test_numerics_error_in_pool_is_exit_3(self, tmp_path, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise ValueError("synthetic breakdown")
+
+        monkeypatch.setattr(runner_mod, "update", boom)
+        monkeypatch.setenv("POSSFUSE_THREADS", "2")
+        code = main(["single", "--runs", "4", "--out", str(tmp_path / "res")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure in run 0 at step 1: synthetic breakdown" in err
 
     def test_bad_flag_value_is_exit_2(self, tmp_path, capsys):
         code = main(["single", "--runs", "0", "--out", str(tmp_path / "x")])
