@@ -104,11 +104,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.command == "selftest":
-        ok = selftest(n_pairs=args.pairs, seed=args.seed, verbose=True)
-        return EXIT_OK if ok else EXIT_NUMERICS
-
     try:
+        if args.command == "selftest":
+            if args.pairs < 1:
+                raise ConfigError("--pairs", f"must be at least 1, got {args.pairs}")
+            if args.seed < 0:
+                raise ConfigError("--seed", f"must not be negative, got {args.seed}")
+            return EXIT_OK if selftest(n_pairs=args.pairs, seed=args.seed) else EXIT_NUMERICS
         cfg = _load_config(args)
         driver = {
             "single": run_single,

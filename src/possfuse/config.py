@@ -13,7 +13,11 @@ import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
 
-from .bernoulli import ReductionConfig
+from .bernoulli import (
+    ReductionConfig,
+    TransitionPossibilityMatrix,
+    probability_interval_to_possibility,
+)
 from .fusion import parse_omega_strategy
 from .simulate import ScenarioConfig, _check_finite, _check_int
 
@@ -29,9 +33,6 @@ __all__ = [
     "serialize_experiment",
     "load_experiment",
 ]
-
-FUSION_MODES = ("chernoff", "independent", "both")
-
 
 class ConfigError(ValueError):
     """Invalid configuration; the message starts with the field path."""
@@ -76,41 +77,34 @@ class FilterSettings:
     birth: BirthSettings = field(default_factory=BirthSettings)
 
     def __post_init__(self) -> None:
-        lo, hi = self.pd_interval
-        if not (0.0 <= lo <= hi <= 1.0):
-            raise ValueError(f"pd_interval must satisfy 0 <= low <= high <= 1, got {self.pd_interval}")
-        if len(self.phi) != 2 or any(len(row) != 2 for row in self.phi):
-            raise ValueError("phi must be a 2x2 matrix")
-        for i, row in enumerate(self.phi):
-            if any(not (0.0 <= v <= 1.0) for v in row):
-                raise ValueError(f"phi row {i} entries must lie in [0, 1], got {row}")
-            if max(row) != 1.0:
-                raise ValueError(f"phi row {i} must have max 1, got {row}")
+        # The filter's own constructors hold the rules for both settings;
+        # building them here applies those rules before any run starts.
+        try:
+            probability_interval_to_possibility(*self.pd_interval)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"pd_interval: {exc}") from None
+        try:
+            TransitionPossibilityMatrix.from_matrix(self.phi)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"phi: {exc}") from None
 
 
 @dataclass(frozen=True)
 class FusionSettings:
-    mode: str = "both"
     omega_strategy: str = "fixed(0.5)"
 
     def __post_init__(self) -> None:
-        if self.mode not in FUSION_MODES:
-            raise ValueError(f"mode must be one of {FUSION_MODES}, got {self.mode!r}")
         parse_omega_strategy(self.omega_strategy)
 
 
 @dataclass(frozen=True)
 class MetricSettings:
     ospa_cutoff: float = 10.0
-    ospa_order: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("ospa_cutoff", "ospa_order"):
-            _check_finite(name, getattr(self, name))
+        _check_finite("ospa_cutoff", self.ospa_cutoff)
         if self.ospa_cutoff <= 0.0:
             raise ValueError(f"ospa_cutoff must be positive, got {self.ospa_cutoff}")
-        if self.ospa_order < 1.0:
-            raise ValueError(f"ospa_order must be at least 1, got {self.ospa_order}")
 
 
 @dataclass(frozen=True)

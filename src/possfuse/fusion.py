@@ -181,21 +181,15 @@ def fuse_independent(
     return _fuse(a, b, 1.0, 1.0, reduction)
 
 
-def parse_omega_strategy(strategy) -> tuple[str, Optional[float]]:
-    """Parse an exponent-selection strategy.
+def parse_omega_strategy(strategy: str) -> Optional[float]:
+    """Parse an exponent-selection strategy, "fixed(v)" or "min-trace".
 
-    Accepts a float (treated as a fixed exponent), "fixed(v)", or
-    "min-trace".  Returns ("fixed", v) or ("min-trace", None).
+    Returns the fixed exponent v, or None for "min-trace".
     """
-    if isinstance(strategy, (int, float)) and not isinstance(strategy, bool):
-        value = float(strategy)
-        if not (0.0 <= value <= 1.0):
-            raise ValueError(f"fixed omega must lie in [0, 1], got {value}")
-        return "fixed", value
     if isinstance(strategy, str):
         text = strategy.strip()
         if text == "min-trace":
-            return "min-trace", None
+            return None
         if text.startswith("fixed(") and text.endswith(")"):
             try:
                 value = float(text[len("fixed(") : -1])
@@ -203,29 +197,25 @@ def parse_omega_strategy(strategy) -> tuple[str, Optional[float]]:
                 raise ValueError(f"unparseable fixed omega in {strategy!r}") from None
             if not (0.0 <= value <= 1.0):
                 raise ValueError(f"fixed omega must lie in [0, 1], got {value}")
-            return "fixed", value
+            return value
     raise ValueError(
         f"unknown omega strategy {strategy!r}; expected 'fixed(v)' or 'min-trace'"
     )
 
 
-def select_omega(a: BernoulliPossState, b: BernoulliPossState, strategy="min-trace") -> float:
-    """Choose the Chernoff exponent.
+def select_omega(a: BernoulliPossState, b: BernoulliPossState) -> float:
+    """Choose the Chernoff exponent by the min-trace rule.
 
-    "fixed(v)" returns v.  "min-trace" picks, from OMEGA_GRID, the
-    exponent whose fused top component has the smallest covariance trace.
-    Traces within a relative TRACE_TIE_RTOL of the smallest are tied, and
-    ties break toward 0.5, then toward the smaller exponent, so the
-    choice is deterministic.  The search is one batched fusion over the
+    Picks, from OMEGA_GRID, the exponent whose fused top component has
+    the smallest covariance trace.  Traces within a relative
+    TRACE_TIE_RTOL of the smallest are tied, and ties break toward 0.5,
+    then toward the smaller exponent, so the choice is deterministic.  The search is one batched fusion over the
     whole grid (over blocks of it when both mixtures are large): it runs
     every check that fusing at each exponent would (finite, positive
     definite covariances and finite weights in each trial mixture) and
     compares the traces of the conditioned top covariances, without
     building the trial mixtures.
     """
-    kind, value = parse_omega_strategy(strategy)
-    if kind == "fixed":
-        return float(value)
     _check_pair(a, b)
     omegas = np.asarray(OMEGA_GRID)
     step = max(1, SEARCH_BLOCK_PAIRS // (a.spatial.n_components * b.spatial.n_components))
@@ -316,7 +306,7 @@ def _check_pair_exactness(
     return max(err, overshoot, peak_gap)
 
 
-def selftest(n_pairs: int = 12, seed: int = 2024, verbose: bool = True) -> bool:
+def selftest(n_pairs: int = 12, seed: int = 2024) -> bool:
     """Grid-based exactness checks for the fusion closed forms.
 
     Random mixture pairs in one and two dimensions are fused with several
@@ -338,9 +328,8 @@ def selftest(n_pairs: int = 12, seed: int = 2024, verbose: bool = True) -> bool:
         worst = max(worst, _check_pair_exactness(a, b, 1.0, 1.0))
     passed = worst <= 1e-9
     ok &= passed
-    if verbose:
-        print(f"{'PASS' if passed else 'FAIL'} fusion closed form vs grid product "
-              f"(max abs error {worst:.3e}, tolerance 1e-09)")
+    print(f"{'PASS' if passed else 'FAIL'} fusion closed form vs grid product "
+          f"(max abs error {worst:.3e}, tolerance 1e-09)")
 
     worst = 0.0
     for k in range(n_pairs):
@@ -374,8 +363,7 @@ def selftest(n_pairs: int = 12, seed: int = 2024, verbose: bool = True) -> bool:
         worst = max(worst, abs(best - analytic))
     passed = worst <= 1e-6
     ok &= passed
-    if verbose:
-        print(f"{'PASS' if passed else 'FAIL'} linear-Gaussian supremum vs refined grid "
-              f"(max abs error {worst:.3e}, tolerance 1e-06)")
+    print(f"{'PASS' if passed else 'FAIL'} linear-Gaussian supremum vs refined grid "
+          f"(max abs error {worst:.3e}, tolerance 1e-06)")
 
     return bool(ok)

@@ -182,18 +182,18 @@ class AggregateResult:
     mean_q_present: dict[str, np.ndarray]
 
 
-def aggregate(
-    records: Sequence[RunRecord], cutoff: float = 10.0, order: float = 1.0
-) -> AggregateResult:
+def aggregate(records: Sequence[RunRecord], cutoff: float = 10.0) -> AggregateResult:
     """Fold run records into per-step means, in run order.
 
     The fold is a plain ordered sum over the records as given, so the
     result is bit-identical no matter how the runs were computed.
 
     Truth and estimate sets hold at most one point each, so the OSPA of a
-    (run, step) is min(cutoff, |t - e|) when both points exist (the
-    order-p power and root of a single term), cutoff when one is missing,
-    and 0 when both are; each value equals what ospa returns for the pair.
+    (run, step) is min(cutoff, |t - e|) when both points exist, cutoff
+    when one is missing, and 0 when both are.  The order p of ospa only
+    weighs an assignment between several points; for one pair its power
+    and root cancel, so no order is taken here, and each value equals
+    what ospa returns for the pair at order 1.
     """
     if not records:
         raise ValueError("need at least one run record")
@@ -203,11 +203,8 @@ def aggregate(
         if rec.steps != steps or tuple(rec.series.keys()) != names:
             raise ValueError("all run records must share steps and series")
     cutoff = float(cutoff)
-    order = float(order)
     if cutoff <= 0.0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
-    if order < 1.0:
-        raise ValueError(f"order must be at least 1, got {order}")
 
     ospa_sum = {s: np.zeros(steps) for s in names}
     trace_sum = {s: np.zeros(steps) for s in names}
@@ -238,13 +235,8 @@ def aggregate(
                             f"{truth_xy.shape[1:]} and {est_xy.shape[1:]}"
                         )
                     d = truth_xy - est_xy
-                    # vecdot matches the dot inside np.linalg.norm and
-                    # Python's pow matches ospa's scalar arithmetic, bit
-                    # for bit; numpy's vectorised power does not.
-                    dist[both] = [
-                        (min(cutoff, x) ** order) ** (1.0 / order)
-                        for x in np.sqrt(np.vecdot(d, d)).tolist()
-                    ]
+                    # vecdot matches the dot inside np.linalg.norm bit for bit.
+                    dist[both] = np.minimum(cutoff, np.sqrt(np.vecdot(d, d)))
             ospa_sum[s] += dist
             count[s] += has_est
             q0_sum[s] += track.q_absent

@@ -195,14 +195,6 @@ def _audit_of(state: BernoulliPossState, step: int, phase: str, series: str) -> 
     )
 
 
-def _fused_series(mode: str) -> tuple[str, ...]:
-    if mode == "chernoff":
-        return (SERIES_CHERNOFF,)
-    if mode == "independent":
-        return (SERIES_CENTRALIZED,)
-    return (SERIES_CHERNOFF, SERIES_CENTRALIZED)
-
-
 def _check_sensor_count(scenario, mode: str) -> None:
     if mode in ("independent", "dependent") and len(scenario.sensors) != 2:
         raise ConfigError(
@@ -258,32 +250,27 @@ def run_once(
     engines = [_Filter(build_filter_setup(cfg, s)) for s in scenario.sensors[: len(streams)]]
     names = ["single"] if mode == "dependent" else [f"sensor{i + 1}" for i in range(len(streams))]
     tracks = {name: SeriesTrack() for name in names}
-    fused_names = () if mode == "single" else _fused_series(cfg.fusion.mode)
+    fused_names = () if mode == "single" else (SERIES_CHERNOFF, SERIES_CENTRALIZED)
     fused_tracks = {name: SeriesTrack() for name in fused_names}
-    omega_kind, omega_value = parse_omega_strategy(cfg.fusion.omega_strategy)
+    fixed_omega = parse_omega_strategy(cfg.fusion.omega_strategy)
 
     for step in range(1, scenario.steps + 1):
         try:
             for engine, name, stream in zip(engines, names, streams):
                 engine.advance(stream[step - 1], audit, name, step)
                 _append_state(tracks[name], engine.state)
-            if fused_names:
+            if fused_tracks:
                 # Dependent mode has one filter, fused with itself.
                 a, b = engines[0].state, engines[-1].state
-                if SERIES_CHERNOFF in fused_tracks:
-                    if omega_kind == "fixed":
-                        omega = float(omega_value)
-                    else:
-                        omega = select_omega(a, b, "min-trace")
-                    fused = fuse_chernoff(a, b, omega, reduction=cfg.filter.reduction).state
-                    _append_state(fused_tracks[SERIES_CHERNOFF], fused)
+                omega = select_omega(a, b) if fixed_omega is None else fixed_omega
+                fused = (
+                    fuse_chernoff(a, b, omega, reduction=cfg.filter.reduction),
+                    fuse_independent(a, b, reduction=cfg.filter.reduction),
+                )
+                for name, result in zip(fused_names, fused):
+                    _append_state(fused_tracks[name], result.state)
                     if audit is not None:
-                        audit.append(_audit_of(fused, step, "fused", SERIES_CHERNOFF))
-                if SERIES_CENTRALIZED in fused_tracks:
-                    fused = fuse_independent(a, b, reduction=cfg.filter.reduction).state
-                    _append_state(fused_tracks[SERIES_CENTRALIZED], fused)
-                    if audit is not None:
-                        audit.append(_audit_of(fused, step, "fused", SERIES_CENTRALIZED))
+                        audit.append(_audit_of(result.state, step, "fused", name))
         except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
             raise NumericsError(run_idx, step, exc) from exc
 
@@ -398,7 +385,7 @@ def _drive(cfg: ExperimentConfig, mode: str, out_dir, dump_scans: bool) -> Exper
     # ConfigError before the pool starts rather than one per worker.
     _check_sensor_count(cfg.scenario, mode)
     records = _collect_runs(cfg, mode)
-    agg = aggregate(records, cfg.metrics.ospa_cutoff, cfg.metrics.ospa_order)
+    agg = aggregate(records, cfg.metrics.ospa_cutoff)
     out_path = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     files = _write_outputs(out_path, agg)
     if dump_scans:

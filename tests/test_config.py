@@ -1,6 +1,8 @@
 """Experiment configuration: defaults, parsing, round-trips, errors."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,13 +12,18 @@ from possfuse.config import (
     BirthSettings,
     ConfigError,
     ExperimentConfig,
+    FilterSettings,
     MetricSettings,
     default_experiment,
     load_experiment,
     parse_experiment,
     serialize_experiment,
 )
+from possfuse.gaussmax import NORM_TOL
+from possfuse.runner import build_filter_setup
 from possfuse.simulate import BirthConfig, Rect, ScenarioConfig
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestDefaults:
@@ -32,9 +39,8 @@ class TestDefaults:
         assert cfg.filter.reduction.max_components == 100
         assert cfg.filter.birth.pos_var is None
         assert cfg.filter.birth.vel_var == 0.25
-        assert cfg.fusion.mode == "both"
+        assert cfg.fusion.omega_strategy == "fixed(0.5)"
         assert cfg.metrics.ospa_cutoff == 10.0
-        assert cfg.metrics.ospa_order == 1.0
 
 
 class TestRoundTrip:
@@ -56,6 +62,10 @@ class TestRoundTrip:
 
     def test_empty_document_is_default(self):
         assert parse_experiment({}) == default_experiment()
+
+    def test_readme_schema_is_the_default(self):
+        (block,) = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        assert json.loads(block) == serialize_experiment(default_experiment())
 
 
 class TestValidation:
@@ -82,9 +92,16 @@ class TestValidation:
             parse_experiment({"master_seed": -1})
 
     def test_bad_fusion_mode(self):
-        with pytest.raises(ConfigError) as err:
-            parse_experiment({"fusion": {"mode": "tandem"}})
-        assert "fusion.mode" in str(err.value)
+        # Every fusion run writes both fused series; there is no mode.
+        with pytest.raises(ConfigError, match="unknown key") as err:
+            parse_experiment({"fusion": {"mode": "both"}})
+        assert err.value.path == "fusion.mode"
+
+    def test_ospa_order_is_unknown(self):
+        # One point per set: the order cannot change a score.
+        with pytest.raises(ConfigError, match="unknown key") as err:
+            parse_experiment({"metrics": {"ospa_order": 1.0}})
+        assert err.value.path == "metrics.ospa_order"
 
     def test_bad_omega_strategy(self):
         with pytest.raises(ConfigError):
@@ -101,6 +118,24 @@ class TestValidation:
     def test_bad_phi_rows(self):
         with pytest.raises(ConfigError):
             parse_experiment({"filter": {"phi": [[0.5, 0.2], [0.01, 1.0]]}})
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"pd_interval": (0.5,)}, "^pd_interval: "),
+            ({"phi": ((1.0, 0.01), (0.01, 1.0 - 1e-6))}, "^phi: row for the present state must have max 1"),
+            ({"phi": ((1.0, float("nan")), (0.01, 1.0))}, "^phi: transition possibilities must lie in"),
+        ],
+    )
+    def test_python_filter_settings_error_names_field(self, settings, message):
+        with pytest.raises(ValueError, match=message):
+            FilterSettings(**settings)
+
+    def test_phi_row_max_within_norm_tol_is_accepted(self):
+        # The config accepts what the filter's transition model accepts.
+        near = 1.0 - NORM_TOL / 2
+        cfg = parse_experiment({"filter": {"phi": [[near, 0.01], [0.01, 1.0]]}})
+        assert build_filter_setup(cfg, cfg.scenario.sensors[0]).phi.stay_absent == near
 
     def test_scenario_sensor_fields(self):
         cfg = parse_experiment(
@@ -133,6 +168,10 @@ class TestValidation:
             ({"fusion": {"omega_strategy": "fixed(2.0)"}}, "fusion.omega_strategy"),
             # Each value is fine alone; only the pair conflicts.
             ({"scenario": {"birth_step": 20, "death_step": 10}}, "scenario"),
+            # A sharp pd of 0 or 1 leaves detection or non-detection
+            # impossible, which the filter's detection model rejects.
+            ({"filter": {"pd_interval": [0.0, 0.0]}}, "filter.pd_interval"),
+            ({"filter": {"pd_interval": [1.0, 1.0]}}, "filter.pd_interval"),
         ],
     )
     def test_range_error_names_leaf_field(self, doc, path):
@@ -166,7 +205,6 @@ class TestValidation:
         [
             (lambda: MetricSettings(ospa_cutoff=float("nan")), "ospa_cutoff"),
             (lambda: MetricSettings(ospa_cutoff=float("inf")), "ospa_cutoff"),
-            (lambda: MetricSettings(ospa_order=float("inf")), "ospa_order"),
             (lambda: BirthSettings(pos_var=float("nan")), "pos_var"),
             (lambda: BirthSettings(vel_var=float("inf")), "vel_var"),
             (lambda: ReductionConfig(merge_mahalanobis=float("nan")), "merge_mahalanobis"),

@@ -317,11 +317,11 @@ class TestConflictAndReduction:
 
 class TestOmegaStrategy:
     def test_parse_forms(self):
-        assert parse_omega_strategy(0.3) == ("fixed", 0.3)
-        assert parse_omega_strategy("fixed(0.25)") == ("fixed", 0.25)
-        assert parse_omega_strategy("min-trace") == ("min-trace", None)
+        assert parse_omega_strategy("fixed(0.25)") == 0.25
+        assert parse_omega_strategy(" fixed(1) ") == 1.0
+        assert parse_omega_strategy("min-trace") is None
 
-    @pytest.mark.parametrize("bad", ["fixed(1.5)", "fixed(oops)", "maximal", 1.2, -0.1])
+    @pytest.mark.parametrize("bad", ["fixed(1.5)", "fixed(oops)", "fixed(nan)", "maximal", 1.2, -0.1])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_omega_strategy(bad)
@@ -332,17 +332,12 @@ class TestOmegaStrategy:
         # lowest omega for source-2 weight.
         a = single_comp_state(1.0, 1.0, 0.0, 1.0)
         b = single_comp_state(1.0, 1.0, 0.0, 4.0)
-        assert select_omega(a, b, "min-trace") == min(OMEGA_GRID)
-        assert select_omega(b, a, "min-trace") == max(OMEGA_GRID)
+        assert select_omega(a, b) == min(OMEGA_GRID)
+        assert select_omega(b, a) == max(OMEGA_GRID)
 
     def test_min_trace_tie_breaks_to_balanced(self):
         a = single_comp_state(1.0, 1.0, 0.0, 1.0)
-        assert select_omega(a, a, "min-trace") == 0.5
-
-    def test_fixed_strategy_passthrough(self):
-        a = single_comp_state(1.0, 1.0, 0.0, 1.0)
-        b = single_comp_state(1.0, 1.0, 0.0, 4.0)
-        assert select_omega(a, b, "fixed(0.7)") == 0.7
+        assert select_omega(a, a) == 0.5
 
 
 def sized_state(rng, n, dim=4):
@@ -373,9 +368,9 @@ def dependent_pairs():
     pairs = []
     original = runner_mod.select_omega
 
-    def record(a, b, strategy="min-trace"):
+    def record(a, b):
         pairs.append((a, b))
-        return original(a, b, strategy)
+        return original(a, b)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(runner_mod, "select_omega", record)
@@ -407,13 +402,13 @@ class TestBatchedOmegaSearch:
         rng = np.random.default_rng(seed)
         a = sized_state(rng, n_a)
         b = sized_state(rng, n_b)
-        assert select_omega(a, b, "min-trace") == reference_select_omega(a, b)
-        assert select_omega(b, a, "min-trace") == reference_select_omega(b, a)
+        assert select_omega(a, b) == reference_select_omega(a, b)
+        assert select_omega(b, a) == reference_select_omega(b, a)
 
     def test_matches_loop_on_dependent_run_states(self, dependent_pairs):
         assert len(dependent_pairs) == 50
         for a, b in dependent_pairs:
-            assert select_omega(a, b, "min-trace") == reference_select_omega(a, b)
+            assert select_omega(a, b) == reference_select_omega(a, b)
 
     def test_self_fusion_of_dependent_run_states_picks_balanced(self, dependent_pairs):
         # Fusing a state with itself gives the same trace at every omega up
@@ -421,7 +416,7 @@ class TestBatchedOmegaSearch:
         multi = [a for a, _ in dependent_pairs if a.spatial.n_components > 1]
         assert len(multi) >= 5
         for s in multi:
-            assert select_omega(s, s, "min-trace") == 0.5
+            assert select_omega(s, s) == 0.5
 
     @staticmethod
     def _corrupting(monkeypatch, corrupt):
@@ -446,7 +441,7 @@ class TestBatchedOmegaSearch:
 
         self._corrupting(monkeypatch, corrupt)
         with pytest.raises(ValueError, match="not positive definite"):
-            select_omega(a, b, "min-trace")
+            select_omega(a, b)
 
     def test_kept_non_finite_trial_covariance_raises(self, monkeypatch):
         a, b = self._pair()
@@ -456,7 +451,7 @@ class TestBatchedOmegaSearch:
 
         self._corrupting(monkeypatch, corrupt)
         with pytest.raises(ValueError, match="covariance"):
-            select_omega(a, b, "min-trace")
+            select_omega(a, b)
 
     def test_non_finite_trial_weight_raises(self, monkeypatch):
         a, b = self._pair()
@@ -466,31 +461,31 @@ class TestBatchedOmegaSearch:
 
         self._corrupting(monkeypatch, corrupt)
         with pytest.raises(ValueError, match="weights must be finite"):
-            select_omega(a, b, "min-trace")
+            select_omega(a, b)
 
     def test_underflowed_pair_is_not_checked(self, monkeypatch):
         # A pair whose weight underflows is dropped from the trial mixture,
         # so its covariance is never validated, as in a real fusion.
         a, b = self._pair()
-        want = select_omega(a, b, "min-trace")
+        want = select_omega(a, b)
 
         def corrupt(log_w, covs):
             log_w[7, 1, 0] = -800.0
             covs[7, 1, 0] = np.diag([1.0, -1.0])
 
         self._corrupting(monkeypatch, corrupt)
-        assert select_omega(a, b, "min-trace") == want
+        assert select_omega(a, b) == want
 
     def test_total_conflict_raises(self):
         a = single_comp_state(1.0, 0.0, 0.0, 1.0)
         b = single_comp_state(0.0, 1.0, 0.0, 1.0)
         with pytest.raises(ValueError, match="total conflict"):
-            select_omega(a, b, "min-trace")
+            select_omega(a, b)
 
 
 class TestSelftest:
     def test_selftest_passes_quietly(self, capsys):
-        assert selftest(n_pairs=3, seed=5, verbose=True)
+        assert selftest(n_pairs=3, seed=5)
         out = capsys.readouterr().out
         assert out.count("PASS") == 2
         assert "FAIL" not in out

@@ -143,7 +143,7 @@ class TestAggregate:
             [[0.0, 0.0], [1.0, 0.0]],
             [[0.0, 0.0, 0.0, 0.0], [4.0, 0.0, 0.0, 0.0]],
         )
-        agg = aggregate([rec], cutoff=10.0, order=1.0)
+        agg = aggregate([rec], cutoff=10.0)
         assert agg.runs == 1 and agg.steps == 2
         assert agg.series == ("s",)
         np.testing.assert_allclose(agg.mean_ospa["s"], [0.0, 3.0])
@@ -155,7 +155,7 @@ class TestAggregate:
     def test_two_records_average(self):
         r1 = mk_record([[0.0, 0.0]], [[0.0, 0.0, 0.0, 0.0]])
         r2 = mk_record([[0.0, 0.0]], [[4.0, 0.0, 0.0, 0.0]])
-        agg = aggregate([r1, r2], cutoff=10.0, order=1.0)
+        agg = aggregate([r1, r2], cutoff=10.0)
         np.testing.assert_allclose(agg.mean_ospa["s"], [2.0])
 
     def test_record_order_invariance(self):
@@ -163,13 +163,13 @@ class TestAggregate:
         recs = [
             mk_record([[0.0, 0.0]], [rng.uniform(-5, 5, size=4)]) for _ in range(6)
         ]
-        a = aggregate(recs, cutoff=10.0, order=1.0)
-        b = aggregate(list(reversed(recs)), cutoff=10.0, order=1.0)
+        a = aggregate(recs, cutoff=10.0)
+        b = aggregate(list(reversed(recs)), cutoff=10.0)
         np.testing.assert_allclose(a.mean_ospa["s"], b.mean_ospa["s"], atol=1e-12)
 
     def test_absent_estimate_uses_empty_set_and_skips_trace(self):
         rec = mk_record([[0.0, 0.0]], [None])
-        agg = aggregate([rec], cutoff=10.0, order=1.0)
+        agg = aggregate([rec], cutoff=10.0)
         # truth present, estimate absent: pure cardinality error
         np.testing.assert_allclose(agg.mean_ospa["s"], [10.0])
         assert np.isnan(agg.mean_trace["s"][0])
@@ -177,7 +177,7 @@ class TestAggregate:
 
     def test_absent_truth_and_estimate_is_zero(self):
         rec = mk_record([None], [None])
-        agg = aggregate([rec], cutoff=10.0, order=1.0)
+        agg = aggregate([rec], cutoff=10.0)
         np.testing.assert_allclose(agg.mean_ospa["s"], [0.0])
 
     def test_matches_brute_force_means(self):
@@ -187,7 +187,7 @@ class TestAggregate:
             means = [rng.uniform(-3, 3, size=4) for _ in range(3)]
             truth = [rng.uniform(-3, 3, size=2) for _ in range(3)]
             recs.append(mk_record(truth, means))
-        agg = aggregate(recs, cutoff=10.0, order=1.0)
+        agg = aggregate(recs, cutoff=10.0)
         for k in range(3):
             expected = np.mean(
                 [
@@ -237,7 +237,10 @@ class TestAggregate:
                     n_components=[1] * steps,
                 )
             recs.append(RunRecord(truth_positions=truth, series=series))
-        got = aggregate(recs, cutoff=cutoff, order=order)
+        # aggregate takes no order: for one point per set, ospa's order-p
+        # power and root cancel.  At order 1 it matches the loop bit for
+        # bit; at other orders only the round trip's rounding separates them.
+        got = aggregate(recs, cutoff=cutoff)
         want = aggregate_reference(recs, cutoff, order)
         assert (got.runs, got.steps, got.series) == (want["runs"], want["steps"], want["series"])
         for field in ("mean_ospa", "mean_trace", "present_count", "mean_q_absent", "mean_q_present"):
@@ -245,20 +248,23 @@ class TestAggregate:
                 a = getattr(got, field)[name]
                 b = want[field][name]
                 assert a.dtype == b.dtype and a.shape == b.shape
-                assert a.tobytes() == b.tobytes(), (field, name)
+                if field == "mean_ospa" and order != 1.0:
+                    np.testing.assert_allclose(a, b, rtol=1e-14, atol=0.0, err_msg=name)
+                else:
+                    assert a.tobytes() == b.tobytes(), (field, name)
 
-    @pytest.mark.parametrize("cutoff, order", [(0.0, 1.0), (10.0, 0.5)])
-    def test_bad_cutoff_or_order_rejected(self, cutoff, order):
+    @pytest.mark.parametrize("cutoff", [0.0, -1.0])
+    def test_bad_cutoff_rejected(self, cutoff):
         rec = mk_record([[0.0, 0.0]], [[0.0, 0.0, 0.0, 0.0]])
-        with pytest.raises(ValueError):
-            aggregate([rec], cutoff=cutoff, order=order)
+        with pytest.raises(ValueError, match="cutoff must be positive"):
+            aggregate([rec], cutoff=cutoff)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            aggregate([], cutoff=10.0, order=1.0)
+            aggregate([], cutoff=10.0)
 
     def test_unequal_lengths_rejected(self):
         r1 = mk_record([[0.0, 0.0]], [[0.0, 0.0, 0.0, 0.0]])
         r2 = mk_record([[0.0, 0.0]] * 2, [[0.0, 0.0, 0.0, 0.0]] * 2)
         with pytest.raises(ValueError):
-            aggregate([r1, r2], cutoff=10.0, order=1.0)
+            aggregate([r1, r2], cutoff=10.0)

@@ -322,6 +322,18 @@ class TestCli:
         assert "configuration error: scenario.sensors[0].clutter_rate" in err
         assert "finite" in err
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("interval", [[0.0, 0.0], [1.0, 1.0]])
+    def test_pd_interval_the_filter_rejects_is_exit_2(self, interval, workers, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("POSSFUSE_THREADS", workers)
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"filter": {"pd_interval": interval}}))
+        out = tmp_path / "x"
+        code = main(["single", "--config", str(path), "--runs", "2", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("configuration error: filter.pd_interval:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("count", [1, 3])
     @pytest.mark.parametrize("command", ["fuse-independent", "fuse-dependent"])
     def test_fusion_sensor_count_is_exit_2(self, command, count, tmp_path, capsys, monkeypatch):
@@ -367,3 +379,14 @@ class TestCli:
         code = main(["selftest", "--pairs", "2", "--seed", "4"])
         assert code == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [(["--pairs", "0"], "--pairs"), (["--pairs", "-3"], "--pairs"), (["--seed", "-1"], "--seed")],
+    )
+    def test_selftest_bad_flag_is_exit_2(self, flags, name, capsys):
+        code = main(["selftest", *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"configuration error: {name}:")
+        assert "PASS" not in captured.out
