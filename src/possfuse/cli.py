@@ -106,11 +106,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         if args.command == "selftest":
-            if args.pairs < 1:
-                raise ConfigError("--pairs", f"must be at least 1, got {args.pairs}")
-            if args.seed < 0:
-                raise ConfigError("--seed", f"must not be negative, got {args.seed}")
-            return EXIT_OK if selftest(n_pairs=args.pairs, seed=args.seed) else EXIT_NUMERICS
+            try:
+                passed = selftest(n_pairs=args.pairs, seed=args.seed)
+            except ConfigError as exc:
+                # selftest names its parameters; report the flag that set one.
+                flag = {"n_pairs": "--pairs", "seed": "--seed"}[exc.path]
+                raise ConfigError(flag, exc.message) from None
+            return EXIT_OK if passed else EXIT_NUMERICS
         cfg = _load_config(args)
         driver = {
             "single": run_single,

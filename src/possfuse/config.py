@@ -39,12 +39,13 @@ class ConfigError(ValueError):
 
     def __init__(self, path: str, message: str):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}")
 
     def __reduce__(self):
         # A pool worker hands its error to the parent by pickle, which
         # rebuilds it from these arguments.
-        return type(self), (self.path, str(self)[len(self.path) + 2 :])
+        return type(self), (self.path, self.message)
 
 
 @dataclass(frozen=True)

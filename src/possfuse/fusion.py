@@ -13,11 +13,17 @@ components fuses into one Gaussian component whose weight carries a
 separation factor, the fused existence possibilities are the matching
 max-combinations, and the overall normaliser is exactly the largest
 cross-component weight.  No grids, no sampling.
+
+A step fuses the same pair of states up to three ways: the min-trace
+search over OMEGA_GRID, Chernoff fusion at one omega and the independent
+product.  All three read one product table, built once per pair with every
+row they need and cached on the first state's mixture.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,11 +55,15 @@ OMEGA_GRID = tuple(np.round(np.linspace(0.05, 0.95, 19), 2).tolist())
 # so rounding noise cannot pick among exponents that fuse alike (as every
 # exponent does when a state is fused with itself).
 TRACE_TIE_RTOL = 1e-9
-# Most (omega, component pair) combinations one batched search fusion holds.
+# Most (exponent row, component pair) combinations one product table holds.
 # Its temporaries grow with their number, so when both mixtures are large
-# the search walks OMEGA_GRID in blocks to keep peak memory near that of a
-# single fusion.
+# the search walks OMEGA_GRID in blocks, and a fusion leaves out the
+# independent row, to keep peak memory near that of a single fusion.
 SEARCH_BLOCK_PAIRS = 1024
+# Exponents of independent-product fusion.  Every product table holds this
+# row when it fits, so a step's independent fusion reuses the table its
+# Chernoff fusion or omega search built.
+INDEPENDENT = (1.0, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,20 +80,71 @@ class FusionResult:
     alpha: float
 
 
+class _ProductTable:
+    """Every fused component pair of two mixtures at several exponent rows.
+
+    Row r fuses at exponents rows[r] = (e1, e2).  One _cross_arrays call
+    computes all rows; their kept pairs are then conditioned and checked
+    in one pass, and bounds[r]:bounds[r + 1] slices row r's out of the
+    kept arrays.  A row equals a table of that row alone bit for bit:
+    _cross_arrays slices, conditioning and exp act per row, per matrix and
+    per element.  A failing check in any row fails the whole table.
+    """
+
+    def __init__(self, a: GaussianMaxMixture, b: GaussianMaxMixture, rows: list):
+        e1, e2 = np.array(rows).T
+        log_w, means, covs = _cross_arrays(
+            e1, np.log(a.weights), a.means, a.covariances,
+            e2, np.log(b.weights), b.means, b.covariances,
+        )
+        log_w = log_w.reshape(len(rows), -1)
+        self.index = {row: r for r, row in enumerate(rows)}
+        self.log_alpha, self.keep = _kept_pairs(log_w)
+        self.weights = np.exp(log_w - self.log_alpha[:, None])
+        kept = self.keep.reshape(-1)
+        self.kept_weights = _checked_weights(self.weights[self.keep])
+        self.means = means.reshape(-1, a.dim)[kept]
+        self.covs = _conditioned_covariance(covs.reshape(-1, a.dim, a.dim)[kept])
+        # ends[r, j]: how many pairs the table keeps up to row r, pair j.
+        self.ends = np.cumsum(kept).reshape(self.keep.shape)
+        self.bounds = [0, *self.ends[:, -1].tolist()]
+
+
+def _new_table(a: GaussianMaxMixture, b: GaussianMaxMixture, rows: list) -> _ProductTable:
+    """Build the product table of a and b at rows and cache it on a.
+
+    a holds its partner by weak reference, so a self-fusion makes no
+    reference cycle, and a partner that has been freed never matches a
+    later mixture.  Each mixture caches one table, its latest.
+    """
+    table = _ProductTable(a, b, rows)
+    object.__setattr__(a, "_product_table", (weakref.ref(b), table))
+    return table
+
+
 def _fused_mixture(
     a: GaussianMaxMixture, b: GaussianMaxMixture, e1: float, e2: float
 ) -> tuple[GaussianMaxMixture, float]:
-    """All-pairs fused mixture, normalised; returns (mixture, log_alpha)."""
-    log_w, means, covs = _cross_arrays(
-        [e1], np.log(a.weights), a.means, a.covariances,
-        [e2], np.log(b.weights), b.means, b.covariances,
+    """All-pairs fused mixture, normalised; returns (mixture, log_alpha).
+
+    The row comes from the table cached on a when that table was built
+    for b and holds (e1, e2).  Otherwise a new table is built of that row
+    and, when both fit within SEARCH_BLOCK_PAIRS, the independent row, so
+    one step's Chernoff and independent fusions share one table.
+    """
+    row = (e1, e2)
+    partner, table = vars(a).get("_product_table", (None, None))
+    if partner is None or partner() is not b or row not in table.index:
+        rows = [row]
+        if row != INDEPENDENT and 2 * a.n_components * b.n_components <= SEARCH_BLOCK_PAIRS:
+            rows.append(INDEPENDENT)
+        table = _new_table(a, b, rows)
+    r = table.index[row]
+    lo, hi = table.bounds[r], table.bounds[r + 1]
+    mixture = GaussianMaxMixture._derived(
+        table.kept_weights[lo:hi], table.means[lo:hi], table.covs[lo:hi]
     )
-    log_alphas, keeps = _kept_pairs(log_w.reshape(1, -1))
-    log_alpha, keep = float(log_alphas[0]), keeps[0]
-    weights = np.exp(log_w.reshape(-1)[keep] - log_alpha)
-    means = means.reshape(-1, a.dim)[keep]
-    covs = _conditioned_covariance(covs.reshape(-1, a.dim, a.dim)[keep])
-    return GaussianMaxMixture._derived(weights, means, covs), log_alpha
+    return mixture, float(table.log_alpha[r])
 
 
 def _kept_pairs(log_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,42 +270,36 @@ def select_omega(a: BernoulliPossState, b: BernoulliPossState) -> float:
     Picks, from OMEGA_GRID, the exponent whose fused top component has
     the smallest covariance trace.  Traces within a relative
     TRACE_TIE_RTOL of the smallest are tied, and ties break toward 0.5,
-    then toward the smaller exponent, so the choice is deterministic.  The search is one batched fusion over the
-    whole grid (over blocks of it when both mixtures are large): it runs
-    every check that fusing at each exponent would (finite, positive
-    definite covariances and finite weights in each trial mixture) and
-    compares the traces of the conditioned top covariances, without
-    building the trial mixtures.
+    then toward the smaller exponent, so the choice is deterministic.  The
+    search is one product table over the whole grid plus the independent
+    row (over blocks of them when both mixtures are large): it runs every
+    check that fusing at each exponent would (finite, positive definite
+    covariances and finite weights in each trial mixture) and compares the
+    traces of the conditioned top covariances, without building the trial
+    mixtures.  The table, or its last block, stays cached on a's mixture,
+    so fusing the same pair at the chosen exponent and independently
+    reads its rows instead of fusing again.
     """
     _check_pair(a, b)
-    omegas = np.asarray(OMEGA_GRID)
+    rows = [(1.0 - omega, omega) for omega in OMEGA_GRID] + [INDEPENDENT]
     step = max(1, SEARCH_BLOCK_PAIRS // (a.spatial.n_components * b.spatial.n_components))
     traces = np.concatenate(
-        [_top_traces(a.spatial, b.spatial, omegas[i : i + step]) for i in range(0, omegas.size, step)]
-    )
+        [_top_traces(_new_table(a.spatial, b.spatial, rows[i : i + step]))
+         for i in range(0, len(rows), step)]
+    )[: len(OMEGA_GRID)]
     floor = traces.min()
     tied = (traces - floor <= TRACE_TIE_RTOL * floor).tolist()
     return min((abs(omega - 0.5), omega) for omega, t in zip(OMEGA_GRID, tied) if t)[1]
 
 
-def _top_traces(a: GaussianMaxMixture, b: GaussianMaxMixture, omegas: np.ndarray) -> np.ndarray:
-    """Covariance trace of the heaviest component of the Chernoff fusion of
-    a and b at each omega, with every check that fusion runs."""
-    log_w, _, covs = _cross_arrays(
-        1.0 - omegas, np.log(a.weights), a.means, a.covariances,
-        omegas, np.log(b.weights), b.means, b.covariances,
-    )
-    # Row r holds the pairs of the trial mixture fusing at omegas[r].
-    log_w = log_w.reshape(omegas.size, -1)
-    log_alpha, keep = _kept_pairs(log_w)
-    weights = np.exp(log_w - log_alpha[:, None])
-    covs = _conditioned_covariance(covs.reshape(keep.shape + covs.shape[-2:])[keep])
-    _checked_weights(weights[keep])
-    # A trial's heaviest component is its first kept pair of largest
+def _top_traces(table: _ProductTable) -> np.ndarray:
+    """Covariance trace of the heaviest component of each row's fused
+    mixture."""
+    # A row's heaviest component is its first kept pair of largest
     # weight; locate it among the kept pairs, which are in row order.
-    head = np.argmax(np.where(keep, weights, -1.0), axis=1)
-    position = np.cumsum(keep).reshape(keep.shape)[np.arange(omegas.size), head] - 1
-    return np.trace(covs[position], axis1=-2, axis2=-1)
+    head = np.argmax(np.where(table.keep, table.weights, -1.0), axis=1)
+    position = table.ends[np.arange(head.size), head] - 1
+    return np.trace(table.covs[position], axis1=-2, axis2=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +369,15 @@ def selftest(n_pairs: int = 12, seed: int = 2024) -> bool:
     dense grid against the directly exponentiated product.  The supremum
     identity for linear-Gaussian products is checked the same way.
     Prints one line per check and returns True when everything passes.
+    Raises ConfigError, naming the parameter, when n_pairs < 1 or seed < 0.
     """
+    # config imports this module, so its error type is imported on use.
+    from .config import ConfigError
+
+    if n_pairs < 1:
+        raise ConfigError("n_pairs", f"must be at least 1, got {n_pairs}")
+    if seed < 0:
+        raise ConfigError("seed", f"must not be negative, got {seed}")
     rng = np.random.default_rng(seed)
     ok = True
 

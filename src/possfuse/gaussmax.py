@@ -90,7 +90,9 @@ def _conditioned_covariance(P: np.ndarray, *, dim: int | None = None) -> np.ndar
         low = lowest < EIG_FLOOR * eigs[..., -1]
         n = P.shape[-1]
         jitter = EIG_FLOOR * (np.trace(P, axis1=-2, axis2=-1) / n)
-        P = P + np.where(low, jitter, 0.0)[..., None, None] * np.eye(n)
+        # Only near-singular matrices change, so each matrix's bits do not
+        # depend on the others in the stack.
+        P = np.where(low[..., None, None], P + jitter[..., None, None] * np.eye(n), P)
     return P
 
 
@@ -157,6 +159,12 @@ class GaussianMaxMixture:
         object.__setattr__(self, "weights", _frozen(_checked_weights(w)))
         object.__setattr__(self, "means", _frozen(means))
         object.__setattr__(self, "covariances", _frozen(covs))
+
+    def __getstate__(self) -> dict:
+        # Caches (Cholesky factors, a fusion's product table) are rebuilt on
+        # demand; the table also holds its partner by weak reference, which
+        # cannot be pickled.
+        return {"weights": self.weights, "means": self.means, "covariances": self.covariances}
 
     @classmethod
     def _derived(

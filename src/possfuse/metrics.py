@@ -13,7 +13,7 @@ The optimal assignment is solved exactly by dynamic programming over
 column subsets.  That is deliberate: tests check it against brute-force
 permutation search, so the solver must not itself be a permutation
 search.  This tracker reports at most one estimate against at most one
-true target, so aggregate scores every (run, step) with the single-pair
+true target, so score_run scores every (run, step) with the single-pair
 closed form over whole arrays; ospa serves general sets and is the
 reference that closed form is tested against.
 """
@@ -33,6 +33,9 @@ __all__ = [
     "SeriesTrack",
     "RunRecord",
     "AggregateResult",
+    "RunScores",
+    "score_run",
+    "fold_scores",
     "aggregate",
 ]
 
@@ -182,83 +185,128 @@ class AggregateResult:
     mean_q_present: dict[str, np.ndarray]
 
 
-def aggregate(records: Sequence[RunRecord], cutoff: float = 10.0) -> AggregateResult:
-    """Fold run records into per-step means, in run order.
+@dataclass(frozen=True, eq=False)
+class RunScores:
+    """What one run adds to the per-step sums, one row per series.
 
-    The fold is a plain ordered sum over the records as given, so the
-    result is bit-identical no matter how the runs were computed.
+    Arrays have shape (series, steps): the OSPA distance, the estimate's
+    covariance trace (0 where there is no estimate), whether an estimate
+    exists, and the existence pair.  A pool worker returns these instead of
+    the run's RunRecord.
+    """
+
+    series: tuple[str, ...]
+    ospa: np.ndarray
+    trace: np.ndarray
+    present: np.ndarray
+    q_absent: np.ndarray
+    q_present: np.ndarray
+
+
+def score_run(record: RunRecord, cutoff: float = 10.0) -> RunScores:
+    """Score one run record for fold_scores.
 
     Truth and estimate sets hold at most one point each, so the OSPA of a
-    (run, step) is min(cutoff, |t - e|) when both points exist, cutoff
-    when one is missing, and 0 when both are.  The order p of ospa only
-    weighs an assignment between several points; for one pair its power
-    and root cancel, so no order is taken here, and each value equals
-    what ospa returns for the pair at order 1.
+    step is min(cutoff, |t - e|) when both points exist, cutoff when one is
+    missing, and 0 when both are.  The order p of ospa only weighs an
+    assignment between several points; for one pair its power and root
+    cancel, so no order is taken here, and each value equals what ospa
+    returns for the pair at order 1.
     """
-    if not records:
-        raise ValueError("need at least one run record")
-    steps = records[0].steps
-    names = tuple(records[0].series.keys())
-    for rec in records:
-        if rec.steps != steps or tuple(rec.series.keys()) != names:
-            raise ValueError("all run records must share steps and series")
     cutoff = float(cutoff)
     if cutoff <= 0.0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
-
-    ospa_sum = {s: np.zeros(steps) for s in names}
-    trace_sum = {s: np.zeros(steps) for s in names}
-    count = {s: np.zeros(steps, dtype=np.int64) for s in names}
-    q0_sum = {s: np.zeros(steps) for s in names}
-    q1_sum = {s: np.zeros(steps) for s in names}
+    names = tuple(record.series)
+    shape = (len(names), record.steps)
+    ospa = np.empty(shape)
+    trace = np.zeros(shape)
+    present = np.empty(shape, dtype=bool)
+    has_truth = np.array([t is not None for t in record.truth_positions], dtype=bool)
+    truth = [t for t in record.truth_positions if t is not None]
     positions = list(POSITION_INDICES)
-
-    for rec in records:
-        has_truth = np.array([t is not None for t in rec.truth_positions], dtype=bool)
-        truth = [t for t in rec.truth_positions if t is not None]
-        for s in names:
-            track = rec.series[s]
-            has_est = np.array([e is not None for e in track.estimates], dtype=bool)
-            present = [e for e in track.estimates if e is not None]
-            dist = np.where(has_truth | has_est, cutoff, 0.0)
-            if present:
-                trace_sum[s][has_est] += np.fromiter(
-                    (e.covariance.trace() for e in present), float, len(present)
-                )
-                both = has_truth & has_est
-                if both.any():
-                    truth_xy = np.array(truth, dtype=float)[both[has_truth]]
-                    est_xy = np.array([e.mean for e in present])[both[has_est]][:, positions]
-                    if truth_xy.shape != est_xy.shape:
-                        raise ValueError(
-                            "all points must share a dimension, got "
-                            f"{truth_xy.shape[1:]} and {est_xy.shape[1:]}"
-                        )
-                    d = truth_xy - est_xy
-                    # vecdot matches the dot inside np.linalg.norm bit for bit.
-                    dist[both] = np.minimum(cutoff, np.sqrt(np.vecdot(d, d)))
-            ospa_sum[s] += dist
-            count[s] += has_est
-            q0_sum[s] += track.q_absent
-            q1_sum[s] += track.q_present
-
-    n = len(records)
-    mean_trace = {}
-    for s in names:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mean_trace[s] = np.where(
-                count[s] > 0, trace_sum[s] / np.maximum(count[s], 1), np.nan
+    for row, s in enumerate(names):
+        estimates = record.series[s].estimates
+        has_est = np.array([e is not None for e in estimates], dtype=bool)
+        est = [e for e in estimates if e is not None]
+        ospa[row] = np.where(has_truth | has_est, cutoff, 0.0)
+        present[row] = has_est
+        if est:
+            trace[row, has_est] = np.fromiter(
+                (e.covariance.trace() for e in est), float, len(est)
             )
-        ospa_sum[s] /= n
-        q0_sum[s] /= n
-        q1_sum[s] /= n
+            both = has_truth & has_est
+            if both.any():
+                truth_xy = np.array(truth, dtype=float)[both[has_truth]]
+                est_xy = np.array([e.mean for e in est])[both[has_est]][:, positions]
+                if truth_xy.shape != est_xy.shape:
+                    raise ValueError(
+                        "all points must share a dimension, got "
+                        f"{truth_xy.shape[1:]} and {est_xy.shape[1:]}"
+                    )
+                d = truth_xy - est_xy
+                # vecdot matches the dot inside np.linalg.norm bit for bit.
+                ospa[row, both] = np.minimum(cutoff, np.sqrt(np.vecdot(d, d)))
+    return RunScores(
+        series=names,
+        ospa=ospa,
+        trace=trace,
+        present=present,
+        q_absent=np.array([record.series[s].q_absent for s in names], dtype=float).reshape(shape),
+        q_present=np.array([record.series[s].q_present for s in names], dtype=float).reshape(shape),
+    )
+
+
+def fold_scores(scores: Sequence[RunScores]) -> AggregateResult:
+    """Fold per-run scores into per-step means, in the order given.
+
+    The fold is a plain ordered sum, so the result is bit-identical no
+    matter how, or in which process, the runs were scored.
+    """
+    if not scores:
+        raise ValueError("need at least one run record")
+    names = scores[0].series
+    shape = scores[0].ospa.shape
+    for sc in scores:
+        if sc.series != names or sc.ospa.shape != shape:
+            raise ValueError("all run records must share steps and series")
+
+    ospa_sum = np.zeros(shape)
+    trace_sum = np.zeros(shape)
+    count = np.zeros(shape, dtype=np.int64)
+    q0_sum = np.zeros(shape)
+    q1_sum = np.zeros(shape)
+    for sc in scores:
+        ospa_sum += sc.ospa
+        # A sum that starts at +0.0 is never -0.0, and adding 0.0 changes
+        # no other value, so absent steps leave the sums' bits alone.
+        trace_sum += sc.trace
+        count += sc.present
+        q0_sum += sc.q_absent
+        q1_sum += sc.q_present
+
+    n = len(scores)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean_trace = np.where(count > 0, trace_sum / np.maximum(count, 1), np.nan)
+    ospa_sum /= n
+    q0_sum /= n
+    q1_sum /= n
+
+    def by_series(table: np.ndarray) -> dict[str, np.ndarray]:
+        return dict(zip(names, table))
+
     return AggregateResult(
         runs=n,
-        steps=steps,
+        steps=shape[1],
         series=names,
-        mean_ospa=ospa_sum,
-        mean_trace=mean_trace,
-        present_count=count,
-        mean_q_absent=q0_sum,
-        mean_q_present=q1_sum,
+        mean_ospa=by_series(ospa_sum),
+        mean_trace=by_series(mean_trace),
+        present_count=by_series(count),
+        mean_q_absent=by_series(q0_sum),
+        mean_q_present=by_series(q1_sum),
     )
+
+
+def aggregate(records: Sequence[RunRecord], cutoff: float = 10.0) -> AggregateResult:
+    """Fold run records into per-step means, in run order: score_run on
+    each record, then fold_scores."""
+    return fold_scores([score_run(rec, cutoff) for rec in records])

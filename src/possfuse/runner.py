@@ -17,9 +17,10 @@ on its own posterior.
 
 Runs are distributed over a process pool whose size comes from the CPU
 count, overridable through the POSSFUSE_THREADS environment variable.
-Every run is a pure function of (configuration, run index), and results
-are folded in run order, so output files are byte-identical no matter how
-many workers computed them.
+Every run is a pure function of (configuration, run index).  A worker
+scores its run and returns the scores (and, for --dump-scans, the run's
+labelled scans), and the parent folds the scores in run order, so output
+files are byte-identical no matter how many workers computed them.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .bernoulli import (
 )
 from .config import ConfigError, ExperimentConfig
 from .fusion import fuse_chernoff, fuse_independent, parse_omega_strategy, select_omega
-from .metrics import AggregateResult, RunRecord, SeriesTrack, aggregate
+from .metrics import AggregateResult, RunRecord, RunScores, SeriesTrack, fold_scores, score_run
 from .simulate import (
     BirthConfig,
     Scan,
@@ -232,12 +233,15 @@ def run_once(
     run_idx: int,
     mode: str,
     audit: Optional[list] = None,
+    scans: Optional[list] = None,
 ) -> RunRecord:
     """Execute one Monte Carlo run and return its record.
 
     mode is "single", "independent", or "dependent".  When an audit list
     is supplied, a StateAudit is appended for every predicted, updated,
-    and fused state in the run.
+    and fused state in the run.  When a scans list is supplied, the
+    labelled scans of every sensor the run feeds are appended to it, in
+    sensor order, as (scan, labels) lists.
     """
     if mode not in ("single", "independent", "dependent"):
         raise ValueError(f"unknown run mode {mode!r}")
@@ -245,8 +249,10 @@ def run_once(
     _check_sensor_count(scenario, mode)
 
     truth, labeled = _simulate_run(cfg, run_idx, mode)
+    if scans is not None:
+        scans.extend(labeled)
     positions = _truth_positions(truth)
-    streams = [[scan for scan, _ in scans] for scans in labeled]
+    streams = [[scan for scan, _ in sensor_scans] for sensor_scans in labeled]
     engines = [_Filter(build_filter_setup(cfg, s)) for s in scenario.sensors[: len(streams)]]
     names = ["single"] if mode == "dependent" else [f"sensor{i + 1}" for i in range(len(streams))]
     tracks = {name: SeriesTrack() for name in names}
@@ -281,9 +287,16 @@ def run_once(
 # --- worker pool ------------------------------------------------------------
 
 
-def _pool_entry(args: tuple) -> RunRecord:
-    cfg, run_idx, mode = args
-    return run_once(cfg, run_idx, mode)
+def _pool_entry(args: tuple) -> tuple[RunScores, Optional[list]]:
+    """One run's scores, plus its labelled scans when they are dumped.
+
+    Scores are a few arrays, much smaller to send back than the run's
+    record of estimates.
+    """
+    cfg, run_idx, mode, dump_scans = args
+    scans = [] if dump_scans else None
+    record = run_once(cfg, run_idx, mode, scans=scans)
+    return score_run(record, cfg.metrics.ospa_cutoff), scans
 
 
 def _worker_count(runs: int) -> int:
@@ -300,9 +313,11 @@ def _worker_count(runs: int) -> int:
     return max(1, min(runs, cap))
 
 
-def _collect_runs(cfg: ExperimentConfig, mode: str) -> list[RunRecord]:
+def _collect_runs(
+    cfg: ExperimentConfig, mode: str, dump_scans: bool
+) -> list[tuple[RunScores, Optional[list]]]:
     workers = _worker_count(cfg.runs)
-    jobs = [(cfg, i, mode) for i in range(cfg.runs)]
+    jobs = [(cfg, i, mode, dump_scans) for i in range(cfg.runs)]
     if workers == 1:
         return [_pool_entry(job) for job in jobs]
     chunk = max(1, cfg.runs // (workers * 4))
@@ -354,15 +369,11 @@ def _write_outputs(out_dir: Path, agg: AggregateResult) -> dict[str, Path]:
     return files
 
 
-def _write_scan_dump(out_dir: Path, cfg: ExperimentConfig, mode: str) -> Path:
-    """Regenerate every run's scans with labels and dump them.
-
-    The scans come from the same simulation as the runs themselves, so
-    the dump matches what the filters saw.
-    """
+def _write_scan_dump(out_dir: Path, runs: list[list]) -> Path:
+    """Dump the labelled scans each run fed its filters, in run order."""
     lines = ["run,step,sensor,x_km,y_km,is_clutter"]
-    for run_idx in range(cfg.runs):
-        for i, labeled in enumerate(_simulate_run(cfg, run_idx, mode)[1]):
+    for run_idx, labeled_by_sensor in enumerate(runs):
+        for i, labeled in enumerate(labeled_by_sensor):
             for scan, labels in labeled:
                 for p, is_clutter in zip(scan.points, labels):
                     lines.append(
@@ -384,12 +395,12 @@ def _drive(cfg: ExperimentConfig, mode: str, out_dir, dump_scans: bool) -> Exper
     # Checked here as well as in run_once, so a bad count is one
     # ConfigError before the pool starts rather than one per worker.
     _check_sensor_count(cfg.scenario, mode)
-    records = _collect_runs(cfg, mode)
-    agg = aggregate(records, cfg.metrics.ospa_cutoff)
+    results = _collect_runs(cfg, mode, dump_scans)
+    agg = fold_scores([scores for scores, _ in results])
     out_path = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     files = _write_outputs(out_path, agg)
     if dump_scans:
-        files["scans"] = _write_scan_dump(out_path, cfg, mode)
+        files["scans"] = _write_scan_dump(out_path, [scans for _, scans in results])
     return ExperimentResult(aggregate=agg, output_dir=out_path, files=files)
 
 

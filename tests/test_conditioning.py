@@ -153,6 +153,16 @@ class TestJitterOnce:
         assert red.n_components == 2
         assert red.covariances.tobytes() == mix.covariances.tobytes()
 
+    def test_stack_member_keeps_the_bits_it_has_alone(self):
+        # Jitter on a near-singular member leaves the other members' bits
+        # alone, signed zeros included, so a fusion's product table
+        # conditions each row as a table of that row alone would.
+        other = np.diag([2.0, 1.0, 3.0, 1.0])
+        other[0, 1] = other[1, 0] = -0.0
+        stack = gaussmax_mod._conditioned_covariance(np.stack([NEAR_SINGULAR, other]))
+        for P, got in zip((NEAR_SINGULAR, other), stack):
+            assert got.tobytes() == gaussmax_mod._conditioned_covariance(P).tobytes()
+
 
 class TestDerivedConstructor:
     def test_freezes_without_copying(self):

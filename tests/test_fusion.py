@@ -1,6 +1,9 @@
 """Chernoff and independent-product fusion of filter states."""
 
+import gc
 import math
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +23,12 @@ from possfuse.fusion import (
     select_omega,
     selftest,
 )
-from possfuse.gaussmax import GaussianMaxMixture, _cross_arrays
+from possfuse.gaussmax import (
+    WEIGHT_UNDERFLOW,
+    GaussianMaxMixture,
+    _conditioned_covariance,
+    _cross_arrays,
+)
 from possfuse.runner import run_once
 from support import (
     gauss_value,
@@ -350,11 +358,20 @@ def sized_state(rng, n, dim=4):
     return BernoulliPossState(1.0, float(rng.uniform(0.2, 1.0)), GaussianMaxMixture(weights, means, covs))
 
 
+def fresh(state):
+    """A copy of state whose mixture is a new object with copied arrays, so
+    no product table cached by an earlier fusion can serve it."""
+    m = state.spatial
+    mix = GaussianMaxMixture._derived(m.weights.copy(), m.means.copy(), m.covariances.copy())
+    return BernoulliPossState(state.q_absent, state.q_present, mix)
+
+
 def reference_select_omega(a, b):
-    """The min-trace rule as a plain loop of whole trial fusions."""
+    """The min-trace rule as a plain loop of whole trial fusions, each on
+    fresh copies of the inputs."""
     traces = []
     for omega in OMEGA_GRID:
-        mix = _fuse(a, b, 1.0 - omega, omega, None).state.spatial
+        mix = _fuse(fresh(a), fresh(b), 1.0 - omega, omega, None).state.spatial
         traces.append(float(np.trace(mix.covariances[mix.argmax_component()])))
     floor = min(traces)
     tied = [o for o, t in zip(OMEGA_GRID, traces) if t - floor <= 1e-9 * floor]
@@ -483,9 +500,174 @@ class TestBatchedOmegaSearch:
             select_omega(a, b)
 
 
+def one_row_fusion(a, b, e1, e2):
+    """Unreduced fused mixture and log alpha from a one-row _cross_arrays
+    call, kept, conditioned and checked on its own."""
+    A, B = a.spatial, b.spatial
+    log_w, means, covs = _cross_arrays(
+        [e1], np.log(A.weights), A.means, A.covariances,
+        [e2], np.log(B.weights), B.means, B.covariances,
+    )
+    log_w = log_w.reshape(-1)
+    top = int(np.argmax(log_w))
+    keep = np.exp(log_w) >= WEIGHT_UNDERFLOW
+    keep[top] = True
+    mix = GaussianMaxMixture._derived(
+        np.exp(log_w[keep] - log_w[top]),
+        means.reshape(-1, A.dim)[keep],
+        _conditioned_covariance(covs.reshape(-1, A.dim, A.dim)[keep]),
+    )
+    return mix, float(log_w[top])
+
+
+def assert_same_result(got, want):
+    assert (got.normalizer, got.alpha) == (want.normalizer, want.alpha)
+    assert (got.state.q_absent, got.state.q_present) == (want.state.q_absent, want.state.q_present)
+    for field in ("weights", "means", "covariances"):
+        g, w = getattr(got.state.spatial, field), getattr(want.state.spatial, field)
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), field
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts the _cross_arrays calls fusion makes."""
+    calls = []
+    original = fusion_mod._cross_arrays
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return original(*args)
+
+    monkeypatch.setattr(fusion_mod, "_cross_arrays", counting)
+    return calls
+
+
+class TestProductTable:
+    """One product table per fused pair serves the search and both fusions."""
+
+    REDUCTION = ReductionConfig(prune_ratio=1e-3, merge_mahalanobis=2.0, max_components=100)
+
+    def fusions(self, a, b, omegas, reduction):
+        """Chernoff at each omega, then independent, in the runner's order."""
+        return [fuse_chernoff(a, b, o, reduction) for o in omegas] + [
+            fuse_independent(a, b, reduction)
+        ]
+
+    @pytest.mark.parametrize("reduction", [None, REDUCTION])
+    @pytest.mark.parametrize("seed, n_a, n_b", [(20, 1, 1), (21, 2, 3), (22, 5, 4), (23, 3, 0)])
+    def test_fusions_after_search_match_fresh_inputs(self, seed, n_a, n_b, reduction, kernel_calls):
+        rng = np.random.default_rng(seed)
+        a = sized_state(rng, n_a)
+        b = a if n_b == 0 else sized_state(rng, n_b)
+        omega = select_omega(a, b)
+        assert kernel_calls == [len(OMEGA_GRID) + 1]
+        other = 0.05 if omega != 0.05 else 0.95
+        # The search's table serves every grid omega and the independent row.
+        cached = self.fusions(a, b, [omega, other], reduction)
+        assert kernel_calls == [len(OMEGA_GRID) + 1]
+        # 0.37 is not on the grid: one new table serves it and the
+        # independent fusion after it.
+        cached += self.fusions(a, b, [0.37], reduction)
+        assert kernel_calls == [len(OMEGA_GRID) + 1, 2]
+        fa = fresh(a)
+        fb = fa if b is a else fresh(b)
+        assert select_omega(fa, fb) == omega
+        want = self.fusions(fresh(a), fresh(b), [omega, other], reduction)
+        want += self.fusions(fresh(a), fresh(b), [0.37], reduction)
+        for got, expected in zip(cached, want):
+            assert_same_result(got, expected)
+        if reduction is None:
+            for got, (e1, e2) in zip(
+                cached, [(1.0 - omega, omega), (1.0 - other, other), (1.0, 1.0), (0.63, 0.37), (1.0, 1.0)]
+            ):
+                mix, log_alpha = one_row_fusion(a, b, e1, e2)
+                assert got.alpha == math.exp(log_alpha)
+                for field in ("weights", "means", "covariances"):
+                    assert getattr(got.state.spatial, field).tobytes() == getattr(mix, field).tobytes()
+
+    def test_table_is_never_used_for_another_pair(self, kernel_calls):
+        rng = np.random.default_rng(30)
+        a, b, c = (sized_state(rng, 3) for _ in range(3))
+        select_omega(a, b)
+        assert len(kernel_calls) == 1
+        # Same shapes throughout, so a table wrongly reused would still fit.
+        pairs = ((b, a), (a, c), (c, a))
+        got = [self.fusions(x, y, [0.3], None) for x, y in pairs]
+        # One new table per pair, which its independent fusion reuses.
+        assert len(kernel_calls) == 1 + len(pairs)
+        for (x, y), results in zip(pairs, got):
+            for g, want in zip(results, self.fusions(fresh(x), fresh(y), [0.3], None)):
+                assert_same_result(g, want)
+
+    @pytest.mark.parametrize("self_fusion", [False, True])
+    def test_multi_block_search_fuses_correctly(self, self_fusion, kernel_calls):
+        rng = np.random.default_rng(31)
+        a = sized_state(rng, 8)
+        b = a if self_fusion else sized_state(rng, 8)
+        omega = select_omega(a, b)
+        # 64 pairs: 16 rows per table, so the grid and the independent row
+        # take two tables.
+        assert kernel_calls == [16, len(OMEGA_GRID) + 1 - 16]
+        assert omega == reference_select_omega(a, b)
+        for omegas in ([omega], [0.05], [0.95]):
+            for got, want in zip(
+                self.fusions(a, b, omegas, None), self.fusions(fresh(a), fresh(b), omegas, None)
+            ):
+                assert_same_result(got, want)
+
+    def test_self_fused_mixture_is_freed_without_gc(self):
+        state = sized_state(np.random.default_rng(32), 3)
+        mixture = weakref.ref(state.spatial)
+        gc.disable()
+        try:
+            select_omega(state, state)
+            fuse_chernoff(state, state, 0.37)
+            fuse_independent(state, state)
+            del state
+            assert mixture() is None
+        finally:
+            gc.enable()
+
+    def test_mixture_with_cached_table_pickles(self):
+        a, b = (sized_state(np.random.default_rng(33), 2) for _ in range(2))
+        fuse_chernoff(a, b, 0.5)
+        back = pickle.loads(pickle.dumps(a))
+        for field in ("weights", "means", "covariances"):
+            assert getattr(back.spatial, field).tobytes() == getattr(a.spatial, field).tobytes()
+        assert_same_result(fuse_chernoff(back, b, 0.5), fuse_chernoff(a, b, 0.5))
+
+    @pytest.mark.parametrize(
+        "mode, strategy", [("dependent", "min-trace"), ("independent", "fixed(0.5)"), ("independent", "min-trace")]
+    )
+    def test_one_kernel_call_per_fused_pair_per_step(self, mode, strategy, kernel_calls, monkeypatch):
+        # Counted at each step's last fusion, with the pair it fused.
+        per_step = []
+        inner = runner_mod.fuse_independent
+
+        def marking(a, b, **kwargs):
+            per_step.append((len(kernel_calls), a.spatial.n_components * b.spatial.n_components))
+            return inner(a, b, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "fuse_independent", marking)
+        cfg = parse_experiment({"runs": 1, "fusion": {"omega_strategy": strategy}})
+        run_once(cfg, 0, mode)
+        assert len(per_step) == cfg.scenario.steps
+        rows = len(OMEGA_GRID) + 1 if strategy == "min-trace" else 2
+        counts = np.diff([0] + [n for n, _ in per_step])
+        one_table = [k for k, (_, pairs) in enumerate(per_step) if rows * pairs <= 1024]
+        assert len(one_table) >= 40
+        assert (counts[one_table] == 1).all()
+
+
 class TestSelftest:
     def test_selftest_passes_quietly(self, capsys):
         assert selftest(n_pairs=3, seed=5)
         out = capsys.readouterr().out
         assert out.count("PASS") == 2
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("kwargs", [{"n_pairs": 0}, {"n_pairs": -2}, {"seed": -1}])
+    def test_selftest_rejects_bad_arguments(self, kwargs, capsys):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            selftest(**kwargs)
+        assert capsys.readouterr().out == ""

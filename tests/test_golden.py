@@ -1,4 +1,4 @@
-"""Golden outputs: the CLI's CSVs for four small experiments, byte for byte.
+"""Golden outputs: the CLI's CSVs for five small experiments, byte for byte.
 
 Each case runs one subcommand for 3 runs at master seed 11 and compares
 every file it writes with the copy under tests/golden/<case>/.  A change
@@ -22,6 +22,9 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CASES = {
     "fuse-independent": (["fuse-independent"], None),
+    # An omega off the min-trace grid, so its fusion cannot share rows with
+    # a search.
+    "fuse-independent-fixed037": (["fuse-independent"], {"fusion": {"omega_strategy": "fixed(0.37)"}}),
     "fuse-dependent-mintrace": (["fuse-dependent"], {"fusion": {"omega_strategy": "min-trace"}}),
     "fuse-dependent-fixed": (["fuse-dependent", "--dump-scans"], None),
     "single": (["single", "--dump-scans"], None),

@@ -1,5 +1,7 @@
 """OSPA metric, assignment solver, and per-step aggregation."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +14,9 @@ from possfuse.metrics import (
     SeriesTrack,
     aggregate,
     covariance_trace,
+    fold_scores,
     ospa,
+    score_run,
 )
 from support import aggregate_reference, ospa_permutations
 
@@ -252,6 +256,16 @@ class TestAggregate:
                     np.testing.assert_allclose(a, b, rtol=1e-14, atol=0.0, err_msg=name)
                 else:
                     assert a.tobytes() == b.tobytes(), (field, name)
+        # Pool workers score their runs and send the scores by pickle; the
+        # parent's fold of them is aggregate, bit for bit.
+        folded = fold_scores([pickle.loads(pickle.dumps(score_run(r, cutoff))) for r in recs])
+        assert (folded.runs, folded.steps, folded.series) == (got.runs, got.steps, got.series)
+        for field in ("mean_ospa", "mean_trace", "present_count", "mean_q_absent", "mean_q_present"):
+            for name in names:
+                a = getattr(folded, field)[name]
+                b = getattr(got, field)[name]
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes(), (field, name)
 
     @pytest.mark.parametrize("cutoff", [0.0, -1.0])
     def test_bad_cutoff_rejected(self, cutoff):

@@ -15,6 +15,7 @@ from possfuse.config import (
     default_experiment,
     serialize_experiment,
 )
+from possfuse.metrics import RunScores, aggregate
 from possfuse.runner import (
     NumericsError,
     run_fusion_dependent,
@@ -186,6 +187,45 @@ class TestRunOnce:
             for r, k, s, x, y, c in (line.split(",") for line in lines[1:])
         ]
         assert dumped == rows
+
+
+class TestPoolPayload:
+    def test_worker_returns_scores_and_scans_only_when_dumped(self):
+        cfg = small_cfg(steps=6, death_step=6)
+        scores, scans = runner_mod._pool_entry((cfg, 1, "independent", False))
+        assert isinstance(scores, RunScores) and scans is None
+        record = run_once(cfg, 1, "independent")
+        assert len(pickle.dumps(scores)) < len(pickle.dumps(record)) / 2
+        _, scans = runner_mod._pool_entry((cfg, 1, "independent", True))
+        assert [len(labeled) for labeled in scans] == [6, 6]
+
+    @pytest.mark.parametrize("mode", ["single", "independent", "dependent"])
+    def test_folded_scores_equal_aggregate_of_records(self, mode, tmp_path, monkeypatch):
+        monkeypatch.setenv("POSSFUSE_THREADS", "1")
+        cfg = small_cfg(runs=3, steps=8, death_step=8)
+        result = runner_mod._drive(cfg, mode, tmp_path, False)
+        want = aggregate([run_once(cfg, i, mode) for i in range(cfg.runs)], cfg.metrics.ospa_cutoff)
+        for field in ("mean_ospa", "mean_trace", "present_count", "mean_q_absent", "mean_q_present"):
+            for name in want.series:
+                got = getattr(result.aggregate, field)[name]
+                assert got.tobytes() == getattr(want, field)[name].tobytes(), (field, name)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_scan_dump_simulates_each_run_once(self, threads, tmp_path, monkeypatch):
+        monkeypatch.setenv("POSSFUSE_THREADS", threads)
+        calls = []
+        inner = runner_mod._simulate_run
+
+        def counting(*args):
+            calls.append(args[1])
+            return inner(*args)
+
+        monkeypatch.setattr(runner_mod, "_simulate_run", counting)
+        cfg = small_cfg(runs=3, steps=5, death_step=5)
+        result = run_single(cfg, out_dir=tmp_path, dump_scans=True)
+        assert "scans" in result.files
+        # Pool workers simulate in their own processes; the parent never does.
+        assert calls == ([0, 1, 2] if threads == "1" else [])
 
 
 class TestNearIdealOracle:
