@@ -271,8 +271,11 @@ class Estimate:
     covariance: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mean", _readonly(np.atleast_1d(self.mean)))
-        object.__setattr__(self, "covariance", _readonly(np.atleast_2d(self.covariance)))
+        # A read-only float array, such as a row of a mixture, is kept as
+        # it is; anything else is copied and frozen.
+        for name, shaped in (("mean", np.atleast_1d), ("covariance", np.atleast_2d)):
+            a = shaped(np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, _readonly(a) if a.flags.writeable else a)
 
 
 def _normalized_pair(a: float, b: float) -> tuple[float, float]:
@@ -436,16 +439,16 @@ def reduce(mixture: GaussianMaxMixture, config: ReductionConfig) -> GaussianMaxM
     else:
         w, means, covs = w_all[keep], mixture.means[keep], mixture.covariances[keep]
     n = w.size
+    if n == 1:
+        # A lone survivor is its own cluster, and w / w.max() is exactly 1.
+        return GaussianMaxMixture._derived(np.ones(1), means, covs)
 
     # near[h][j]: component j lies within merge_mahalanobis of component h
     # in h's metric.  One batched factorisation and solve give the whole
     # table; the greedy walk below reads only the rows of its heads.
-    if n > 1:
-        diff = means[None, :, :] - means[:, None, :]
-        y = np.linalg.solve(np.linalg.cholesky(covs), diff.swapaxes(1, 2))
-        near = ((y * y).sum(axis=1) <= float(config.merge_mahalanobis) ** 2).tolist()
-    else:
-        near = [[True]]
+    diff = means[None, :, :] - means[:, None, :]
+    y = np.linalg.solve(np.linalg.cholesky(covs), diff.swapaxes(1, 2))
+    near = ((y * y).sum(axis=1) <= float(config.merge_mahalanobis) ** 2).tolist()
 
     alive = [True] * n
     heads: list[int] = []

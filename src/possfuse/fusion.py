@@ -16,8 +16,8 @@ cross-component weight.  No grids, no sampling.
 
 A step fuses the same pair of states up to three ways: the min-trace
 search over OMEGA_GRID, Chernoff fusion at one omega and the independent
-product.  All three read one product table, built once per pair with every
-row they need and cached on the first state's mixture.
+product.  All three read one set of product tables, built once per pair
+with every row they need and cached on the first state's mixture.
 """
 
 from __future__ import annotations
@@ -110,16 +110,17 @@ class _ProductTable:
         self.bounds = [0, *self.ends[:, -1].tolist()]
 
 
-def _new_table(a: GaussianMaxMixture, b: GaussianMaxMixture, rows: list) -> _ProductTable:
-    """Build the product table of a and b at rows and cache it on a.
+def _new_tables(a: GaussianMaxMixture, b: GaussianMaxMixture, blocks: list) -> list:
+    """Build one product table of a and b per block of rows and cache them
+    all on a.
 
     a holds its partner by weak reference, so a self-fusion makes no
     reference cycle, and a partner that has been freed never matches a
-    later mixture.  Each mixture caches one table, its latest.
+    later mixture.  Each mixture caches the tables of its latest build.
     """
-    table = _ProductTable(a, b, rows)
-    object.__setattr__(a, "_product_table", (weakref.ref(b), table))
-    return table
+    tables = [_ProductTable(a, b, rows) for rows in blocks]
+    object.__setattr__(a, "_product_tables", (weakref.ref(b), tables))
+    return tables
 
 
 def _fused_mixture(
@@ -127,18 +128,21 @@ def _fused_mixture(
 ) -> tuple[GaussianMaxMixture, float]:
     """All-pairs fused mixture, normalised; returns (mixture, log_alpha).
 
-    The row comes from the table cached on a when that table was built
-    for b and holds (e1, e2).  Otherwise a new table is built of that row
-    and, when both fit within SEARCH_BLOCK_PAIRS, the independent row, so
-    one step's Chernoff and independent fusions share one table.
+    The row comes from a table cached on a when those tables were built
+    for b and one holds (e1, e2).  Otherwise a new table is built of that
+    row and, when both fit within SEARCH_BLOCK_PAIRS, the independent row,
+    so one step's Chernoff and independent fusions share one table.
     """
     row = (e1, e2)
-    partner, table = vars(a).get("_product_table", (None, None))
-    if partner is None or partner() is not b or row not in table.index:
+    partner, tables = vars(a).get("_product_tables", (None, ()))
+    if partner is None or partner() is not b:
+        tables = ()
+    table = next((t for t in tables if row in t.index), None)
+    if table is None:
         rows = [row]
         if row != INDEPENDENT and 2 * a.n_components * b.n_components <= SEARCH_BLOCK_PAIRS:
             rows.append(INDEPENDENT)
-        table = _new_table(a, b, rows)
+        (table,) = _new_tables(a, b, [rows])
     r = table.index[row]
     lo, hi = table.bounds[r], table.bounds[r + 1]
     mixture = GaussianMaxMixture._derived(
@@ -276,16 +280,16 @@ def select_omega(a: BernoulliPossState, b: BernoulliPossState) -> float:
     check that fusing at each exponent would (finite, positive definite
     covariances and finite weights in each trial mixture) and compares the
     traces of the conditioned top covariances, without building the trial
-    mixtures.  The table, or its last block, stays cached on a's mixture,
-    so fusing the same pair at the chosen exponent and independently
-    reads its rows instead of fusing again.
+    mixtures.  Every block's table stays cached on a's mixture, so fusing
+    the same pair at the chosen exponent and independently reads its rows
+    instead of fusing again.
     """
     _check_pair(a, b)
     rows = [(1.0 - omega, omega) for omega in OMEGA_GRID] + [INDEPENDENT]
     step = max(1, SEARCH_BLOCK_PAIRS // (a.spatial.n_components * b.spatial.n_components))
+    blocks = [rows[i : i + step] for i in range(0, len(rows), step)]
     traces = np.concatenate(
-        [_top_traces(_new_table(a.spatial, b.spatial, rows[i : i + step]))
-         for i in range(0, len(rows), step)]
+        [_top_traces(table) for table in _new_tables(a.spatial, b.spatial, blocks)]
     )[: len(OMEGA_GRID)]
     floor = traces.min()
     tied = (traces - floor <= TRACE_TIE_RTOL * floor).tolist()

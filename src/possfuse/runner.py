@@ -58,7 +58,6 @@ from .simulate import (
     cv_transition,
     generate_labeled_measurements,
     generate_truth,
-    ignorance_mixture,
     position_observation,
 )
 
@@ -150,7 +149,7 @@ def initial_state(setup: FilterSetup) -> BernoulliPossState:
     return BernoulliPossState(
         q_absent=1.0,
         q_present=1.0,
-        spatial=ignorance_mixture(setup.birth.region, setup.birth.vel_var),
+        spatial=setup.birth.ignorance,
     )
 
 

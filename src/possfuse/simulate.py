@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .gaussmax import GaussianMaxMixture, _conditioned_covariance, _readonly
+from .gaussmax import GaussianMaxMixture, _conditioned_covariance, _frozen, _readonly
 
 __all__ = [
     "Rect",
@@ -244,23 +245,20 @@ def generate_labeled_measurements(
     out: list[tuple[Scan, np.ndarray]] = []
     for step, state in enumerate(truth, start=1):
         coin = det_rng.random()
-        pts: list[np.ndarray] = []
-        labels: list[bool] = []
+        # The target's detection, if any, is row 0; clutter follows.
+        parts: list[np.ndarray] = []
         if state is not None and coin < sensor.pd_true:
-            z = H @ state + sigma * noise_rng.standard_normal(2)
-            pts.append(z)
-            labels.append(False)
+            parts.append((H @ state + sigma * noise_rng.standard_normal(2))[None, :])
         n_clutter = int(clutter_rng.poisson(sensor.clutter_rate))
         if n_clutter:
             cx = clutter_rng.uniform(region.xmin, region.xmax, size=n_clutter)
             cy = clutter_rng.uniform(region.ymin, region.ymax, size=n_clutter)
-            for j in range(n_clutter):
-                pts.append(np.array([cx[j], cy[j]]))
-                labels.append(True)
-        if pts:
-            stacked = np.stack(pts)
-            lab = np.array(labels, dtype=bool)
-            perm = order_rng.permutation(len(pts))
+            parts.append(np.column_stack((cx, cy)))
+        if parts:
+            stacked = np.concatenate(parts)
+            lab = np.ones(stacked.shape[0], dtype=bool)
+            lab[: stacked.shape[0] - n_clutter] = False
+            perm = order_rng.permutation(stacked.shape[0])
             out.append((Scan(step, stacked[perm]), lab[perm]))
         else:
             out.append((Scan(step, np.zeros((0, 2))), np.zeros(0, dtype=bool)))
@@ -274,6 +272,10 @@ class BirthConfig:
     pos_var: position variance (km^2) around a previous-scan measurement,
     sensible default is the sensor noise variance plus one.
     vel_var: velocity variance ((km/s)^2) about the zero velocity prior.
+
+    The constants every birth mixture is built from (the conditioned
+    component covariance and the ignorance mixture) are computed on first
+    use and kept on the instance.
     """
 
     region: Rect
@@ -285,6 +287,19 @@ class BirthConfig:
             _check_finite(name, getattr(self, name))
         if self.pos_var <= 0.0 or self.vel_var <= 0.0:
             raise ValueError("birth variances must be positive")
+
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        """The conditioned covariance every measurement-driven component
+        shares."""
+        return _frozen(
+            _conditioned_covariance(np.diag([self.pos_var, self.vel_var, self.pos_var, self.vel_var]))
+        )
+
+    @cached_property
+    def ignorance(self) -> GaussianMaxMixture:
+        """The region-covering mixture birth falls back to."""
+        return ignorance_mixture(self.region, self.vel_var)
 
 
 def ignorance_mixture(region: Rect, vel_var: float = 0.25) -> GaussianMaxMixture:
@@ -312,18 +327,17 @@ def build_birth_mixture(
     Each measurement z spawns a component with mean (z_x, 0, z_y, 0) and
     diagonal covariance built from pos_var and vel_var; all weights are 1,
     since any one of these explanations is fully plausible as the birth
-    location.  When there is no previous scan, or it is empty, a single
-    region-covering ignorance component is returned so that birth is
-    never impossible.
+    location.  When there is no previous scan, or it is empty, the single
+    region-covering ignorance component of birth_cfg is returned (the same
+    mixture each time) so that birth is never impossible.
     """
     if previous_scan is None or previous_scan.points.shape[0] == 0:
-        return ignorance_mixture(birth_cfg.region, birth_cfg.vel_var)
+        return birth_cfg.ignorance
     pts = previous_scan.points
     n = pts.shape[0]
     means = np.zeros((n, 4))
     means[:, 0] = pts[:, 0]
     means[:, 2] = pts[:, 1]
-    cov = _conditioned_covariance(
-        np.diag([birth_cfg.pos_var, birth_cfg.vel_var, birth_cfg.pos_var, birth_cfg.vel_var])
+    return GaussianMaxMixture._derived(
+        np.ones(n), means, np.broadcast_to(birth_cfg.covariance, (n, 4, 4))
     )
-    return GaussianMaxMixture._derived(np.ones(n), means, np.broadcast_to(cov, (n, 4, 4)))

@@ -7,7 +7,8 @@ search.  Tests compare package results against these routes.
 
 The module also keeps the earlier loop forms of reduce and aggregate
 (the latter built on ospa, itself checked against the permutation
-oracle), which the package's batched versions must match bit for bit.
+oracle), and the eigenvalue form of the covariance check, which the
+package's faster versions must match bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 
 import numpy as np
 
-from possfuse.gaussmax import GaussianMaxMixture
+from possfuse.gaussmax import EIG_FLOOR, SYMMETRY_TOL, GaussianMaxMixture
 from possfuse.metrics import POSITION_INDICES, covariance_trace, ospa
 
 
@@ -136,6 +137,45 @@ def ospa_permutations(X, Y, cutoff: float, order: float) -> float:
             total = total + d**order
         best = min(best, total)
     return float((best + cutoff**order * (n - m)) / n) ** (1.0 / order)
+
+
+def reference_conditioned_covariance(P: np.ndarray, *, dim: int | None = None) -> np.ndarray:
+    """The covariance check by eigvalsh on every matrix, whatever the
+    stack size: the rule gaussmax._conditioned_covariance must agree with,
+    byte for byte and error for error."""
+    P = np.asarray(P, dtype=float)
+    if P.ndim == 0:
+        P = P.reshape(1, 1)
+    if P.ndim < 2 or P.shape[-1] != P.shape[-2]:
+        raise ValueError(f"covariance must be square, got shape {P.shape}")
+    if dim is not None and P.shape[-1] != dim:
+        raise ValueError(f"covariance dimension {P.shape[-1]} does not match mean dimension {dim}")
+    # Checked first, so that inf - inf never reaches the symmetry test.
+    if not np.isfinite(P).all():
+        raise ValueError("covariance is not finite")
+    bits = P.view(np.int64)
+    if not (bits == bits.swapaxes(-1, -2)).all():
+        # Symmetrising a bitwise-symmetric matrix would return its bits, so
+        # only other input pays for the tolerance test and the average.
+        PT = P.swapaxes(-1, -2)
+        scale = np.maximum(np.abs(P).max(axis=(-2, -1), keepdims=True), 1.0)
+        if not (np.abs(P - PT) <= SYMMETRY_TOL * scale).all():
+            raise ValueError("covariance is not symmetric within tolerance")
+        P = 0.5 * (P + PT)
+    eigs = np.linalg.eigvalsh(P)
+    lowest = eigs[..., 0]
+    # One test clears the common case; a non-positive lowest eigenvalue
+    # also fails it, as it is never above EIG_FLOOR times the largest.
+    if not (lowest > EIG_FLOOR * eigs[..., -1]).all():
+        if (lowest <= 0.0).any():
+            raise ValueError("covariance is not positive definite")
+        low = lowest < EIG_FLOOR * eigs[..., -1]
+        n = P.shape[-1]
+        jitter = EIG_FLOOR * (np.trace(P, axis1=-2, axis2=-1) / n)
+        # Only near-singular matrices change, so each matrix's bits do not
+        # depend on the others in the stack.
+        P = np.where(low[..., None, None], P + jitter[..., None, None] * np.eye(n), P)
+    return P
 
 
 def random_mixture(rng: np.random.Generator, dim: int, max_comps: int = 4):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from possfuse.bernoulli import (
     BernoulliPossState,
     DetectionPossibility,
+    Estimate,
     MeasurementModel,
     MotionModel,
     ReductionConfig,
@@ -478,6 +479,21 @@ class TestReduce:
         assert red.max_weight == 1.0
         assert red.n_components <= cap
 
+    @pytest.mark.parametrize("weights", [[0.7], [1.0, 1e-5]])
+    def test_single_survivor_skips_the_merge_table(self, weights, monkeypatch):
+        n = len(weights)
+        mix = GaussianMaxMixture(weights, np.arange(n)[:, None] * 50.0, np.full((n, 1, 1), 2.0))
+        want = reduce_reference(mix, self.CFG)
+
+        def no_table(*args):
+            raise AssertionError("a lone survivor needs no Mahalanobis table")
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_table)
+        got = reduce(mix, self.CFG)
+        assert got.weights.tolist() == [1.0]
+        for field in ("weights", "means", "covariances"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ReductionConfig(prune_ratio=1.0, merge_mahalanobis=2.0, max_components=10)
@@ -541,6 +557,20 @@ class TestStateAndExtract:
         assert est is not None
         assert est.mean[0] == 7.0
         assert est.covariance[0, 0] == 2.0
+
+    def test_extract_keeps_readonly_views(self):
+        mix = GaussianMaxMixture([0.4, 1.0], [[0.0], [7.0]], [[[1.0]], [[2.0]]])
+        est = extract(BernoulliPossState(0.3, 1.0, mix))
+        assert np.shares_memory(est.mean, mix.means)
+        assert np.shares_memory(est.covariance, mix.covariances)
+        assert not (est.mean.flags.writeable or est.covariance.flags.writeable)
+
+    def test_estimate_copies_writable_input(self):
+        mean, cov = np.array([1.0, 2.0]), np.eye(2)
+        est = Estimate(mean, cov)
+        mean[0] = cov[0, 0] = 9.0
+        assert est.mean[0] == 1.0 and est.covariance[0, 0] == 1.0
+        assert not (est.mean.flags.writeable or est.covariance.flags.writeable)
 
     def test_extract_absent_or_tied(self):
         mix = GaussianMaxMixture([1.0], [[0.0]], [[[1.0]]])

@@ -1,6 +1,9 @@
 """Where covariances are checked: once where they enter, once where an
 operation computes them, never again on the way through."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,16 +15,17 @@ import possfuse.gaussmax as gaussmax_mod
 import possfuse.simulate as simulate_mod
 from possfuse.bernoulli import BernoulliPossState, ReductionConfig, predict, reduce, update
 from possfuse.config import default_experiment
-from possfuse.fusion import fuse_chernoff, fuse_independent
+from possfuse.fusion import OMEGA_GRID, fuse_chernoff, fuse_independent, select_omega
 from possfuse.gaussmax import GaussianMaxMixture
 from possfuse.runner import build_filter_setup
 from possfuse.simulate import BirthConfig, Rect, Scan, build_birth_mixture
-from support import random_mixture
+from support import random_mixture, reference_conditioned_covariance
 
 CFG = default_experiment()
 SETUP = build_filter_setup(CFG, CFG.scenario.sensors[0])
 REGION = Rect(0.0, 60.0, 0.0, 60.0)
 NEAR_SINGULAR = np.diag([1.0, 1e-12, 1.0, 1.0])
+GATE = gaussmax_mod.SCREEN_MIN_STACK
 
 
 def random_state(rng, max_comps=5) -> BernoulliPossState:
@@ -100,9 +104,16 @@ class TestConditionedOnce:
         rng = np.random.default_rng(5)
         state = random_state(rng)
         scan = Scan(1, [[30.0, 30.0], [31.0, 29.0], [5.0, 50.0]])
-        birth = build_birth_mixture(scan, SETUP.birth)
+        # The birth diagonal is conditioned once per BirthConfig: on the
+        # first call, and never after.
+        birth_cfg = replace(SETUP.birth)
+        birth = build_birth_mixture(scan, birth_cfg)
         assert calls == [(4, 4)]
         calls.clear()
+        again = build_birth_mixture(scan, birth_cfg)
+        assert again.covariances.tobytes() == birth.covariances.tobytes()
+        assert build_birth_mixture(Scan(1), birth_cfg) is build_birth_mixture(None, birth_cfg)
+        assert calls == []
         pred = predict(state, SETUP.motion, SETUP.phi, birth)
         assert calls == [(state.spatial.n_components, 4, 4)]
         calls.clear()
@@ -128,6 +139,119 @@ class TestConditionedOnce:
         assert birth.covariances.shape == (2, 4, 4)
         for P in birth.covariances:
             assert P.tobytes() == expected.tobytes()
+
+
+def screen_member(rng, kind: str, n: int, scale: float, symmetric: bool) -> np.ndarray:
+    """One n x n test covariance of the given kind, largest eigenvalue
+    about scale, in a random orientation.
+
+    "near" has an eigenvalue ratio between 1e-10 and 1e-8, and "edge" one
+    within rounding noise of EIG_FLOOR, where eigvalsh's own decision is
+    noise.
+    """
+    if kind == "zero":
+        return np.zeros((n, n))
+    eigs = scale * 10.0 ** rng.uniform(-3.0, 0.0, size=n)
+    eigs[0] = scale
+    if kind == "near":
+        eigs[-1] = scale * 10.0 ** rng.uniform(-10.0, -8.0)
+    elif kind == "edge":
+        eigs[-1] = scale * 1e-9 * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-10.0, -6.0))
+    elif kind == "indefinite":
+        eigs[-1] = -scale * 10.0 ** rng.uniform(-12.0, 0.0)
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    P = (Q * eigs) @ Q.T
+    # P + P.T is bitwise symmetric; P alone is only symmetric to rounding.
+    return 0.5 * (P + P.T) if symmetric else P
+
+
+def conditioning_outcome(condition, P: np.ndarray):
+    """The bytes a conditioning function returns for P, or its error
+    message; any warning fails the caller."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = condition(P)
+        except ValueError as err:
+            return "error", str(err)
+    return out.shape, out.tobytes()
+
+
+class TestCholeskyScreen:
+    """The Cholesky screen changes the cost of the covariance check, never
+    its outcome: every stack gets the bytes, or the error, that eigvalsh
+    alone gives it."""
+
+    @given(
+        size=st.one_of(st.integers(1, 100), st.sampled_from([GATE - 1, GATE])),
+        # 2 x 2 is where the determinant bound is tightest.
+        n=st.sampled_from([1, 2, 2, 2, 3, 4]),
+        log_scale=st.floats(-150.0, 150.0),
+        bad=st.sampled_from(["none", "one", "one", "one", "some", "all"]),
+        bad_kinds=st.sampled_from(
+            [("near", "edge"), ("edge",), ("indefinite",), ("zero",), ("near", "edge", "indefinite", "zero")]
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_eigvalsh_rule(self, size, n, log_scale, bad, bad_kinds, seed):
+        rng = np.random.default_rng(seed)
+        exponents = np.clip(log_scale + rng.uniform(-2.0, 2.0, size=size), -150.0, 150.0)
+        kinds = np.full(size, "well", dtype=object)
+        count = {"none": 0, "one": 1, "some": int(rng.integers(1, size + 1)), "all": size}[bad]
+        kinds[rng.choice(size, count, replace=False)] = rng.choice(bad_kinds, count)
+        symmetric = rng.random() < 0.8
+        P = np.stack([
+            screen_member(rng, kind, n, 10.0**e, symmetric) for kind, e in zip(kinds, exponents)
+        ])
+        want = conditioning_outcome(reference_conditioned_covariance, P)
+        assert conditioning_outcome(gaussmax_mod._conditioned_covariance, P) == want
+
+    def test_member_at_the_jitter_boundary(self):
+        # A 2 x 2 member within rounding of EIG_FLOOR, alone among
+        # well-conditioned ones: the screen must leave its fate to eigvalsh.
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            members = [screen_member(rng, "well", 2, 1.0, True) for _ in range(GATE - 1)]
+            P = np.stack(members + [screen_member(rng, "edge", 2, 1.0, True)])
+            want = conditioning_outcome(reference_conditioned_covariance, P)
+            assert conditioning_outcome(gaussmax_mod._conditioned_covariance, P) == want
+
+    @pytest.fixture
+    def eigvalsh_calls(self, monkeypatch):
+        calls = []
+        original = np.linalg.eigvalsh
+
+        def counting(P):
+            calls.append(np.shape(P))
+            return original(P)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        return calls
+
+    def test_gate(self, eigvalsh_calls):
+        stack = np.stack([np.diag([2.0, 1.0, 3.0, 0.5])] * GATE)
+        for P in (stack[:1], stack[: GATE - 1], stack[0]):
+            assert gaussmax_mod._conditioned_covariance(P) is P
+        assert eigvalsh_calls == [(1, 4, 4), (GATE - 1, 4, 4), (4, 4)]
+        eigvalsh_calls.clear()
+        assert gaussmax_mod._conditioned_covariance(stack) is stack
+        assert eigvalsh_calls == []
+        # One near-singular member sends the whole stack through eigvalsh.
+        stack[3] = NEAR_SINGULAR
+        gaussmax_mod._conditioned_covariance(stack)
+        assert eigvalsh_calls == [(GATE, 4, 4)]
+
+    def test_search_table_needs_no_eigvalsh(self, eigvalsh_calls):
+        rng = np.random.default_rng(7)
+        a, b = random_state(rng, max_comps=3), random_state(rng, max_comps=3)
+        eigvalsh_calls.clear()
+        select_omega(a, b)
+        # One table of the 19 grid rows and the independent row, all
+        # cleared by the screen.
+        _, tables = vars(a.spatial)["_product_tables"]
+        assert [len(t.index) for t in tables] == [len(OMEGA_GRID) + 1]
+        assert eigvalsh_calls == []
 
 
 class TestJitterOnce:

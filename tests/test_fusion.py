@@ -412,6 +412,26 @@ class TestBatchedOmegaSearch:
             for got, want in zip(batched, single):
                 np.testing.assert_array_equal(got[k], want[0])
 
+    def test_self_product_inverts_once(self, monkeypatch):
+        a = sized_state(np.random.default_rng(4), 5).spatial
+        args = (np.log(a.weights), a.means, a.covariances)
+        e1 = np.array([1.0 - o for o in OMEGA_GRID])
+        e2 = np.array(OMEGA_GRID)
+        copied = _cross_arrays(e1, *args, e2, *(x.copy() for x in args))
+        inverted = []
+        original = np.linalg.inv
+
+        def counting(M):
+            inverted.append(M.shape)
+            return original(M)
+
+        monkeypatch.setattr(np.linalg, "inv", counting)
+        shared = _cross_arrays(e1, *args, e2, *args)
+        # One inverse of the component stack, one of the fused precisions.
+        assert inverted == [a.covariances.shape, (e1.size, 5, 5, 4, 4)]
+        for got, want in zip(shared, copied):
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize(
         "seed, n_a, n_b", [(10, 1, 1), (11, 1, 17), (12, 17, 1), (13, 3, 5), (14, 17, 17), (15, 16, 17)]
     )
@@ -607,13 +627,21 @@ class TestProductTable:
         omega = select_omega(a, b)
         # 64 pairs: 16 rows per table, so the grid and the independent row
         # take two tables.
-        assert kernel_calls == [16, len(OMEGA_GRID) + 1 - 16]
+        search = [16, len(OMEGA_GRID) + 1 - 16]
+        assert kernel_calls == search
+        # Both blocks stay cached: rows from the first (0.05) and the
+        # second (0.95 and independent) need no new table.
+        got = {o: self.fusions(a, b, [o], None) for o in (omega, 0.05, 0.95)}
+        assert kernel_calls == search
         assert omega == reference_select_omega(a, b)
-        for omegas in ([omega], [0.05], [0.95]):
-            for got, want in zip(
-                self.fusions(a, b, omegas, None), self.fusions(fresh(a), fresh(b), omegas, None)
-            ):
-                assert_same_result(got, want)
+        for o, results in got.items():
+            for g, want in zip(results, self.fusions(fresh(a), fresh(b), [o], None)):
+                assert_same_result(g, want)
+            for g, (e1, e2) in zip(results, [(1.0 - o, o), (1.0, 1.0)]):
+                mix, log_alpha = one_row_fusion(a, b, e1, e2)
+                assert g.alpha == math.exp(log_alpha)
+                for field in ("weights", "means", "covariances"):
+                    assert getattr(g.state.spatial, field).tobytes() == getattr(mix, field).tobytes()
 
     def test_self_fused_mixture_is_freed_without_gc(self):
         state = sized_state(np.random.default_rng(32), 3)
@@ -637,10 +665,18 @@ class TestProductTable:
         assert_same_result(fuse_chernoff(back, b, 0.5), fuse_chernoff(a, b, 0.5))
 
     @pytest.mark.parametrize(
-        "mode, strategy", [("dependent", "min-trace"), ("independent", "fixed(0.5)"), ("independent", "min-trace")]
+        "mode, strategy, clutter",
+        [
+            pytest.param("dependent", "min-trace", 4.0, id="dependent-min-trace"),
+            pytest.param("independent", "fixed(0.5)", 4.0, id="independent-fixed(0.5)"),
+            pytest.param("independent", "min-trace", 4.0, id="independent-min-trace"),
+            pytest.param("dependent", "min-trace", 20.0, id="dependent-min-trace-clutter20"),
+        ],
     )
-    def test_one_kernel_call_per_fused_pair_per_step(self, mode, strategy, kernel_calls, monkeypatch):
-        # Counted at each step's last fusion, with the pair it fused.
+    def test_one_kernel_call_per_fused_pair_per_step(self, mode, strategy, clutter, kernel_calls, monkeypatch):
+        # One _cross_arrays call per table a step's pair needs: one, or one
+        # per block when a search outgrows SEARCH_BLOCK_PAIRS.  Counted at
+        # each step's last fusion, with the pair it fused.
         per_step = []
         inner = runner_mod.fuse_independent
 
@@ -649,14 +685,24 @@ class TestProductTable:
             return inner(a, b, **kwargs)
 
         monkeypatch.setattr(runner_mod, "fuse_independent", marking)
-        cfg = parse_experiment({"runs": 1, "fusion": {"omega_strategy": strategy}})
+        sensors = [{"pd_true": p, "clutter_rate": clutter} for p in (0.8, 0.6)]
+        cfg = parse_experiment(
+            {"runs": 1, "scenario": {"sensors": sensors}, "fusion": {"omega_strategy": strategy}}
+        )
         run_once(cfg, 0, mode)
         assert len(per_step) == cfg.scenario.steps
-        rows = len(OMEGA_GRID) + 1 if strategy == "min-trace" else 2
         counts = np.diff([0] + [n for n, _ in per_step])
-        one_table = [k for k, (_, pairs) in enumerate(per_step) if rows * pairs <= 1024]
-        assert len(one_table) >= 40
-        assert (counts[one_table] == 1).all()
+        pairs = np.array([p for _, p in per_step])
+        if strategy == "min-trace":
+            # One table per block of the search, and none after it.
+            per_table = np.maximum(1, fusion_mod.SEARCH_BLOCK_PAIRS // pairs)
+            expected = -(-(len(OMEGA_GRID) + 1) // per_table)
+        else:
+            # The Chernoff row's table holds the independent row when both fit.
+            expected = np.where(2 * pairs <= fusion_mod.SEARCH_BLOCK_PAIRS, 1, 2)
+        assert (counts == expected).all()
+        if clutter > 4.0:
+            assert (expected > 1).sum() >= 5
 
 
 class TestSelftest:

@@ -1,4 +1,4 @@
-"""Golden outputs: the CLI's CSVs for five small experiments, byte for byte.
+"""Golden outputs: the CLI's CSVs for six small experiments, byte for byte.
 
 Each case runs one subcommand for 3 runs at master seed 11 and compares
 every file it writes with the copy under tests/golden/<case>/.  A change
@@ -26,6 +26,18 @@ CASES = {
     # a search.
     "fuse-independent-fixed037": (["fuse-independent"], {"fusion": {"omega_strategy": "fixed(0.37)"}}),
     "fuse-dependent-mintrace": (["fuse-dependent"], {"fusion": {"omega_strategy": "min-trace"}}),
+    # Heavy clutter on both sensors: searches over more pairs than one
+    # product table holds, and large covariance stacks to condition.
+    "fuse-dependent-mintrace-clutter20": (
+        ["fuse-dependent"],
+        {
+            "scenario": {"sensors": [
+                {"pd_true": 0.8, "noise_var": 2.0, "clutter_rate": 20.0},
+                {"pd_true": 0.6, "noise_var": 2.0, "clutter_rate": 20.0},
+            ]},
+            "fusion": {"omega_strategy": "min-trace"},
+        },
+    ),
     "fuse-dependent-fixed": (["fuse-dependent", "--dump-scans"], None),
     "single": (["single", "--dump-scans"], None),
 }
