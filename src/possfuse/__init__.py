@@ -42,11 +42,10 @@ from .gaussmax import (
     GaussianMaxMixture,
     sup_linear_gaussian_product,
 )
-from .metrics import AggregateResult, RunRecord, SeriesTrack, aggregate, ospa
+from .metrics import AggregateResult, RunRecord, SeriesTrack, ospa
 from .runner import (
     ExperimentResult,
     NumericsError,
-    StateAudit,
     run_fusion_dependent,
     run_fusion_independent,
     run_once,
@@ -97,11 +96,9 @@ __all__ = [
     "AggregateResult",
     "RunRecord",
     "SeriesTrack",
-    "aggregate",
     "ospa",
     "ExperimentResult",
     "NumericsError",
-    "StateAudit",
     "run_fusion_dependent",
     "run_fusion_independent",
     "run_once",

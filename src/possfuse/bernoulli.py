@@ -366,12 +366,6 @@ def update(
     d0 = det.nondetection
     d1 = det.detection
     points = scan.points
-    if points.shape[0] == 0:
-        theta = d0
-        q0, q1 = _normalized_pair(pred.q_absent, theta * pred.q_present)
-        w = (d0 / theta) * mix.weights
-        spatial = GaussianMaxMixture._derived(w / w.max(), mix.means, mix.covariances)
-        return BernoulliPossState(q0, q1, spatial)
     if points.shape[1] != meas.meas_dim:
         raise ValueError(
             f"scan points have dimension {points.shape[1]}, model expects {meas.meas_dim}"
@@ -400,7 +394,8 @@ def update(
     # log[clutter_ratio * w_i * N(z; H m_i, S_i)] for every (z, component).
     nu = points[:, None, :] - (m @ H.T)[None, :, :]
     table = math.log(meas.clutter_ratio()) + np.log(mix.weights) + _log_sup_product(nu, S)
-    theta = max(d0, d1 * math.exp(float(table.max())))
+    # An empty scan has no table entries, so theta is nondetection.
+    theta = max(d0, d1 * math.exp(float(table.max(initial=-np.inf))))
     q0, q1 = _normalized_pair(pred.q_absent, theta * pred.q_present)
 
     nd_w = (d0 / theta) * mix.weights
@@ -432,12 +427,8 @@ def reduce(mixture: GaussianMaxMixture, config: ReductionConfig) -> GaussianMaxM
     covariance.  Finally at most max_components clusters survive, kept by
     descending weight, and weights are rescaled so the max is exactly 1.
     """
-    w_all = mixture.weights
-    keep = w_all >= config.prune_ratio * w_all.max()
-    if keep.all():
-        w, means, covs = w_all, mixture.means, mixture.covariances
-    else:
-        w, means, covs = w_all[keep], mixture.means[keep], mixture.covariances[keep]
+    keep = mixture.weights >= config.prune_ratio * mixture.max_weight
+    w, means, covs = mixture.weights[keep], mixture.means[keep], mixture.covariances[keep]
     n = w.size
     if n == 1:
         # A lone survivor is its own cluster, and w / w.max() is exactly 1.

@@ -55,14 +55,13 @@ OMEGA_GRID = tuple(np.round(np.linspace(0.05, 0.95, 19), 2).tolist())
 # so rounding noise cannot pick among exponents that fuse alike (as every
 # exponent does when a state is fused with itself).
 TRACE_TIE_RTOL = 1e-9
-# Most (exponent row, component pair) combinations one product table holds.
-# Its temporaries grow with their number, so when both mixtures are large
-# the search walks OMEGA_GRID in blocks, and a fusion leaves out the
-# independent row, to keep peak memory near that of a single fusion.
+# Most (exponent row, component pair) combinations one table of the
+# min-trace search holds.  Its temporaries grow with their number, so when
+# both mixtures are large the search walks OMEGA_GRID in blocks.
 SEARCH_BLOCK_PAIRS = 1024
 # Exponents of independent-product fusion.  Every product table holds this
-# row when it fits, so a step's independent fusion reuses the table its
-# Chernoff fusion or omega search built.
+# row, so a step's independent fusion reuses the table its Chernoff fusion
+# or omega search built.
 INDEPENDENT = (1.0, 1.0)
 
 
@@ -130,8 +129,8 @@ def _fused_mixture(
 
     The row comes from a table cached on a when those tables were built
     for b and one holds (e1, e2).  Otherwise a new table is built of that
-    row and, when both fit within SEARCH_BLOCK_PAIRS, the independent row,
-    so one step's Chernoff and independent fusions share one table.
+    row and the independent row, so one step's Chernoff and independent
+    fusions share one table.
     """
     row = (e1, e2)
     partner, tables = vars(a).get("_product_tables", (None, ()))
@@ -139,10 +138,7 @@ def _fused_mixture(
         tables = ()
     table = next((t for t in tables if row in t.index), None)
     if table is None:
-        rows = [row]
-        if row != INDEPENDENT and 2 * a.n_components * b.n_components <= SEARCH_BLOCK_PAIRS:
-            rows.append(INDEPENDENT)
-        (table,) = _new_tables(a, b, [rows])
+        (table,) = _new_tables(a, b, [[row] if row == INDEPENDENT else [row, INDEPENDENT]])
     r = table.index[row]
     lo, hi = table.bounds[r], table.bounds[r + 1]
     mixture = GaussianMaxMixture._derived(

@@ -22,14 +22,14 @@ Closed-form operations that stay inside this family:
   weights every fused pair and gives the filter update's normaliser.
 
 All types here are immutable values.  Operations return new objects, never
-mutate their inputs, and hold no global state.
+mutate their inputs, and hold no global state.  The only cache a mixture
+carries is the product table that fusion builds with it and attaches to it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -202,9 +202,8 @@ class GaussianMaxMixture:
         object.__setattr__(self, "covariances", _frozen(covs))
 
     def __getstate__(self) -> dict:
-        # Caches (Cholesky factors, a fusion's product table) are rebuilt on
-        # demand; the table also holds its partner by weak reference, which
-        # cannot be pickled.
+        # A fusion's cached product table is rebuilt on demand; it holds its
+        # partner by weak reference, which cannot be pickled.
         return {"weights": self.weights, "means": self.means, "covariances": self.covariances}
 
     @classmethod
@@ -247,17 +246,13 @@ class GaussianMaxMixture:
         """Index of the heaviest component; ties resolve to the lowest index."""
         return int(np.argmax(self.weights))
 
-    @cached_property
-    def _chols(self) -> np.ndarray:
-        return np.linalg.cholesky(self.covariances)
-
     def values(self, xs: np.ndarray) -> np.ndarray:
         """Evaluate the mixture at a batch of points, shape (k, dim) -> (k,)."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dim:
             raise ValueError(f"points must have shape (k, {self.dim}), got {xs.shape}")
         best = np.zeros(xs.shape[0])
-        chols = self._chols
+        chols = np.linalg.cholesky(self.covariances)
         for i in range(self.n_components):
             y = np.linalg.solve(chols[i], (xs - self.means[i]).T)
             quad = np.maximum(np.sum(y * y, axis=0), 0.0)

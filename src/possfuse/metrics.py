@@ -1,4 +1,4 @@
-"""Scoring: OSPA distance, covariance traces, and Monte Carlo aggregation.
+"""Scoring: OSPA distance, per-run scores, and their Monte Carlo fold.
 
 OSPA compares two point sets of possibly different sizes.  With cutoff c
 and order p it is
@@ -29,14 +29,12 @@ from .bernoulli import Estimate
 
 __all__ = [
     "ospa",
-    "covariance_trace",
     "SeriesTrack",
     "RunRecord",
     "AggregateResult",
     "RunScores",
     "score_run",
     "fold_scores",
-    "aggregate",
 ]
 
 # Largest set size the exact assignment DP accepts (2^8 subsets).
@@ -123,13 +121,6 @@ def ospa(X: Sequence, Y: Sequence, cutoff: float = 10.0, order: float = 1.0) -> 
     return float((total / n) ** (1.0 / order))
 
 
-def covariance_trace(estimate: Estimate) -> float:
-    """Trace of an estimate's covariance."""
-    if estimate is None:
-        raise ValueError("cannot take the covariance trace of an absent estimate")
-    return float(np.trace(estimate.covariance))
-
-
 @dataclass
 class SeriesTrack:
     """Per-run history of one reported series (a filter or a fuser)."""
@@ -138,9 +129,6 @@ class SeriesTrack:
     q_absent: list[float] = field(default_factory=list)
     q_present: list[float] = field(default_factory=list)
     n_components: list[int] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.estimates)
 
 
 @dataclass
@@ -304,9 +292,3 @@ def fold_scores(scores: Sequence[RunScores]) -> AggregateResult:
         mean_q_absent=by_series(q0_sum),
         mean_q_present=by_series(q1_sum),
     )
-
-
-def aggregate(records: Sequence[RunRecord], cutoff: float = 10.0) -> AggregateResult:
-    """Fold run records into per-step means, in run order: score_run on
-    each record, then fold_scores."""
-    return fold_scores([score_run(rec, cutoff) for rec in records])

@@ -63,7 +63,6 @@ from .simulate import (
 
 __all__ = [
     "NumericsError",
-    "StateAudit",
     "FilterSetup",
     "build_filter_setup",
     "initial_state",
@@ -94,19 +93,6 @@ class NumericsError(RuntimeError):
         # A pool worker hands its failure to the parent by pickle, which
         # rebuilds the error from these arguments.
         return type(self), (self.run, self.step, str(self).split(": ", 1)[1])
-
-
-@dataclass(frozen=True)
-class StateAudit:
-    """Invariant snapshot of one state in the recursion."""
-
-    step: int
-    phase: str
-    series: str
-    q_absent: float
-    q_present: float
-    max_weight: float
-    n_components: int
 
 
 @dataclass(frozen=True)
@@ -174,25 +160,13 @@ class _Filter:
         birth = build_birth_mixture(self.prev_scan, self.setup.birth)
         pred = predict(self.state, self.setup.motion, self.setup.phi, birth)
         if audit is not None:
-            audit.append(_audit_of(pred, step, "predicted", series))
+            audit.append((step, "predicted", series, pred))
         post = update(pred, scan, self.setup.meas, self.setup.det)
         reduced = reduce(post.spatial, self.setup.reduction)
         self.state = BernoulliPossState(post.q_absent, post.q_present, reduced)
         if audit is not None:
-            audit.append(_audit_of(self.state, step, "updated", series))
+            audit.append((step, "updated", series, self.state))
         self.prev_scan = scan
-
-
-def _audit_of(state: BernoulliPossState, step: int, phase: str, series: str) -> StateAudit:
-    return StateAudit(
-        step=step,
-        phase=phase,
-        series=series,
-        q_absent=state.q_absent,
-        q_present=state.q_present,
-        max_weight=state.spatial.max_weight,
-        n_components=state.spatial.n_components,
-    )
 
 
 def _check_sensor_count(scenario, mode: str) -> None:
@@ -237,30 +211,36 @@ def run_once(
     """Execute one Monte Carlo run and return its record.
 
     mode is "single", "independent", or "dependent".  When an audit list
-    is supplied, a StateAudit is appended for every predicted, updated,
-    and fused state in the run.  When a scans list is supplied, the
-    labelled scans of every sensor the run feeds are appended to it, in
-    sensor order, as (scan, labels) lists.
+    is supplied, a tuple (step, phase, series, state) is appended for
+    every predicted, updated, and fused BernoulliPossState in the run, in
+    the order the run computes them; phase is "predicted", "updated" or
+    "fused", and series names the filter or fusion rule.  When a scans
+    list is supplied, the labelled scans of every sensor the run feeds
+    are appended to it, in sensor order, as (scan, labels) lists.
+
+    A numerical failure raises NumericsError naming the run and the step,
+    where step 0 is the run's setup: simulating its scenario and building
+    its filters.
     """
     if mode not in ("single", "independent", "dependent"):
         raise ValueError(f"unknown run mode {mode!r}")
     scenario = cfg.scenario
     _check_sensor_count(scenario, mode)
-
-    truth, labeled = _simulate_run(cfg, run_idx, mode)
-    if scans is not None:
-        scans.extend(labeled)
-    positions = _truth_positions(truth)
-    streams = [[scan for scan, _ in sensor_scans] for sensor_scans in labeled]
-    engines = [_Filter(build_filter_setup(cfg, s)) for s in scenario.sensors[: len(streams)]]
-    names = ["single"] if mode == "dependent" else [f"sensor{i + 1}" for i in range(len(streams))]
-    tracks = {name: SeriesTrack() for name in names}
     fused_names = () if mode == "single" else (SERIES_CHERNOFF, SERIES_CENTRALIZED)
-    fused_tracks = {name: SeriesTrack() for name in fused_names}
     fixed_omega = parse_omega_strategy(cfg.fusion.omega_strategy)
 
-    for step in range(1, scenario.steps + 1):
-        try:
+    step = 0
+    try:
+        truth, labeled = _simulate_run(cfg, run_idx, mode)
+        if scans is not None:
+            scans.extend(labeled)
+        positions = _truth_positions(truth)
+        streams = [[scan for scan, _ in sensor_scans] for sensor_scans in labeled]
+        engines = [_Filter(build_filter_setup(cfg, s)) for s in scenario.sensors[: len(streams)]]
+        names = ["single"] if mode == "dependent" else [f"sensor{i + 1}" for i in range(len(streams))]
+        tracks = {name: SeriesTrack() for name in names}
+        fused_tracks = {name: SeriesTrack() for name in fused_names}
+        for step in range(1, scenario.steps + 1):
             for engine, name, stream in zip(engines, names, streams):
                 engine.advance(stream[step - 1], audit, name, step)
                 _append_state(tracks[name], engine.state)
@@ -275,9 +255,9 @@ def run_once(
                 for name, result in zip(fused_names, fused):
                     _append_state(fused_tracks[name], result.state)
                     if audit is not None:
-                        audit.append(_audit_of(result.state, step, "fused", name))
-        except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
-            raise NumericsError(run_idx, step, exc) from exc
+                        audit.append((step, "fused", name, result.state))
+    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        raise NumericsError(run_idx, step, exc) from exc
 
     tracks.update(fused_tracks)
     return RunRecord(truth_positions=positions, series=tracks)

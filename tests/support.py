@@ -5,10 +5,11 @@ possibility values are computed with explicit matrix inversion and plain
 loops, assignments by exhaustive permutation, suprema by refining grid
 search.  Tests compare package results against these routes.
 
-The module also keeps the earlier loop forms of reduce and aggregate
-(the latter built on ospa, itself checked against the permutation
-oracle), and the eigenvalue form of the covariance check, which the
-package's faster versions must match bit for bit.
+The module also keeps the earlier loop forms of reduce and of the
+per-step Monte Carlo fold (the latter built on ospa, itself checked
+against the permutation oracle), and the eigenvalue form of the
+covariance check, which the package's faster versions must match bit for
+bit.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import numpy as np
 
 from possfuse.gaussmax import EIG_FLOOR, SYMMETRY_TOL, GaussianMaxMixture
-from possfuse.metrics import POSITION_INDICES, covariance_trace, ospa
+from possfuse.metrics import POSITION_INDICES, ospa
 
 
 def gauss_value(x, mean, cov) -> float:
@@ -244,7 +245,7 @@ def reduce_reference(mixture, config):
 
 
 def aggregate_reference(records, cutoff: float, order: float):
-    """Per-step means by calling ospa and covariance_trace for every
+    """Per-step means by calling ospa and np.trace for every
     (run, series, step) and adding into per-step sums in run order.
 
     Returns the AggregateResult fields as a dict.
@@ -266,7 +267,7 @@ def aggregate_reference(records, cutoff: float, order: float):
                 est_set = [est.mean[list(POSITION_INDICES)]] if est is not None else []
                 mean_ospa[s][k] += ospa(truth_set, est_set, cutoff, order)
                 if est is not None:
-                    trace_sum[s][k] += covariance_trace(est)
+                    trace_sum[s][k] += float(np.trace(est.covariance))
                     count[s][k] += 1
                 q0_sum[s][k] += track.q_absent[k]
                 q1_sum[s][k] += track.q_present[k]

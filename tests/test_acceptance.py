@@ -116,11 +116,11 @@ def test_criterion_3_normalization_invariants():
     for run_idx in range(50):
         audit = []
         run_once(cfg, run_idx, "independent", audit=audit)
-        for entry in audit:
+        for *_, state in audit:
             total += 1
             err = max(
-                abs(max(entry.q_absent, entry.q_present) - 1.0),
-                abs(entry.max_weight - 1.0),
+                abs(max(state.q_absent, state.q_present) - 1.0),
+                abs(state.spatial.max_weight - 1.0),
             )
             worst = max(worst, err)
             if err > 1e-12:

@@ -309,19 +309,25 @@ class TestUpdate:
         assert post.q_absent == 1.0
         assert post.q_present == 0.5
 
-    @given(st.integers(0, 2**32 - 1), st.floats(0.01, 1.0), st.booleans())
+    @given(st.integers(0, 2**32 - 1), st.floats(0.01, 1.0), st.booleans(), st.floats(0.0, 1.0))
     @settings(max_examples=40, deadline=None)
-    def test_empty_scan_keeps_every_component(self, seed, d, detection_top):
+    def test_empty_scan_keeps_every_component(self, seed, d, detection_top, q):
+        # An empty scan goes through the general update with no table
+        # entries: theta = d0, so the prior mixture comes back bit for bit
+        # and existence becomes (q0, d0 q1) over its max.
         rng = np.random.default_rng(seed)
         w, m, P = random_mixture(rng, 2, max_comps=5)
-        state = planar_state(1.0, 1.0, w, m + 30.0, P)
+        q0, q1 = (1.0, q) if detection_top else (q, 1.0)
+        state = planar_state(q0, q1, w, m + 30.0, P)
         det = DetectionPossibility(nondetection=d, detection=1.0) if detection_top else (
             DetectionPossibility(nondetection=1.0, detection=d)
         )
         post = update(state, Scan(1, np.empty((0, 2))), planar_meas(), det)
-        np.testing.assert_array_equal(post.spatial.means, state.spatial.means)
-        np.testing.assert_array_equal(post.spatial.covariances, state.spatial.covariances)
-        assert post.spatial.max_weight == 1.0
+        for field in ("weights", "means", "covariances"):
+            got, prior = getattr(post.spatial, field), getattr(state.spatial, field)
+            assert got.tobytes() == prior.tobytes(), field
+        top = max(q0, det.nondetection * q1)
+        assert (post.q_absent, post.q_present) == (q0 / top, det.nondetection * q1 / top)
 
     def test_existence_follows_theta(self):
         meas = planar_meas()

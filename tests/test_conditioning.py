@@ -120,8 +120,10 @@ class TestConditionedOnce:
         post = update(pred, scan, SETUP.meas, SETUP.det)
         assert calls == [(pred.spatial.n_components, 4, 4)]
         calls.clear()
+        # An empty scan takes the general path, Kalman covariances included.
         update(pred, Scan(1), SETUP.meas, SETUP.det)
-        assert calls == []
+        assert calls == [(pred.spatial.n_components, 4, 4)]
+        calls.clear()
         kept = reduce(state.spatial, ReductionConfig(prune_ratio=0.0, merge_mahalanobis=0.0))
         assert kept.n_components == state.spatial.n_components
         assert calls == []

@@ -1,4 +1,4 @@
-"""OSPA metric, assignment solver, and per-step aggregation."""
+"""OSPA metric, assignment solver, run scoring and the per-step fold."""
 
 import pickle
 
@@ -12,8 +12,6 @@ from possfuse.metrics import (
     ASSIGNMENT_LIMIT,
     RunRecord,
     SeriesTrack,
-    aggregate,
-    covariance_trace,
     fold_scores,
     ospa,
     score_run,
@@ -113,20 +111,6 @@ def mk_estimate(mean4, cov4=None):
     return Estimate(np.asarray(mean4, dtype=float), cov)
 
 
-class TestCovarianceTrace:
-    def test_identity(self):
-        est = mk_estimate([0, 0, 0, 0], np.eye(4))
-        assert covariance_trace(est) == 4.0
-
-    def test_diagonal(self):
-        est = mk_estimate([0, 0, 0, 0], np.diag([1.0, 2.0, 3.0, 4.0]))
-        assert covariance_trace(est) == 10.0
-
-    def test_absent_estimate_rejected(self):
-        with pytest.raises(ValueError):
-            covariance_trace(None)
-
-
 def mk_record(truth_xy, est_means):
     """One-series record: truth positions and estimate means per step."""
     n = len(truth_xy)
@@ -147,7 +131,7 @@ class TestAggregate:
             [[0.0, 0.0], [1.0, 0.0]],
             [[0.0, 0.0, 0.0, 0.0], [4.0, 0.0, 0.0, 0.0]],
         )
-        agg = aggregate([rec], cutoff=10.0)
+        agg = fold_scores([score_run(rec, 10.0)])
         assert agg.runs == 1 and agg.steps == 2
         assert agg.series == ("s",)
         np.testing.assert_allclose(agg.mean_ospa["s"], [0.0, 3.0])
@@ -159,7 +143,7 @@ class TestAggregate:
     def test_two_records_average(self):
         r1 = mk_record([[0.0, 0.0]], [[0.0, 0.0, 0.0, 0.0]])
         r2 = mk_record([[0.0, 0.0]], [[4.0, 0.0, 0.0, 0.0]])
-        agg = aggregate([r1, r2], cutoff=10.0)
+        agg = fold_scores([score_run(r, 10.0) for r in [r1, r2]])
         np.testing.assert_allclose(agg.mean_ospa["s"], [2.0])
 
     def test_record_order_invariance(self):
@@ -167,13 +151,13 @@ class TestAggregate:
         recs = [
             mk_record([[0.0, 0.0]], [rng.uniform(-5, 5, size=4)]) for _ in range(6)
         ]
-        a = aggregate(recs, cutoff=10.0)
-        b = aggregate(list(reversed(recs)), cutoff=10.0)
+        a = fold_scores([score_run(r, 10.0) for r in recs])
+        b = fold_scores([score_run(r, 10.0) for r in reversed(recs)])
         np.testing.assert_allclose(a.mean_ospa["s"], b.mean_ospa["s"], atol=1e-12)
 
     def test_absent_estimate_uses_empty_set_and_skips_trace(self):
         rec = mk_record([[0.0, 0.0]], [None])
-        agg = aggregate([rec], cutoff=10.0)
+        agg = fold_scores([score_run(rec, 10.0)])
         # truth present, estimate absent: pure cardinality error
         np.testing.assert_allclose(agg.mean_ospa["s"], [10.0])
         assert np.isnan(agg.mean_trace["s"][0])
@@ -181,7 +165,7 @@ class TestAggregate:
 
     def test_absent_truth_and_estimate_is_zero(self):
         rec = mk_record([None], [None])
-        agg = aggregate([rec], cutoff=10.0)
+        agg = fold_scores([score_run(rec, 10.0)])
         np.testing.assert_allclose(agg.mean_ospa["s"], [0.0])
 
     def test_matches_brute_force_means(self):
@@ -191,7 +175,7 @@ class TestAggregate:
             means = [rng.uniform(-3, 3, size=4) for _ in range(3)]
             truth = [rng.uniform(-3, 3, size=2) for _ in range(3)]
             recs.append(mk_record(truth, means))
-        agg = aggregate(recs, cutoff=10.0)
+        agg = fold_scores([score_run(r, 10.0) for r in recs])
         for k in range(3):
             expected = np.mean(
                 [
@@ -241,10 +225,10 @@ class TestAggregate:
                     n_components=[1] * steps,
                 )
             recs.append(RunRecord(truth_positions=truth, series=series))
-        # aggregate takes no order: for one point per set, ospa's order-p
+        # score_run takes no order: for one point per set, ospa's order-p
         # power and root cancel.  At order 1 it matches the loop bit for
         # bit; at other orders only the round trip's rounding separates them.
-        got = aggregate(recs, cutoff=cutoff)
+        got = fold_scores([score_run(r, cutoff) for r in recs])
         want = aggregate_reference(recs, cutoff, order)
         assert (got.runs, got.steps, got.series) == (want["runs"], want["steps"], want["series"])
         for field in ("mean_ospa", "mean_trace", "present_count", "mean_q_absent", "mean_q_present"):
@@ -257,7 +241,7 @@ class TestAggregate:
                 else:
                     assert a.tobytes() == b.tobytes(), (field, name)
         # Pool workers score their runs and send the scores by pickle; the
-        # parent's fold of them is aggregate, bit for bit.
+        # round trip changes no bit of the fold.
         folded = fold_scores([pickle.loads(pickle.dumps(score_run(r, cutoff))) for r in recs])
         assert (folded.runs, folded.steps, folded.series) == (got.runs, got.steps, got.series)
         for field in ("mean_ospa", "mean_trace", "present_count", "mean_q_absent", "mean_q_present"):
@@ -271,14 +255,14 @@ class TestAggregate:
     def test_bad_cutoff_rejected(self, cutoff):
         rec = mk_record([[0.0, 0.0]], [[0.0, 0.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="cutoff must be positive"):
-            aggregate([rec], cutoff=cutoff)
+            fold_scores([score_run(rec, cutoff)])
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            aggregate([], cutoff=10.0)
+            fold_scores([])
 
     def test_unequal_lengths_rejected(self):
         r1 = mk_record([[0.0, 0.0]], [[0.0, 0.0, 0.0, 0.0]])
         r2 = mk_record([[0.0, 0.0]] * 2, [[0.0, 0.0, 0.0, 0.0]] * 2)
         with pytest.raises(ValueError):
-            aggregate([r1, r2], cutoff=10.0)
+            fold_scores([score_run(r, 10.0) for r in [r1, r2]])

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 import possfuse.runner as runner_mod
+from possfuse.bernoulli import BernoulliPossState
 from possfuse.cli import main
 from possfuse.config import (
     ConfigError,
     default_experiment,
     serialize_experiment,
 )
-from possfuse.metrics import RunScores, aggregate
+from possfuse.metrics import RunScores, fold_scores, score_run
 from possfuse.runner import (
     NumericsError,
     run_fusion_dependent,
@@ -77,7 +78,7 @@ class TestRunOnce:
         cfg = small_cfg()
         audit = []
         run_once(cfg, 0, "independent", audit=audit)
-        phases = {(a.phase, a.series) for a in audit}
+        phases = {(phase, series) for _, phase, series, _ in audit}
         assert ("predicted", "sensor1") in phases
         assert ("updated", "sensor2") in phases
         assert ("fused", "chernoff") in phases
@@ -87,7 +88,9 @@ class TestRunOnce:
 
         audit = []
         run_once(cfg, 0, "dependent", audit=audit)
-        phases = {(a.phase, a.series) for a in audit}
+        assert [step for step, *_ in audit] == sorted(step for step, *_ in audit)
+        assert all(isinstance(state, BernoulliPossState) for *_, state in audit)
+        phases = {(phase, series) for _, phase, series, _ in audit}
         assert phases == {
             ("predicted", "single"),
             ("updated", "single"),
@@ -204,7 +207,8 @@ class TestPoolPayload:
         monkeypatch.setenv("POSSFUSE_THREADS", "1")
         cfg = small_cfg(runs=3, steps=8, death_step=8)
         result = runner_mod._drive(cfg, mode, tmp_path, False)
-        want = aggregate([run_once(cfg, i, mode) for i in range(cfg.runs)], cfg.metrics.ospa_cutoff)
+        cutoff = cfg.metrics.ospa_cutoff
+        want = fold_scores([score_run(run_once(cfg, i, mode), cutoff) for i in range(cfg.runs)])
         for field in ("mean_ospa", "mean_trace", "present_count", "mean_q_absent", "mean_q_present"):
             for name in want.series:
                 got = getattr(result.aggregate, field)[name]
@@ -402,6 +406,36 @@ class TestCli:
         assert code == 3
         err = capsys.readouterr().err
         assert "numerical failure in run 0 at step 1: synthetic breakdown" in err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            {"region": {"xmax": 1e-300}},
+            {"region": {"ymax": 1e300}, "psd": 0.0},
+            {"dt": 1e300},
+            {"dt": 5e-324},
+        ],
+        ids=["xmax-1e-300", "ymax-1e300-psd-0", "dt-1e300", "dt-5e-324"],
+    )
+    def test_setup_failure_is_exit_3_at_step_0(self, scenario, workers, tmp_path, capsys, monkeypatch):
+        # These pass validation but break the run's setup: its simulation
+        # or the construction of its filters.
+        monkeypatch.setenv("POSSFUSE_THREADS", workers)
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"scenario": scenario}))
+        code = main(["fuse-independent", "--config", str(path), "--runs", "2",
+                     "--out", str(tmp_path / "x")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical failure in run 0 at step 0: ")
+        assert "Traceback" not in err
+        # A sensor count the fusion cannot use is still a configuration error.
+        path.write_text(json.dumps({"scenario": dict(scenario, sensors=[{}] * 3)}))
+        code = main(["fuse-independent", "--config", str(path), "--runs", "2",
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("configuration error: scenario.sensors:")
 
     def test_bad_flag_value_is_exit_2(self, tmp_path, capsys):
         code = main(["single", "--runs", "0", "--out", str(tmp_path / "x")])
