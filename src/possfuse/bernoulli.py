@@ -28,6 +28,7 @@ maps to a detection possibility high and a non-detection possibility
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -59,6 +60,10 @@ __all__ = [
     "reduce",
     "extract",
 ]
+
+# Most entries (rows x components) in one block of reduce's Mahalanobis
+# table; a mixture of up to 256 components fits in one block.
+MERGE_TABLE_BUDGET = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,32 +440,43 @@ def reduce(mixture: GaussianMaxMixture, config: ReductionConfig) -> GaussianMaxM
         return GaussianMaxMixture._derived(np.ones(1), means, covs)
 
     # near[h][j]: component j lies within merge_mahalanobis of component h
-    # in h's metric.  One batched factorisation and solve give the whole
-    # table; the greedy walk below reads only the rows of its heads.
-    diff = means[None, :, :] - means[:, None, :]
-    y = np.linalg.solve(np.linalg.cholesky(covs), diff.swapaxes(1, 2))
-    near = ((y * y).sum(axis=1) <= float(config.merge_mahalanobis) ** 2).tolist()
-
+    # in h's metric.  The greedy walk computes rows only for candidate
+    # heads still alive, a block of them at a time, and stops at
+    # max_components heads, since the cap drops every later cluster.
+    radius2 = float(config.merge_mahalanobis) ** 2
+    rows = max(1, MERGE_TABLE_BUDGET // n)
     alive = [True] * n
+    candidates = (h for h in np.argsort(-w, kind="stable").tolist() if alive[h])
     heads: list[int] = []
     clusters: list[list[int]] = []
-    for head in np.argsort(-w, kind="stable").tolist():
-        if not alive[head]:
-            continue
-        cluster = [j for j, close in enumerate(near[head]) if close and alive[j]]
-        for j in cluster:
-            alive[j] = False
-        heads.append(head)
-        clusters.append(cluster)
-    # Clusters were emitted in descending head weight, so capping keeps
-    # the heaviest ones and the order is deterministic.
-    n_keep = min(len(heads), config.max_components)
-    heads = heads[:n_keep]
-    # Untouched components keep their exact mean and covariance.
+    while len(heads) < config.max_components:
+        block = list(itertools.islice(candidates, rows))
+        if not block:
+            break
+        # Rows go in index order; a block of every component is read in place.
+        whole = len(block) == n
+        sel = slice(None) if whole else sorted(block)
+        diff = means[None, :, :] - means[sel, None, :]
+        y = np.linalg.solve(np.linalg.cholesky(covs[sel]), diff.swapaxes(1, 2))
+        table = ((y * y).sum(axis=1) <= radius2).tolist()
+        near = table if whole else dict(zip(sel, table))
+        for head in block:
+            if not alive[head]:
+                continue
+            cluster = [j for j, close in enumerate(near[head]) if close and alive[j]]
+            for j in cluster:
+                alive[j] = False
+            heads.append(head)
+            clusters.append(cluster)
+            if len(heads) == config.max_components:
+                break
+    # Clusters were emitted in descending head weight, so the cap kept
+    # the heaviest ones and the order is deterministic.  Untouched
+    # components keep their exact mean and covariance.
     w_out = w[heads]
     m_out = means[heads]
     P_out = covs[heads]
-    merged = [i for i in range(n_keep) if len(clusters[i]) > 1]
+    merged = [i for i, cluster in enumerate(clusters) if len(cluster) > 1]
     if merged:
         P_merged = []
         for i in merged:

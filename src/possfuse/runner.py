@@ -35,10 +35,8 @@ import numpy as np
 
 from .bernoulli import (
     BernoulliPossState,
-    DetectionPossibility,
     MeasurementModel,
     MotionModel,
-    ReductionConfig,
     TransitionPossibilityMatrix,
     extract,
     predict,
@@ -63,9 +61,6 @@ from .simulate import (
 
 __all__ = [
     "NumericsError",
-    "FilterSetup",
-    "build_filter_setup",
-    "initial_state",
     "run_once",
     "run_single",
     "run_fusion_independent",
@@ -95,50 +90,6 @@ class NumericsError(RuntimeError):
         return type(self), (self.run, self.step, str(self).split(": ", 1)[1])
 
 
-@dataclass(frozen=True)
-class FilterSetup:
-    """Everything one filter instance needs, fixed for a whole run."""
-
-    motion: MotionModel
-    phi: TransitionPossibilityMatrix
-    det: DetectionPossibility
-    meas: MeasurementModel
-    reduction: ReductionConfig
-    birth: BirthConfig
-
-
-def build_filter_setup(cfg: ExperimentConfig, sensor: SensorConfig) -> FilterSetup:
-    scenario = cfg.scenario
-    motion = MotionModel(
-        cv_transition(scenario.dt), cv_process_noise(scenario.dt, scenario.psd)
-    )
-    phi = TransitionPossibilityMatrix.from_matrix(cfg.filter.phi)
-    det = probability_interval_to_possibility(*cfg.filter.pd_interval)
-    clutter = max(sensor.clutter_rate, MIN_MODEL_CLUTTER)
-    meas = MeasurementModel(
-        observation=position_observation(),
-        noise=sensor.noise_var * np.eye(2),
-        clutter_rate=clutter,
-        region=scenario.region,
-    )
-    pos_var = cfg.filter.birth.pos_var
-    if pos_var is None:
-        pos_var = sensor.noise_var + 1.0
-    birth = BirthConfig(region=scenario.region, pos_var=pos_var, vel_var=cfg.filter.birth.vel_var)
-    return FilterSetup(motion=motion, phi=phi, det=det, meas=meas,
-                       reduction=cfg.filter.reduction, birth=birth)
-
-
-def initial_state(setup: FilterSetup) -> BernoulliPossState:
-    """Total ignorance: absence and presence both fully plausible, any
-    in-region location possible."""
-    return BernoulliPossState(
-        q_absent=1.0,
-        q_present=1.0,
-        spatial=setup.birth.ignorance,
-    )
-
-
 def _append_state(track: SeriesTrack, state: BernoulliPossState) -> None:
     # extract is looked up in this module at call time, so a wrapper set
     # on runner.extract (as possbench's tracer does) sees every call.
@@ -149,20 +100,43 @@ def _append_state(track: SeriesTrack, state: BernoulliPossState) -> None:
 
 
 class _Filter:
-    """One recursing filter: current state plus the scan feeding birth."""
+    """One recursing filter for one sensor, its models built from the config.
 
-    def __init__(self, setup: FilterSetup):
-        self.setup = setup
-        self.state = initial_state(setup)
+    Birth uses filter.birth.pos_var, or the sensor's noise variance plus
+    one when that is None.  The state starts at total ignorance, and
+    prev_scan is the scan that feeds the next step's birth.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, sensor: SensorConfig):
+        scenario, settings = cfg.scenario, cfg.filter
+        self.motion = MotionModel(
+            cv_transition(scenario.dt), cv_process_noise(scenario.dt, scenario.psd)
+        )
+        self.phi = TransitionPossibilityMatrix.from_matrix(settings.phi)
+        self.det = probability_interval_to_possibility(*settings.pd_interval)
+        self.meas = MeasurementModel(
+            observation=position_observation(),
+            noise=sensor.noise_var * np.eye(2),
+            clutter_rate=max(sensor.clutter_rate, MIN_MODEL_CLUTTER),
+            region=scenario.region,
+        )
+        self.reduction = settings.reduction
+        pos_var = settings.birth.pos_var
+        self.birth = BirthConfig(
+            region=scenario.region,
+            pos_var=sensor.noise_var + 1.0 if pos_var is None else pos_var,
+            vel_var=settings.birth.vel_var,
+        )
+        self.state = BernoulliPossState(q_absent=1.0, q_present=1.0, spatial=self.birth.ignorance)
         self.prev_scan: Optional[Scan] = None
 
     def advance(self, scan: Scan, audit: Optional[list], series: str, step: int) -> None:
-        birth = build_birth_mixture(self.prev_scan, self.setup.birth)
-        pred = predict(self.state, self.setup.motion, self.setup.phi, birth)
+        birth = build_birth_mixture(self.prev_scan, self.birth)
+        pred = predict(self.state, self.motion, self.phi, birth)
         if audit is not None:
             audit.append((step, "predicted", series, pred))
-        post = update(pred, scan, self.setup.meas, self.setup.det)
-        reduced = reduce(post.spatial, self.setup.reduction)
+        post = update(pred, scan, self.meas, self.det)
+        reduced = reduce(post.spatial, self.reduction)
         self.state = BernoulliPossState(post.q_absent, post.q_present, reduced)
         if audit is not None:
             audit.append((step, "updated", series, self.state))
@@ -220,7 +194,9 @@ def run_once(
 
     A numerical failure raises NumericsError naming the run and the step,
     where step 0 is the run's setup: simulating its scenario and building
-    its filters.
+    its filters.  Parsing the config rejects a dt, psd or region that the
+    truth or the filters cannot be built from, so step 0 is left for
+    failures met while simulating, such as a truth that overflows.
     """
     if mode not in ("single", "independent", "dependent"):
         raise ValueError(f"unknown run mode {mode!r}")
@@ -236,7 +212,7 @@ def run_once(
             scans.extend(labeled)
         positions = _truth_positions(truth)
         streams = [[scan for scan, _ in sensor_scans] for sensor_scans in labeled]
-        engines = [_Filter(build_filter_setup(cfg, s)) for s in scenario.sensors[: len(streams)]]
+        engines = [_Filter(cfg, s) for s in scenario.sensors[: len(streams)]]
         names = ["single"] if mode == "dependent" else [f"sensor{i + 1}" for i in range(len(streams))]
         tracks = {name: SeriesTrack() for name in names}
         fused_tracks = {name: SeriesTrack() for name in fused_names}
@@ -319,32 +295,22 @@ def _write_lines(path: Path, lines: list[str]) -> None:
 
 def _write_outputs(out_dir: Path, agg: AggregateResult) -> dict[str, Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
+    tables = [
+        ("ospa", "mean_ospa,runs",
+         lambda s, k: f"{_fmt(agg.mean_ospa[s][k])},{agg.runs}"),
+        ("trace", "mean_trace,present_count",
+         lambda s, k: f"{_fmt(agg.mean_trace[s][k])},{int(agg.present_count[s][k])}"),
+        ("presence", "mean_q_absent,mean_q_present",
+         lambda s, k: f"{_fmt(agg.mean_q_absent[s][k])},{_fmt(agg.mean_q_present[s][k])}"),
+    ]
     files: dict[str, Path] = {}
-
-    lines = ["step,series,mean_ospa,runs"]
-    for k in range(agg.steps):
-        for s in agg.series:
-            lines.append(f"{k + 1},{s},{_fmt(agg.mean_ospa[s][k])},{agg.runs}")
-    files["ospa"] = out_dir / "ospa.csv"
-    _write_lines(files["ospa"], lines)
-
-    lines = ["step,series,mean_trace,present_count"]
-    for k in range(agg.steps):
-        for s in agg.series:
-            lines.append(
-                f"{k + 1},{s},{_fmt(agg.mean_trace[s][k])},{int(agg.present_count[s][k])}"
-            )
-    files["trace"] = out_dir / "trace.csv"
-    _write_lines(files["trace"], lines)
-
-    lines = ["step,series,mean_q_absent,mean_q_present"]
-    for k in range(agg.steps):
-        for s in agg.series:
-            lines.append(
-                f"{k + 1},{s},{_fmt(agg.mean_q_absent[s][k])},{_fmt(agg.mean_q_present[s][k])}"
-            )
-    files["presence"] = out_dir / "presence.csv"
-    _write_lines(files["presence"], lines)
+    for name, header, row in tables:
+        lines = [f"step,series,{header}"]
+        for k in range(agg.steps):
+            for s in agg.series:
+                lines.append(f"{k + 1},{s},{row(s, k)}")
+        files[name] = out_dir / f"{name}.csv"
+        _write_lines(files[name], lines)
     return files
 
 
@@ -366,7 +332,6 @@ def _write_scan_dump(out_dir: Path, runs: list[list]) -> Path:
 @dataclass
 class ExperimentResult:
     aggregate: AggregateResult
-    output_dir: Path
     files: dict[str, Path]
 
 
@@ -380,7 +345,7 @@ def _drive(cfg: ExperimentConfig, mode: str, out_dir, dump_scans: bool) -> Exper
     files = _write_outputs(out_path, agg)
     if dump_scans:
         files["scans"] = _write_scan_dump(out_path, [scans for _, scans in results])
-    return ExperimentResult(aggregate=agg, output_dir=out_path, files=files)
+    return ExperimentResult(aggregate=agg, files=files)
 
 
 def run_single(cfg: ExperimentConfig, out_dir=None, dump_scans: bool = False) -> ExperimentResult:

@@ -73,6 +73,11 @@ class Rect:
             _check_finite(name, getattr(self, name))
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
             raise ValueError(f"region must have positive extent, got {self}")
+        # The squared half extent of each axis is the ignorance mixture's
+        # position variance.
+        for axis, extent in (("x", self.width), ("y", self.height)):
+            if not 0.0 < (extent / 2.0) * (extent / 2.0) < math.inf:
+                raise ValueError(f"{axis} extent {extent!r} gives no positive finite position variance")
 
     @property
     def width(self) -> float:
@@ -143,6 +148,17 @@ class ScenarioConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.psd < 0.0:
             raise ValueError(f"psd must be nonnegative, got {self.psd}")
+        # Truth sampling factorises the process noise when psd > 0.
+        try:
+            Q = cv_process_noise(self.dt, self.psd)
+            if self.psd > 0.0:
+                np.linalg.cholesky(Q)
+            usable = np.isfinite(Q).all()
+        except (OverflowError, np.linalg.LinAlgError):
+            usable = False
+        if not usable:
+            raise ValueError(f"dt {self.dt!r} with psd {self.psd!r} gives a process noise "
+                             "that overflows or has no Cholesky factor")
         if len(self.initial_state) != 4:
             raise ValueError("initial_state must have 4 entries (x, vx, y, vy)")
         for i, v in enumerate(self.initial_state):

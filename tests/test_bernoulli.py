@@ -1,6 +1,7 @@
 """Bernoulli possibilistic filter recursion."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from possfuse.bernoulli import (
+    MERGE_TABLE_BUDGET,
     BernoulliPossState,
     DetectionPossibility,
     Estimate,
@@ -539,6 +541,45 @@ class TestReduce:
         assert got.weights.tobytes() == want.weights.tobytes()
         assert got.means.tobytes() == want.means.tobytes()
         assert got.covariances.tobytes() == want.covariances.tobytes()
+
+    @pytest.mark.parametrize("cap", [5, 60, 1000])
+    def test_blocked_table_matches_per_head_loop(self, cap):
+        # 700 components need several blocks of the Mahalanobis table.
+        n = 700
+        assert n * n > MERGE_TABLE_BUDGET
+        rng = np.random.default_rng(cap)
+        centres = rng.uniform(0.0, 60.0, size=(40, 4))
+        means = centres[rng.integers(0, 40, size=n)] + rng.normal(size=(n, 4))
+        A = rng.normal(size=(n, 4, 4)) * 0.6
+        covs = A @ A.swapaxes(1, 2) + np.eye(4) * rng.uniform(0.3, 2.0, size=(n, 1, 1))
+        w = rng.choice([5e-4, 0.05, 0.3, 0.5, 0.8, 1.0], size=n)
+        mix = GaussianMaxMixture(w, means, covs)
+        cfg = ReductionConfig(prune_ratio=1e-3, merge_mahalanobis=2.0, max_components=cap)
+        got = reduce(mix, cfg)
+        want = reduce_reference(mix, cfg)
+        assert got.n_components == min(cap, want.n_components)
+        for field in ("weights", "means", "covariances"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+    def test_memory_is_bounded_by_the_kept_clusters(self):
+        # A whole 9,409 x 9,409 table would take 2.8 GB for diff alone.
+        n = 97 * 97
+        rng = np.random.default_rng(3)
+        w = rng.uniform(1e-6, 1.0, size=n)
+        w[0] = 1.0
+        covs = np.broadcast_to(np.diag([2.0, 0.1, 2.0, 0.1]), (n, 4, 4))
+        mix = GaussianMaxMixture(w, rng.uniform(0.0, 60.0, size=(n, 4)), covs)
+        cfg = ReductionConfig(prune_ratio=1e-12, merge_mahalanobis=1e-6, max_components=100)
+        tracemalloc.start()
+        try:
+            red = reduce(mix, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
+        assert red.n_components == 100
+        heaviest = np.argsort(-w, kind="stable")[:100]
+        assert red.means.tobytes() == mix.means[heaviest].tobytes()
 
 
 class TestStateAndExtract:

@@ -17,12 +17,12 @@ from possfuse.bernoulli import BernoulliPossState, ReductionConfig, predict, red
 from possfuse.config import default_experiment
 from possfuse.fusion import OMEGA_GRID, fuse_chernoff, fuse_independent, select_omega
 from possfuse.gaussmax import GaussianMaxMixture
-from possfuse.runner import build_filter_setup
+from possfuse.runner import _Filter
 from possfuse.simulate import BirthConfig, Rect, Scan, build_birth_mixture
 from support import random_mixture, reference_conditioned_covariance
 
 CFG = default_experiment()
-SETUP = build_filter_setup(CFG, CFG.scenario.sensors[0])
+SETUP = _Filter(CFG, CFG.scenario.sensors[0])
 REGION = Rect(0.0, 60.0, 0.0, 60.0)
 NEAR_SINGULAR = np.diag([1.0, 1e-12, 1.0, 1.0])
 GATE = gaussmax_mod.SCREEN_MIN_STACK

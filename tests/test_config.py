@@ -20,7 +20,7 @@ from possfuse.config import (
     serialize_experiment,
 )
 from possfuse.gaussmax import NORM_TOL
-from possfuse.runner import build_filter_setup
+from possfuse.runner import _Filter
 from possfuse.simulate import BirthConfig, Rect, ScenarioConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -135,7 +135,18 @@ class TestValidation:
         # The config accepts what the filter's transition model accepts.
         near = 1.0 - NORM_TOL / 2
         cfg = parse_experiment({"filter": {"phi": [[near, 0.01], [0.01, 1.0]]}})
-        assert build_filter_setup(cfg, cfg.scenario.sensors[0]).phi.stay_absent == near
+        assert _Filter(cfg, cfg.scenario.sensors[0]).phi.stay_absent == near
+
+    def test_birth_pos_var_null_follows_each_sensor(self):
+        # null gives each filter its own sensor's noise_var + 1; a number
+        # is used as given.
+        sensors = [{"noise_var": 0.5}, {"noise_var": 4.0}]
+        cfg = parse_experiment({"scenario": {"sensors": sensors}, "filter": {"birth": {"pos_var": None}}})
+        births = [_Filter(cfg, s).birth for s in cfg.scenario.sensors]
+        assert [b.pos_var for b in births] == [1.5, 5.0]
+        assert [b.covariance[0, 0] for b in births] == [1.5, 5.0]
+        cfg = parse_experiment({"scenario": {"sensors": sensors}, "filter": {"birth": {"pos_var": 7.0}}})
+        assert [_Filter(cfg, s).birth.pos_var for s in cfg.scenario.sensors] == [7.0, 7.0]
 
     def test_scenario_sensor_fields(self):
         cfg = parse_experiment(

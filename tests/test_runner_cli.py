@@ -409,26 +409,42 @@ class TestCli:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize(
-        "scenario",
+        "scenario, field",
         [
-            {"region": {"xmax": 1e-300}},
-            {"region": {"ymax": 1e300}, "psd": 0.0},
-            {"dt": 1e300},
-            {"dt": 5e-324},
+            ({"region": {"xmax": 1e-300}}, "scenario.region.xmax"),
+            ({"region": {"ymax": 1e300}, "psd": 0.0}, "scenario.region.ymax"),
+            ({"dt": 1e300}, "scenario.dt"),
+            ({"dt": 5e-324}, "scenario.dt"),
         ],
         ids=["xmax-1e-300", "ymax-1e300-psd-0", "dt-1e300", "dt-5e-324"],
     )
-    def test_setup_failure_is_exit_3_at_step_0(self, scenario, workers, tmp_path, capsys, monkeypatch):
-        # These pass validation but break the run's setup: its simulation
-        # or the construction of its filters.
+    def test_unbuildable_scenario_is_exit_2(self, scenario, field, workers, tmp_path, capsys, monkeypatch):
+        # The region's ignorance variance and the process noise's Cholesky
+        # factor are checked where the config is parsed, not at run setup.
         monkeypatch.setenv("POSSFUSE_THREADS", workers)
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"scenario": scenario}))
+        code = main(["fuse-independent", "--config", str(path), "--runs", "2",
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {field}: ")
+
+    # The truth's overflow also raises numpy's RuntimeWarnings, which the
+    # CLI prints and this suite would otherwise turn into an error.
+    @pytest.mark.filterwarnings("ignore:.* encountered in matmul:RuntimeWarning")
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_setup_failure_is_exit_3_at_step_0(self, workers, tmp_path, capsys, monkeypatch):
+        # A start this far out passes validation, and its truth overflows
+        # while the run's scenario is simulated.
+        monkeypatch.setenv("POSSFUSE_THREADS", workers)
+        scenario = {"initial_state": [1e308, 1e308, 55.0, 0.0]}
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({"scenario": scenario}))
         code = main(["fuse-independent", "--config", str(path), "--runs", "2",
                      "--out", str(tmp_path / "x")])
         assert code == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: numerical failure in run 0 at step 0: ")
+        assert err.startswith("error: numerical failure in run 0 at step 0: scan points must be finite")
         assert "Traceback" not in err
         # A sensor count the fusion cannot use is still a configuration error.
         path.write_text(json.dumps({"scenario": dict(scenario, sensors=[{}] * 3)}))
