@@ -28,7 +28,6 @@ maps to a detection possibility high and a non-detection possibility
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -38,11 +37,11 @@ import numpy as np
 from .gaussmax import (
     NORM_TOL,
     SYMMETRY_TOL,
-    WEIGHT_UNDERFLOW,
     GaussianMaxMixture,
     _conditioned_covariance,
     _log_sup_product,
     _readonly,
+    _surviving,
 )
 from .simulate import Rect, Scan, _check_finite, _check_int
 
@@ -362,8 +361,8 @@ def update(
     weighted by detection * clutter_ratio * N(z; eta_i, S_i) * w_i / theta.
     Because theta is the exact supremum of those unscaled weights, the
     posterior max weight lands at 1 up to rounding; it is renormalised to
-    exactly 1.  Components whose weight underflows are dropped, except
-    that the heaviest always survives.
+    exactly 1.  Components whose renormalised weight underflows are
+    dropped by the one rule, _surviving, that fusion applies too.
     """
     mix = pred.spatial
     if meas.state_dim != mix.dim:
@@ -408,15 +407,13 @@ def update(
     det_means = m[None, :, :] + np.einsum("nij,mnj->mni", K, nu)
 
     weights = np.concatenate([nd_w, det_w.reshape(-1)])
+    weights /= weights.max()
     means = np.concatenate([m, det_means.reshape(-1, nx)])
     covs = np.empty((n_comp * (1 + n_meas), nx, nx))
     covs[:n_comp] = P
     covs[n_comp:].reshape(n_meas, n_comp, nx, nx)[...] = P_upd
-    if weights.min() < WEIGHT_UNDERFLOW:
-        keep = weights >= WEIGHT_UNDERFLOW
-        keep[int(np.argmax(weights))] = True
-        weights, means, covs = weights[keep], means[keep], covs[keep]
-    spatial = GaussianMaxMixture._derived(weights / weights.max(), means, covs)
+    keep = _surviving(weights)
+    spatial = GaussianMaxMixture._derived(weights[keep], means[keep], covs[keep])
     return BernoulliPossState(q0, q1, spatial)
 
 
@@ -431,6 +428,9 @@ def reduce(mixture: GaussianMaxMixture, config: ReductionConfig) -> GaussianMaxM
     supremum, and takes the weight-proportional moment-matched mean and
     covariance.  Finally at most max_components clusters survive, kept by
     descending weight, and weights are rescaled so the max is exactly 1.
+    The distances are computed for one window of candidate heads at a
+    time, at most MERGE_TABLE_BUDGET entries, so memory stays bounded
+    however many components come in.
     """
     keep = mixture.weights >= config.prune_ratio * mixture.max_weight
     w, means, covs = mixture.weights[keep], mixture.means[keep], mixture.covariances[keep]
@@ -439,37 +439,38 @@ def reduce(mixture: GaussianMaxMixture, config: ReductionConfig) -> GaussianMaxM
         # A lone survivor is its own cluster, and w / w.max() is exactly 1.
         return GaussianMaxMixture._derived(np.ones(1), means, covs)
 
-    # near[h][j]: component j lies within merge_mahalanobis of component h
-    # in h's metric.  The greedy walk computes rows only for candidate
-    # heads still alive, a block of them at a time, and stops at
-    # max_components heads, since the cap drops every later cluster.
-    radius2 = float(config.merge_mahalanobis) ** 2
+    # near[j]: component j lies within merge_mahalanobis of the head in
+    # the head's metric.  The greedy walk reads heads in weight order, in
+    # windows of at most `rows` of them, and computes rows only for heads
+    # still alive when their window starts; it stops at max_components
+    # heads, since the cap drops every later cluster.
+    # A product, not a power, so that a huge radius squares to inf.
+    radius2 = config.merge_mahalanobis * float(config.merge_mahalanobis)
     rows = max(1, MERGE_TABLE_BUDGET // n)
+    order = np.argsort(-w, kind="stable").tolist()
     alive = [True] * n
-    candidates = (h for h in np.argsort(-w, kind="stable").tolist() if alive[h])
     heads: list[int] = []
     clusters: list[list[int]] = []
-    while len(heads) < config.max_components:
-        block = list(itertools.islice(candidates, rows))
+    for start in range(0, n, rows):
+        block = [h for h in order[start : start + rows] if alive[h]]
         if not block:
-            break
-        # Rows go in index order; a block of every component is read in place.
-        whole = len(block) == n
-        sel = slice(None) if whole else sorted(block)
+            continue
+        # One index array serves both reads; a list would be converted twice.
+        sel = np.array(block)
         diff = means[None, :, :] - means[sel, None, :]
         y = np.linalg.solve(np.linalg.cholesky(covs[sel]), diff.swapaxes(1, 2))
-        table = ((y * y).sum(axis=1) <= radius2).tolist()
-        near = table if whole else dict(zip(sel, table))
-        for head in block:
+        for head, near in zip(block, ((y * y).sum(axis=1) <= radius2).tolist()):
             if not alive[head]:
                 continue
-            cluster = [j for j, close in enumerate(near[head]) if close and alive[j]]
+            cluster = [j for j, close in enumerate(near) if close and alive[j]]
             for j in cluster:
                 alive[j] = False
             heads.append(head)
             clusters.append(cluster)
             if len(heads) == config.max_components:
                 break
+        if len(heads) == config.max_components:
+            break
     # Clusters were emitted in descending head weight, so the cap kept
     # the heaviest ones and the order is deterministic.  Untouched
     # components keep their exact mean and covariance.

@@ -16,8 +16,8 @@ cross-component weight.  No grids, no sampling.
 
 A step fuses the same pair of states up to three ways: the min-trace
 search over OMEGA_GRID, Chernoff fusion at one omega and the independent
-product.  All three read one set of product tables, built once per pair
-with every row they need and cached on the first state's mixture.
+product.  All three read one product table, built once per pair with
+every row they need and cached on the first state's mixture.
 """
 
 from __future__ import annotations
@@ -31,11 +31,11 @@ import numpy as np
 
 from .bernoulli import BernoulliPossState, ReductionConfig, reduce
 from .gaussmax import (
-    WEIGHT_UNDERFLOW,
     GaussianMaxMixture,
     _checked_weights,
     _conditioned_covariance,
     _cross_arrays,
+    _surviving,
     sup_linear_gaussian_product,
 )
 
@@ -55,9 +55,9 @@ OMEGA_GRID = tuple(np.round(np.linspace(0.05, 0.95, 19), 2).tolist())
 # so rounding noise cannot pick among exponents that fuse alike (as every
 # exponent does when a state is fused with itself).
 TRACE_TIE_RTOL = 1e-9
-# Most (exponent row, component pair) combinations one table of the
-# min-trace search holds.  Its temporaries grow with their number, so when
-# both mixtures are large the search walks OMEGA_GRID in blocks.
+# Most (exponent row, component pair) combinations one _cross_arrays call
+# of a product table computes.  Its temporaries grow with their number, so
+# when both mixtures are large a table is built in blocks of rows.
 SEARCH_BLOCK_PAIRS = 1024
 # Exponents of independent-product fusion.  Every product table holds this
 # row, so a step's independent fusion reuses the table its Chernoff fusion
@@ -80,46 +80,49 @@ class FusionResult:
 
 
 class _ProductTable:
-    """Every fused component pair of two mixtures at several exponent rows.
+    """Every fused component pair of two mixtures at several exponent rows,
+    cached on the first mixture as its one product table.
 
-    Row r fuses at exponents rows[r] = (e1, e2).  One _cross_arrays call
-    computes all rows; their kept pairs are then conditioned and checked
-    in one pass, and bounds[r]:bounds[r + 1] slices row r's out of the
-    kept arrays.  A row equals a table of that row alone bit for bit:
+    Row r fuses at exponents rows[r] = (e1, e2).  The rows go through
+    _cross_arrays in blocks of at most SEARCH_BLOCK_PAIRS (row, pair)
+    combinations, which bounds its temporaries when both mixtures are
+    large.  Each row's pair weights are divided by their largest, alpha =
+    exp(log_alpha), and the row keeps the pairs _surviving keeps of them.
+    Every kept pair of every row is then conditioned and checked in one
+    pass, and bounds[r]:bounds[r + 1] slices row r's out of the kept
+    arrays.  A row equals a table of that row alone bit for bit:
     _cross_arrays slices, conditioning and exp act per row, per matrix and
     per element.  A failing check in any row fails the whole table.
+
+    The table replaces any table cached on a before it.  It holds its
+    partner b by weak reference, so a self-fusion makes no reference cycle
+    and a partner that has been freed never matches a later mixture.
     """
 
     def __init__(self, a: GaussianMaxMixture, b: GaussianMaxMixture, rows: list):
         e1, e2 = np.array(rows).T
-        log_w, means, covs = _cross_arrays(
-            e1, np.log(a.weights), a.means, a.covariances,
-            e2, np.log(b.weights), b.means, b.covariances,
-        )
+        log_a, log_b = np.log(a.weights), np.log(b.weights)
+        step = max(1, SEARCH_BLOCK_PAIRS // (a.n_components * b.n_components))
+        blocks = [
+            _cross_arrays(
+                e1[i : i + step], log_a, a.means, a.covariances,
+                e2[i : i + step], log_b, b.means, b.covariances,
+            )
+            for i in range(0, len(rows), step)
+        ]
+        log_w, means, covs = (np.concatenate(parts) for parts in zip(*blocks))
         log_w = log_w.reshape(len(rows), -1)
         self.index = {row: r for r, row in enumerate(rows)}
-        self.log_alpha, self.keep = _kept_pairs(log_w)
+        self.log_alpha = log_w.max(axis=1)
         self.weights = np.exp(log_w - self.log_alpha[:, None])
-        kept = self.keep.reshape(-1)
-        self.kept_weights = _checked_weights(self.weights[self.keep])
+        kept = _surviving(self.weights).reshape(-1)
+        self.kept_weights = _checked_weights(self.weights.reshape(-1)[kept])
         self.means = means.reshape(-1, a.dim)[kept]
         self.covs = _conditioned_covariance(covs.reshape(-1, a.dim, a.dim)[kept])
         # ends[r, j]: how many pairs the table keeps up to row r, pair j.
-        self.ends = np.cumsum(kept).reshape(self.keep.shape)
+        self.ends = np.cumsum(kept).reshape(self.weights.shape)
         self.bounds = [0, *self.ends[:, -1].tolist()]
-
-
-def _new_tables(a: GaussianMaxMixture, b: GaussianMaxMixture, blocks: list) -> list:
-    """Build one product table of a and b per block of rows and cache them
-    all on a.
-
-    a holds its partner by weak reference, so a self-fusion makes no
-    reference cycle, and a partner that has been freed never matches a
-    later mixture.  Each mixture caches the tables of its latest build.
-    """
-    tables = [_ProductTable(a, b, rows) for rows in blocks]
-    object.__setattr__(a, "_product_tables", (weakref.ref(b), tables))
-    return tables
+        object.__setattr__(a, "_product_table", (weakref.ref(b), self))
 
 
 def _fused_mixture(
@@ -127,39 +130,21 @@ def _fused_mixture(
 ) -> tuple[GaussianMaxMixture, float]:
     """All-pairs fused mixture, normalised; returns (mixture, log_alpha).
 
-    The row comes from a table cached on a when those tables were built
-    for b and one holds (e1, e2).  Otherwise a new table is built of that
-    row and the independent row, so one step's Chernoff and independent
-    fusions share one table.
+    The row comes from the table cached on a when it was built for b and
+    holds (e1, e2).  Otherwise a new table is built of that row and the
+    independent row, so one step's Chernoff and independent fusions share
+    one table.
     """
     row = (e1, e2)
-    partner, tables = vars(a).get("_product_tables", (None, ()))
-    if partner is None or partner() is not b:
-        tables = ()
-    table = next((t for t in tables if row in t.index), None)
-    if table is None:
-        (table,) = _new_tables(a, b, [[row] if row == INDEPENDENT else [row, INDEPENDENT]])
+    partner, table = vars(a).get("_product_table", (None, None))
+    if partner is None or partner() is not b or row not in table.index:
+        table = _ProductTable(a, b, [row] if row == INDEPENDENT else [row, INDEPENDENT])
     r = table.index[row]
     lo, hi = table.bounds[r], table.bounds[r + 1]
     mixture = GaussianMaxMixture._derived(
         table.kept_weights[lo:hi], table.means[lo:hi], table.covs[lo:hi]
     )
     return mixture, float(table.log_alpha[r])
-
-
-def _kept_pairs(log_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of pair log weights (k, n): log alpha, the largest log
-    weight, and the mask of the pairs a fused mixture keeps.
-
-    Pairs whose unnormalised weight underflows in linear scale carry no
-    information; they are dropped, but never the top pair, so the mixture
-    is never empty even under severe conflict.
-    """
-    rows = np.arange(log_w.shape[0])
-    top = np.argmax(log_w, axis=1)
-    keep = np.exp(log_w) >= WEIGHT_UNDERFLOW
-    keep[rows, top] = True
-    return log_w[rows, top], keep
 
 
 def _check_pair(a: BernoulliPossState, b: BernoulliPossState) -> None:
@@ -272,34 +257,24 @@ def select_omega(a: BernoulliPossState, b: BernoulliPossState) -> float:
     TRACE_TIE_RTOL of the smallest are tied, and ties break toward 0.5,
     then toward the smaller exponent, so the choice is deterministic.  The
     search is one product table over the whole grid plus the independent
-    row (over blocks of them when both mixtures are large): it runs every
-    check that fusing at each exponent would (finite, positive definite
-    covariances and finite weights in each trial mixture) and compares the
-    traces of the conditioned top covariances, without building the trial
-    mixtures.  Every block's table stays cached on a's mixture, so fusing
-    the same pair at the chosen exponent and independently reads its rows
-    instead of fusing again.
+    row: it runs every check that fusing at each exponent would (finite,
+    positive definite covariances and finite weights in each trial
+    mixture) and compares the traces of the conditioned top covariances,
+    without building the trial mixtures.  The table stays cached on a's
+    mixture, so fusing the same pair at the chosen exponent and
+    independently reads its rows instead of fusing again.
     """
     _check_pair(a, b)
     rows = [(1.0 - omega, omega) for omega in OMEGA_GRID] + [INDEPENDENT]
-    step = max(1, SEARCH_BLOCK_PAIRS // (a.spatial.n_components * b.spatial.n_components))
-    blocks = [rows[i : i + step] for i in range(0, len(rows), step)]
-    traces = np.concatenate(
-        [_top_traces(table) for table in _new_tables(a.spatial, b.spatial, blocks)]
-    )[: len(OMEGA_GRID)]
+    table = _ProductTable(a.spatial, b.spatial, rows)
+    # A row's heaviest component is its first pair of weight 1, which is
+    # always kept; locate it among the kept pairs, which are in row order.
+    head = np.argmax(table.weights[: len(OMEGA_GRID)], axis=1)
+    position = table.ends[np.arange(head.size), head] - 1
+    traces = np.trace(table.covs[position], axis1=-2, axis2=-1)
     floor = traces.min()
     tied = (traces - floor <= TRACE_TIE_RTOL * floor).tolist()
     return min((abs(omega - 0.5), omega) for omega, t in zip(OMEGA_GRID, tied) if t)[1]
-
-
-def _top_traces(table: _ProductTable) -> np.ndarray:
-    """Covariance trace of the heaviest component of each row's fused
-    mixture."""
-    # A row's heaviest component is its first kept pair of largest
-    # weight; locate it among the kept pairs, which are in row order.
-    head = np.argmax(np.where(table.keep, table.weights, -1.0), axis=1)
-    position = table.ends[np.arange(head.size), head] - 1
-    return np.trace(table.covs[position], axis1=-2, axis2=-1)
 
 
 # ---------------------------------------------------------------------------

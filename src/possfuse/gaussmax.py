@@ -23,7 +23,8 @@ Closed-form operations that stay inside this family:
 
 All types here are immutable values.  Operations return new objects, never
 mutate their inputs, and hold no global state.  The only cache a mixture
-carries is the product table that fusion builds with it and attaches to it.
+carries is at most one product table, the latest that fusion built with it
+as the first input and attached to it.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ SCREEN_MIN_STACK = 12
 SCREEN_MARGIN = 4.0
 # Slack allowed when checking that a weight does not exceed 1.
 NORM_TOL = 1e-12
-# Linear-scale weights below this are treated as numerically extinct.
+# Weights below this fraction of a mixture's largest are numerically
+# extinct; _surviving is the one place that applies it.
 WEIGHT_UNDERFLOW = 1e-300
 
 
@@ -147,6 +149,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     """Mark an array the caller owns read-only, without copying it."""
     a.setflags(write=False)
     return a
+
+
+def _surviving(w: np.ndarray) -> np.ndarray:
+    """Mask of the components a mixture keeps, given weights divided by
+    their largest: those not below WEIGHT_UNDERFLOW.
+
+    The heaviest component has weight 1, so it always stays, and a mixture
+    is never empty however far apart its sources are.  A NaN weight stays
+    too, so that _checked_weights rejects it.
+    """
+    return ~(w < WEIGHT_UNDERFLOW)
 
 
 def _checked_weights(w: np.ndarray) -> np.ndarray:

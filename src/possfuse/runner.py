@@ -156,17 +156,20 @@ def _simulate_run(cfg: ExperimentConfig, run_idx: int, mode: str) -> tuple[list,
     feeds, in sensor order: dependent mode feeds only the first.
 
     Seeds are drawn for every configured sensor, so a sensor's scans do
-    not depend on which sensors the mode feeds.
+    not depend on which sensors the mode feeds.  An overflow or invalid
+    operation raises FloatingPointError rather than warning, so it fails
+    the run the same way under any warning filter.
     """
     scenario = cfg.scenario
     sequence = np.random.SeedSequence(entropy=(int(cfg.master_seed), int(run_idx)))
     seeds = [int(w) for w in sequence.generate_state(1 + len(scenario.sensors), dtype=np.uint64)]
-    truth = generate_truth(scenario, seeds[0])
     sensors = scenario.sensors[:1] if mode == "dependent" else scenario.sensors
-    labeled = [
-        generate_labeled_measurements(truth, sensor, scenario.region, seeds[1 + i])
-        for i, sensor in enumerate(sensors)
-    ]
+    with np.errstate(over="raise", invalid="raise"):
+        truth = generate_truth(scenario, seeds[0])
+        labeled = [
+            generate_labeled_measurements(truth, sensor, scenario.region, seeds[1 + i])
+            for i, sensor in enumerate(sensors)
+        ]
     return truth, labeled
 
 
@@ -196,7 +199,9 @@ def run_once(
     where step 0 is the run's setup: simulating its scenario and building
     its filters.  Parsing the config rejects a dt, psd or region that the
     truth or the filters cannot be built from, so step 0 is left for
-    failures met while simulating, such as a truth that overflows.
+    failures met while simulating, such as a truth that overflows.  A run
+    that runs out of memory, as a valid but enormous clutter rate makes
+    it, fails the same way.
     """
     if mode not in ("single", "independent", "dependent"):
         raise ValueError(f"unknown run mode {mode!r}")
@@ -232,7 +237,7 @@ def run_once(
                     _append_state(fused_tracks[name], result.state)
                     if audit is not None:
                         audit.append((step, "fused", name, result.state))
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ValueError, ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:
         raise NumericsError(run_idx, step, exc) from exc
 
     tracks.update(fused_tracks)

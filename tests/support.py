@@ -9,13 +9,18 @@ The module also keeps the earlier loop forms of reduce and of the
 per-step Monte Carlo fold (the latter built on ospa, itself checked
 against the permutation oracle), and the eigenvalue form of the
 covariance check, which the package's faster versions must match bit for
-bit.
+bit.  run_cli runs a command line in a child Python process.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -291,3 +296,30 @@ def aggregate_reference(records, cutoff: float, order: float):
         "mean_q_absent": q0_sum,
         "mean_q_present": q1_sum,
     }
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(
+    args: list[str], *, env: dict | None = None, memory_bytes: int | None = None, timeout: float = 60.0
+) -> subprocess.CompletedProcess:
+    """Run `python *args` with the package importable, capturing text.
+
+    memory_bytes, when given, caps the child's address space (RLIMIT_AS),
+    so an allocation beyond it raises MemoryError in the child alone.
+    """
+    child_env = {**os.environ, **(env or {})}
+    child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), child_env.get("PYTHONPATH")]))
+
+    def limit() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (memory_bytes, memory_bytes))
+
+    return subprocess.run(
+        [sys.executable, *args],
+        env=child_env,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        preexec_fn=None if memory_bytes is None else limit,
+    )

@@ -460,6 +460,13 @@ class TestReduce:
         red2 = reduce(mix2, self.CFG)
         assert red2.n_components == 2
 
+    def test_huge_merge_radius_merges_everything(self):
+        # 1e300 squared overflows to inf, which every distance is within.
+        mix = GaussianMaxMixture([1.0, 0.5], [[0.0], [1e6]], [[[1.0]], [[1.0]]])
+        red = reduce(mix, ReductionConfig(merge_mahalanobis=1e300))
+        assert red.n_components == 1
+        assert red.means[0, 0] == pytest.approx(0.5e6 / 1.5)
+
     def test_cap_keeps_heaviest(self):
         n = 10
         w = np.linspace(1.0, 0.1, n)
@@ -580,6 +587,19 @@ class TestReduce:
         assert red.n_components == 100
         heaviest = np.argsort(-w, kind="stable")[:100]
         assert red.means.tobytes() == mix.means[heaviest].tobytes()
+
+    def test_windows_without_a_live_head_compute_nothing(self, monkeypatch):
+        # The heaviest component absorbs all 1,000, so of the 16 windows
+        # of 65 heads only the first computes a table.
+        n = 1000
+        rng = np.random.default_rng(4)
+        covs = np.broadcast_to(np.eye(2), (n, 2, 2))
+        mix = GaussianMaxMixture(np.linspace(1.0, 0.5, n), rng.normal(0.0, 0.01, size=(n, 2)), covs)
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda P: calls.append(len(P)) or cholesky(P))
+        assert reduce(mix, self.CFG).n_components == 1
+        assert calls == [MERGE_TABLE_BUDGET // n]
 
 
 class TestStateAndExtract:

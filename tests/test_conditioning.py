@@ -251,8 +251,8 @@ class TestCholeskyScreen:
         select_omega(a, b)
         # One table of the 19 grid rows and the independent row, all
         # cleared by the screen.
-        _, tables = vars(a.spatial)["_product_tables"]
-        assert [len(t.index) for t in tables] == [len(OMEGA_GRID) + 1]
+        _, table = vars(a.spatial)["_product_table"]
+        assert len(table.index) == len(OMEGA_GRID) + 1
         assert eigvalsh_calls == []
 
 

@@ -305,6 +305,24 @@ class TestConflictAndReduction:
         assert res.state.q_absent == 1.0
         assert res.state.q_present == 0.0
 
+    def test_far_apart_sources_keep_every_fused_pair(self):
+        # Every pair's log weight is about -801, below log WEIGHT_UNDERFLOW,
+        # but relative to the row's largest the second pair weighs 0.9487.
+        # Dropping by absolute weight would leave one mode of two.
+        a = BernoulliPossState(1.0, 1.0, GaussianMaxMixture([1.0, 0.9], [[0.0, 3.0], [0.0, -3.0]], [np.eye(2)] * 2))
+        b = BernoulliPossState(1.0, 1.0, GaussianMaxMixture([1.0], [[80.0, 0.0]], [np.eye(2)]))
+        spread = np.linalg.inv(np.eye(2) / 0.5 + np.eye(2) / 0.5)
+        lw = np.array([
+            0.5 * math.log(w) - 0.5 * (m - [80.0, 0.0]) @ spread @ (m - [80.0, 0.0])
+            for w, m in zip(a.spatial.weights, a.spatial.means)
+        ])
+        assert lw.max() < math.log(WEIGHT_UNDERFLOW)
+        for reduction in (None, ReductionConfig()):
+            mix = fuse_chernoff(a, b, 0.5, reduction).state.spatial
+            np.testing.assert_allclose(mix.weights, np.exp(lw - lw.max()), rtol=1e-12)
+            np.testing.assert_allclose(mix.weights, [1.0, math.sqrt(0.9)], rtol=1e-12)
+            np.testing.assert_allclose(mix.means, [[40.0, 1.5], [40.0, -1.5]], atol=1e-12)
+
     def test_reduction_is_applied(self):
         rng = np.random.default_rng(40)
         a, _ = random_state(rng, dim=2, max_comps=4)
@@ -530,8 +548,7 @@ def one_row_fusion(a, b, e1, e2):
     )
     log_w = log_w.reshape(-1)
     top = int(np.argmax(log_w))
-    keep = np.exp(log_w) >= WEIGHT_UNDERFLOW
-    keep[top] = True
+    keep = np.exp(log_w - log_w[top]) >= WEIGHT_UNDERFLOW
     mix = GaussianMaxMixture._derived(
         np.exp(log_w[keep] - log_w[top]),
         means.reshape(-1, A.dim)[keep],
@@ -625,12 +642,12 @@ class TestProductTable:
         a = sized_state(rng, 8)
         b = a if self_fusion else sized_state(rng, 8)
         omega = select_omega(a, b)
-        # 64 pairs: 16 rows per table, so the grid and the independent row
-        # take two tables.
+        # 64 pairs: 16 rows per block, so the grid and the independent row
+        # take two blocks.
         search = [16, len(OMEGA_GRID) + 1 - 16]
         assert kernel_calls == search
-        # Both blocks stay cached: rows from the first (0.05) and the
-        # second (0.95 and independent) need no new table.
+        # The one table holds both blocks: rows from the first (0.05) and
+        # the second (0.95 and independent) need no new table.
         got = {o: self.fusions(a, b, [o], None) for o in (omega, 0.05, 0.95)}
         assert kernel_calls == search
         assert omega == reference_select_omega(a, b)
@@ -675,10 +692,11 @@ class TestProductTable:
         ],
     )
     def test_one_kernel_call_per_fused_pair_per_step(self, mode, strategy, clutter, kernel_calls, monkeypatch):
-        # One _cross_arrays call per table a step's pair needs: one, or one
-        # per block when a search outgrows SEARCH_BLOCK_PAIRS.  Counted at
-        # each step's last fusion, with the pair it fused.  A fixed omega's
-        # table always holds the independent row as well, however large.
+        # One table per step's pair, which takes one _cross_arrays call per
+        # block of rows: one, or several once its (row, pair) combinations
+        # outgrow SEARCH_BLOCK_PAIRS.  Counted at each step's last fusion,
+        # with the pair it fused.  A fixed omega's table holds two rows,
+        # the omega's and the independent one, however large.
         per_step = []
         inner = runner_mod.fuse_independent
 
@@ -695,20 +713,13 @@ class TestProductTable:
         assert len(per_step) == cfg.scenario.steps
         counts = np.diff([0] + [n for n, _ in per_step])
         pairs = np.array([p for _, p in per_step])
-        if strategy == "min-trace":
-            # One table per block of the search, and none after it.
-            per_table = np.maximum(1, fusion_mod.SEARCH_BLOCK_PAIRS // pairs)
-            expected = -(-(len(OMEGA_GRID) + 1) // per_table)
-        else:
-            expected = np.ones_like(pairs)
+        rows = len(OMEGA_GRID) + 1 if strategy == "min-trace" else 2
+        per_call = np.maximum(1, fusion_mod.SEARCH_BLOCK_PAIRS // pairs)
+        expected = -(-rows // per_call)
         assert (counts == expected).all()
         if clutter > 4.0:
-            # Some searches take several blocks, or some fixed-omega tables
-            # hold more pairs than one search block.
-            if strategy == "min-trace":
-                assert (expected > 1).sum() >= 5
-            else:
-                assert (2 * pairs > fusion_mod.SEARCH_BLOCK_PAIRS).sum() >= 5
+            # Some tables take several blocks.
+            assert (expected > 1).sum() >= 5
 
 
 class TestSelftest:

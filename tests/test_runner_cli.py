@@ -25,6 +25,7 @@ from possfuse.runner import (
     run_single,
 )
 from possfuse.simulate import ScenarioConfig, SensorConfig
+from support import run_cli
 
 
 def small_cfg(runs=2, **scenario_kw):
@@ -429,27 +430,28 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"configuration error: {field}: ")
 
-    # The truth's overflow also raises numpy's RuntimeWarnings, which the
-    # CLI prints and this suite would otherwise turn into an error.
-    @pytest.mark.filterwarnings("ignore:.* encountered in matmul:RuntimeWarning")
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_setup_failure_is_exit_3_at_step_0(self, workers, tmp_path, capsys, monkeypatch):
         # A start this far out passes validation, and its truth overflows
-        # while the run's scenario is simulated.
+        # while the run's scenario is simulated.  The overflow raises, so
+        # this suite's error::RuntimeWarning filter does not decide the code.
         monkeypatch.setenv("POSSFUSE_THREADS", workers)
         scenario = {"initial_state": [1e308, 1e308, 55.0, 0.0]}
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({"scenario": scenario}))
-        code = main(["fuse-independent", "--config", str(path), "--runs", "2",
-                     "--out", str(tmp_path / "x")])
+        args = ["fuse-independent", "--config", str(path), "--runs", "2", "--out", str(tmp_path / "x")]
+        code = main(args)
         assert code == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: numerical failure in run 0 at step 0: scan points must be finite")
+        assert err.startswith("error: numerical failure in run 0 at step 0: overflow encountered")
         assert "Traceback" not in err
+        # The same from a command line that turns warnings into errors.
+        child = run_cli(["-W", "error::RuntimeWarning", "-m", "possfuse.cli", *args])
+        assert child.returncode == 3
+        assert child.stderr.startswith("error: numerical failure in run 0 at step 0: overflow encountered")
         # A sensor count the fusion cannot use is still a configuration error.
         path.write_text(json.dumps({"scenario": dict(scenario, sensors=[{}] * 3)}))
-        code = main(["fuse-independent", "--config", str(path), "--runs", "2",
-                     "--out", str(tmp_path / "x")])
+        code = main(args)
         assert code == 2
         assert capsys.readouterr().err.startswith("configuration error: scenario.sensors:")
 
