@@ -93,8 +93,7 @@ def _report(result, stream) -> None:
     agg = result.aggregate
     print(f"{agg.runs} runs, {agg.steps} steps", file=stream)
     for name in agg.series:
-        vals = [v for v in agg.mean_ospa[name] if v == v]
-        mean = sum(vals) / len(vals) if vals else float("nan")
+        mean = sum(agg.mean_ospa[name]) / agg.steps
         print(f"  {name}: mean OSPA over run {mean:.4f}", file=stream)
     for f in sorted(result.files):
         print(f"  wrote {result.files[f]}", file=stream)

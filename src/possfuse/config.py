@@ -194,13 +194,14 @@ def _parse_section(obj: Any, cls: type, default: Any, path: str) -> Any:
         return replace(base, **changes)
     except ValueError as exc:
         # The section's __post_init__ holds every range check.  Blame the
-        # first field it rejects on its own; a constraint between fields
-        # belongs to the section.
+        # first field it rejects on its own with the same message; a
+        # constraint between fields belongs to the section.
         for key, value in changes.items():
             try:
                 replace(base, **{key: value})
             except ValueError as own:
-                raise ConfigError(_join(path, key), str(own)) from None
+                if str(own) == str(exc):
+                    raise ConfigError(_join(path, key), str(own)) from None
         raise ConfigError(path or "<config>", str(exc)) from None
 
 

@@ -17,7 +17,7 @@ cross-component weight.  No grids, no sampling.
 A step fuses the same pair of states up to three ways: the min-trace
 search over OMEGA_GRID, Chernoff fusion at one omega and the independent
 product.  All three read one product table, built once per pair with
-every row they need and cached on the first state's mixture.
+every row they need and kept weakly in _TABLES, not on a mixture.
 """
 
 from __future__ import annotations
@@ -80,8 +80,7 @@ class FusionResult:
 
 
 class _ProductTable:
-    """Every fused component pair of two mixtures at several exponent rows,
-    cached on the first mixture as its one product table.
+    """Every fused component pair of two mixtures at several exponent rows.
 
     Row r fuses at exponents rows[r] = (e1, e2).  The rows go through
     _cross_arrays in blocks of at most SEARCH_BLOCK_PAIRS (row, pair)
@@ -93,10 +92,6 @@ class _ProductTable:
     arrays.  A row equals a table of that row alone bit for bit:
     _cross_arrays slices, conditioning and exp act per row, per matrix and
     per element.  A failing check in any row fails the whole table.
-
-    The table replaces any table cached on a before it.  It holds its
-    partner b by weak reference, so a self-fusion makes no reference cycle
-    and a partner that has been freed never matches a later mixture.
     """
 
     def __init__(self, a: GaussianMaxMixture, b: GaussianMaxMixture, rows: list):
@@ -122,7 +117,21 @@ class _ProductTable:
         # ends[r, j]: how many pairs the table keeps up to row r, pair j.
         self.ends = np.cumsum(kept).reshape(self.weights.shape)
         self.bounds = [0, *self.ends[:, -1].tolist()]
-        object.__setattr__(a, "_product_table", (weakref.ref(b), self))
+
+
+# Each first mixture's latest product table, as (weakref.ref(b), table).
+# Weak keys and a weak partner let an entry live exactly as long as its key:
+# a self-fusion makes no reference cycle, and a freed partner never matches.
+_TABLES = weakref.WeakKeyDictionary()
+
+
+def _table(a: GaussianMaxMixture, b: GaussianMaxMixture, rows: list) -> _ProductTable:
+    """The product table of (a, b) with every row of rows, reused or built."""
+    partner, table = _TABLES.get(a, (None, None))
+    if partner is None or partner() is not b or not table.index.keys() >= set(rows):
+        table = _ProductTable(a, b, rows)
+        _TABLES[a] = (weakref.ref(b), table)
+    return table
 
 
 def _fused_mixture(
@@ -130,15 +139,11 @@ def _fused_mixture(
 ) -> tuple[GaussianMaxMixture, float]:
     """All-pairs fused mixture, normalised; returns (mixture, log_alpha).
 
-    The row comes from the table cached on a when it was built for b and
-    holds (e1, e2).  Otherwise a new table is built of that row and the
-    independent row, so one step's Chernoff and independent fusions share
-    one table.
+    The row is read from _table with the independent row beside it, so a
+    step's Chernoff and independent fusions share one table.
     """
     row = (e1, e2)
-    partner, table = vars(a).get("_product_table", (None, None))
-    if partner is None or partner() is not b or row not in table.index:
-        table = _ProductTable(a, b, [row] if row == INDEPENDENT else [row, INDEPENDENT])
+    table = _table(a, b, [row] if row == INDEPENDENT else [row, INDEPENDENT])
     r = table.index[row]
     lo, hi = table.bounds[r], table.bounds[r + 1]
     mixture = GaussianMaxMixture._derived(
@@ -260,13 +265,12 @@ def select_omega(a: BernoulliPossState, b: BernoulliPossState) -> float:
     row: it runs every check that fusing at each exponent would (finite,
     positive definite covariances and finite weights in each trial
     mixture) and compares the traces of the conditioned top covariances,
-    without building the trial mixtures.  The table stays cached on a's
-    mixture, so fusing the same pair at the chosen exponent and
-    independently reads its rows instead of fusing again.
+    without building the trial mixtures.  Fusing the same pair at the
+    chosen exponent and independently then reads the table from _TABLES.
     """
     _check_pair(a, b)
     rows = [(1.0 - omega, omega) for omega in OMEGA_GRID] + [INDEPENDENT]
-    table = _ProductTable(a.spatial, b.spatial, rows)
+    table = _table(a.spatial, b.spatial, rows)
     # A row's heaviest component is its first pair of weight 1, which is
     # always kept; locate it among the kept pairs, which are in row order.
     head = np.argmax(table.weights[: len(OMEGA_GRID)], axis=1)

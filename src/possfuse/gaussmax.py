@@ -22,9 +22,7 @@ Closed-form operations that stay inside this family:
   weights every fused pair and gives the filter update's normaliser.
 
 All types here are immutable values.  Operations return new objects, never
-mutate their inputs, and hold no global state.  The only cache a mixture
-carries is at most one product table, the latest that fusion built with it
-as the first input and attached to it.
+mutate their inputs, and hold no global state.
 """
 
 from __future__ import annotations
@@ -213,11 +211,6 @@ class GaussianMaxMixture:
         object.__setattr__(self, "weights", _frozen(_checked_weights(w)))
         object.__setattr__(self, "means", _frozen(means))
         object.__setattr__(self, "covariances", _frozen(covs))
-
-    def __getstate__(self) -> dict:
-        # A fusion's cached product table is rebuilt on demand; it holds its
-        # partner by weak reference, which cannot be pickled.
-        return {"weights": self.weights, "means": self.means, "covariances": self.covariances}
 
     @classmethod
     def _derived(

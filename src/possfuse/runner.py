@@ -274,9 +274,8 @@ def _worker_count(runs: int) -> int:
 
 
 def _collect_runs(
-    cfg: ExperimentConfig, mode: str, dump_scans: bool
+    cfg: ExperimentConfig, mode: str, dump_scans: bool, workers: int
 ) -> list[tuple[RunScores, Optional[list]]]:
-    workers = _worker_count(cfg.runs)
     jobs = [(cfg, i, mode, dump_scans) for i in range(cfg.runs)]
     if workers == 1:
         return [_pool_entry(job) for job in jobs]
@@ -299,7 +298,6 @@ def _write_lines(path: Path, lines: list[str]) -> None:
 
 
 def _write_outputs(out_dir: Path, agg: AggregateResult) -> dict[str, Path]:
-    out_dir.mkdir(parents=True, exist_ok=True)
     tables = [
         ("ospa", "mean_ospa,runs",
          lambda s, k: f"{_fmt(agg.mean_ospa[s][k])},{agg.runs}"),
@@ -341,12 +339,17 @@ class ExperimentResult:
 
 
 def _drive(cfg: ExperimentConfig, mode: str, out_dir, dump_scans: bool) -> ExperimentResult:
-    # Checked here as well as in run_once, so a bad count is one
-    # ConfigError before the pool starts rather than one per worker.
+    # A bad sensor count (run_once checks it too), worker count or output
+    # directory is one ConfigError before the pool starts, and leaves no file.
     _check_sensor_count(cfg.scenario, mode)
-    results = _collect_runs(cfg, mode, dump_scans)
-    agg = fold_scores([scores for scores, _ in results])
+    workers = _worker_count(cfg.runs)
     out_path = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
+    try:
+        out_path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("output_dir", f"cannot create {out_path}: {exc.strerror}") from None
+    results = _collect_runs(cfg, mode, dump_scans, workers)
+    agg = fold_scores([scores for scores, _ in results])
     files = _write_outputs(out_path, agg)
     if dump_scans:
         files["scans"] = _write_scan_dump(out_path, [scans for _, scans in results])

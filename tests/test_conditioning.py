@@ -251,7 +251,7 @@ class TestCholeskyScreen:
         select_omega(a, b)
         # One table of the 19 grid rows and the independent row, all
         # cleared by the screen.
-        _, table = vars(a.spatial)["_product_table"]
+        _, table = fusion_mod._TABLES[a.spatial]
         assert len(table.index) == len(OMEGA_GRID) + 1
         assert eigvalsh_calls == []
 

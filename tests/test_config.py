@@ -190,6 +190,25 @@ class TestValidation:
             parse_experiment(doc)
         assert err.value.path == path
 
+    @pytest.mark.parametrize(
+        "extra, path, message",
+        [
+            ({"dt": 0}, "scenario.dt", "dt must be positive, got 0.0"),
+            # birth_step 7 is fine alone; with steps 4 the section conflicts.
+            ({"birth_step": 7}, "scenario", "got 7, 4, 4"),
+            ({"psd": -1.0}, "scenario.psd", "psd must be nonnegative, got -1.0"),
+        ],
+        ids=["dt", "birth_step", "psd"],
+    )
+    def test_error_is_blamed_on_the_document_not_the_defaults(self, extra, path, message):
+        # steps 4 and death_step 4 are valid together, but steps 4 alone
+        # conflicts with the default death_step 50.
+        with pytest.raises(ConfigError) as err:
+            parse_experiment({"scenario": {"steps": 4, "death_step": 4, **extra}})
+        assert err.value.path == path
+        assert message in err.value.message
+        assert "50" not in err.value.message
+
     def test_unconsumed_scenario_probabilities_are_unknown(self):
         with pytest.raises(ConfigError) as err:
             parse_experiment({"scenario": {"p_birth": 0.05}})

@@ -673,6 +673,15 @@ class TestProductTable:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("self_fusion", [False, True])
+    def test_fusion_leaves_no_attribute_on_its_inputs(self, self_fusion):
+        rng = np.random.default_rng(34)
+        a = sized_state(rng, 3)
+        b = a if self_fusion else sized_state(rng, 2)
+        self.fusions(a, b, [select_omega(a, b), 0.37], None)
+        for state in (a, b):
+            assert set(vars(state.spatial)) == {"weights", "means", "covariances"}
+
     def test_mixture_with_cached_table_pickles(self):
         a, b = (sized_state(np.random.default_rng(33), 2) for _ in range(2))
         fuse_chernoff(a, b, 0.5)

@@ -393,6 +393,26 @@ class TestCli:
         assert err.count("exactly 2 sensors") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+    def test_unusable_out_is_exit_2_before_any_run(self, under_file, workers, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("POSSFUSE_THREADS", workers)
+        monkeypatch.setattr(runner_mod, "_collect_runs", lambda *args: pytest.fail("runs were computed"))
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / "res" if under_file else blocker
+        code = main(["fuse-independent", "--runs", "2", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: output_dir: cannot create {out}: ")
+        assert blocker.read_text() == ""
+
+    def test_bad_worker_count_is_exit_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("POSSFUSE_THREADS", "0")
+        out = tmp_path / "x"
+        assert main(["single", "--runs", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: POSSFUSE_THREADS:")
+        assert not out.exists()
+
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
         reason="workers see the replaced update only when forked",
@@ -434,7 +454,7 @@ class TestCli:
     def test_setup_failure_is_exit_3_at_step_0(self, workers, tmp_path, capsys, monkeypatch):
         # A start this far out passes validation, and its truth overflows
         # while the run's scenario is simulated.  The overflow raises, so
-        # this suite's error::RuntimeWarning filter does not decide the code.
+        # this suite's warnings-as-errors filter does not decide the code.
         monkeypatch.setenv("POSSFUSE_THREADS", workers)
         scenario = {"initial_state": [1e308, 1e308, 55.0, 0.0]}
         path = tmp_path / "exp.json"
