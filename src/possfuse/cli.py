@@ -81,8 +81,6 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError("--runs", f"must be at least 1, got {args.runs}")
         cfg = replace(cfg, runs=args.runs)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed", f"must not be negative, got {args.seed}")
         cfg = replace(cfg, master_seed=args.seed)
     if args.out is not None:
         cfg = replace(cfg, output_dir=args.out)
@@ -104,14 +102,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("--seed", f"must not be negative, got {args.seed}")
         if args.command == "selftest":
-            try:
-                passed = selftest(n_pairs=args.pairs, seed=args.seed)
-            except ConfigError as exc:
-                # selftest names its parameters; report the flag that set one.
-                flag = {"n_pairs": "--pairs", "seed": "--seed"}[exc.path]
-                raise ConfigError(flag, exc.message) from None
-            return EXIT_OK if passed else EXIT_NUMERICS
+            if args.pairs < 1:
+                raise ConfigError("--pairs", f"must be at least 1, got {args.pairs}")
+            return EXIT_OK if selftest(n_pairs=args.pairs, seed=args.seed) else EXIT_NUMERICS
         cfg = _load_config(args)
         driver = {
             "single": run_single,

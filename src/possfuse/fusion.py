@@ -198,8 +198,10 @@ def fuse_chernoff(
     """Chernoff fusion with exponents (1 - omega, omega).
 
     omega = 0 or 1 returns the corresponding input verbatim with
-    normalizer and alpha equal to 1.  Otherwise every component pair
-    fuses in closed form, existence possibilities combine as
+    normalizer and alpha equal to 1.  An omega so small that 1 - omega
+    rounds to 1 counts as 0, as the exponents no longer sum to 1 there.
+    Otherwise every component pair fuses in closed form, existence
+    possibilities combine as
 
         q_absent  ~ q0_a^(1-omega) * q0_b^omega
         q_present ~ q1_a^(1-omega) * q1_b^omega * alpha
@@ -211,7 +213,7 @@ def fuse_chernoff(
     omega = float(omega)
     if not (0.0 <= omega <= 1.0):
         raise ValueError(f"omega must lie in [0, 1], got {omega}")
-    if omega == 0.0:
+    if 1.0 - omega == 1.0:
         return FusionResult(state=a, normalizer=1.0, alpha=1.0)
     if omega == 1.0:
         return FusionResult(state=b, normalizer=1.0, alpha=1.0)
@@ -348,15 +350,12 @@ def selftest(n_pairs: int = 12, seed: int = 2024) -> bool:
     dense grid against the directly exponentiated product.  The supremum
     identity for linear-Gaussian products is checked the same way.
     Prints one line per check and returns True when everything passes.
-    Raises ConfigError, naming the parameter, when n_pairs < 1 or seed < 0.
+    Raises ValueError, naming the parameter, when n_pairs < 1 or seed < 0.
     """
-    # config imports this module, so its error type is imported on use.
-    from .config import ConfigError
-
     if n_pairs < 1:
-        raise ConfigError("n_pairs", f"must be at least 1, got {n_pairs}")
+        raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
     if seed < 0:
-        raise ConfigError("seed", f"must not be negative, got {seed}")
+        raise ValueError(f"seed must not be negative, got {seed}")
     rng = np.random.default_rng(seed)
     ok = True
 

@@ -14,8 +14,9 @@ column subsets.  That is deliberate: tests check it against brute-force
 permutation search, so the solver must not itself be a permutation
 search.  This tracker reports at most one estimate against at most one
 true target, so score_run scores every (run, step) with the single-pair
-closed form over whole arrays; ospa serves general sets and is the
-reference that closed form is tested against.
+closed form over whole arrays, into one RunScores table per run, and
+fold_scores adds the tables in run order.  ospa serves general sets and
+is the reference that closed form is tested against.
 """
 
 from __future__ import annotations
@@ -175,24 +176,21 @@ class AggregateResult:
 
 @dataclass(frozen=True, eq=False)
 class RunScores:
-    """What one run adds to the per-step sums, one row per series.
+    """What one run adds to the per-step sums: one score table.
 
-    Arrays have shape (series, steps): the OSPA distance, the estimate's
-    covariance trace (0 where there is no estimate), whether an estimate
-    exists, and the existence pair.  A pool worker returns these instead of
+    table is float64 of shape (5, series, steps), and its rows follow the
+    CSV column order: the OSPA distance, the estimate's covariance trace
+    (0 where there is no estimate), whether an estimate exists (1.0 or
+    0.0), q_absent and q_present.  A pool worker returns these instead of
     the run's RunRecord.
     """
 
     series: tuple[str, ...]
-    ospa: np.ndarray
-    trace: np.ndarray
-    present: np.ndarray
-    q_absent: np.ndarray
-    q_present: np.ndarray
+    table: np.ndarray
 
 
 def score_run(record: RunRecord, cutoff: float = 10.0) -> RunScores:
-    """Score one run record for fold_scores.
+    """Score one run record into its RunScores table, for fold_scores.
 
     Truth and estimate sets hold at most one point each, so the OSPA of a
     step is min(cutoff, |t - e|) when both points exist, cutoff when one is
@@ -205,19 +203,18 @@ def score_run(record: RunRecord, cutoff: float = 10.0) -> RunScores:
     if cutoff <= 0.0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
     names = tuple(record.series)
-    shape = (len(names), record.steps)
-    ospa = np.empty(shape)
-    trace = np.zeros(shape)
-    present = np.empty(shape, dtype=bool)
+    table = np.zeros((5, len(names), record.steps))
+    ospa, trace, present, q_absent, q_present = table
     has_truth = np.array([t is not None for t in record.truth_positions], dtype=bool)
     truth = [t for t in record.truth_positions if t is not None]
-    positions = list(POSITION_INDICES)
     for row, s in enumerate(names):
-        estimates = record.series[s].estimates
-        has_est = np.array([e is not None for e in estimates], dtype=bool)
-        est = [e for e in estimates if e is not None]
+        track = record.series[s]
+        has_est = np.array([e is not None for e in track.estimates], dtype=bool)
+        est = [e for e in track.estimates if e is not None]
         ospa[row] = np.where(has_truth | has_est, cutoff, 0.0)
         present[row] = has_est
+        q_absent[row] = track.q_absent
+        q_present[row] = track.q_present
         if est:
             trace[row, has_est] = np.fromiter(
                 (e.covariance.trace() for e in est), float, len(est)
@@ -225,7 +222,7 @@ def score_run(record: RunRecord, cutoff: float = 10.0) -> RunScores:
             both = has_truth & has_est
             if both.any():
                 truth_xy = np.array(truth, dtype=float)[both[has_truth]]
-                est_xy = np.array([e.mean for e in est])[both[has_est]][:, positions]
+                est_xy = np.array([e.mean for e in est])[both[has_est]][:, POSITION_INDICES]
                 if truth_xy.shape != est_xy.shape:
                     raise ValueError(
                         "all points must share a dimension, got "
@@ -234,61 +231,42 @@ def score_run(record: RunRecord, cutoff: float = 10.0) -> RunScores:
                 d = truth_xy - est_xy
                 # vecdot matches the dot inside np.linalg.norm bit for bit.
                 ospa[row, both] = np.minimum(cutoff, np.sqrt(np.vecdot(d, d)))
-    return RunScores(
-        series=names,
-        ospa=ospa,
-        trace=trace,
-        present=present,
-        q_absent=np.array([record.series[s].q_absent for s in names], dtype=float).reshape(shape),
-        q_present=np.array([record.series[s].q_present for s in names], dtype=float).reshape(shape),
-    )
+    return RunScores(series=names, table=table)
 
 
 def fold_scores(scores: Sequence[RunScores]) -> AggregateResult:
-    """Fold per-run scores into per-step means, in the order given.
+    """Fold per-run score tables into per-step means, in the order given.
 
-    The fold is a plain ordered sum, so the result is bit-identical no
-    matter how, or in which process, the runs were scored.
+    The fold adds the tables one run after another, so the result is
+    bit-identical no matter how, or in which process, the runs were
+    scored.  The presence row sums 1.0s, which is exact below 2**53 runs.
     """
     if not scores:
         raise ValueError("need at least one run record")
     names = scores[0].series
-    shape = scores[0].ospa.shape
+    total = np.zeros(scores[0].table.shape)
     for sc in scores:
-        if sc.series != names or sc.ospa.shape != shape:
+        if sc.series != names or sc.table.shape != total.shape:
             raise ValueError("all run records must share steps and series")
-
-    ospa_sum = np.zeros(shape)
-    trace_sum = np.zeros(shape)
-    count = np.zeros(shape, dtype=np.int64)
-    q0_sum = np.zeros(shape)
-    q1_sum = np.zeros(shape)
-    for sc in scores:
-        ospa_sum += sc.ospa
         # A sum that starts at +0.0 is never -0.0, and adding 0.0 changes
-        # no other value, so absent steps leave the sums' bits alone.
-        trace_sum += sc.trace
-        count += sc.present
-        q0_sum += sc.q_absent
-        q1_sum += sc.q_present
+        # no other value, so absent steps leave the trace sums' bits alone.
+        total += sc.table
 
     n = len(scores)
+    ospa, trace, count, q_absent, q_present = total
     with np.errstate(invalid="ignore", divide="ignore"):
-        mean_trace = np.where(count > 0, trace_sum / np.maximum(count, 1), np.nan)
-    ospa_sum /= n
-    q0_sum /= n
-    q1_sum /= n
+        mean_trace = np.where(count > 0, trace / np.maximum(count, 1), np.nan)
 
     def by_series(table: np.ndarray) -> dict[str, np.ndarray]:
         return dict(zip(names, table))
 
     return AggregateResult(
         runs=n,
-        steps=shape[1],
+        steps=total.shape[2],
         series=names,
-        mean_ospa=by_series(ospa_sum),
+        mean_ospa=by_series(ospa / n),
         mean_trace=by_series(mean_trace),
-        present_count=by_series(count),
-        mean_q_absent=by_series(q0_sum),
-        mean_q_present=by_series(q1_sum),
+        present_count=by_series(count.astype(np.int64)),
+        mean_q_absent=by_series(q_absent / n),
+        mean_q_present=by_series(q_present / n),
     )

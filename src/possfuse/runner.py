@@ -82,7 +82,8 @@ class NumericsError(RuntimeError):
     def __init__(self, run: int, step: int, cause: BaseException):
         self.run = run
         self.step = step
-        super().__init__(f"numerical failure in run {run} at step {step}: {cause}")
+        reason = str(cause) or type(cause).__name__
+        super().__init__(f"numerical failure in run {run} at step {step}: {reason}")
 
     def __reduce__(self):
         # A pool worker hands its failure to the parent by pickle, which

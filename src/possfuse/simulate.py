@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -114,6 +115,11 @@ class SensorConfig:
             raise ValueError(f"noise_var must be positive, got {self.noise_var}")
         if self.clutter_rate < 0.0:
             raise ValueError(f"clutter_rate must be nonnegative, got {self.clutter_rate}")
+        # Scans draw clutter counts from numpy's Poisson sampler; try one draw.
+        try:
+            np.random.default_rng(0).poisson(self.clutter_rate)
+        except ValueError as exc:
+            raise ValueError(f"clutter_rate {self.clutter_rate!r} cannot be drawn: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -139,6 +145,8 @@ class ScenarioConfig:
             _check_finite(name, getattr(self, name))
         if self.steps < 1:
             raise ValueError(f"steps must be at least 1, got {self.steps}")
+        if self.steps > sys.maxsize:
+            raise ValueError(f"steps must be at most {sys.maxsize}, got {self.steps}")
         if not (1 <= self.birth_step <= self.death_step <= self.steps):
             raise ValueError(
                 f"need 1 <= birth_step <= death_step <= steps, got "

@@ -209,6 +209,26 @@ class TestValidation:
         assert message in err.value.message
         assert "50" not in err.value.message
 
+    @pytest.mark.parametrize(
+        "scenario, path",
+        [
+            ({"steps": 2**63, "death_step": 8}, "scenario.steps"),
+            ({"sensors": [{"clutter_rate": 1e300}, {}]}, "scenario.sensors[0].clutter_rate"),
+            ({"sensors": [{}, {"clutter_rate": 1e19}]}, "scenario.sensors[1].clutter_rate"),
+        ],
+        ids=["steps-2**63", "clutter-1e300", "clutter-1e19"],
+    )
+    def test_value_no_run_can_use_names_its_field(self, scenario, path):
+        with pytest.raises(ConfigError) as err:
+            parse_experiment({"scenario": scenario})
+        assert err.value.path == path
+
+    def test_largest_drawable_clutter_rate_is_accepted(self):
+        # numpy's Poisson sampler draws at 9.2e18 and refuses 9.3e18; such a
+        # run still fails for memory, but the config does not reject it.
+        cfg = parse_experiment({"scenario": {"sensors": [{"clutter_rate": 9.2e18}, {}]}})
+        assert cfg.scenario.sensors[0].clutter_rate == 9.2e18
+
     def test_unconsumed_scenario_probabilities_are_unknown(self):
         with pytest.raises(ConfigError) as err:
             parse_experiment({"scenario": {"p_birth": 0.05}})

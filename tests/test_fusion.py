@@ -64,6 +64,15 @@ class TestEndpoints:
         assert res.normalizer == 1.0
         assert res.alpha == 1.0
 
+    def test_omega_too_small_to_fuse_returns_first_verbatim(self):
+        # 1 - 5e-324 rounds to 1, so the exponents cannot sum to 1.
+        rng = np.random.default_rng(4)
+        a, _ = random_state(rng)
+        b, _ = random_state(rng)
+        res = fuse_chernoff(a, b, 5e-324)
+        assert res.state is a
+        assert (res.normalizer, res.alpha) == (1.0, 1.0)
+
     def test_omega_one_returns_second_verbatim(self):
         rng = np.random.default_rng(2)
         a, _ = random_state(rng)

@@ -266,3 +266,13 @@ class TestAggregate:
         r2 = mk_record([[0.0, 0.0]] * 2, [[0.0, 0.0, 0.0, 0.0]] * 2)
         with pytest.raises(ValueError):
             fold_scores([score_run(r, 10.0) for r in [r1, r2]])
+
+    def test_points_of_different_dimensions_rejected(self):
+        rec = mk_record([[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="all points must share a dimension"):
+            score_run(rec, 10.0)
+
+    def test_series_shorter_than_truth_rejected(self):
+        track = SeriesTrack(estimates=[None], q_absent=[1.0], q_present=[1.0], n_components=[1])
+        with pytest.raises(ValueError, match="length does not match truth"):
+            RunRecord(truth_positions=[None, None], series={"s": track})

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import multiprocessing
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -502,3 +503,53 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"configuration error: {name}:")
         assert "PASS" not in captured.out
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "scenario, field",
+        [
+            ({"steps": 2**63, "death_step": 8}, "scenario.steps"),
+            ({"steps": 8, "death_step": 8, "sensors": [{"clutter_rate": 1e300}, {}]},
+             "scenario.sensors[0].clutter_rate"),
+        ],
+        ids=["steps-2**63", "clutter-1e300"],
+    )
+    def test_value_no_run_can_use_is_exit_2(self, scenario, field, workers, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("POSSFUSE_THREADS", workers)
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"scenario": scenario}))
+        code = main(["single", "--config", str(path), "--runs", "1", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {field}: ")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_memory_error_without_message_is_named_by_its_type(self, workers, tmp_path, capsys, monkeypatch):
+        # A truth list of sys.maxsize steps raises a bare MemoryError at once.
+        monkeypatch.setenv("POSSFUSE_THREADS", workers)
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"scenario": {"steps": sys.maxsize, "death_step": 8}}))
+        code = main(["single", "--config", str(path), "--runs", "2", "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert capsys.readouterr().err == "error: numerical failure in run 0 at step 0: MemoryError\n"
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_omega_too_small_to_fuse_reports_sensor1(self, workers, tmp_path, monkeypatch):
+        monkeypatch.setenv("POSSFUSE_THREADS", workers)
+        path = tmp_path / "exp.json"
+        doc = {"scenario": {"steps": 6, "death_step": 6}, "fusion": {"omega_strategy": "fixed(5e-324)"}}
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "res"
+        assert main(["fuse-independent", "--config", str(path), "--runs", "3", "--out", str(out)]) == 0
+        for name in ("ospa", "trace", "presence"):
+            lines = (out / f"{name}.csv").read_text().splitlines()
+            sensor1 = [line.replace(",sensor1,", ",") for line in lines if ",sensor1," in line]
+            chernoff = [line.replace(",chernoff,", ",") for line in lines if ",chernoff," in line]
+            assert len(chernoff) == 6 and chernoff == sensor1, name
+
+    @pytest.mark.parametrize("command", ["single", "fuse-independent", "fuse-dependent", "selftest"])
+    def test_negative_seed_is_exit_2(self, command, tmp_path, capsys):
+        out = tmp_path / "x"
+        flags = [] if command == "selftest" else ["--out", str(out)]
+        assert main([command, "--seed", "-1", *flags]) == 2
+        assert capsys.readouterr().err == "configuration error: --seed: must not be negative, got -1\n"
+        assert not out.exists()
