@@ -16,8 +16,11 @@ cross-component weight.  No grids, no sampling.
 
 A step fuses the same pair of states up to three ways: the min-trace
 search over OMEGA_GRID, Chernoff fusion at one omega and the independent
-product.  All three read one product table, built once per pair with
-every row they need and kept weakly in _TABLES, not on a mixture.
+product.  All three read one product table of the pair, which holds every
+row they need and is kept weakly in _TABLES, not on a mixture.  One
+builder makes every table: _prefilled builds the tables of a run's
+pairs in groups, one kernel call per group, and a pair that finds no
+table builds its own as a batch of one.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -35,6 +39,7 @@ from .gaussmax import (
     _checked_weights,
     _conditioned_covariance,
     _cross_arrays,
+    _stacked_components,
     _surviving,
     sup_linear_gaussian_product,
 )
@@ -56,13 +61,16 @@ OMEGA_GRID = tuple(np.round(np.linspace(0.05, 0.95, 19), 2).tolist())
 # exponent does when a state is fused with itself).
 TRACE_TIE_RTOL = 1e-9
 # Most (exponent row, component pair) combinations one _cross_arrays call
-# of a product table computes.  Its temporaries grow with their number, so
-# when both mixtures are large a table is built in blocks of rows.
+# computes.  Its temporaries grow with their number, so the tables of a
+# group of steps are built together only up to this many, and a larger
+# table is built in blocks of rows.
 SEARCH_BLOCK_PAIRS = 1024
 # Exponents of independent-product fusion.  Every product table holds this
 # row, so a step's independent fusion reuses the table its Chernoff fusion
 # or omega search built.
 INDEPENDENT = (1.0, 1.0)
+# The rows the min-trace search reads: the grid, then the independent row.
+_SEARCH_ROWS = [(1.0 - omega, omega) for omega in OMEGA_GRID] + [INDEPENDENT]
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,44 +87,104 @@ class FusionResult:
     alpha: float
 
 
+@dataclass(frozen=True, eq=False)
 class _ProductTable:
     """Every fused component pair of two mixtures at several exponent rows.
 
-    Row r fuses at exponents rows[r] = (e1, e2).  The rows go through
-    _cross_arrays in blocks of at most SEARCH_BLOCK_PAIRS (row, pair)
-    combinations, which bounds its temporaries when both mixtures are
-    large.  Each row's pair weights are divided by their largest, alpha =
-    exp(log_alpha), and the row keeps the pairs _surviving keeps of them.
-    Every kept pair of every row is then conditioned and checked in one
-    pass, and bounds[r]:bounds[r + 1] slices row r's out of the kept
-    arrays.  A row equals a table of that row alone bit for bit:
-    _cross_arrays slices, conditioning and exp act per row, per matrix and
-    per element.  A failing check in any row fails the whole table.
+    Row index[row] fuses at exponents row = (e1, e2).  weights[r] holds
+    the row's pair weights divided by their largest, alpha =
+    exp(log_alpha[r]), and the row keeps the pairs _surviving keeps of
+    them.  kept_weights, means and covs hold every kept pair of every
+    row, conditioned and checked; bounds[r]:bounds[r + 1] slices row r's,
+    and ends[r, j] counts the kept pairs up to row r, pair j.
     """
 
-    def __init__(self, a: GaussianMaxMixture, b: GaussianMaxMixture, rows: list):
-        e1, e2 = np.array(rows).T
-        log_a, log_b = np.log(a.weights), np.log(b.weights)
-        step = max(1, SEARCH_BLOCK_PAIRS // (a.n_components * b.n_components))
-        blocks = [
-            _cross_arrays(
-                e1[i : i + step], log_a, a.means, a.covariances,
-                e2[i : i + step], log_b, b.means, b.covariances,
-            )
-            for i in range(0, len(rows), step)
-        ]
-        log_w, means, covs = (np.concatenate(parts) for parts in zip(*blocks))
-        log_w = log_w.reshape(len(rows), -1)
-        self.index = {row: r for r, row in enumerate(rows)}
-        self.log_alpha = log_w.max(axis=1)
-        self.weights = np.exp(log_w - self.log_alpha[:, None])
-        kept = _surviving(self.weights).reshape(-1)
-        self.kept_weights = _checked_weights(self.weights.reshape(-1)[kept])
-        self.means = means.reshape(-1, a.dim)[kept]
-        self.covs = _conditioned_covariance(covs.reshape(-1, a.dim, a.dim)[kept])
-        # ends[r, j]: how many pairs the table keeps up to row r, pair j.
-        self.ends = np.cumsum(kept).reshape(self.weights.shape)
-        self.bounds = [0, *self.ends[:, -1].tolist()]
+    index: dict
+    log_alpha: np.ndarray
+    weights: np.ndarray
+    ends: np.ndarray
+    bounds: list
+    kept_weights: np.ndarray
+    means: np.ndarray
+    covs: np.ndarray
+
+
+def _cuts(sizes: list) -> list:
+    """Where consecutive groups of sizes start, then len(sizes): each group
+    sums to at most SEARCH_BLOCK_PAIRS, or is one larger size alone."""
+    cuts, filled = [], 0
+    for k, n in enumerate(sizes):
+        if not cuts or filled + n > SEARCH_BLOCK_PAIRS:
+            cuts.append(k)
+            filled = 0
+        filled += n
+    return cuts + [len(sizes)]
+
+
+def _product_tables(pairs: list, rows: list) -> list[_ProductTable]:
+    """The product table of every mixture pair (a, b) in pairs, each with
+    every row of rows, built together.
+
+    Each distinct mixture's covariances are inverted once.  The
+    (pair, row, component pair) combinations, in that order, go through
+    one _cross_arrays call per block of whole rows holding at most
+    SEARCH_BLOCK_PAIRS combinations (a larger row is a block of its own),
+    which bounds the kernel's temporaries however many pairs there are.
+    Each block is normalised row by row, kept, checked and conditioned in
+    one pass; a failing check in any block fails the whole build.  A
+    table equals a build of its pair alone, in any blocks, bit for bit:
+    the kernel, the row maxima, exp and the checks act per combination,
+    per row and per matrix.
+    """
+    distinct = list({id(m): m for pair in pairs for m in pair}.values())
+    first = dict(zip(map(id, distinct), accumulate([0, *(m.n_components for m in distinct)])))
+    components = _stacked_components(distinct)
+    # One unit per (pair, row) of n1 * n2 combinations, (i, j) in C order.
+    n_rows = len(rows)
+    n1, n2, first1, first2 = np.repeat(
+        [(a.n_components, b.n_components, first[id(a)], first[id(b)]) for a, b in pairs],
+        n_rows, axis=0,
+    ).T
+    size = n1 * n2
+    stop = np.cumsum(size)
+    begin = stop - size
+    local = np.arange(stop[-1]) - np.repeat(begin, size)
+    cols = np.repeat(n2, size)
+    i1 = np.repeat(first1, size) + local // cols
+    i2 = np.repeat(first2, size) + local % cols
+    e1, e2 = (np.repeat(np.tile(e, len(pairs)), size) for e in np.array(rows).T)
+    parts = []
+    cuts = _cuts(size.tolist())
+    for u0, u1 in zip(cuts, cuts[1:]):
+        lo, hi = begin[u0], stop[u1 - 1]
+        log_w, means, covs = _cross_arrays(components, e1[lo:hi], i1[lo:hi], e2[lo:hi], i2[lo:hi])
+        log_alpha = np.maximum.reduceat(log_w, begin[u0:u1] - lo)
+        weights = np.exp(log_w - np.repeat(log_alpha, size[u0:u1]))
+        kept = _surviving(weights)
+        kept_weights = _checked_weights(weights[kept])
+        covs = _conditioned_covariance(covs[kept])
+        parts.append((log_alpha, weights, kept, kept_weights, means[kept], covs))
+    log_alpha, weights, kept, kept_weights, means, covs = (np.concatenate(p) for p in zip(*parts))
+    # total[c]: how many of the combinations before c are kept.
+    total = np.concatenate([[0], np.cumsum(kept)])
+    index = {row: r for r, row in enumerate(rows)}
+    tables = []
+    for p in range(len(pairs)):
+        units = slice(p * n_rows, (p + 1) * n_rows)
+        lo, hi = int(begin[units.start]), int(stop[units.stop - 1])
+        base, top = int(total[lo]), int(total[hi])
+        ends = (total[lo + 1 : hi + 1] - base).reshape(n_rows, -1)
+        tables.append(_ProductTable(
+            index=index,
+            log_alpha=log_alpha[units],
+            weights=weights[lo:hi].reshape(n_rows, -1),
+            ends=ends,
+            bounds=[0, *ends[:, -1].tolist()],
+            kept_weights=kept_weights[base:top],
+            means=means[base:top],
+            covs=covs[base:top],
+        ))
+    return tables
 
 
 # Each first mixture's latest product table, as (weakref.ref(b), table).
@@ -129,9 +197,45 @@ def _table(a: GaussianMaxMixture, b: GaussianMaxMixture, rows: list) -> _Product
     """The product table of (a, b) with every row of rows, reused or built."""
     partner, table = _TABLES.get(a, (None, None))
     if partner is None or partner() is not b or not table.index.keys() >= set(rows):
-        table = _ProductTable(a, b, rows)
+        (table,) = _product_tables([(a, b)], rows)
         _TABLES[a] = (weakref.ref(b), table)
     return table
+
+
+def _prefilled(pairs: list, omega: Optional[float]):
+    """Yield each state pair (a, b) of pairs in order, its product table
+    filed in _TABLES with the rows that fusing the pair reads: the search
+    rows when omega is None (min-trace), otherwise omega's row and the
+    independent row.  select_omega, fuse_chernoff and fuse_independent
+    then find the table instead of building it.
+
+    The tables are built a group of consecutive pairs at a time, each
+    group holding at most SEARCH_BLOCK_PAIRS (row, component pair)
+    combinations, or one larger pair alone: one kernel call per group,
+    and no more memory than one table of that size.  A group's tables
+    leave _TABLES once its pairs are fused.  A group whose build fails
+    files no table, so each of its pairs builds its own when fused and
+    raises that build's error.
+    """
+    if omega is None:
+        rows = _SEARCH_ROWS
+    elif 1.0 - omega == 1.0 or omega == 1.0:
+        # fuse_chernoff returns an input verbatim and reads no table.
+        rows = [INDEPENDENT]
+    else:
+        rows = [(1.0 - omega, omega), INDEPENDENT]
+    mixtures = [(a.spatial, b.spatial) for a, b in pairs]
+    cuts = _cuts([len(rows) * a.n_components * b.n_components for a, b in mixtures])
+    for lo, hi in zip(cuts, cuts[1:]):
+        try:
+            tables = _product_tables(mixtures[lo:hi], rows)
+        except (ValueError, ArithmeticError, MemoryError):
+            tables = []
+        for (a, b), table in zip(mixtures[lo:hi], tables):
+            _TABLES[a] = (weakref.ref(b), table)
+        yield from pairs[lo:hi]
+        for a, _ in mixtures[lo:hi]:
+            _TABLES.pop(a, None)
 
 
 def _fused_mixture(
@@ -271,8 +375,7 @@ def select_omega(a: BernoulliPossState, b: BernoulliPossState) -> float:
     chosen exponent and independently then reads the table from _TABLES.
     """
     _check_pair(a, b)
-    rows = [(1.0 - omega, omega) for omega in OMEGA_GRID] + [INDEPENDENT]
-    table = _table(a.spatial, b.spatial, rows)
+    table = _table(a.spatial, b.spatial, _SEARCH_ROWS)
     # A row's heaviest component is its first pair of weight 1, which is
     # always kept; locate it among the kept pairs, which are in row order.
     head = np.argmax(table.weights[: len(OMEGA_GRID)], axis=1)

@@ -16,8 +16,9 @@ and the mixture is normalised exactly when that weight is 1.
 
 Closed-form operations that stay inside this family:
 
-* the exponentiated product of two mixtures, all component pairs at once
-  (_cross_arrays), on which Chernoff and independent-product fusion rest;
+* the exponentiated product of component pairs, any gathered list of
+  them at once (_cross_arrays), on which Chernoff and independent-product
+  fusion rest;
 * the supremum of a product of two Gaussians (_log_sup_product), which
   weights every fused pair and gives the filter update's normaliser.
 
@@ -266,52 +267,53 @@ class GaussianMaxMixture:
         return best
 
 
-def _cross_arrays(
-    e1,
-    log_w1: np.ndarray,
-    means1: np.ndarray,
-    covs1: np.ndarray,
-    e2,
-    log_w2: np.ndarray,
-    means2: np.ndarray,
-    covs2: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exponentiated-product components for every exponent pair and every
-    component pair (i, j), batched.
+def _stacked_components(mixtures) -> tuple:
+    """What _cross_arrays reads of every component of mixtures, stacked in
+    order: (log_w, means, covs, inv, info), with inv the inverse
+    covariances and info = inv @ mean.  Each covariance is inverted once
+    however many pairs use it."""
+    log_w = np.log(np.concatenate([m.weights for m in mixtures]))
+    means = np.concatenate([m.means for m in mixtures])
+    covs = np.concatenate([m.covariances for m in mixtures])
+    inv = np.linalg.inv(covs)
+    return log_w, means, covs, inv, np.einsum("nij,nj->ni", inv, means)
 
-    e1 and e2 are exponent vectors of shape (k,).  For each exponent pair
-    (e1, e2) this computes the closed form of
-    [w1_i N(x; m1_i, P1_i)] ** e1 * [w2_j N(x; m2_j, P2_j)] ** e2:
+
+def _cross_arrays(
+    components: tuple, e1: np.ndarray, i1: np.ndarray, e2: np.ndarray, i2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exponentiated-product components of gathered component pairs.
+
+    components is a _stacked_components stack.  Combination p pairs
+    component i1[p] at exponent e1[p] with component i2[p] at exponent
+    e2[p]: it computes the closed form of
+    [w1 N(x; m1, P1)] ** e1 * [w2 N(x; m2, P2)] ** e2, with
+    (w1, m1, P1) = component i1[p] and (w2, m2, P2) = component i2[p],
     a single Gaussian component with
 
-        precision  = e1 inv(P1_i) + e2 inv(P2_j)
-        mean       = cov (e1 inv(P1_i) m1_i + e2 inv(P2_j) m2_j)
-        log weight = e1 log w1_i + e2 log w2_j
-                     - 0.5 (m1_i - m2_j)' inv(P1_i / e1 + P2_j / e2) (m1_i - m2_j)
+        precision  = e1 inv(P1) + e2 inv(P2)
+        mean       = cov (e1 inv(P1) m1 + e2 inv(P2) m2)
+        log weight = e1 log w1 + e2 log w2
+                     - 0.5 (m1 - m2)' inv(P1 / e1 + P2 / e2) (m1 - m2)
 
-    Returns (log_w, means, covs) with leading shape (k, n1, n2).  Each
-    exponent slice equals the result of a call with that pair alone, bit
-    for bit.  Weights stay in log scale so widely separated pairs cannot
-    underflow here.
+    The (row, i, j) grid of one pair of mixtures at several exponent rows
+    is one gather.  Returns (log_w, means, covs) of shapes (k,), (k, d)
+    and (k, d, d) for k combinations.  Every combination is computed from
+    its own inputs alone, so it equals a call with that combination alone
+    bit for bit.  Weights stay in log scale so widely separated pairs
+    cannot underflow here.
     """
-    e1 = np.asarray(e1, dtype=float)[:, None, None]
-    e2 = np.asarray(e2, dtype=float)[:, None, None]
-    inv1 = np.linalg.inv(covs1)
-    # A self-fusion passes one stack twice; invert it once.
-    inv2 = inv1 if covs2 is covs1 else np.linalg.inv(covs2)
-    # The (k, n1, n2, d, d) stacks dominate memory; at most two of them are
-    # alive at any time.
-    cov = np.linalg.inv(e1[..., None, None] * inv1[:, None] + e2[..., None, None] * inv2[None, :])
+    lw, means, covs, inv, info = components
+    e1 = np.asarray(e1, dtype=float)[:, None]
+    e2 = np.asarray(e2, dtype=float)[:, None]
+    # A few (k, d, d) stacks dominate memory, so callers bound k.
+    cov = np.linalg.inv(e1[..., None] * inv[i1] + e2[..., None] * inv[i2])
     cov = cov + np.swapaxes(cov, -1, -2)
     cov *= 0.5
-    a1 = np.einsum("nij,nj->ni", inv1, means1)
-    a2 = np.einsum("nij,nj->ni", inv2, means2)
-    mean = np.einsum(
-        "kabij,kabj->kabi", cov, e1[..., None] * a1[:, None] + e2[..., None] * a2[None, :]
-    )
-    diff = means1[:, None] - means2[None, :]
-    spread = covs1[:, None] / e1[..., None, None] + covs2[None, :] / e2[..., None, None]
-    log_w = e1 * log_w1[:, None] + e2 * log_w2[None, :] + _log_sup_product(diff, spread)
+    mean = np.einsum("kij,kj->ki", cov, e1 * info[i1] + e2 * info[i2])
+    spread = covs[i1] / e1[..., None] + covs[i2] / e2[..., None]
+    sup = _log_sup_product(means[i1] - means[i2], spread)
+    log_w = e1[:, 0] * lw[i1] + e2[:, 0] * lw[i2] + sup
     return log_w, mean, cov
 
 

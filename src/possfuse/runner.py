@@ -13,7 +13,10 @@ Three experiment shapes share one per-run engine:
   product double-counts and Chernoff fusion does not.
 
 Fusion here is reporting, not feedback: each local filter keeps recursing
-on its own posterior.
+on its own posterior.  So a run first recurses through every step, then
+fuses step by step, the product tables of many steps' pairs built
+together in one kernel call.  A failure still names the earliest step
+that fails.
 
 Runs are distributed over a process pool whose size comes from the CPU
 count, overridable through the POSSFUSE_THREADS environment variable.
@@ -45,7 +48,13 @@ from .bernoulli import (
     update,
 )
 from .config import ConfigError, ExperimentConfig
-from .fusion import fuse_chernoff, fuse_independent, parse_omega_strategy, select_omega
+from .fusion import (
+    _prefilled,
+    fuse_chernoff,
+    fuse_independent,
+    parse_omega_strategy,
+    select_omega,
+)
 from .metrics import AggregateResult, RunRecord, RunScores, SeriesTrack, fold_scores, score_run
 from .simulate import (
     BirthConfig,
@@ -71,6 +80,9 @@ __all__ = [
 # A sensor simulated without clutter still needs a positive clutter rate
 # in the filter model, where it only rescales detection weights.
 MIN_MODEL_CLUTTER = 1e-6
+
+# What a run turns into a NumericsError.
+_FAILURES = (ValueError, ArithmeticError, np.linalg.LinAlgError, MemoryError)
 
 SERIES_CHERNOFF = "chernoff"
 SERIES_CENTRALIZED = "centralized"
@@ -202,7 +214,9 @@ def run_once(
     truth or the filters cannot be built from, so step 0 is left for
     failures met while simulating, such as a truth that overflows.  A run
     that runs out of memory, as a valid but enormous clutter rate makes
-    it, fails the same way.
+    it, fails the same way.  Fusion runs after the recursion, so when a
+    filter fails, the steps before it are fused first, and a fusion
+    failure among them is the one raised.
     """
     if mode not in ("single", "independent", "dependent"):
         raise ValueError(f"unknown run mode {mode!r}")
@@ -211,7 +225,11 @@ def run_once(
     fused_names = () if mode == "single" else (SERIES_CHERNOFF, SERIES_CENTRALIZED)
     fixed_omega = parse_omega_strategy(cfg.fusion.omega_strategy)
 
-    step = 0
+    # The recursion first, keeping each step's pair of states.  A step's
+    # trail holds its filters' audit entries, which join the audit with
+    # the step's fusions, so the audit stays in step order.
+    step, failure = 0, None
+    pairs, trail = [], []
     try:
         truth, labeled = _simulate_run(cfg, run_idx, mode)
         if scans is not None:
@@ -221,25 +239,39 @@ def run_once(
         engines = [_Filter(cfg, s) for s in scenario.sensors[: len(streams)]]
         names = ["single"] if mode == "dependent" else [f"sensor{i + 1}" for i in range(len(streams))]
         tracks = {name: SeriesTrack() for name in names}
-        fused_tracks = {name: SeriesTrack() for name in fused_names}
         for step in range(1, scenario.steps + 1):
+            trail.append([] if audit is not None else None)
             for engine, name, stream in zip(engines, names, streams):
-                engine.advance(stream[step - 1], audit, name, step)
+                engine.advance(stream[step - 1], trail[-1], name, step)
                 _append_state(tracks[name], engine.state)
-            if fused_tracks:
-                # Dependent mode has one filter, fused with itself.
-                a, b = engines[0].state, engines[-1].state
-                omega = select_omega(a, b) if fixed_omega is None else fixed_omega
-                fused = (
-                    fuse_chernoff(a, b, omega, reduction=cfg.filter.reduction),
-                    fuse_independent(a, b, reduction=cfg.filter.reduction),
-                )
-                for name, result in zip(fused_names, fused):
-                    _append_state(fused_tracks[name], result.state)
-                    if audit is not None:
-                        audit.append((step, "fused", name, result.state))
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:
+            # Dependent mode has one filter, fused with itself.
+            pairs.append((engines[0].state, engines[-1].state))
+    except _FAILURES as exc:
+        failure = (step, exc)
+
+    fused_tracks = {name: SeriesTrack() for name in fused_names}
+    ordered = _prefilled(pairs, fixed_omega) if fused_tracks else pairs
+    try:
+        for step, (a, b) in enumerate(ordered, 1):
+            if audit is not None:
+                audit.extend(trail[step - 1])
+            if not fused_tracks:
+                continue
+            omega = select_omega(a, b) if fixed_omega is None else fixed_omega
+            fused = (
+                fuse_chernoff(a, b, omega, reduction=cfg.filter.reduction),
+                fuse_independent(a, b, reduction=cfg.filter.reduction),
+            )
+            for name, result in zip(fused_names, fused):
+                _append_state(fused_tracks[name], result.state)
+                if audit is not None:
+                    audit.append((step, "fused", name, result.state))
+    except _FAILURES as exc:
         raise NumericsError(run_idx, step, exc) from exc
+    if failure is not None:
+        if audit is not None:
+            audit.extend(entry for entries in trail[len(pairs) :] for entry in entries)
+        raise NumericsError(run_idx, *failure) from failure[1]
 
     tracks.update(fused_tracks)
     return RunRecord(truth_positions=positions, series=tracks)

@@ -115,7 +115,13 @@ class SensorConfig:
             raise ValueError(f"noise_var must be positive, got {self.noise_var}")
         if self.clutter_rate < 0.0:
             raise ValueError(f"clutter_rate must be nonnegative, got {self.clutter_rate}")
-        # Scans draw clutter counts from numpy's Poisson sampler; try one draw.
+
+    def check_drawable(self) -> None:
+        """Raise ValueError when numpy's Poisson sampler, which draws each
+        scan's clutter count, refuses clutter_rate (as it does above about
+        9.2e18).  One throwaway draw decides; config parsing makes it for
+        every sensor a document gives, so importing the package loads no
+        random generator."""
         try:
             np.random.default_rng(0).poisson(self.clutter_rate)
         except ValueError as exc:

@@ -22,6 +22,7 @@ from possfuse.config import (
 from possfuse.gaussmax import NORM_TOL
 from possfuse.runner import _Filter
 from possfuse.simulate import BirthConfig, Rect, ScenarioConfig
+from support import run_cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -228,6 +229,13 @@ class TestValidation:
         # run still fails for memory, but the config does not reject it.
         cfg = parse_experiment({"scenario": {"sensors": [{"clutter_rate": 9.2e18}, {}]}})
         assert cfg.scenario.sensors[0].clutter_rate == 9.2e18
+
+    def test_importing_the_package_loads_no_random_generator(self):
+        # Only a sensor read from a config document makes the throwaway
+        # clutter draw, so a CLI parent does not import numpy.random.
+        code = "import sys, possfuse, possfuse.cli; print('numpy.random' in sys.modules)"
+        proc = run_cli(["-c", code])
+        assert (proc.returncode, proc.stdout.strip()) == (0, "False")
 
     def test_unconsumed_scenario_probabilities_are_unknown(self):
         with pytest.raises(ConfigError) as err:

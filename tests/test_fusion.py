@@ -17,6 +17,7 @@ from possfuse.config import parse_experiment
 from possfuse.fusion import (
     OMEGA_GRID,
     _fuse,
+    _product_tables,
     fuse_chernoff,
     fuse_independent,
     parse_omega_strategy,
@@ -28,6 +29,7 @@ from possfuse.gaussmax import (
     GaussianMaxMixture,
     _conditioned_covariance,
     _cross_arrays,
+    _stacked_components,
 )
 from possfuse.runner import run_once
 from support import (
@@ -430,21 +432,23 @@ class TestBatchedOmegaSearch:
         b = sized_state(rng, int(rng.integers(1, 18)), dim).spatial
         e2 = np.array([*OMEGA_GRID, 1.0])
         e1 = np.array([*(1.0 - o for o in OMEGA_GRID), 1.0])
-        args_a = (np.log(a.weights), a.means, a.covariances)
-        args_b = (np.log(b.weights), b.means, b.covariances)
-        batched = _cross_arrays(e1, *args_a, e2, *args_b)
-        assert batched[0].shape == (e1.size, a.n_components, b.n_components)
-        for k in range(e1.size):
-            single = _cross_arrays(e1[k : k + 1], *args_a, e2[k : k + 1], *args_b)
+        components = _stacked_components([a, b])
+        i1, i2 = grid_gather(a, b)
+        pairs = i1.size
+        rows = e1.size
+        batched = _cross_arrays(
+            components, np.repeat(e1, pairs), np.tile(i1, rows), np.repeat(e2, pairs), np.tile(i2, rows)
+        )
+        assert batched[0].shape == (rows * pairs,)
+        for k in range(rows):
+            single = _cross_arrays(components, np.full(pairs, e1[k]), i1, np.full(pairs, e2[k]), i2)
             for got, want in zip(batched, single):
-                np.testing.assert_array_equal(got[k], want[0])
+                np.testing.assert_array_equal(got[k * pairs : (k + 1) * pairs], want)
 
     def test_self_product_inverts_once(self, monkeypatch):
-        a = sized_state(np.random.default_rng(4), 5).spatial
-        args = (np.log(a.weights), a.means, a.covariances)
-        e1 = np.array([1.0 - o for o in OMEGA_GRID])
-        e2 = np.array(OMEGA_GRID)
-        copied = _cross_arrays(e1, *args, e2, *(x.copy() for x in args))
+        a = sized_state(np.random.default_rng(4), 5)
+        rows = [(1.0 - o, o) for o in OMEGA_GRID]
+        (copied,) = _product_tables([(a.spatial, fresh(a).spatial)], rows)
         inverted = []
         original = np.linalg.inv
 
@@ -453,11 +457,10 @@ class TestBatchedOmegaSearch:
             return original(M)
 
         monkeypatch.setattr(np.linalg, "inv", counting)
-        shared = _cross_arrays(e1, *args, e2, *args)
+        (shared,) = _product_tables([(a.spatial, a.spatial)], rows)
         # One inverse of the component stack, one of the fused precisions.
-        assert inverted == [a.covariances.shape, (e1.size, 5, 5, 4, 4)]
-        for got, want in zip(shared, copied):
-            assert got.tobytes() == want.tobytes()
+        assert inverted == [a.spatial.covariances.shape, (len(rows) * 25, 4, 4)]
+        assert_same_table(shared, copied)
 
     @pytest.mark.parametrize(
         "seed, n_a, n_b", [(10, 1, 1), (11, 1, 17), (12, 17, 1), (13, 3, 5), (14, 17, 17), (15, 16, 17)]
@@ -488,7 +491,8 @@ class TestBatchedOmegaSearch:
 
         def patched(*args):
             log_w, means, covs = original(*args)
-            corrupt(log_w, covs)
+            # Views in (row, i, j) order of the 2 x 2 pair _pair returns.
+            corrupt(log_w.reshape(-1, 2, 2), covs.reshape(-1, 2, 2, 2, 2))
             return log_w, means, covs
 
         monkeypatch.setattr(fusion_mod, "_cross_arrays", patched)
@@ -527,6 +531,17 @@ class TestBatchedOmegaSearch:
         with pytest.raises(ValueError, match="weights must be finite"):
             select_omega(a, b)
 
+    def test_weights_are_checked_before_covariances(self, monkeypatch):
+        a, b = self._pair()
+
+        def corrupt(log_w, covs):
+            log_w[12, 1, 1] = np.nan
+            covs[7, 1, 0] = np.diag([1.0, -1.0])
+
+        self._corrupting(monkeypatch, corrupt)
+        with pytest.raises(ValueError, match="weights must be finite"):
+            select_omega(a, b)
+
     def test_underflowed_pair_is_not_checked(self, monkeypatch):
         # A pair whose weight underflows is dropped from the trial mixture,
         # so its covariance is never validated, as in a real fusion.
@@ -547,15 +562,22 @@ class TestBatchedOmegaSearch:
             select_omega(a, b)
 
 
+def grid_gather(a, b):
+    """Indices into _stacked_components([a, b]) of every component pair
+    (i, j) of mixtures a and b, in C order."""
+    i1 = np.repeat(np.arange(a.n_components), b.n_components)
+    i2 = a.n_components + np.tile(np.arange(b.n_components), a.n_components)
+    return i1, i2
+
+
 def one_row_fusion(a, b, e1, e2):
     """Unreduced fused mixture and log alpha from a one-row _cross_arrays
     call, kept, conditioned and checked on its own."""
     A, B = a.spatial, b.spatial
+    i1, i2 = grid_gather(A, B)
     log_w, means, covs = _cross_arrays(
-        [e1], np.log(A.weights), A.means, A.covariances,
-        [e2], np.log(B.weights), B.means, B.covariances,
+        _stacked_components([A, B]), np.full(i1.size, e1), i1, np.full(i1.size, e2), i2
     )
-    log_w = log_w.reshape(-1)
     top = int(np.argmax(log_w))
     keep = np.exp(log_w - log_w[top]) >= WEIGHT_UNDERFLOW
     mix = GaussianMaxMixture._derived(
@@ -564,6 +586,13 @@ def one_row_fusion(a, b, e1, e2):
         _conditioned_covariance(covs.reshape(-1, A.dim, A.dim)[keep]),
     )
     return mix, float(log_w[top])
+
+
+def assert_same_table(got, want):
+    assert got.index == want.index and got.bounds == want.bounds
+    for field in ("log_alpha", "weights", "ends", "kept_weights", "means", "covs"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert g.shape == w.shape and g.dtype == w.dtype and g.tobytes() == w.tobytes(), field
 
 
 def assert_same_result(got, want):
@@ -576,12 +605,12 @@ def assert_same_result(got, want):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Counts the _cross_arrays calls fusion makes."""
+    """The combinations of each _cross_arrays call fusion makes."""
     calls = []
     original = fusion_mod._cross_arrays
 
     def counting(*args):
-        calls.append(len(args[0]))
+        calls.append(len(args[1]))
         return original(*args)
 
     monkeypatch.setattr(fusion_mod, "_cross_arrays", counting)
@@ -605,16 +634,17 @@ class TestProductTable:
         rng = np.random.default_rng(seed)
         a = sized_state(rng, n_a)
         b = a if n_b == 0 else sized_state(rng, n_b)
+        pairs = a.spatial.n_components * b.spatial.n_components
         omega = select_omega(a, b)
-        assert kernel_calls == [len(OMEGA_GRID) + 1]
+        assert kernel_calls == [(len(OMEGA_GRID) + 1) * pairs]
         other = 0.05 if omega != 0.05 else 0.95
         # The search's table serves every grid omega and the independent row.
         cached = self.fusions(a, b, [omega, other], reduction)
-        assert kernel_calls == [len(OMEGA_GRID) + 1]
+        assert kernel_calls == [(len(OMEGA_GRID) + 1) * pairs]
         # 0.37 is not on the grid: one new table serves it and the
         # independent fusion after it.
         cached += self.fusions(a, b, [0.37], reduction)
-        assert kernel_calls == [len(OMEGA_GRID) + 1, 2]
+        assert kernel_calls == [(len(OMEGA_GRID) + 1) * pairs, 2 * pairs]
         fa = fresh(a)
         fb = fa if b is a else fresh(b)
         assert select_omega(fa, fb) == omega
@@ -653,7 +683,7 @@ class TestProductTable:
         omega = select_omega(a, b)
         # 64 pairs: 16 rows per block, so the grid and the independent row
         # take two blocks.
-        search = [16, len(OMEGA_GRID) + 1 - 16]
+        search = [16 * 64, (len(OMEGA_GRID) + 1 - 16) * 64]
         assert kernel_calls == search
         # The one table holds both blocks: rows from the first (0.05) and
         # the second (0.95 and independent) need no new table.
@@ -710,34 +740,68 @@ class TestProductTable:
         ],
     )
     def test_one_kernel_call_per_fused_pair_per_step(self, mode, strategy, clutter, kernel_calls, monkeypatch):
-        # One table per step's pair, which takes one _cross_arrays call per
-        # block of rows: one, or several once its (row, pair) combinations
-        # outgrow SEARCH_BLOCK_PAIRS.  Counted at each step's last fusion,
-        # with the pair it fused.  A fixed omega's table holds two rows,
-        # the omega's and the independent one, however large.
-        per_step = []
+        # A run builds its steps' tables in groups of consecutive steps
+        # holding at most SEARCH_BLOCK_PAIRS (row, component pair)
+        # combinations, one kernel call each.  A step whose table is larger
+        # is a group of its own, built in blocks of whole rows within the
+        # budget; only a row larger than the budget exceeds it, alone.  A
+        # fixed omega's table holds two rows, the omega's and the
+        # independent one, however large.
+        sizes = []
         inner = runner_mod.fuse_independent
 
-        def marking(a, b, **kwargs):
-            per_step.append((len(kernel_calls), a.spatial.n_components * b.spatial.n_components))
+        def recording(a, b, **kwargs):
+            sizes.append(a.spatial.n_components * b.spatial.n_components)
             return inner(a, b, **kwargs)
 
-        monkeypatch.setattr(runner_mod, "fuse_independent", marking)
+        monkeypatch.setattr(runner_mod, "fuse_independent", recording)
         sensors = [{"pd_true": p, "clutter_rate": clutter} for p in (0.8, 0.6)]
         cfg = parse_experiment(
             {"runs": 1, "scenario": {"sensors": sensors}, "fusion": {"omega_strategy": strategy}}
         )
         run_once(cfg, 0, mode)
-        assert len(per_step) == cfg.scenario.steps
-        counts = np.diff([0] + [n for n, _ in per_step])
-        pairs = np.array([p for _, p in per_step])
+        assert len(sizes) == cfg.scenario.steps
         rows = len(OMEGA_GRID) + 1 if strategy == "min-trace" else 2
-        per_call = np.maximum(1, fusion_mod.SEARCH_BLOCK_PAIRS // pairs)
-        expected = -(-rows // per_call)
-        assert (counts == expected).all()
+        budget = fusion_mod.SEARCH_BLOCK_PAIRS
+        expected, filled = [], 0
+        for n in sizes:
+            if filled and filled + rows * n > budget:
+                expected.append(filled)
+                filled = 0
+            if rows * n <= budget:
+                filled += rows * n
+                continue
+            per_call = max(1, budget // n)
+            expected += [n * min(per_call, rows - r) for r in range(0, rows, per_call)]
+        assert kernel_calls == expected + [filled] * (filled > 0)
+        assert all(n <= budget or n in sizes for n in kernel_calls)
         if clutter > 4.0:
             # Some tables take several blocks.
-            assert (expected > 1).sum() >= 5
+            assert sum(rows * n > budget for n in sizes) >= 5
+        else:
+            assert len(kernel_calls) < cfg.scenario.steps / 5
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_batch_build_equals_one_pair_builds(self, data):
+        # Random pair lists, self pairs and mixed sizes included, in blocks
+        # that split rows of different pairs apart or together.
+        dim = data.draw(st.integers(1, 4), label="dim")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=4), label="sizes")
+        mixtures = [sized_state(rng, n, dim).spatial for n in sizes]
+        pick = st.integers(0, len(mixtures) - 1)
+        picks = data.draw(st.lists(st.tuples(pick, pick), min_size=1, max_size=6), label="pairs")
+        pairs = [(mixtures[i], mixtures[j]) for i, j in picks]
+        omega = data.draw(st.sampled_from([None, 0.3, 0.5]), label="omega")
+        rows = fusion_mod._SEARCH_ROWS if omega is None else [(1.0 - omega, omega), fusion_mod.INDEPENDENT]
+        budget = data.draw(st.sampled_from([1, 50, 1024]), label="budget")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fusion_mod, "SEARCH_BLOCK_PAIRS", budget)
+            batch = _product_tables(pairs, rows)
+        for pair, got in zip(pairs, batch):
+            (want,) = _product_tables([pair], rows)
+            assert_same_table(got, want)
 
 
 class TestSelftest:

@@ -9,12 +9,14 @@ import sys
 import numpy as np
 import pytest
 
+import possfuse.fusion as fusion_mod
 import possfuse.runner as runner_mod
 from possfuse.bernoulli import BernoulliPossState
 from possfuse.cli import main
 from possfuse.config import (
     ConfigError,
     default_experiment,
+    parse_experiment,
     serialize_experiment,
 )
 from possfuse.metrics import RunScores, fold_scores, score_run
@@ -192,6 +194,100 @@ class TestRunOnce:
             for r, k, s, x, y, c in (line.split(",") for line in lines[1:])
         ]
         assert dumped == rows
+
+
+class TestFailureOrder:
+    """Fusion runs after the recursion, yet a run fails at the earliest
+    failing step, with the message that step's own failure gives."""
+
+    CFG = parse_experiment(
+        {"runs": 1, "scenario": {"steps": 10, "death_step": 10}, "fusion": {"omega_strategy": "min-trace"}}
+    )
+
+    def fused_pairs(self, monkeypatch):
+        """Every step's fused pair of a clean dependent run of CFG."""
+        pairs = []
+        inner = runner_mod.fuse_independent
+
+        def recording(a, b, **kwargs):
+            pairs.append((a, b))
+            return inner(a, b, **kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(runner_mod, "fuse_independent", recording)
+            run_once(self.CFG, 0, "dependent")
+        return pairs
+
+    @staticmethod
+    def break_kernel_for(monkeypatch, state):
+        """Make every fused covariance of a component of state's mixture
+        non-positive definite; the runs are deterministic, so its means
+        find it bit for bit.  Returns the size of each kernel call."""
+        target = state.spatial.means
+        original = fusion_mod._cross_arrays
+        sizes = []
+
+        def patched(components, e1, i1, e2, i2):
+            log_w, means, covs = original(components, e1, i1, e2, i2)
+            hit = (components[1][i1][:, None] == target[None]).all(axis=-1).any(axis=-1)
+            covs[hit] = -np.eye(covs.shape[-1])
+            sizes.append(len(e1))
+            return log_w, means, covs
+
+        monkeypatch.setattr(fusion_mod, "_cross_arrays", patched)
+        return sizes
+
+    @staticmethod
+    def fail_update_at(monkeypatch, step):
+        inner = runner_mod.update
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == step:
+                raise ValueError("injected update failure")
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "update", failing)
+
+    def test_fusion_failure_before_filter_failure_names_the_fusion_step(self, monkeypatch):
+        a, _ = self.fused_pairs(monkeypatch)[2]
+        self.break_kernel_for(monkeypatch, a)
+        self.fail_update_at(monkeypatch, 5)
+        with pytest.raises(NumericsError) as err:
+            run_once(self.CFG, 0, "dependent")
+        assert err.value.step == 3
+        assert "not positive definite" in str(err.value)
+
+    def test_filter_failure_after_clean_fusions_names_the_filter_step(self, monkeypatch):
+        fused = []
+        inner = runner_mod.fuse_independent
+
+        def recording(a, b, **kwargs):
+            fused.append(a)
+            return inner(a, b, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "fuse_independent", recording)
+        self.fail_update_at(monkeypatch, 5)
+        with pytest.raises(NumericsError) as err:
+            run_once(self.CFG, 0, "dependent")
+        assert err.value.step == 5
+        assert str(err.value).endswith("injected update failure")
+        assert len(fused) == 4
+
+    def test_kernel_failure_inside_a_block_names_its_step(self, monkeypatch):
+        a, b = self.fused_pairs(monkeypatch)[6]
+        sizes = self.break_kernel_for(monkeypatch, a)
+        with pytest.raises(ValueError) as one_pair:
+            fusion_mod._product_tables([(a.spatial, b.spatial)], fusion_mod._SEARCH_ROWS)
+        sizes.clear()
+        with pytest.raises(NumericsError) as err:
+            run_once(self.CFG, 0, "dependent")
+        assert err.value.step == 7
+        assert str(err.value) == f"numerical failure in run 0 at step 7: {one_pair.value}"
+        # The run's first call held step 7 together with other steps.
+        rows = len(fusion_mod._SEARCH_ROWS)
+        assert sizes[0] > rows * a.spatial.n_components * b.spatial.n_components
 
 
 class TestPoolPayload:
