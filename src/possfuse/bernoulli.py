@@ -249,7 +249,10 @@ class ReductionConfig:
     prune_ratio removes components lighter than prune_ratio times the max
     weight; merge_mahalanobis merges components closer than this distance
     in the metric of the heavier one; max_components caps the survivor
-    count by descending weight.
+    count by descending weight.  The filter's reduce applies all three.
+    Fusion reads prune_ratio and max_components only: it keeps fused pairs
+    by weight and never merges, so the merge radius applies to the filter
+    alone.
     """
 
     prune_ratio: float = 1e-3
@@ -362,7 +365,8 @@ def update(
     Because theta is the exact supremum of those unscaled weights, the
     posterior max weight lands at 1 up to rounding; it is renormalised to
     exactly 1.  Components whose renormalised weight underflows are
-    dropped by the one rule, _surviving, that fusion applies too.
+    dropped by the one rule, _surviving, that fusion applies too, there
+    at a floor raised to the prune ratio when the fusion is reduced.
     """
     mix = pred.spatial
     if meas.state_dim != mix.dim:

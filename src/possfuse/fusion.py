@@ -21,6 +21,14 @@ row they need and is kept weakly in _TABLES, not on a mixture.  One
 builder makes every table: _prefilled builds the tables of a run's
 pairs in groups, one kernel call per group, and a pair that finds no
 table builds its own as a batch of one.
+
+A fused state is reported, never fed back to a filter, so fusion never
+merges components: a reduction keeps pairs by weight alone, down to its
+prune ratio and up to its cap, and the fused top component stays the
+exact fusion.  The builder computes fused moments only for the pairs a
+fused state can keep, orders each row's kept pairs by weight and takes
+each row's top trace for the whole group at once, so a fusion is a slice
+of its table and the search compares precomputed traces.
 """
 
 from __future__ import annotations
@@ -33,14 +41,14 @@ from typing import Optional
 
 import numpy as np
 
-from .bernoulli import BernoulliPossState, ReductionConfig, reduce
+from .bernoulli import BernoulliPossState, ReductionConfig
 from .gaussmax import (
+    WEIGHT_UNDERFLOW,
     GaussianMaxMixture,
     _checked_weights,
     _conditioned_covariance,
     _cross_arrays,
     _stacked_components,
-    _surviving,
     sup_linear_gaussian_product,
 )
 
@@ -91,22 +99,25 @@ class FusionResult:
 class _ProductTable:
     """Every fused component pair of two mixtures at several exponent rows.
 
-    Row index[row] fuses at exponents row = (e1, e2).  weights[r] holds
-    the row's pair weights divided by their largest, alpha =
-    exp(log_alpha[r]), and the row keeps the pairs _surviving keeps of
-    them.  kept_weights, means and covs hold every kept pair of every
-    row, conditioned and checked; bounds[r]:bounds[r + 1] slices row r's,
-    and ends[r, j] counts the kept pairs up to row r, pair j.
+    Row index[row] fuses at exponents row = (e1, e2).  alpha =
+    exp(log_alpha[r]) is the row's largest pair weight, and the row keeps
+    the pairs whose weight divided by alpha _surviving keeps at floor.
+    kept_weights, means and covs hold every kept pair of every row in C
+    order, conditioned and checked, and bounds[r]:bounds[r + 1] slices
+    row r's.  order[bounds[r]:bounds[r + 1]] indexes row r's kept pairs
+    heaviest first, ties in C order, and head_trace[r] is the covariance
+    trace of the first of them, the row's top component.
     """
 
     index: dict
+    floor: float
     log_alpha: np.ndarray
-    weights: np.ndarray
-    ends: np.ndarray
     bounds: list
     kept_weights: np.ndarray
     means: np.ndarray
     covs: np.ndarray
+    order: np.ndarray
+    head_trace: np.ndarray
 
 
 def _cuts(sizes: list) -> list:
@@ -121,20 +132,32 @@ def _cuts(sizes: list) -> list:
     return cuts + [len(sizes)]
 
 
-def _product_tables(pairs: list, rows: list) -> list[_ProductTable]:
+def _floor(reduction: Optional[ReductionConfig]) -> float:
+    """The relative weight below which a fused pair is dropped: the prune
+    ratio of reduction, but never below WEIGHT_UNDERFLOW, so that a ratio
+    of 0 cannot keep a weight that underflowed to 0."""
+    return WEIGHT_UNDERFLOW if reduction is None else max(reduction.prune_ratio, WEIGHT_UNDERFLOW)
+
+
+def _product_tables(
+    pairs: list, rows: list, floor: float = WEIGHT_UNDERFLOW
+) -> list[_ProductTable]:
     """The product table of every mixture pair (a, b) in pairs, each with
-    every row of rows, built together.
+    every row of rows, built together and kept at floor.
 
     Each distinct mixture's covariances are inverted once.  The
     (pair, row, component pair) combinations, in that order, go through
     one _cross_arrays call per block of whole rows holding at most
     SEARCH_BLOCK_PAIRS combinations (a larger row is a block of its own),
     which bounds the kernel's temporaries however many pairs there are.
-    Each block is normalised row by row, kept, checked and conditioned in
-    one pass; a failing check in any block fails the whole build.  A
-    table equals a build of its pair alone, in any blocks, bit for bit:
-    the kernel, the row maxima, exp and the checks act per combination,
-    per row and per matrix.
+    The kernel computes moments only for the pairs kept at floor; each
+    block's kept pairs are checked (weights before covariances) and
+    conditioned in one pass, and a failing check in any block fails the
+    whole build.  Then one lexsort orders every row's kept pairs by
+    weight and one trace gives every row's top covariance trace.  A table
+    equals a build of its pair alone, in any blocks, bit for bit: the
+    kernel, the row maxima, exp, the checks and the sort act per
+    combination, per row and per matrix.
     """
     distinct = list({id(m): m for pair in pairs for m in pair}.values())
     first = dict(zip(map(id, distinct), accumulate([0, *(m.n_components for m in distinct)])))
@@ -157,32 +180,34 @@ def _product_tables(pairs: list, rows: list) -> list[_ProductTable]:
     cuts = _cuts(size.tolist())
     for u0, u1 in zip(cuts, cuts[1:]):
         lo, hi = begin[u0], stop[u1 - 1]
-        log_w, means, covs = _cross_arrays(components, e1[lo:hi], i1[lo:hi], e2[lo:hi], i2[lo:hi])
-        log_alpha = np.maximum.reduceat(log_w, begin[u0:u1] - lo)
-        weights = np.exp(log_w - np.repeat(log_alpha, size[u0:u1]))
-        kept = _surviving(weights)
+        log_alpha, weights, kept, means, covs = _cross_arrays(
+            components, e1[lo:hi], i1[lo:hi], e2[lo:hi], i2[lo:hi], size[u0:u1], floor
+        )
         kept_weights = _checked_weights(weights[kept])
-        covs = _conditioned_covariance(covs[kept])
-        parts.append((log_alpha, weights, kept, kept_weights, means[kept], covs))
-    log_alpha, weights, kept, kept_weights, means, covs = (np.concatenate(p) for p in zip(*parts))
-    # total[c]: how many of the combinations before c are kept.
-    total = np.concatenate([[0], np.cumsum(kept)])
+        parts.append((log_alpha, kept, kept_weights, means, _conditioned_covariance(covs)))
+    log_alpha, kept, kept_weights, means, covs = (np.concatenate(p) for p in zip(*parts))
+    # A unit's kept pairs are contiguous and start at starts[u]; sorting by
+    # unit first keeps them there, each unit's heaviest first.
+    starts = np.concatenate([[0], np.cumsum(kept)])[np.append(begin, stop[-1])]
+    unit = np.repeat(np.arange(size.size), np.diff(starts))
+    order = np.lexsort((-kept_weights, unit))
+    head_trace = np.trace(covs[order[starts[:-1]]], axis1=-2, axis2=-1)
     index = {row: r for r, row in enumerate(rows)}
     tables = []
     for p in range(len(pairs)):
         units = slice(p * n_rows, (p + 1) * n_rows)
-        lo, hi = int(begin[units.start]), int(stop[units.stop - 1])
-        base, top = int(total[lo]), int(total[hi])
-        ends = (total[lo + 1 : hi + 1] - base).reshape(n_rows, -1)
+        bounds = starts[units.start : units.stop + 1]
+        base, top = int(bounds[0]), int(bounds[-1])
         tables.append(_ProductTable(
             index=index,
+            floor=floor,
             log_alpha=log_alpha[units],
-            weights=weights[lo:hi].reshape(n_rows, -1),
-            ends=ends,
-            bounds=[0, *ends[:, -1].tolist()],
+            bounds=(bounds - base).tolist(),
             kept_weights=kept_weights[base:top],
             means=means[base:top],
             covs=covs[base:top],
+            order=order[base:top] - base,
+            head_trace=head_trace[units],
         ))
     return tables
 
@@ -193,21 +218,35 @@ def _product_tables(pairs: list, rows: list) -> list[_ProductTable]:
 _TABLES = weakref.WeakKeyDictionary()
 
 
-def _table(a: GaussianMaxMixture, b: GaussianMaxMixture, rows: list) -> _ProductTable:
-    """The product table of (a, b) with every row of rows, reused or built."""
+def _table(
+    a: GaussianMaxMixture, b: GaussianMaxMixture, rows: list, floor: Optional[float]
+) -> _ProductTable:
+    """The product table of (a, b) with every row of rows, reused or built.
+
+    A table kept at a floor above the one asked for lacks pairs, so it is
+    reused only at the same floor or a lower one.  floor None takes a
+    table at any floor, since every row's top pair is kept at all of
+    them, and builds one at WEIGHT_UNDERFLOW.
+    """
     partner, table = _TABLES.get(a, (None, None))
-    if partner is None or partner() is not b or not table.index.keys() >= set(rows):
-        (table,) = _product_tables([(a, b)], rows)
+    if (
+        partner is None
+        or partner() is not b
+        or not table.index.keys() >= set(rows)
+        or floor is not None and table.floor > floor
+    ):
+        (table,) = _product_tables([(a, b)], rows, WEIGHT_UNDERFLOW if floor is None else floor)
         _TABLES[a] = (weakref.ref(b), table)
     return table
 
 
-def _prefilled(pairs: list, omega: Optional[float]):
+def _prefilled(pairs: list, omega: Optional[float], reduction: Optional[ReductionConfig]):
     """Yield each state pair (a, b) of pairs in order, its product table
     filed in _TABLES with the rows that fusing the pair reads: the search
     rows when omega is None (min-trace), otherwise omega's row and the
-    independent row.  select_omega, fuse_chernoff and fuse_independent
-    then find the table instead of building it.
+    independent row, kept at reduction's floor.  select_omega,
+    fuse_chernoff and fuse_independent then find the table instead of
+    building it.
 
     The tables are built a group of consecutive pairs at a time, each
     group holding at most SEARCH_BLOCK_PAIRS (row, component pair)
@@ -224,11 +263,12 @@ def _prefilled(pairs: list, omega: Optional[float]):
         rows = [INDEPENDENT]
     else:
         rows = [(1.0 - omega, omega), INDEPENDENT]
+    floor = _floor(reduction)
     mixtures = [(a.spatial, b.spatial) for a, b in pairs]
     cuts = _cuts([len(rows) * a.n_components * b.n_components for a, b in mixtures])
     for lo, hi in zip(cuts, cuts[1:]):
         try:
-            tables = _product_tables(mixtures[lo:hi], rows)
+            tables = _product_tables(mixtures[lo:hi], rows, floor)
         except (ValueError, ArithmeticError, MemoryError):
             tables = []
         for (a, b), table in zip(mixtures[lo:hi], tables):
@@ -239,19 +279,33 @@ def _prefilled(pairs: list, omega: Optional[float]):
 
 
 def _fused_mixture(
-    a: GaussianMaxMixture, b: GaussianMaxMixture, e1: float, e2: float
+    a: GaussianMaxMixture,
+    b: GaussianMaxMixture,
+    e1: float,
+    e2: float,
+    reduction: Optional[ReductionConfig] = None,
 ) -> tuple[GaussianMaxMixture, float]:
-    """All-pairs fused mixture, normalised; returns (mixture, log_alpha).
+    """Fused mixture, normalised; returns (mixture, log_alpha).
 
     The row is read from _table with the independent row beside it, so a
-    step's Chernoff and independent fusions share one table.
+    step's Chernoff and independent fusions share one table.  Without a
+    reduction the mixture holds every pair not below WEIGHT_UNDERFLOW, in
+    C order; with one, the pairs not below its floor, heaviest first and
+    at most max_components of them.
     """
     row = (e1, e2)
-    table = _table(a, b, [row] if row == INDEPENDENT else [row, INDEPENDENT])
+    floor = _floor(reduction)
+    table = _table(a, b, [row] if row == INDEPENDENT else [row, INDEPENDENT], floor)
     r = table.index[row]
     lo, hi = table.bounds[r], table.bounds[r + 1]
+    take = slice(lo, hi)
+    if reduction is not None:
+        take = table.order[take]
+        if floor > table.floor:
+            take = take[table.kept_weights[take] >= floor]
+        take = take[: reduction.max_components]
     mixture = GaussianMaxMixture._derived(
-        table.kept_weights[lo:hi], table.means[lo:hi], table.covs[lo:hi]
+        table.kept_weights[take], table.means[take], table.covs[take]
     )
     return mixture, float(table.log_alpha[r])
 
@@ -277,7 +331,7 @@ def _fuse(
     reduction: Optional[ReductionConfig],
 ) -> FusionResult:
     _check_pair(a, b)
-    mixture, log_alpha = _fused_mixture(a.spatial, b.spatial, e1, e2)
+    mixture, log_alpha = _fused_mixture(a.spatial, b.spatial, e1, e2, reduction)
 
     def _log(q: float) -> float:
         return math.log(q) if q > 0.0 else -math.inf
@@ -287,8 +341,6 @@ def _fuse(
     log_norm = max(log_absent, log_present)
     q0 = math.exp(log_absent - log_norm)
     q1 = math.exp(log_present - log_norm)
-    if reduction is not None:
-        mixture = reduce(mixture, reduction)
     state = BernoulliPossState(q_absent=q0, q_present=q1, spatial=mixture)
     return FusionResult(state=state, normalizer=math.exp(log_norm), alpha=math.exp(log_alpha))
 
@@ -311,8 +363,14 @@ def fuse_chernoff(
         q_present ~ q1_a^(1-omega) * q1_b^omega * alpha
 
     divided by their max, and the fused mixture is renormalised by alpha.
-    Passing a ReductionConfig reduces the all-pairs mixture afterwards;
-    exactness holds only for the unreduced result.
+    Without a reduction the fused mixture keeps every pair whose weight
+    is not below WEIGHT_UNDERFLOW times the largest, in C order.  A
+    ReductionConfig keeps by weight alone: the pairs whose weight is at
+    least prune_ratio times the largest (never below WEIGHT_UNDERFLOW),
+    heaviest first, ties in C order, at most max_components of them.
+    Nothing is merged, since merging would move the fused top component;
+    merge_mahalanobis applies to the filter's reduce only.  The top
+    component, and so extract's estimate, is the exact fusion either way.
     """
     omega = float(omega)
     if not (0.0 <= omega <= 1.0):
@@ -333,7 +391,8 @@ def fuse_independent(
 
     Both exponents are 1, so fusing two copies of the same state squares
     existence possibilities and halves component covariances.  Use it as
-    the centralised reference, or when independence genuinely holds.
+    the centralised reference, or when independence genuinely holds.  A
+    reduction keeps pairs by weight alone, as in fuse_chernoff.
     """
     return _fuse(a, b, 1.0, 1.0, reduction)
 
@@ -367,20 +426,17 @@ def select_omega(a: BernoulliPossState, b: BernoulliPossState) -> float:
     the smallest covariance trace.  Traces within a relative
     TRACE_TIE_RTOL of the smallest are tied, and ties break toward 0.5,
     then toward the smaller exponent, so the choice is deterministic.  The
-    search is one product table over the whole grid plus the independent
-    row: it runs every check that fusing at each exponent would (finite,
-    positive definite covariances and finite weights in each trial
-    mixture) and compares the traces of the conditioned top covariances,
-    without building the trial mixtures.  Fusing the same pair at the
-    chosen exponent and independently then reads the table from _TABLES.
+    search reads one product table over the whole grid plus the
+    independent row: building it runs every check that fusing at each
+    exponent would (finite, positive definite covariances and finite
+    weights in each trial mixture) and computes every row's top trace, so
+    the search compares 19 precomputed traces without building the trial
+    mixtures.  A table at any floor serves, since every row keeps its top
+    pair.  Fusing the same pair at the chosen exponent and independently
+    then reads the table from _TABLES.
     """
     _check_pair(a, b)
-    table = _table(a.spatial, b.spatial, _SEARCH_ROWS)
-    # A row's heaviest component is its first pair of weight 1, which is
-    # always kept; locate it among the kept pairs, which are in row order.
-    head = np.argmax(table.weights[: len(OMEGA_GRID)], axis=1)
-    position = table.ends[np.arange(head.size), head] - 1
-    traces = np.trace(table.covs[position], axis1=-2, axis2=-1)
+    traces = _table(a.spatial, b.spatial, _SEARCH_ROWS, None).head_trace[: len(OMEGA_GRID)]
     floor = traces.min()
     tied = (traces - floor <= TRACE_TIE_RTOL * floor).tolist()
     return min((abs(omega - 0.5), omega) for omega, t in zip(OMEGA_GRID, tied) if t)[1]

@@ -17,7 +17,8 @@ and the mixture is normalised exactly when that weight is 1.
 Closed-form operations that stay inside this family:
 
 * the exponentiated product of component pairs, any gathered list of
-  them at once (_cross_arrays), on which Chernoff and independent-product
+  them at once, with moments only for the pairs whose weight clears a
+  floor (_cross_arrays), on which Chernoff and independent-product
   fusion rest;
 * the supremum of a product of two Gaussians (_log_sup_product), which
   weights every fused pair and gives the filter update's normaliser.
@@ -150,15 +151,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _surviving(w: np.ndarray) -> np.ndarray:
+def _surviving(w: np.ndarray, floor: float = WEIGHT_UNDERFLOW) -> np.ndarray:
     """Mask of the components a mixture keeps, given weights divided by
-    their largest: those not below WEIGHT_UNDERFLOW.
+    their largest: those not below floor, which is WEIGHT_UNDERFLOW or,
+    for a fused state kept by weight, a larger prune ratio.
 
-    The heaviest component has weight 1, so it always stays, and a mixture
-    is never empty however far apart its sources are.  A NaN weight stays
-    too, so that _checked_weights rejects it.
+    floor is below 1 and the heaviest component has weight 1, so it always
+    stays, and a mixture is never empty however far apart its sources are.
+    A NaN weight stays too, so that _checked_weights rejects it.
     """
-    return ~(w < WEIGHT_UNDERFLOW)
+    return ~(w < floor)
 
 
 def _checked_weights(w: np.ndarray) -> np.ndarray:
@@ -280,9 +282,16 @@ def _stacked_components(mixtures) -> tuple:
 
 
 def _cross_arrays(
-    components: tuple, e1: np.ndarray, i1: np.ndarray, e2: np.ndarray, i2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exponentiated-product components of gathered component pairs.
+    components: tuple,
+    e1: np.ndarray,
+    i1: np.ndarray,
+    e2: np.ndarray,
+    i2: np.ndarray,
+    sizes: np.ndarray,
+    floor: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exponentiated-product components of gathered component pairs, the
+    moments only of those a fused state can keep.
 
     components is a _stacked_components stack.  Combination p pairs
     component i1[p] at exponent e1[p] with component i2[p] at exponent
@@ -296,25 +305,34 @@ def _cross_arrays(
         log weight = e1 log w1 + e2 log w2
                      - 0.5 (m1 - m2)' inv(P1 / e1 + P2 / e2) (m1 - m2)
 
-    The (row, i, j) grid of one pair of mixtures at several exponent rows
-    is one gather.  Returns (log_w, means, covs) of shapes (k,), (k, d)
-    and (k, d, d) for k combinations.  Every combination is computed from
-    its own inputs alone, so it equals a call with that combination alone
-    bit for bit.  Weights stay in log scale so widely separated pairs
-    cannot underflow here.
+    The combinations form consecutive rows of sizes[r] each; the
+    (row, i, j) grid of one pair of mixtures at several exponent rows is
+    one gather.  Every combination's log weight is computed, and its
+    weight is that divided by its row's largest.  Only the combinations
+    _surviving keeps at floor get a mean and covariance.  Returns
+    (log_alpha, weights, kept, means, covs): each row's largest log
+    weight, every weight, the mask of kept combinations, and their means
+    (m, d) and symmetrised covariances (m, d, d) in order.  Every
+    combination's moments are computed from its own inputs alone, so they
+    equal a call with that combination alone, at any floor, bit for bit.
+    Weights stay in log scale until each row is divided by its largest,
+    so widely separated pairs cannot underflow here.
     """
     lw, means, covs, inv, info = components
-    e1 = np.asarray(e1, dtype=float)[:, None]
-    e2 = np.asarray(e2, dtype=float)[:, None]
+    e1 = np.asarray(e1, dtype=float)
+    e2 = np.asarray(e2, dtype=float)
     # A few (k, d, d) stacks dominate memory, so callers bound k.
+    spread = covs[i1] / e1[:, None, None] + covs[i2] / e2[:, None, None]
+    log_w = e1 * lw[i1] + e2 * lw[i2] + _log_sup_product(means[i1] - means[i2], spread)
+    log_alpha = np.maximum.reduceat(log_w, np.cumsum(sizes) - sizes)
+    weights = np.exp(log_w - np.repeat(log_alpha, sizes))
+    kept = _surviving(weights, floor)
+    e1, i1, e2, i2 = e1[kept, None], i1[kept], e2[kept, None], i2[kept]
     cov = np.linalg.inv(e1[..., None] * inv[i1] + e2[..., None] * inv[i2])
     cov = cov + np.swapaxes(cov, -1, -2)
     cov *= 0.5
     mean = np.einsum("kij,kj->ki", cov, e1 * info[i1] + e2 * info[i2])
-    spread = covs[i1] / e1[..., None] + covs[i2] / e2[..., None]
-    sup = _log_sup_product(means[i1] - means[i2], spread)
-    log_w = e1[:, 0] * lw[i1] + e2[:, 0] * lw[i2] + sup
-    return log_w, mean, cov
+    return log_alpha, weights, kept, mean, cov
 
 
 def _log_sup_product(d: np.ndarray, C: np.ndarray) -> np.ndarray:

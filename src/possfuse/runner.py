@@ -250,7 +250,7 @@ def run_once(
         failure = (step, exc)
 
     fused_tracks = {name: SeriesTrack() for name in fused_names}
-    ordered = _prefilled(pairs, fixed_omega) if fused_tracks else pairs
+    ordered = _prefilled(pairs, fixed_omega, cfg.filter.reduction) if fused_tracks else pairs
     try:
         for step, (a, b) in enumerate(ordered, 1):
             if audit is not None:

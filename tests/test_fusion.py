@@ -1,6 +1,7 @@
 """Chernoff and independent-product fusion of filter states."""
 
 import gc
+import json
 import math
 import pickle
 import weakref
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 import possfuse.fusion as fusion_mod
 import possfuse.runner as runner_mod
-from possfuse.bernoulli import BernoulliPossState, ReductionConfig, reduce
+from possfuse.bernoulli import BernoulliPossState, ReductionConfig, extract, reduce
+from possfuse.cli import main
 from possfuse.config import parse_experiment
 from possfuse.fusion import (
     OMEGA_GRID,
@@ -437,12 +439,14 @@ class TestBatchedOmegaSearch:
         pairs = i1.size
         rows = e1.size
         batched = _cross_arrays(
-            components, np.repeat(e1, pairs), np.tile(i1, rows), np.repeat(e2, pairs), np.tile(i2, rows)
+            components, np.repeat(e1, pairs), np.tile(i1, rows), np.repeat(e2, pairs), np.tile(i2, rows),
+            np.full(rows, pairs), 0.0,
         )
-        assert batched[0].shape == (rows * pairs,)
+        assert batched[1].shape == (rows * pairs,) and batched[2].all()
         for k in range(rows):
-            single = _cross_arrays(components, np.full(pairs, e1[k]), i1, np.full(pairs, e2[k]), i2)
-            for got, want in zip(batched, single):
+            single = _cross_arrays(components, np.full(pairs, e1[k]), i1, np.full(pairs, e2[k]), i2, [pairs], 0.0)
+            assert batched[0][k] == single[0][0]
+            for got, want in zip(batched[1:], single[1:]):
                 np.testing.assert_array_equal(got[k * pairs : (k + 1) * pairs], want)
 
     def test_self_product_inverts_once(self, monkeypatch):
@@ -490,10 +494,19 @@ class TestBatchedOmegaSearch:
         original = fusion_mod._cross_arrays
 
         def patched(*args):
-            log_w, means, covs = original(*args)
-            # Views in (row, i, j) order of the 2 x 2 pair _pair returns.
+            *inputs, floor = args
+            # Every combination's moments, kept after the corruption as
+            # the kernel keeps them.  The views are in (row, i, j) order of
+            # the 2 x 2 pair _pair returns, and log_w holds each log weight
+            # relative to its row's largest.
+            log_alpha, weights, _, means, covs = original(*inputs, 0.0)
+            log_w = np.log(weights)
+            before = log_w.copy()
             corrupt(log_w.reshape(-1, 2, 2), covs.reshape(-1, 2, 2, 2, 2))
-            return log_w, means, covs
+            changed = ~(log_w == before)
+            weights[changed] = np.exp(log_w[changed])
+            kept = ~(weights < floor)
+            return log_alpha, weights, kept, means[kept], covs[kept]
 
         monkeypatch.setattr(fusion_mod, "_cross_arrays", patched)
 
@@ -575,22 +588,19 @@ def one_row_fusion(a, b, e1, e2):
     call, kept, conditioned and checked on its own."""
     A, B = a.spatial, b.spatial
     i1, i2 = grid_gather(A, B)
-    log_w, means, covs = _cross_arrays(
-        _stacked_components([A, B]), np.full(i1.size, e1), i1, np.full(i1.size, e2), i2
+    log_alpha, weights, _, means, covs = _cross_arrays(
+        _stacked_components([A, B]), np.full(i1.size, e1), i1, np.full(i1.size, e2), i2, [i1.size], 0.0
     )
-    top = int(np.argmax(log_w))
-    keep = np.exp(log_w - log_w[top]) >= WEIGHT_UNDERFLOW
+    keep = weights >= WEIGHT_UNDERFLOW
     mix = GaussianMaxMixture._derived(
-        np.exp(log_w[keep] - log_w[top]),
-        means.reshape(-1, A.dim)[keep],
-        _conditioned_covariance(covs.reshape(-1, A.dim, A.dim)[keep]),
+        weights[keep], means[keep], _conditioned_covariance(covs[keep])
     )
-    return mix, float(log_w[top])
+    return mix, float(log_alpha[0])
 
 
 def assert_same_table(got, want):
-    assert got.index == want.index and got.bounds == want.bounds
-    for field in ("log_alpha", "weights", "ends", "kept_weights", "means", "covs"):
+    assert (got.index, got.floor, got.bounds) == (want.index, want.floor, want.bounds)
+    for field in ("log_alpha", "kept_weights", "means", "covs", "order", "head_trace"):
         g, w = getattr(got, field), getattr(want, field)
         assert g.shape == w.shape and g.dtype == w.dtype and g.tobytes() == w.tobytes(), field
 
@@ -796,12 +806,179 @@ class TestProductTable:
         omega = data.draw(st.sampled_from([None, 0.3, 0.5]), label="omega")
         rows = fusion_mod._SEARCH_ROWS if omega is None else [(1.0 - omega, omega), fusion_mod.INDEPENDENT]
         budget = data.draw(st.sampled_from([1, 50, 1024]), label="budget")
+        floor = data.draw(st.sampled_from([WEIGHT_UNDERFLOW, 1e-3, 0.5]), label="floor")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fusion_mod, "SEARCH_BLOCK_PAIRS", budget)
-            batch = _product_tables(pairs, rows)
+            batch = _product_tables(pairs, rows, floor)
         for pair, got in zip(pairs, batch):
-            (want,) = _product_tables([pair], rows)
+            (want,) = _product_tables([pair], rows, floor)
             assert_same_table(got, want)
+
+
+def assert_relatively_close(got, want, rtol=1e-12):
+    """Every entry of got within rtol of want, relative to want's largest
+    magnitude."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+class TestKeptByWeight:
+    """A reduced fusion keeps fused pairs by weight alone: every pair at
+    or above the floor, heaviest first, up to the cap, never merged."""
+
+    RUNNER = ReductionConfig()
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_self_fusion_returns_the_input_estimate(self, seed, n):
+        rng = np.random.default_rng(seed)
+        # Presence above absence, so that extract reports the top component.
+        state = BernoulliPossState(float(rng.uniform(0.1, 0.9)), 1.0, sized_state(rng, n).spatial)
+        want = extract(state)
+        for omega in OMEGA_GRID:
+            got = extract(fuse_chernoff(state, state, omega, self.RUNNER).state)
+            assert_relatively_close(got.mean, want.mean)
+            assert_relatively_close(got.covariance, want.covariance)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_half_chernoff_and_independent_share_the_head(self, seed, n_a, n_b, reduced):
+        # Every log weight, precision and spread of the two fusions differs
+        # by a power of two, which rounding preserves.
+        rng = np.random.default_rng(seed)
+        a, b = sized_state(rng, n_a), sized_state(rng, n_b)
+        reduction = self.RUNNER if reduced else None
+        chernoff = fuse_chernoff(a, b, 0.5, reduction).state.spatial
+        independent = fuse_independent(a, b, reduction).state.spatial
+        i, j = chernoff.argmax_component(), independent.argmax_component()
+        assert chernoff.means[i].tobytes() == independent.means[j].tobytes()
+        assert chernoff.covariances[i].tobytes() == (2.0 * independent.covariances[j]).tobytes()
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 1e-3, 0.2]),
+        st.sampled_from([1, 2, 100]),
+        st.sampled_from([0.3, None]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_reduction_keeps_the_heaviest_unreduced_pairs(self, seed, prune, cap, omega):
+        rng = np.random.default_rng(seed)
+        a, b = sized_state(rng, int(rng.integers(1, 7))), sized_state(rng, int(rng.integers(1, 7)))
+        reduction = ReductionConfig(prune_ratio=prune, merge_mahalanobis=1e6, max_components=cap)
+
+        def fused(x, y, reduction):
+            if omega is None:
+                return fuse_independent(x, y, reduction)
+            return fuse_chernoff(x, y, omega, reduction)
+
+        got = fused(a, b, reduction)
+        whole = fused(fresh(a), fresh(b), None)
+        assert (got.normalizer, got.alpha) == (whole.normalizer, whole.alpha)
+        w = whole.state.spatial.weights
+        take = np.argsort(-w, kind="stable")
+        take = take[w[take] >= prune][:cap]
+        for field in ("weights", "means", "covariances"):
+            want = getattr(whole.state.spatial, field)[take]
+            assert getattr(got.state.spatial, field).tobytes() == want.tobytes(), field
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([WEIGHT_UNDERFLOW, 1e-3, 0.3, 0.9]))
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_moments_at_a_floor_equal_every_moment(self, seed, floor):
+        rng = np.random.default_rng(seed)
+        a = sized_state(rng, int(rng.integers(1, 8))).spatial
+        b = sized_state(rng, int(rng.integers(1, 8))).spatial
+        components = _stacked_components([a, b])
+        i1, i2 = grid_gather(a, b)
+        rows = [(1.0 - o, o) for o in OMEGA_GRID] + [(1.0, 1.0)]
+        e1, e2 = (np.repeat(e, i1.size) for e in np.array(rows).T)
+        args = (components, e1, np.tile(i1, len(rows)), e2, np.tile(i2, len(rows)), np.full(len(rows), i1.size))
+        log_alpha, weights, kept, means, covs = _cross_arrays(*args, floor)
+        every = _cross_arrays(*args, 0.0)
+        assert every[2].all()
+        assert log_alpha.tobytes() == every[0].tobytes() and weights.tobytes() == every[1].tobytes()
+        np.testing.assert_array_equal(kept, weights >= floor)
+        assert means.tobytes() == every[3][kept].tobytes()
+        assert covs.tobytes() == every[4][kept].tobytes()
+
+    PRUNED = ReductionConfig(prune_ratio=0.3, max_components=3)
+
+    @pytest.mark.parametrize(
+        "first, then",
+        [(RUNNER, None), (None, RUNNER), (RUNNER, PRUNED), (PRUNED, RUNNER)],
+        ids=["reduced-then-unreduced", "unreduced-then-reduced", "floor-raised", "floor-lowered"],
+    )
+    def test_table_serves_floors_at_or_above_its_own(self, first, then, kernel_calls):
+        rng = np.random.default_rng(60)
+        a, b = sized_state(rng, 5), sized_state(rng, 4)
+        fuse_chernoff(a, b, 0.37, first)
+        got = fuse_chernoff(a, b, 0.37, then)
+        # A table kept at a higher floor than asked for is rebuilt.
+        rebuilt = fusion_mod._floor(first) > fusion_mod._floor(then)
+        assert len(kernel_calls) == 1 + rebuilt
+        assert_same_result(got, fuse_chernoff(fresh(a), fresh(b), 0.37, then))
+        if then is None:
+            # Every survivor, in C order, as a one-row build gives it.
+            mix, log_alpha = one_row_fusion(a, b, 0.63, 0.37)
+            assert got.alpha == math.exp(log_alpha)
+            for field in ("weights", "means", "covariances"):
+                assert getattr(got.state.spatial, field).tobytes() == getattr(mix, field).tobytes()
+            reduced = fuse_chernoff(fresh(a), fresh(b), 0.37, self.RUNNER).state.spatial
+            assert reduced.n_components < mix.n_components
+            assert not np.all(np.diff(mix.weights) <= 0.0)
+
+    @pytest.mark.parametrize("strategy", ["fixed(0.5)", "min-trace"])
+    @pytest.mark.parametrize("clutter", [4.0, 20.0])
+    def test_dependent_chernoff_trace_equals_single(self, strategy, clutter):
+        sensors = [{"pd_true": p, "clutter_rate": clutter} for p in (0.8, 0.6)]
+        cfg = parse_experiment(
+            {"runs": 1, "scenario": {"sensors": sensors}, "fusion": {"omega_strategy": strategy}}
+        )
+        record = run_once(cfg, 0, "dependent")
+        single, chernoff = record.series["single"], record.series["chernoff"]
+        assert any(est is not None for est in single.estimates)
+        for got, want in zip(chernoff.estimates, single.estimates):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert_relatively_close(np.trace(got.covariance), np.trace(want.covariance))
+
+    @pytest.mark.parametrize("cap", [100, 1])
+    def test_zero_prune_ratio_keeps_every_survivor(self, cap, tmp_path, monkeypatch):
+        # The floor is WEIGHT_UNDERFLOW, not 0: a pair whose weight
+        # underflowed to 0 would fail the weight check.
+        monkeypatch.setenv("POSSFUSE_THREADS", "1")
+        calls = []
+        for name in ("fuse_chernoff", "fuse_independent"):
+            inner = getattr(runner_mod, name)
+
+            def recording(*args, inner=inner, **kwargs):
+                result = inner(*args, **kwargs)
+                calls.append((inner, args, result))
+                return result
+
+            monkeypatch.setattr(runner_mod, name, recording)
+        sensors = [{"pd_true": p, "clutter_rate": 20.0} for p in (0.8, 0.6)]
+        # Five steps: unpruned states reach the cap of 100 components, and
+        # every step then fuses 10,000 pairs at 20 rows.
+        doc = {
+            "scenario": {"sensors": sensors, "steps": 5, "death_step": 5},
+            "filter": {"reduction": {"prune_ratio": 0.0, "max_components": cap}},
+            "fusion": {"omega_strategy": "min-trace"},
+        }
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(doc))
+        assert main(["fuse-dependent", "--config", str(path), "--runs", "1", "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 10
+        lightest = 1.0
+        for fuse, (a, b, *rest), result in calls:
+            whole = fuse(fresh(a), fresh(b), *rest).state.spatial
+            take = np.argsort(-whole.weights, kind="stable")[:cap]
+            for field in ("weights", "means", "covariances"):
+                want = getattr(whole, field)[take]
+                assert getattr(result.state.spatial, field).tobytes() == want.tobytes(), field
+            lightest = min(lightest, result.state.spatial.max_weight if cap == 1 else whole.weights[take].min())
+        # Pairs far below the default prune ratio were kept.
+        assert (lightest < 1e-3) == (cap > 1)
 
 
 class TestSelftest:

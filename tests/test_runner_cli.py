@@ -227,12 +227,12 @@ class TestFailureOrder:
         original = fusion_mod._cross_arrays
         sizes = []
 
-        def patched(components, e1, i1, e2, i2):
-            log_w, means, covs = original(components, e1, i1, e2, i2)
-            hit = (components[1][i1][:, None] == target[None]).all(axis=-1).any(axis=-1)
+        def patched(components, e1, i1, *rest):
+            log_alpha, weights, kept, means, covs = original(components, e1, i1, *rest)
+            hit = (components[1][i1[kept]][:, None] == target[None]).all(axis=-1).any(axis=-1)
             covs[hit] = -np.eye(covs.shape[-1])
             sizes.append(len(e1))
-            return log_w, means, covs
+            return log_alpha, weights, kept, means, covs
 
         monkeypatch.setattr(fusion_mod, "_cross_arrays", patched)
         return sizes
