@@ -250,9 +250,10 @@ class ReductionConfig:
     weight; merge_mahalanobis merges components closer than this distance
     in the metric of the heavier one; max_components caps the survivor
     count by descending weight.  The filter's reduce applies all three.
-    Fusion reads prune_ratio and max_components only: it keeps fused pairs
-    by weight and never merges, so the merge radius applies to the filter
-    alone.
+    Fusion reads prune_ratio and max_components only: a fused state is the
+    leading part of its product-table row, whose pairs are stored
+    heaviest first, so it keeps pairs by weight and never merges, and the
+    merge radius applies to the filter alone.
     """
 
     prune_ratio: float = 1e-3

@@ -17,24 +17,25 @@ cross-component weight.  No grids, no sampling.
 A step fuses the same pair of states up to three ways: the min-trace
 search over OMEGA_GRID, Chernoff fusion at one omega and the independent
 product.  All three read one product table of the pair, which holds every
-row they need and is kept weakly in _TABLES, not on a mixture.  One
-builder makes every table: _prefilled builds the tables of a run's
-pairs in groups, one kernel call per group, and a pair that finds no
-table builds its own as a batch of one.
+row they need.  One builder makes every table: in a run, _prefilled
+builds the tables of consecutive steps' pairs in groups, one kernel call
+per group, and hands them over in _TABLES only while that group is being
+fused.  Any other call, such as a direct select_omega or fuse_* call,
+builds its own table as a batch of one and keeps nothing.
 
 A fused state is reported, never fed back to a filter, so fusion never
 merges components: a reduction keeps pairs by weight alone, down to its
 prune ratio and up to its cap, and the fused top component stays the
 exact fusion.  The builder computes fused moments only for the pairs a
-fused state can keep, orders each row's kept pairs by weight and takes
-each row's top trace for the whole group at once, so a fusion is a slice
-of its table and the search compares precomputed traces.
+fused state can keep, stores each row's kept pairs heaviest first and
+takes each row's top trace for the whole group at once, so every fusion,
+reduced or not, is a leading slice of its row and the search compares
+precomputed traces.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional
@@ -102,11 +103,10 @@ class _ProductTable:
     Row index[row] fuses at exponents row = (e1, e2).  alpha =
     exp(log_alpha[r]) is the row's largest pair weight, and the row keeps
     the pairs whose weight divided by alpha _surviving keeps at floor.
-    kept_weights, means and covs hold every kept pair of every row in C
-    order, conditioned and checked, and bounds[r]:bounds[r + 1] slices
-    row r's.  order[bounds[r]:bounds[r + 1]] indexes row r's kept pairs
-    heaviest first, ties in C order, and head_trace[r] is the covariance
-    trace of the first of them, the row's top component.
+    kept_weights, means and covs hold every kept pair of every row,
+    conditioned and checked, and bounds[r]:bounds[r + 1] slices row r's,
+    heaviest first, ties in pair order ((i, j) in C order).  head_trace[r]
+    is the covariance trace of the first of them, the row's top component.
     """
 
     index: dict
@@ -116,7 +116,6 @@ class _ProductTable:
     kept_weights: np.ndarray
     means: np.ndarray
     covs: np.ndarray
-    order: np.ndarray
     head_trace: np.ndarray
 
 
@@ -153,11 +152,11 @@ def _product_tables(
     The kernel computes moments only for the pairs kept at floor; each
     block's kept pairs are checked (weights before covariances) and
     conditioned in one pass, and a failing check in any block fails the
-    whole build.  Then one lexsort orders every row's kept pairs by
-    weight and one trace gives every row's top covariance trace.  A table
-    equals a build of its pair alone, in any blocks, bit for bit: the
-    kernel, the row maxima, exp, the checks and the sort act per
-    combination, per row and per matrix.
+    whole build.  Then one lexsort puts every row's kept pairs heaviest
+    first, ties in pair order, and one trace gives every row's top
+    covariance trace.  A table equals a build of its pair alone, in any
+    blocks, bit for bit: the kernel, the row maxima, exp, the checks and
+    the sort act per combination, per row and per matrix.
     """
     distinct = list({id(m): m for pair in pairs for m in pair}.values())
     first = dict(zip(map(id, distinct), accumulate([0, *(m.n_components for m in distinct)])))
@@ -191,7 +190,8 @@ def _product_tables(
     starts = np.concatenate([[0], np.cumsum(kept)])[np.append(begin, stop[-1])]
     unit = np.repeat(np.arange(size.size), np.diff(starts))
     order = np.lexsort((-kept_weights, unit))
-    head_trace = np.trace(covs[order[starts[:-1]]], axis1=-2, axis2=-1)
+    kept_weights, means, covs = kept_weights[order], means[order], covs[order]
+    head_trace = np.trace(covs[starts[:-1]], axis1=-2, axis2=-1)
     index = {row: r for r, row in enumerate(rows)}
     tables = []
     for p in range(len(pairs)):
@@ -206,37 +206,32 @@ def _product_tables(
             kept_weights=kept_weights[base:top],
             means=means[base:top],
             covs=covs[base:top],
-            order=order[base:top] - base,
             head_trace=head_trace[units],
         ))
     return tables
 
 
-# Each first mixture's latest product table, as (weakref.ref(b), table).
-# Weak keys and a weak partner let an entry live exactly as long as its key:
-# a self-fusion makes no reference cycle, and a freed partner never matches.
-_TABLES = weakref.WeakKeyDictionary()
+# The product tables of the group of pairs _prefilled is fusing, keyed by
+# the pair (a, b) of mixtures.  Empty outside a run's fusion loop.
+_TABLES: dict = {}
 
 
 def _table(
     a: GaussianMaxMixture, b: GaussianMaxMixture, rows: list, floor: Optional[float]
 ) -> _ProductTable:
-    """The product table of (a, b) with every row of rows, reused or built.
-
-    A table kept at a floor above the one asked for lacks pairs, so it is
-    reused only at the same floor or a lower one.  floor None takes a
-    table at any floor, since every row's top pair is kept at all of
-    them, and builds one at WEIGHT_UNDERFLOW.
+    """The product table of (a, b) with every row of rows: the one filed
+    in _TABLES when it has those rows at floor, or else one built here and
+    kept nowhere.  floor None takes a filed table at any floor, since
+    every row keeps its top pair at all of them, and builds one at
+    WEIGHT_UNDERFLOW.
     """
-    partner, table = _TABLES.get(a, (None, None))
+    table = _TABLES.get((a, b))
     if (
-        partner is None
-        or partner() is not b
+        table is None
         or not table.index.keys() >= set(rows)
-        or floor is not None and table.floor > floor
+        or floor is not None and table.floor != floor
     ):
         (table,) = _product_tables([(a, b)], rows, WEIGHT_UNDERFLOW if floor is None else floor)
-        _TABLES[a] = (weakref.ref(b), table)
     return table
 
 
@@ -252,9 +247,10 @@ def _prefilled(pairs: list, omega: Optional[float], reduction: Optional[Reductio
     group holding at most SEARCH_BLOCK_PAIRS (row, component pair)
     combinations, or one larger pair alone: one kernel call per group,
     and no more memory than one table of that size.  A group's tables
-    leave _TABLES once its pairs are fused.  A group whose build fails
-    files no table, so each of its pairs builds its own when fused and
-    raises that build's error.
+    leave _TABLES once its pairs are fused, or when the caller closes the
+    generator mid-group.  A group whose build fails files no table, so
+    each of its pairs builds its own when fused and raises that build's
+    error.
     """
     if omega is None:
         rows = _SEARCH_ROWS
@@ -267,15 +263,16 @@ def _prefilled(pairs: list, omega: Optional[float], reduction: Optional[Reductio
     mixtures = [(a.spatial, b.spatial) for a, b in pairs]
     cuts = _cuts([len(rows) * a.n_components * b.n_components for a, b in mixtures])
     for lo, hi in zip(cuts, cuts[1:]):
+        group = mixtures[lo:hi]
         try:
-            tables = _product_tables(mixtures[lo:hi], rows, floor)
+            _TABLES.update(zip(group, _product_tables(group, rows, floor)))
         except (ValueError, ArithmeticError, MemoryError):
-            tables = []
-        for (a, b), table in zip(mixtures[lo:hi], tables):
-            _TABLES[a] = (weakref.ref(b), table)
-        yield from pairs[lo:hi]
-        for a, _ in mixtures[lo:hi]:
-            _TABLES.pop(a, None)
+            pass
+        try:
+            yield from pairs[lo:hi]
+        finally:
+            for key in group:
+                _TABLES.pop(key, None)
 
 
 def _fused_mixture(
@@ -288,24 +285,19 @@ def _fused_mixture(
     """Fused mixture, normalised; returns (mixture, log_alpha).
 
     The row is read from _table with the independent row beside it, so a
-    step's Chernoff and independent fusions share one table.  Without a
-    reduction the mixture holds every pair not below WEIGHT_UNDERFLOW, in
-    C order; with one, the pairs not below its floor, heaviest first and
-    at most max_components of them.
+    step's Chernoff and independent fusions share one table.  The mixture
+    is a copy of the row's leading pairs, heaviest first: every pair not
+    below reduction's floor (WEIGHT_UNDERFLOW without one), and at most
+    max_components of them under a reduction.
     """
     row = (e1, e2)
-    floor = _floor(reduction)
-    table = _table(a, b, [row] if row == INDEPENDENT else [row, INDEPENDENT], floor)
+    table = _table(a, b, [row] if row == INDEPENDENT else [row, INDEPENDENT], _floor(reduction))
     r = table.index[row]
     lo, hi = table.bounds[r], table.bounds[r + 1]
-    take = slice(lo, hi)
     if reduction is not None:
-        take = table.order[take]
-        if floor > table.floor:
-            take = take[table.kept_weights[take] >= floor]
-        take = take[: reduction.max_components]
+        hi = min(hi, lo + reduction.max_components)
     mixture = GaussianMaxMixture._derived(
-        table.kept_weights[take], table.means[take], table.covs[take]
+        table.kept_weights[lo:hi].copy(), table.means[lo:hi].copy(), table.covs[lo:hi].copy()
     )
     return mixture, float(table.log_alpha[r])
 
@@ -363,14 +355,17 @@ def fuse_chernoff(
         q_present ~ q1_a^(1-omega) * q1_b^omega * alpha
 
     divided by their max, and the fused mixture is renormalised by alpha.
+    The fused components come heaviest first, ties in pair order.
     Without a reduction the fused mixture keeps every pair whose weight
-    is not below WEIGHT_UNDERFLOW times the largest, in C order.  A
-    ReductionConfig keeps by weight alone: the pairs whose weight is at
-    least prune_ratio times the largest (never below WEIGHT_UNDERFLOW),
-    heaviest first, ties in C order, at most max_components of them.
-    Nothing is merged, since merging would move the fused top component;
-    merge_mahalanobis applies to the filter's reduce only.  The top
-    component, and so extract's estimate, is the exact fusion either way.
+    is not below WEIGHT_UNDERFLOW times the largest.  A ReductionConfig
+    keeps by weight alone: the pairs whose weight is at least prune_ratio
+    times the largest (never below WEIGHT_UNDERFLOW), at most
+    max_components of them.  Nothing is merged, since merging would move
+    the fused top component; merge_mahalanobis applies to the filter's
+    reduce only.  The top component, and so extract's estimate, is the
+    exact fusion either way.  Inside a run the pair's table comes from
+    the run's group pass; a call outside one builds its own table and
+    keeps nothing.
     """
     omega = float(omega)
     if not (0.0 <= omega <= 1.0):
@@ -391,8 +386,10 @@ def fuse_independent(
 
     Both exponents are 1, so fusing two copies of the same state squares
     existence possibilities and halves component covariances.  Use it as
-    the centralised reference, or when independence genuinely holds.  A
-    reduction keeps pairs by weight alone, as in fuse_chernoff.
+    the centralised reference, or when independence genuinely holds.  The
+    fused components come heaviest first, and a reduction keeps pairs by
+    weight alone, as in fuse_chernoff.  Inside a run it reads the table
+    of the step's Chernoff fusion; outside one it builds its own.
     """
     return _fuse(a, b, 1.0, 1.0, reduction)
 
@@ -431,9 +428,10 @@ def select_omega(a: BernoulliPossState, b: BernoulliPossState) -> float:
     exponent would (finite, positive definite covariances and finite
     weights in each trial mixture) and computes every row's top trace, so
     the search compares 19 precomputed traces without building the trial
-    mixtures.  A table at any floor serves, since every row keeps its top
-    pair.  Fusing the same pair at the chosen exponent and independently
-    then reads the table from _TABLES.
+    mixtures.  Inside a run the search reads the table the group pass
+    filed for the pair, at whatever floor it was kept, since every row
+    keeps its top pair; the step's two fusions read the same table.  A
+    call outside a run builds its own table and keeps nothing.
     """
     _check_pair(a, b)
     traces = _table(a.spatial, b.spatial, _SEARCH_ROWS, None).head_trace[: len(OMEGA_GRID)]

@@ -203,10 +203,11 @@ def run_once(
     mode is "single", "independent", or "dependent".  When an audit list
     is supplied, a tuple (step, phase, series, state) is appended for
     every predicted, updated, and fused BernoulliPossState in the run, in
-    the order the run computes them; phase is "predicted", "updated" or
-    "fused", and series names the filter or fusion rule.  When a scans
-    list is supplied, the labelled scans of every sensor the run feeds
-    are appended to it, in sensor order, as (scan, labels) lists.
+    the order the run computes them: every step's predicted and updated
+    states, then every step's fused states.  phase is "predicted",
+    "updated" or "fused", and series names the filter or fusion rule.
+    When a scans list is supplied, the labelled scans of every sensor the
+    run feeds are appended to it, in sensor order, as (scan, labels) lists.
 
     A numerical failure raises NumericsError naming the run and the step,
     where step 0 is the run's setup: simulating its scenario and building
@@ -225,11 +226,9 @@ def run_once(
     fused_names = () if mode == "single" else (SERIES_CHERNOFF, SERIES_CENTRALIZED)
     fixed_omega = parse_omega_strategy(cfg.fusion.omega_strategy)
 
-    # The recursion first, keeping each step's pair of states.  A step's
-    # trail holds its filters' audit entries, which join the audit with
-    # the step's fusions, so the audit stays in step order.
+    # The recursion first, keeping each step's pair of states.
     step, failure = 0, None
-    pairs, trail = [], []
+    pairs = []
     try:
         truth, labeled = _simulate_run(cfg, run_idx, mode)
         if scans is not None:
@@ -240,9 +239,8 @@ def run_once(
         names = ["single"] if mode == "dependent" else [f"sensor{i + 1}" for i in range(len(streams))]
         tracks = {name: SeriesTrack() for name in names}
         for step in range(1, scenario.steps + 1):
-            trail.append([] if audit is not None else None)
             for engine, name, stream in zip(engines, names, streams):
-                engine.advance(stream[step - 1], trail[-1], name, step)
+                engine.advance(stream[step - 1], audit, name, step)
                 _append_state(tracks[name], engine.state)
             # Dependent mode has one filter, fused with itself.
             pairs.append((engines[0].state, engines[-1].state))
@@ -250,27 +248,25 @@ def run_once(
         failure = (step, exc)
 
     fused_tracks = {name: SeriesTrack() for name in fused_names}
-    ordered = _prefilled(pairs, fixed_omega, cfg.filter.reduction) if fused_tracks else pairs
-    try:
-        for step, (a, b) in enumerate(ordered, 1):
-            if audit is not None:
-                audit.extend(trail[step - 1])
-            if not fused_tracks:
-                continue
-            omega = select_omega(a, b) if fixed_omega is None else fixed_omega
-            fused = (
-                fuse_chernoff(a, b, omega, reduction=cfg.filter.reduction),
-                fuse_independent(a, b, reduction=cfg.filter.reduction),
-            )
-            for name, result in zip(fused_names, fused):
-                _append_state(fused_tracks[name], result.state)
-                if audit is not None:
-                    audit.append((step, "fused", name, result.state))
-    except _FAILURES as exc:
-        raise NumericsError(run_idx, step, exc) from exc
+    if fused_tracks:
+        # Closing the pass drops its tables even when a fusion fails.
+        ordered = _prefilled(pairs, fixed_omega, cfg.filter.reduction)
+        try:
+            for step, (a, b) in enumerate(ordered, 1):
+                omega = select_omega(a, b) if fixed_omega is None else fixed_omega
+                fused = (
+                    fuse_chernoff(a, b, omega, reduction=cfg.filter.reduction),
+                    fuse_independent(a, b, reduction=cfg.filter.reduction),
+                )
+                for name, result in zip(fused_names, fused):
+                    _append_state(fused_tracks[name], result.state)
+                    if audit is not None:
+                        audit.append((step, "fused", name, result.state))
+        except _FAILURES as exc:
+            raise NumericsError(run_idx, step, exc) from exc
+        finally:
+            ordered.close()
     if failure is not None:
-        if audit is not None:
-            audit.extend(entry for entries in trail[len(pairs) :] for entry in entries)
         raise NumericsError(run_idx, *failure) from failure[1]
 
     tracks.update(fused_tracks)

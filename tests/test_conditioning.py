@@ -244,14 +244,22 @@ class TestCholeskyScreen:
         gaussmax_mod._conditioned_covariance(stack)
         assert eigvalsh_calls == [(GATE, 4, 4)]
 
-    def test_search_table_needs_no_eigvalsh(self, eigvalsh_calls):
+    def test_search_table_needs_no_eigvalsh(self, eigvalsh_calls, monkeypatch):
         rng = np.random.default_rng(7)
         a, b = random_state(rng, max_comps=3), random_state(rng, max_comps=3)
+        built = []
+        inner = fusion_mod._product_tables
+
+        def recording(*args):
+            built.extend(inner(*args))
+            return built[-1:]
+
+        monkeypatch.setattr(fusion_mod, "_product_tables", recording)
         eigvalsh_calls.clear()
         select_omega(a, b)
         # One table of the 19 grid rows and the independent row, all
         # cleared by the screen.
-        _, table = fusion_mod._TABLES[a.spatial]
+        (table,) = built
         assert len(table.index) == len(OMEGA_GRID) + 1
         assert eigvalsh_calls == []
 

@@ -391,7 +391,7 @@ def sized_state(rng, n, dim=4):
 
 def fresh(state):
     """A copy of state whose mixture is a new object with copied arrays, so
-    no product table cached by an earlier fusion can serve it."""
+    no product table filed for state's mixture can serve it."""
     m = state.spatial
     mix = GaussianMaxMixture._derived(m.weights.copy(), m.means.copy(), m.covariances.copy())
     return BernoulliPossState(state.q_absent, state.q_present, mix)
@@ -600,7 +600,7 @@ def one_row_fusion(a, b, e1, e2):
 
 def assert_same_table(got, want):
     assert (got.index, got.floor, got.bounds) == (want.index, want.floor, want.bounds)
-    for field in ("log_alpha", "kept_weights", "means", "covs", "order", "head_trace"):
+    for field in ("log_alpha", "kept_weights", "means", "covs", "head_trace"):
         g, w = getattr(got, field), getattr(want, field)
         assert g.shape == w.shape and g.dtype == w.dtype and g.tobytes() == w.tobytes(), field
 
@@ -646,59 +646,53 @@ class TestProductTable:
         b = a if n_b == 0 else sized_state(rng, n_b)
         pairs = a.spatial.n_components * b.spatial.n_components
         omega = select_omega(a, b)
-        assert kernel_calls == [(len(OMEGA_GRID) + 1) * pairs]
         other = 0.05 if omega != 0.05 else 0.95
-        # The search's table serves every grid omega and the independent row.
-        cached = self.fusions(a, b, [omega, other], reduction)
-        assert kernel_calls == [(len(OMEGA_GRID) + 1) * pairs]
-        # 0.37 is not on the grid: one new table serves it and the
-        # independent fusion after it.
-        cached += self.fusions(a, b, [0.37], reduction)
-        assert kernel_calls == [(len(OMEGA_GRID) + 1) * pairs, 2 * pairs]
+        # 0.37 is not on the grid.
+        got = self.fusions(a, b, [omega, other, 0.37], reduction)
+        # Outside a run nothing is kept: the search builds its table, each
+        # Chernoff fusion one of its row and the independent row, and the
+        # independent fusion one of its row alone.
+        assert kernel_calls == [(len(OMEGA_GRID) + 1) * pairs] + [2 * pairs] * 3 + [pairs]
+        assert fusion_mod._TABLES == {}
         fa = fresh(a)
         fb = fa if b is a else fresh(b)
         assert select_omega(fa, fb) == omega
-        want = self.fusions(fresh(a), fresh(b), [omega, other], reduction)
-        want += self.fusions(fresh(a), fresh(b), [0.37], reduction)
-        for got, expected in zip(cached, want):
-            assert_same_result(got, expected)
-        if reduction is None:
-            for got, (e1, e2) in zip(
-                cached, [(1.0 - omega, omega), (1.0 - other, other), (1.0, 1.0), (0.63, 0.37), (1.0, 1.0)]
-            ):
-                mix, log_alpha = one_row_fusion(a, b, e1, e2)
-                assert got.alpha == math.exp(log_alpha)
-                for field in ("weights", "means", "covariances"):
-                    assert getattr(got.state.spatial, field).tobytes() == getattr(mix, field).tobytes()
+        want = self.fusions(fresh(a), fresh(b), [omega, other, 0.37], reduction)
+        for g, expected in zip(got, want):
+            assert_same_result(g, expected)
 
     def test_table_is_never_used_for_another_pair(self, kernel_calls):
         rng = np.random.default_rng(30)
         a, b, c = (sized_state(rng, 3) for _ in range(3))
-        select_omega(a, b)
-        assert len(kernel_calls) == 1
-        # Same shapes throughout, so a table wrongly reused would still fit.
-        pairs = ((b, a), (a, c), (c, a))
-        got = [self.fusions(x, y, [0.3], None) for x, y in pairs]
-        # One new table per pair, which its independent fusion reuses.
-        assert len(kernel_calls) == 1 + len(pairs)
-        for (x, y), results in zip(pairs, got):
+        # Same shapes throughout, so a table served to the wrong pair would
+        # still fit.
+        pairs = [(a, b), (b, a), (a, c), (c, a)]
+        got, filed = [], []
+        for x, y in fusion_mod._prefilled(pairs, 0.3, None):
+            filed.append(fusion_mod._TABLES[x.spatial, y.spatial])
+            got.append(self.fusions(x, y, [0.3], None))
+        # One group, one kernel call; every fusion read its own pair's table.
+        assert kernel_calls == [len(pairs) * 2 * 9]
+        assert fusion_mod._TABLES == {}
+        for (x, y), results, table in zip(pairs, got, filed):
             for g, want in zip(results, self.fusions(fresh(x), fresh(y), [0.3], None)):
                 assert_same_result(g, want)
+                # A fused mixture copies its slice of the table.
+                assert not np.shares_memory(g.state.spatial.covariances, table.covs)
 
     @pytest.mark.parametrize("self_fusion", [False, True])
     def test_multi_block_search_fuses_correctly(self, self_fusion, kernel_calls):
         rng = np.random.default_rng(31)
         a = sized_state(rng, 8)
         b = a if self_fusion else sized_state(rng, 8)
-        omega = select_omega(a, b)
+        for x, y in fusion_mod._prefilled([(a, b)], None, None):
+            omega = select_omega(x, y)
+            got = {o: self.fusions(x, y, [o], None) for o in (omega, 0.05, 0.95)}
         # 64 pairs: 16 rows per block, so the grid and the independent row
-        # take two blocks.
-        search = [16 * 64, (len(OMEGA_GRID) + 1 - 16) * 64]
-        assert kernel_calls == search
-        # The one table holds both blocks: rows from the first (0.05) and
-        # the second (0.95 and independent) need no new table.
-        got = {o: self.fusions(a, b, [o], None) for o in (omega, 0.05, 0.95)}
-        assert kernel_calls == search
+        # take two blocks.  The one table holds both: the search and rows
+        # from the first (0.05) and the second (0.95 and independent) block
+        # need no other.
+        assert kernel_calls == [16 * 64, (len(OMEGA_GRID) + 1 - 16) * 64]
         assert omega == reference_select_omega(a, b)
         for o, results in got.items():
             for g, want in zip(results, self.fusions(fresh(a), fresh(b), [o], None)):
@@ -706,8 +700,9 @@ class TestProductTable:
             for g, (e1, e2) in zip(results, [(1.0 - o, o), (1.0, 1.0)]):
                 mix, log_alpha = one_row_fusion(a, b, e1, e2)
                 assert g.alpha == math.exp(log_alpha)
+                take = np.argsort(-mix.weights, kind="stable")
                 for field in ("weights", "means", "covariances"):
-                    assert getattr(g.state.spatial, field).tobytes() == getattr(mix, field).tobytes()
+                    assert getattr(g.state.spatial, field).tobytes() == getattr(mix, field)[take].tobytes()
 
     def test_self_fused_mixture_is_freed_without_gc(self):
         state = sized_state(np.random.default_rng(32), 3)
@@ -814,6 +809,66 @@ class TestProductTable:
             (want,) = _product_tables([pair], rows, floor)
             assert_same_table(got, want)
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 5),
+        st.integers(1, 5),
+        st.sampled_from([0.3, 0.5, None]),
+        st.sampled_from(
+            [None, ReductionConfig(), ReductionConfig(prune_ratio=0.2, max_components=2),
+             ReductionConfig(prune_ratio=0.0, max_components=1)]
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_fusion_is_a_leading_slice_of_its_row(self, seed, n_a, n_b, omega, reduction, ties):
+        # omega None is the independent fusion.  With ties, b's components
+        # come in pairs mirrored through the origin and a has a component
+        # there, so pairs of equal weight and different means occur.
+        rng = np.random.default_rng(seed)
+        a, b = sized_state(rng, n_a), sized_state(rng, n_b)
+        if ties:
+            a, b = with_origin_component(a), mirrored(b)
+        if omega is None:
+            row, result = fusion_mod.INDEPENDENT, fuse_independent(a, b, reduction)
+        else:
+            row, result = (1.0 - omega, omega), fuse_chernoff(a, b, omega, reduction)
+        floor = fusion_mod._floor(reduction)
+        (table,) = _product_tables([(a.spatial, b.spatial)], [row], floor)
+        lo, hi = table.bounds
+        cut = hi if reduction is None else min(hi, lo + reduction.max_components)
+        assert result.alpha == math.exp(table.log_alpha[0])
+        got = result.state.spatial
+        columns = {"weights": table.kept_weights, "means": table.means, "covariances": table.covs}
+        for field, column in columns.items():
+            assert getattr(got, field).tobytes() == column[lo:cut].tobytes(), field
+        # The row holds every pair kept at the floor, heaviest first, ties
+        # in pair order: a stable sort of the pairs in C order.
+        mix, _ = one_row_fusion(a, b, *row)
+        take = np.argsort(-mix.weights, kind="stable")
+        take = take[mix.weights[take] >= floor]
+        for field, column in columns.items():
+            assert column[lo:hi].tobytes() == getattr(mix, field)[take].tobytes(), field
+        if ties and reduction is None:
+            assert (np.diff(table.kept_weights) == 0.0).any()
+
+
+def with_origin_component(state):
+    """state with its first component's mean moved to the origin."""
+    m = state.spatial
+    means = m.means.copy()
+    means[0] = 0.0
+    return BernoulliPossState(state.q_absent, state.q_present, GaussianMaxMixture(m.weights, means, m.covariances))
+
+
+def mirrored(state):
+    """state with each component doubled into a pair mirrored through the
+    origin, of equal weight and covariance."""
+    m = state.spatial
+    means = np.stack([m.means, -m.means], axis=1).reshape(-1, m.dim)
+    mix = GaussianMaxMixture(np.repeat(m.weights, 2), means, np.repeat(m.covariances, 2, axis=0))
+    return BernoulliPossState(state.q_absent, state.q_present, mix)
+
 
 def assert_relatively_close(got, want, rtol=1e-12):
     """Every entry of got within rtol of want, relative to want's largest
@@ -902,30 +957,25 @@ class TestKeptByWeight:
         assert covs.tobytes() == every[4][kept].tobytes()
 
     PRUNED = ReductionConfig(prune_ratio=0.3, max_components=3)
+    CAPPED = ReductionConfig(max_components=2)
 
     @pytest.mark.parametrize(
         "first, then",
-        [(RUNNER, None), (None, RUNNER), (RUNNER, PRUNED), (PRUNED, RUNNER)],
-        ids=["reduced-then-unreduced", "unreduced-then-reduced", "floor-raised", "floor-lowered"],
+        [(RUNNER, None), (None, RUNNER), (RUNNER, PRUNED), (PRUNED, RUNNER), (RUNNER, CAPPED)],
+        ids=["reduced-then-unreduced", "unreduced-then-reduced", "floor-raised", "floor-lowered", "same-floor"],
     )
-    def test_table_serves_floors_at_or_above_its_own(self, first, then, kernel_calls):
+    def test_table_serves_only_its_floor(self, first, then, kernel_calls):
         rng = np.random.default_rng(60)
         a, b = sized_state(rng, 5), sized_state(rng, 4)
-        fuse_chernoff(a, b, 0.37, first)
-        got = fuse_chernoff(a, b, 0.37, then)
-        # A table kept at a higher floor than asked for is rebuilt.
-        rebuilt = fusion_mod._floor(first) > fusion_mod._floor(then)
-        assert len(kernel_calls) == 1 + rebuilt
+        for x, y in fusion_mod._prefilled([(a, b)], 0.37, first):
+            filed = fuse_chernoff(x, y, 0.37, first)
+            got = fuse_chernoff(x, y, 0.37, then)
+        # The group's table serves a fusion at its own floor, whatever the
+        # cap; a fusion at any other floor builds its own table.
+        own = fusion_mod._floor(first) == fusion_mod._floor(then)
+        assert len(kernel_calls) == 2 - own
+        assert_same_result(filed, fuse_chernoff(fresh(a), fresh(b), 0.37, first))
         assert_same_result(got, fuse_chernoff(fresh(a), fresh(b), 0.37, then))
-        if then is None:
-            # Every survivor, in C order, as a one-row build gives it.
-            mix, log_alpha = one_row_fusion(a, b, 0.63, 0.37)
-            assert got.alpha == math.exp(log_alpha)
-            for field in ("weights", "means", "covariances"):
-                assert getattr(got.state.spatial, field).tobytes() == getattr(mix, field).tobytes()
-            reduced = fuse_chernoff(fresh(a), fresh(b), 0.37, self.RUNNER).state.spatial
-            assert reduced.n_components < mix.n_components
-            assert not np.all(np.diff(mix.weights) <= 0.0)
 
     @pytest.mark.parametrize("strategy", ["fixed(0.5)", "min-trace"])
     @pytest.mark.parametrize("clutter", [4.0, 20.0])

@@ -78,30 +78,33 @@ class TestRunOnce:
         with pytest.raises(ValueError):
             run_once(small_cfg(), 0, "tandem")
 
-    def test_audit_covers_every_phase(self):
-        cfg = small_cfg()
-        audit = []
-        run_once(cfg, 0, "independent", audit=audit)
-        phases = {(phase, series) for _, phase, series, _ in audit}
-        assert ("predicted", "sensor1") in phases
-        assert ("updated", "sensor2") in phases
-        assert ("fused", "chernoff") in phases
-        assert ("fused", "centralized") in phases
-        per_filter = 50 * 2  # predicted + updated per step
-        assert len(audit) == 2 * per_filter + 2 * 50
+    def test_audit_covers_every_phase(self, monkeypatch):
+        # The audit lists states in the order the run computes them: each
+        # step's filter states in step order, then each step's fusions.
+        def computed(names, fused):
+            recursion = [
+                (step, phase, name)
+                for step in range(1, 51)
+                for name in names
+                for phase in ("predicted", "updated")
+            ]
+            return recursion + [(step, "fused", name) for step in range(1, 51) for name in fused]
 
+        cfg = small_cfg()
+        for mode, names in [("independent", ["sensor1", "sensor2"]), ("dependent", ["single"])]:
+            audit = []
+            run_once(cfg, 0, mode, audit=audit)
+            assert all(isinstance(state, BernoulliPossState) for *_, state in audit)
+            assert [entry[:3] for entry in audit] == computed(names, ["chernoff", "centralized"])
+
+        # Single mode has no fusion loop.
+        def no_fusion(*args):
+            raise AssertionError("fusion pass started")
+
+        monkeypatch.setattr(runner_mod, "_prefilled", no_fusion)
         audit = []
-        run_once(cfg, 0, "dependent", audit=audit)
-        assert [step for step, *_ in audit] == sorted(step for step, *_ in audit)
-        assert all(isinstance(state, BernoulliPossState) for *_, state in audit)
-        phases = {(phase, series) for _, phase, series, _ in audit}
-        assert phases == {
-            ("predicted", "single"),
-            ("updated", "single"),
-            ("fused", "chernoff"),
-            ("fused", "centralized"),
-        }
-        assert len(audit) == per_filter + 2 * 50
+        run_once(cfg, 0, "single", audit=audit)
+        assert [entry[:3] for entry in audit] == computed(["sensor1", "sensor2"], [])
 
     def test_dependent_runs_one_filter(self, monkeypatch):
         calls = {"predict": 0, "update": 0, "generate_labeled_measurements": 0}
@@ -288,6 +291,34 @@ class TestFailureOrder:
         # The run's first call held step 7 together with other steps.
         rows = len(fusion_mod._SEARCH_ROWS)
         assert sizes[0] > rows * a.spatial.n_components * b.spatial.n_components
+
+    @pytest.mark.parametrize("failure", [None, "kernel", "fusion"])
+    def test_tables_leave_with_their_group(self, failure, monkeypatch):
+        # Whether the run is clean, a group's build fails, or a fusion
+        # fails while its group's tables are filed, none outlives the run.
+        if failure == "kernel":
+            a, _ = self.fused_pairs(monkeypatch)[6]
+            self.break_kernel_for(monkeypatch, a)
+        filed = []
+        inner = runner_mod.fuse_independent
+
+        def recording(a, b, **kwargs):
+            filed.append(len(fusion_mod._TABLES))
+            if failure == "fusion" and len(filed) == 3:
+                raise ValueError("injected fusion failure")
+            return inner(a, b, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "fuse_independent", recording)
+        if failure is None:
+            run_once(self.CFG, 0, "dependent")
+            assert len(filed) == 10 and max(filed) > 1
+        else:
+            with pytest.raises(NumericsError) as err:
+                run_once(self.CFG, 0, "dependent")
+            assert err.value.step == {"kernel": 7, "fusion": 3}[failure]
+            if failure == "fusion":
+                assert filed[-1] > 1
+        assert fusion_mod._TABLES == {}
 
 
 class TestPoolPayload:
