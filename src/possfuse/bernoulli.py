@@ -328,9 +328,11 @@ def predict(
         F = motion.transition
         w_parts.append(survive_scale * mix.weights)
         m_parts.append(mix.means @ F.T)
+        Q = motion.process_noise
         P_parts.append(
             _conditioned_covariance(
-                np.einsum("ij,njk,lk->nil", F, mix.covariances, F) + motion.process_noise
+                np.einsum("ij,njk,lk->nil", F, mix.covariances, F) + Q,
+                terms=((F, mix.covariances), (None, Q)),
             )
         )
     if birth_scale > 0.0:
@@ -398,7 +400,9 @@ def update(
     P_upd = np.einsum("nij,njk,nlk->nil", IKH, P, IKH) + np.einsum(
         "nij,jk,nlk->nil", K, R, K
     )
-    P_upd = _conditioned_covariance(0.5 * (P_upd + P_upd.swapaxes(1, 2)))
+    P_upd = _conditioned_covariance(
+        0.5 * (P_upd + P_upd.swapaxes(1, 2)), terms=((IKH, P), (K, R))
+    )
 
     # log[clutter_ratio * w_i * N(z; H m_i, S_i)] for every (z, component).
     nu = points[:, None, :] - (m @ H.T)[None, :, :]

@@ -19,9 +19,10 @@ search over OMEGA_GRID, Chernoff fusion at one omega and the independent
 product.  All three read one product table of the pair, which holds every
 row they need.  One builder makes every table: in a run, _prefilled
 builds the tables of consecutive steps' pairs in groups, one kernel call
-per group, and hands them over in _TABLES only while that group is being
-fused.  Any other call, such as a direct select_omega or fuse_* call,
-builds its own table as a batch of one and keeps nothing.
+per group, and yields each pair with its table, which the runner passes
+to the step's three calls as their keyword table.  A call given no table,
+or one that does not fit, builds its own as a batch of one, so the table
+never changes a result, and the module keeps no state.
 
 A fused state is reported, never fed back to a filter, so fusion never
 merges components: a reduction keeps pairs by weight alone, down to its
@@ -98,7 +99,7 @@ class FusionResult:
 
 @dataclass(frozen=True, eq=False)
 class _ProductTable:
-    """Every fused component pair of two mixtures at several exponent rows.
+    """Every fused component pair of the mixtures in pair at several rows.
 
     Row index[row] fuses at exponents row = (e1, e2).  alpha =
     exp(log_alpha[r]) is the row's largest pair weight, and the row keeps
@@ -109,6 +110,7 @@ class _ProductTable:
     is the covariance trace of the first of them, the row's top component.
     """
 
+    pair: tuple
     index: dict
     floor: float
     log_alpha: np.ndarray
@@ -194,11 +196,12 @@ def _product_tables(
     head_trace = np.trace(covs[starts[:-1]], axis1=-2, axis2=-1)
     index = {row: r for r, row in enumerate(rows)}
     tables = []
-    for p in range(len(pairs)):
+    for p, pair in enumerate(pairs):
         units = slice(p * n_rows, (p + 1) * n_rows)
         bounds = starts[units.start : units.stop + 1]
         base, top = int(bounds[0]), int(bounds[-1])
         tables.append(_ProductTable(
+            pair=pair,
             index=index,
             floor=floor,
             log_alpha=log_alpha[units],
@@ -211,23 +214,17 @@ def _product_tables(
     return tables
 
 
-# The product tables of the group of pairs _prefilled is fusing, keyed by
-# the pair (a, b) of mixtures.  Empty outside a run's fusion loop.
-_TABLES: dict = {}
-
-
-def _table(
-    a: GaussianMaxMixture, b: GaussianMaxMixture, rows: list, floor: Optional[float]
-) -> _ProductTable:
-    """The product table of (a, b) with every row of rows: the one filed
-    in _TABLES when it has those rows at floor, or else one built here and
-    kept nowhere.  floor None takes a filed table at any floor, since
-    every row keeps its top pair at all of them, and builds one at
-    WEIGHT_UNDERFLOW.
+def _table(a, b, rows: list, floor: Optional[float], table: Optional[_ProductTable]):
+    """The product table of mixtures (a, b) with every row of rows: table
+    when it was built for these very objects, holds those rows and was kept
+    at floor, or else one built here and kept nowhere.  floor None takes a
+    table at any floor, since every row keeps its top pair at all of them,
+    and builds one at WEIGHT_UNDERFLOW.  A batch build equals a one-pair
+    build bit for bit, so which table is read never changes a result.
     """
-    table = _TABLES.get((a, b))
     if (
         table is None
+        or table.pair != (a, b)
         or not table.index.keys() >= set(rows)
         or floor is not None and table.floor != floor
     ):
@@ -236,21 +233,20 @@ def _table(
 
 
 def _prefilled(pairs: list, omega: Optional[float], reduction: Optional[ReductionConfig]):
-    """Yield each state pair (a, b) of pairs in order, its product table
-    filed in _TABLES with the rows that fusing the pair reads: the search
-    rows when omega is None (min-trace), otherwise omega's row and the
-    independent row, kept at reduction's floor.  select_omega,
-    fuse_chernoff and fuse_independent then find the table instead of
-    building it.
+    """Yield (a, b, table) for each state pair (a, b) of pairs in order,
+    table being the pair's product table with the rows that fusing it
+    reads: the search rows when omega is None (min-trace), otherwise
+    omega's row and the independent row, kept at reduction's floor.  The
+    caller passes it as table= to select_omega, fuse_chernoff and
+    fuse_independent.
 
     The tables are built a group of consecutive pairs at a time, each
     group holding at most SEARCH_BLOCK_PAIRS (row, component pair)
-    combinations, or one larger pair alone: one kernel call per group,
-    and no more memory than one table of that size.  A group's tables
-    leave _TABLES once its pairs are fused, or when the caller closes the
-    generator mid-group.  A group whose build fails files no table, so
-    each of its pairs builds its own when fused and raises that build's
-    error.
+    combinations, or one larger pair alone: one kernel call per group.
+    Nothing is filed anywhere and each table is let go once yielded, so
+    when the caller drops it too, one group's tables are alive at a time.
+    A group whose build fails yields table None for each of its pairs, so
+    each builds its own when fused and raises that error.
     """
     if omega is None:
         rows = _SEARCH_ROWS
@@ -263,16 +259,12 @@ def _prefilled(pairs: list, omega: Optional[float], reduction: Optional[Reductio
     mixtures = [(a.spatial, b.spatial) for a, b in pairs]
     cuts = _cuts([len(rows) * a.n_components * b.n_components for a, b in mixtures])
     for lo, hi in zip(cuts, cuts[1:]):
-        group = mixtures[lo:hi]
         try:
-            _TABLES.update(zip(group, _product_tables(group, rows, floor)))
+            tables = _product_tables(mixtures[lo:hi], rows, floor)
         except (ValueError, ArithmeticError, MemoryError):
-            pass
-        try:
-            yield from pairs[lo:hi]
-        finally:
-            for key in group:
-                _TABLES.pop(key, None)
+            tables = [None] * (hi - lo)
+        for a, b in pairs[lo:hi]:
+            yield a, b, tables.pop(0)
 
 
 def _fused_mixture(
@@ -281,17 +273,19 @@ def _fused_mixture(
     e1: float,
     e2: float,
     reduction: Optional[ReductionConfig] = None,
+    table: Optional[_ProductTable] = None,
 ) -> tuple[GaussianMaxMixture, float]:
     """Fused mixture, normalised; returns (mixture, log_alpha).
 
-    The row is read from _table with the independent row beside it, so a
-    step's Chernoff and independent fusions share one table.  The mixture
-    is a copy of the row's leading pairs, heaviest first: every pair not
-    below reduction's floor (WEIGHT_UNDERFLOW without one), and at most
-    max_components of them under a reduction.
+    The row is read from _table, given table, with the independent row
+    beside it, so a step's Chernoff and independent fusions share one
+    table.  The mixture is a copy of the row's leading pairs, heaviest
+    first: every pair not below reduction's floor (WEIGHT_UNDERFLOW
+    without one), and at most max_components of them under a reduction.
     """
     row = (e1, e2)
-    table = _table(a, b, [row] if row == INDEPENDENT else [row, INDEPENDENT], _floor(reduction))
+    rows = [row] if row == INDEPENDENT else [row, INDEPENDENT]
+    table = _table(a, b, rows, _floor(reduction), table)
     r = table.index[row]
     lo, hi = table.bounds[r], table.bounds[r + 1]
     if reduction is not None:
@@ -321,9 +315,10 @@ def _fuse(
     e1: float,
     e2: float,
     reduction: Optional[ReductionConfig],
+    table: Optional[_ProductTable] = None,
 ) -> FusionResult:
     _check_pair(a, b)
-    mixture, log_alpha = _fused_mixture(a.spatial, b.spatial, e1, e2, reduction)
+    mixture, log_alpha = _fused_mixture(a.spatial, b.spatial, e1, e2, reduction, table)
 
     def _log(q: float) -> float:
         return math.log(q) if q > 0.0 else -math.inf
@@ -342,6 +337,7 @@ def fuse_chernoff(
     b: BernoulliPossState,
     omega: float,
     reduction: Optional[ReductionConfig] = None,
+    *, table: Optional[_ProductTable] = None,
 ) -> FusionResult:
     """Chernoff fusion with exponents (1 - omega, omega).
 
@@ -363,9 +359,9 @@ def fuse_chernoff(
     max_components of them.  Nothing is merged, since merging would move
     the fused top component; merge_mahalanobis applies to the filter's
     reduce only.  The top component, and so extract's estimate, is the
-    exact fusion either way.  Inside a run the pair's table comes from
-    the run's group pass; a call outside one builds its own table and
-    keeps nothing.
+    exact fusion either way.  table (see _prefilled) is read when it was
+    built for this pair with this omega's and the independent row at this
+    floor; otherwise the call builds its own, to the same bits.
     """
     omega = float(omega)
     if not (0.0 <= omega <= 1.0):
@@ -374,13 +370,14 @@ def fuse_chernoff(
         return FusionResult(state=a, normalizer=1.0, alpha=1.0)
     if omega == 1.0:
         return FusionResult(state=b, normalizer=1.0, alpha=1.0)
-    return _fuse(a, b, 1.0 - omega, omega, reduction)
+    return _fuse(a, b, 1.0 - omega, omega, reduction, table)
 
 
 def fuse_independent(
     a: BernoulliPossState,
     b: BernoulliPossState,
     reduction: Optional[ReductionConfig] = None,
+    *, table: Optional[_ProductTable] = None,
 ) -> FusionResult:
     """Product fusion assuming the two posteriors are independent.
 
@@ -388,10 +385,9 @@ def fuse_independent(
     existence possibilities and halves component covariances.  Use it as
     the centralised reference, or when independence genuinely holds.  The
     fused components come heaviest first, and a reduction keeps pairs by
-    weight alone, as in fuse_chernoff.  Inside a run it reads the table
-    of the step's Chernoff fusion; outside one it builds its own.
+    weight alone, as in fuse_chernoff, which also says how table is read.
     """
-    return _fuse(a, b, 1.0, 1.0, reduction)
+    return _fuse(a, b, 1.0, 1.0, reduction, table)
 
 
 def parse_omega_strategy(strategy: str) -> Optional[float]:
@@ -416,7 +412,9 @@ def parse_omega_strategy(strategy: str) -> Optional[float]:
     )
 
 
-def select_omega(a: BernoulliPossState, b: BernoulliPossState) -> float:
+def select_omega(
+    a: BernoulliPossState, b: BernoulliPossState, *, table: Optional[_ProductTable] = None
+) -> float:
     """Choose the Chernoff exponent by the min-trace rule.
 
     Picks, from OMEGA_GRID, the exponent whose fused top component has
@@ -428,13 +426,12 @@ def select_omega(a: BernoulliPossState, b: BernoulliPossState) -> float:
     exponent would (finite, positive definite covariances and finite
     weights in each trial mixture) and computes every row's top trace, so
     the search compares 19 precomputed traces without building the trial
-    mixtures.  Inside a run the search reads the table the group pass
-    filed for the pair, at whatever floor it was kept, since every row
-    keeps its top pair; the step's two fusions read the same table.  A
-    call outside a run builds its own table and keeps nothing.
+    mixtures.  table (see _prefilled) is read when it was built for this
+    pair with every search row, at any floor (every row keeps its top pair
+    at all of them); otherwise the call builds its own, to the same choice.
     """
     _check_pair(a, b)
-    traces = _table(a.spatial, b.spatial, _SEARCH_ROWS, None).head_trace[: len(OMEGA_GRID)]
+    traces = _table(a.spatial, b.spatial, _SEARCH_ROWS, None, table).head_trace[: len(OMEGA_GRID)]
     floor = traces.min()
     tied = (traces - floor <= TRACE_TIE_RTOL * floor).tolist()
     return min((abs(omega - 0.5), omega) for omega, t in zip(OMEGA_GRID, tied) if t)[1]

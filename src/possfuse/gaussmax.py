@@ -56,7 +56,9 @@ NORM_TOL = 1e-12
 WEIGHT_UNDERFLOW = 1e-300
 
 
-def _conditioned_covariance(P: np.ndarray, *, dim: int | None = None) -> np.ndarray:
+def _conditioned_covariance(
+    P: np.ndarray, *, dim: int | None = None, terms: tuple = ()
+) -> np.ndarray:
     """Validate a covariance (or a stack of them) and make it safely SPD.
 
     Accepts shape (..., n, n).  Rejects non-square, non-finite, asymmetric,
@@ -65,6 +67,17 @@ def _conditioned_covariance(P: np.ndarray, *, dim: int | None = None) -> np.ndar
     diagonal jitter of EIG_FLOOR * trace / n so later factorisations
     cannot blow up.  Returns a bitwise-symmetric array, which is P itself
     when P already is one and needs no jitter.
+
+    terms marks P as computed: pairs (A, B), B positive semidefinite and
+    A None for the identity, such that P is the floating-point sum of the
+    products A B A' over the pairs, symmetrised.  Exactly, such a sum is
+    positive semidefinite, so a computed P is rejected only when its
+    lowest eigenvalue lies below -tol, the most that rounding can move an
+    eigenvalue (_rounding_bound); a lowest eigenvalue in [-tol, 0] is
+    lifted to 0, by adding its magnitude to the jitter, which moves P by
+    no more than its rounding.  Input from users passes no terms and keeps
+    the plain rule, under which a lowest eigenvalue of 0 or less is
+    rejected.
 
     A stack of SCREEN_MIN_STACK or more matrices is first screened with
     one batched Cholesky factorisation, which costs far less per matrix
@@ -109,15 +122,46 @@ def _conditioned_covariance(P: np.ndarray, *, dim: int | None = None) -> np.ndar
     # One test clears the common case; a non-positive lowest eigenvalue
     # also fails it, as it is never above EIG_FLOOR times the largest.
     if not (lowest > EIG_FLOOR * eigs[..., -1]).all():
-        if (lowest <= 0.0).any():
+        n = P.shape[-1]
+        lift = np.maximum(-lowest, 0.0) if terms else 0.0
+        if (lowest <= 0.0).any() and (not terms or (lift > _rounding_bound(terms, n)).any()):
             raise ValueError("covariance is not positive definite")
         low = lowest < EIG_FLOOR * eigs[..., -1]
-        n = P.shape[-1]
-        jitter = EIG_FLOOR * (np.trace(P, axis1=-2, axis2=-1) / n)
+        jitter = EIG_FLOOR * (np.trace(P, axis1=-2, axis2=-1) / n) + lift
         # Only near-singular matrices change, so each matrix's bits do not
         # depend on the others in the stack.
         P = np.where(low[..., None, None], P + jitter[..., None, None] * np.eye(n), P)
     return P
+
+
+def _rounding_bound(terms: tuple, n: int) -> np.ndarray:
+    """The most that rounding can move an eigenvalue of an n x n matrix
+    computed as the sum of the products A B A' over the k pairs (A, B) of
+    terms (A None for the identity), then symmetrised.
+
+    An entry of A B A', for an m x m B, is a sum of m**2 products of three
+    factors, so its computed value is off by at most
+    g * (|A| |B| |A|')_ij, g = (m**2 + k + 2) * eps to first order: two
+    roundings per product, m**2 - 1 in the sum, k - 1 adding the terms and
+    one symmetrising.  With a and b the largest magnitudes in A and B,
+    every entry of |A| |B| |A|' is at most m**2 a**2 b, and the spectral
+    norm of an n x n matrix is at most n times its largest entry.  By
+    Weyl's inequality no eigenvalue then moves by more than
+
+        tol = 2 * n * sum over the terms of g * m**2 * a**2 * b,
+
+    where the factor 2 covers the second-order terms with room to spare.
+    A bound that overflows is inf: the rounding is then not bounded.
+    """
+    k = len(terms)
+    tol = 0.0
+    with np.errstate(over="ignore"):
+        for A, B in terms:
+            m = B.shape[-1]
+            a = 1.0 if A is None else np.abs(A).max(axis=(-2, -1))
+            b = np.abs(B).max(axis=(-2, -1))
+            tol = tol + (m * m + k + 2) * m * m * a * (a * b)
+        return 2.0 * n * np.finfo(float).eps * tol
 
 
 def _well_conditioned(P: np.ndarray) -> bool:

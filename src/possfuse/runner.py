@@ -15,8 +15,8 @@ Three experiment shapes share one per-run engine:
 Fusion here is reporting, not feedback: each local filter keeps recursing
 on its own posterior.  So a run first recurses through every step, then
 fuses step by step, the product tables of many steps' pairs built
-together in one kernel call.  A failure still names the earliest step
-that fails.
+together in one kernel call and each passed to its step's fusion calls.
+A failure still names the earliest step that fails.
 
 Runs are distributed over a process pool whose size comes from the CPU
 count, overridable through the POSSFUSE_THREADS environment variable.
@@ -217,7 +217,8 @@ def run_once(
     that runs out of memory, as a valid but enormous clutter rate makes
     it, fails the same way.  Fusion runs after the recursion, so when a
     filter fails, the steps before it are fused first, and a fusion
-    failure among them is the one raised.
+    failure among them is the one raised.  Each step's three fusion calls
+    read the table _prefilled built for its pair through their table keyword.
     """
     if mode not in ("single", "independent", "dependent"):
         raise ValueError(f"unknown run mode {mode!r}")
@@ -249,23 +250,24 @@ def run_once(
 
     fused_tracks = {name: SeriesTrack() for name in fused_names}
     if fused_tracks:
-        # Closing the pass drops its tables even when a fusion fails.
-        ordered = _prefilled(pairs, fixed_omega, cfg.filter.reduction)
+        reduction, step = cfg.filter.reduction, 0
+        # Neither enumerate's cached tuple nor the loop holds a table while
+        # _prefilled builds the next group.
         try:
-            for step, (a, b) in enumerate(ordered, 1):
-                omega = select_omega(a, b) if fixed_omega is None else fixed_omega
+            for a, b, table in _prefilled(pairs, fixed_omega, reduction):
+                step += 1
+                omega = select_omega(a, b, table=table) if fixed_omega is None else fixed_omega
                 fused = (
-                    fuse_chernoff(a, b, omega, reduction=cfg.filter.reduction),
-                    fuse_independent(a, b, reduction=cfg.filter.reduction),
+                    fuse_chernoff(a, b, omega, reduction=reduction, table=table),
+                    fuse_independent(a, b, reduction=reduction, table=table),
                 )
                 for name, result in zip(fused_names, fused):
                     _append_state(fused_tracks[name], result.state)
                     if audit is not None:
                         audit.append((step, "fused", name, result.state))
+                del table
         except _FAILURES as exc:
             raise NumericsError(run_idx, step, exc) from exc
-        finally:
-            ordered.close()
     if failure is not None:
         raise NumericsError(run_idx, *failure) from failure[1]
 

@@ -9,7 +9,9 @@ The module also keeps the earlier loop forms of reduce and of the
 per-step Monte Carlo fold (the latter built on ospa, itself checked
 against the permutation oracle), and the eigenvalue form of the
 covariance check, which the package's faster versions must match bit for
-bit.  run_cli runs a command line in a child Python process.
+bit.  reference_run_once is the per-run path written against the public
+per-state calls alone, the oracle of runner.run_once.  run_cli runs a
+command line in a child Python process.
 """
 
 from __future__ import annotations
@@ -24,8 +26,30 @@ from pathlib import Path
 
 import numpy as np
 
+from possfuse.bernoulli import (
+    BernoulliPossState,
+    MeasurementModel,
+    MotionModel,
+    TransitionPossibilityMatrix,
+    extract,
+    predict,
+    probability_interval_to_possibility,
+    reduce,
+    update,
+)
+from possfuse.fusion import fuse_chernoff, fuse_independent, parse_omega_strategy, select_omega
 from possfuse.gaussmax import EIG_FLOOR, SYMMETRY_TOL, GaussianMaxMixture
-from possfuse.metrics import POSITION_INDICES, ospa
+from possfuse.metrics import POSITION_INDICES, RunRecord, SeriesTrack, ospa
+from possfuse.simulate import (
+    BirthConfig,
+    build_birth_mixture,
+    cv_process_noise,
+    cv_transition,
+    generate_labeled_measurements,
+    generate_truth,
+    ignorance_mixture,
+    position_observation,
+)
 
 
 def gauss_value(x, mean, cov) -> float:
@@ -323,3 +347,74 @@ def run_cli(
         timeout=timeout,
         preexec_fn=None if memory_bytes is None else limit,
     )
+
+
+def reference_run_once(cfg, run_idx: int, mode: str) -> RunRecord:
+    """runner.run_once's record of one run, computed one step at a time:
+    each filter predicts, updates and reduces, then the step's pair is
+    fused at once, through the public per-state calls only.  No product
+    table is passed, so each fusion call builds its own.
+
+    The run's seeds and models follow the documented rules: seeds from
+    SeedSequence(entropy=(master_seed, run_idx)), one for the truth and
+    one per configured sensor; dependent mode feeds only the first
+    sensor's stream to one filter and fuses it with itself; birth uses
+    filter.birth.pos_var, or the sensor's noise_var + 1 when null; a
+    model clutter rate of at least 1e-6.
+    """
+    scenario, settings = cfg.scenario, cfg.filter
+    sequence = np.random.SeedSequence(entropy=(int(cfg.master_seed), int(run_idx)))
+    seeds = [int(w) for w in sequence.generate_state(1 + len(scenario.sensors), dtype=np.uint64)]
+    sensors = scenario.sensors[:1] if mode == "dependent" else scenario.sensors
+    with np.errstate(over="raise", invalid="raise"):
+        truth = generate_truth(scenario, seeds[0])
+        streams = [
+            [scan for scan, _ in generate_labeled_measurements(truth, sensor, scenario.region, seeds[1 + i])]
+            for i, sensor in enumerate(sensors)
+        ]
+    motion = MotionModel(cv_transition(scenario.dt), cv_process_noise(scenario.dt, scenario.psd))
+    phi = TransitionPossibilityMatrix.from_matrix(settings.phi)
+    det = probability_interval_to_possibility(*settings.pd_interval)
+    filters = []
+    for sensor in sensors:
+        meas = MeasurementModel(
+            observation=position_observation(),
+            noise=sensor.noise_var * np.eye(2),
+            clutter_rate=max(sensor.clutter_rate, 1e-6),
+            region=scenario.region,
+        )
+        pos_var = settings.birth.pos_var
+        birth = BirthConfig(
+            region=scenario.region,
+            pos_var=sensor.noise_var + 1.0 if pos_var is None else pos_var,
+            vel_var=settings.birth.vel_var,
+        )
+        start = BernoulliPossState(1.0, 1.0, ignorance_mixture(scenario.region, settings.birth.vel_var))
+        filters.append({"meas": meas, "birth": birth, "state": start, "prev": None})
+    names = ["single"] if mode == "dependent" else [f"sensor{i + 1}" for i in range(len(sensors))]
+    fused_names = [] if mode == "single" else ["chernoff", "centralized"]
+    tracks = {name: SeriesTrack() for name in names + fused_names}
+
+    def append(name, state):
+        tracks[name].estimates.append(extract(state))
+        tracks[name].q_absent.append(state.q_absent)
+        tracks[name].q_present.append(state.q_present)
+        tracks[name].n_components.append(state.spatial.n_components)
+
+    fixed_omega = parse_omega_strategy(cfg.fusion.omega_strategy)
+    for step in range(1, scenario.steps + 1):
+        for f, name, stream in zip(filters, names, streams):
+            scan = stream[step - 1]
+            pred = predict(f["state"], motion, phi, build_birth_mixture(f["prev"], f["birth"]))
+            post = update(pred, scan, f["meas"], det)
+            f["state"] = BernoulliPossState(post.q_absent, post.q_present, reduce(post.spatial, settings.reduction))
+            f["prev"] = scan
+            append(name, f["state"])
+        if fused_names:
+            a, b = filters[0]["state"], filters[-1]["state"]
+            omega = select_omega(a, b) if fixed_omega is None else fixed_omega
+            append("chernoff", fuse_chernoff(a, b, omega, settings.reduction).state)
+            append("centralized", fuse_independent(a, b, settings.reduction).state)
+    H = position_observation()
+    positions = [None if x is None else H @ x for x in truth]
+    return RunRecord(truth_positions=positions, series=tracks)

@@ -1,6 +1,7 @@
 """Where covariances are checked: once where they enter, once where an
 operation computes them, never again on the way through."""
 
+import json
 import warnings
 from dataclasses import replace
 
@@ -14,10 +15,11 @@ import possfuse.fusion as fusion_mod
 import possfuse.gaussmax as gaussmax_mod
 import possfuse.simulate as simulate_mod
 from possfuse.bernoulli import BernoulliPossState, ReductionConfig, predict, reduce, update
-from possfuse.config import default_experiment
+from possfuse.cli import main
+from possfuse.config import default_experiment, parse_experiment
 from possfuse.fusion import OMEGA_GRID, fuse_chernoff, fuse_independent, select_omega
 from possfuse.gaussmax import GaussianMaxMixture
-from possfuse.runner import _Filter
+from possfuse.runner import _Filter, run_once
 from possfuse.simulate import BirthConfig, Rect, Scan, build_birth_mixture
 from support import random_mixture, reference_conditioned_covariance
 
@@ -351,3 +353,103 @@ class TestPublicConstructor:
         mix = GaussianMaxMixture([1.0], [0.0, 0.0], np.array([[1.0, 0.0], [-0.0, 1.0]]))
         bits = mix.covariances[0].view(np.int64)
         assert (bits == bits.T).all()
+
+
+# Valid configs whose computed covariances lose their lowest eigenvalue to
+# rounding (8 steps each): every run used to fail at step 2, 3 or 4 with
+# "covariance is not positive definite".
+EXTREMES = {
+    "psd-1e300": {"scenario": {"psd": 1e300}},
+    "dt-1e12": {"scenario": {"dt": 1e12}},
+    "noise_var-5e-324": {"scenario": {"sensors": [{"pd_true": 0.8, "noise_var": 5e-324}, {"pd_true": 0.6}]}},
+    "noise_var-1e-300": {"scenario": {"sensors": [{"pd_true": 0.8, "noise_var": 1e-300}, {"pd_true": 0.6}]}},
+    "pos_var-1e300": {"filter": {"birth": {"pos_var": 1e300}}},
+    "vel_var-1e300": {"filter": {"birth": {"vel_var": 1e300}}},
+}
+
+
+def extreme_doc(name):
+    doc = {**EXTREMES[name], "runs": 2}
+    doc["scenario"] = {**doc.get("scenario", {}), "steps": 8, "death_step": 8}
+    return doc
+
+
+def spectrum_matrix(seed, eigenvalues):
+    """(A, B, P): A a random orthogonal matrix, B = diag(|eigenvalues|),
+    and P = A diag(eigenvalues) A', computed and symmetrised."""
+    n = len(eigenvalues)
+    A, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+    P = A @ np.diag(eigenvalues) @ A.T
+    return A, np.diag(np.abs(eigenvalues)), 0.5 * (P + P.T)
+
+
+class TestComputedRounding:
+    """A covariance an operation computes as a sum of products A B A' is
+    positive semidefinite exactly, so a lowest eigenvalue within the
+    operation's rounding bound is repaired, never rejected; user input
+    keeps the plain rule."""
+
+    def test_user_covariance_with_zero_eigenvalue_is_rejected(self):
+        P = np.diag([1.0, 0.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="not positive definite"):
+            GaussianMaxMixture([1.0], np.zeros(4), P)
+        with pytest.raises(ValueError, match="not positive definite"):
+            gaussmax_mod._conditioned_covariance(P)
+
+    def test_computed_matrix_far_below_zero_raises(self):
+        A, B, P = spectrum_matrix(70, [-4e-3, 2.0, 3.0, 4.0])
+        assert np.linalg.eigvalsh(P)[0] == pytest.approx(-1e-3 * np.linalg.eigvalsh(P)[-1])
+        with pytest.raises(ValueError, match="not positive definite"):
+            gaussmax_mod._conditioned_covariance(P, terms=((A, B),))
+
+    @pytest.mark.parametrize("share", [0.01, 0.5, 0.9])
+    def test_computed_matrix_within_rounding_is_lifted(self, share):
+        # The bound reads only the largest magnitudes of A and B, so it is
+        # the same for every small first eigenvalue.
+        A, B, _ = spectrum_matrix(71, [0.0, 2.0, 3.0, 4.0])
+        tol = gaussmax_mod._rounding_bound(((A, B),), 4)
+        assert 0.0 < tol < 1e-11
+        A, B, P = spectrum_matrix(71, [-share * tol, 2.0, 3.0, 4.0])
+        assert gaussmax_mod._rounding_bound(((A, B),), 4) == tol
+        low = np.linalg.eigvalsh(P)[0]
+        assert -tol <= low < 0.0
+        with pytest.raises(ValueError, match="not positive definite"):
+            gaussmax_mod._conditioned_covariance(P)
+        got = gaussmax_mod._conditioned_covariance(P, terms=((A, B),))
+        # Lifted to 0, then jittered as any near-singular matrix is.
+        jitter = gaussmax_mod.EIG_FLOOR * np.trace(P) / 4
+        assert np.linalg.eigvalsh(got)[0] >= 0.5 * jitter
+        assert np.abs(got - P).max() <= jitter - low + 1e-15
+
+    def test_well_conditioned_computed_matrix_keeps_its_bits(self):
+        A, B, P = spectrum_matrix(72, [1.0, 2.0, 3.0, 4.0])
+        assert gaussmax_mod._conditioned_covariance(P, terms=((A, B),)) is P
+
+    @pytest.mark.parametrize("name", sorted(EXTREMES))
+    def test_extreme_config_runs_keep_the_invariants(self, name):
+        cfg = parse_experiment(extreme_doc(name))
+        for mode in ("single", "independent", "dependent"):
+            for run_idx in range(cfg.runs):
+                audit = []
+                record = run_once(cfg, run_idx, mode, audit=audit)
+                for *_, state in audit:
+                    assert max(state.q_absent, state.q_present) == pytest.approx(1.0, abs=1e-12)
+                    assert state.spatial.max_weight == pytest.approx(1.0, abs=1e-12)
+                    assert np.isfinite(state.spatial.covariances).all()
+                for track in record.series.values():
+                    assert len(track.estimates) == cfg.scenario.steps
+                    for est in track.estimates:
+                        assert est is None or np.isfinite(est.covariance).all()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_extreme_configs_exit_0(self, threads, tmp_path, monkeypatch):
+        monkeypatch.setenv("POSSFUSE_THREADS", threads)
+        for name in sorted(EXTREMES):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(extreme_doc(name)))
+            for command in ("single", "fuse-independent", "fuse-dependent"):
+                out = tmp_path / name / command
+                assert main([command, "--config", str(path), "--out", str(out)]) == 0, (name, command)
+                for csv in out.iterdir():
+                    text = csv.read_text()
+                    assert "nan" not in text and "inf" not in text, (name, command, csv.name)

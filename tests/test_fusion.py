@@ -416,9 +416,9 @@ def dependent_pairs():
     pairs = []
     original = runner_mod.select_omega
 
-    def record(a, b):
+    def record(a, b, **kwargs):
         pairs.append((a, b))
-        return original(a, b)
+        return original(a, b, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(runner_mod, "select_omega", record)
@@ -632,10 +632,10 @@ class TestProductTable:
 
     REDUCTION = ReductionConfig(prune_ratio=1e-3, merge_mahalanobis=2.0, max_components=100)
 
-    def fusions(self, a, b, omegas, reduction):
+    def fusions(self, a, b, omegas, reduction, table=None):
         """Chernoff at each omega, then independent, in the runner's order."""
-        return [fuse_chernoff(a, b, o, reduction) for o in omegas] + [
-            fuse_independent(a, b, reduction)
+        return [fuse_chernoff(a, b, o, reduction, table=table) for o in omegas] + [
+            fuse_independent(a, b, reduction, table=table)
         ]
 
     @pytest.mark.parametrize("reduction", [None, REDUCTION])
@@ -649,11 +649,10 @@ class TestProductTable:
         other = 0.05 if omega != 0.05 else 0.95
         # 0.37 is not on the grid.
         got = self.fusions(a, b, [omega, other, 0.37], reduction)
-        # Outside a run nothing is kept: the search builds its table, each
+        # Given no table, nothing is kept: the search builds its table, each
         # Chernoff fusion one of its row and the independent row, and the
         # independent fusion one of its row alone.
         assert kernel_calls == [(len(OMEGA_GRID) + 1) * pairs] + [2 * pairs] * 3 + [pairs]
-        assert fusion_mod._TABLES == {}
         fa = fresh(a)
         fb = fa if b is a else fresh(b)
         assert select_omega(fa, fb) == omega
@@ -668,12 +667,15 @@ class TestProductTable:
         # still fit.
         pairs = [(a, b), (b, a), (a, c), (c, a)]
         got, filed = [], []
-        for x, y in fusion_mod._prefilled(pairs, 0.3, None):
-            filed.append(fusion_mod._TABLES[x.spatial, y.spatial])
-            got.append(self.fusions(x, y, [0.3], None))
+        for x, y, table in fusion_mod._prefilled(pairs, 0.3, None):
+            filed.append(table)
+            got.append(self.fusions(x, y, [0.3], None, table))
         # One group, one kernel call; every fusion read its own pair's table.
         assert kernel_calls == [len(pairs) * 2 * 9]
-        assert fusion_mod._TABLES == {}
+        assert [table.pair for table in filed] == [(x.spatial, y.spatial) for x, y in pairs]
+        # A table handed to another pair is not read: that call builds its own.
+        assert_same_result(fuse_independent(b, a, table=filed[0]), got[1][-1])
+        assert kernel_calls == [len(pairs) * 2 * 9, 9]
         for (x, y), results, table in zip(pairs, got, filed):
             for g, want in zip(results, self.fusions(fresh(x), fresh(y), [0.3], None)):
                 assert_same_result(g, want)
@@ -685,9 +687,9 @@ class TestProductTable:
         rng = np.random.default_rng(31)
         a = sized_state(rng, 8)
         b = a if self_fusion else sized_state(rng, 8)
-        for x, y in fusion_mod._prefilled([(a, b)], None, None):
-            omega = select_omega(x, y)
-            got = {o: self.fusions(x, y, [o], None) for o in (omega, 0.05, 0.95)}
+        for x, y, table in fusion_mod._prefilled([(a, b)], None, None):
+            omega = select_omega(x, y, table=table)
+            got = {o: self.fusions(x, y, [o], None, table) for o in (omega, 0.05, 0.95)}
         # 64 pairs: 16 rows per block, so the grid and the independent row
         # take two blocks.  The one table holds both: the search and rows
         # from the first (0.05) and the second (0.95 and independent) block
@@ -703,6 +705,56 @@ class TestProductTable:
                 take = np.argsort(-mix.weights, kind="stable")
                 for field in ("weights", "means", "covariances"):
                     assert getattr(g.state.spatial, field).tobytes() == getattr(mix, field)[take].tobytes()
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 5),
+        st.integers(1, 5),
+        st.sampled_from([None, 0.3, 0.5]),
+        st.sampled_from([None, ReductionConfig(), ReductionConfig(prune_ratio=0.2, max_components=2)]),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_table_argument_never_changes_a_result(self, seed, n_a, n_b, omega, reduction, self_fusion):
+        # omega None is a min-trace step.  Each call gives the same result
+        # with its group's table, with none, and with a table built for
+        # another pair (of the same shapes, so a misread would fit), for
+        # the swapped pair, at another floor or without the rows it needs.
+        rng = np.random.default_rng(seed)
+        a = sized_state(rng, n_a)
+        b = a if self_fusion else sized_state(rng, n_b)
+        c = sized_state(rng, n_b)
+        ((x, y, own),) = fusion_mod._prefilled([(a, b)], omega, reduction)
+        assert (x, y) == (a, b) and own.pair == (a.spatial, b.spatial)
+        rows = list(own.index)
+        floor = fusion_mod._floor(reduction)
+        others = [
+            _product_tables([(a.spatial, c.spatial)], rows, floor)[0],
+            _product_tables([(b.spatial, a.spatial)], rows, floor)[0],
+            _product_tables([(a.spatial, b.spatial)], rows, 0.5 if floor < 0.5 else WEIGHT_UNDERFLOW)[0],
+            _product_tables([(a.spatial, b.spatial)], [fusion_mod.INDEPENDENT], floor)[0],
+        ]
+        want_omega = select_omega(a, b) if omega is None else omega
+        want = (fuse_chernoff(a, b, want_omega, reduction), fuse_independent(a, b, reduction))
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            inner = fusion_mod._cross_arrays
+            mp.setattr(fusion_mod, "_cross_arrays", lambda *args: calls.append(1) or inner(*args))
+            got_omega = select_omega(a, b, table=own) if omega is None else omega
+            got = (
+                fuse_chernoff(a, b, got_omega, reduction, table=own),
+                fuse_independent(a, b, reduction, table=own),
+            )
+            # The group's table serves all three calls.
+            assert calls == []
+            for table in others:
+                assert select_omega(a, b, table=table) == select_omega(a, b)
+                got += (
+                    fuse_chernoff(a, b, want_omega, reduction, table=table),
+                    fuse_independent(a, b, reduction, table=table),
+                )
+        for g, w in zip(got, want * (1 + len(others))):
+            assert_same_result(g, w)
 
     def test_self_fused_mixture_is_freed_without_gc(self):
         state = sized_state(np.random.default_rng(32), 3)
@@ -967,9 +1019,9 @@ class TestKeptByWeight:
     def test_table_serves_only_its_floor(self, first, then, kernel_calls):
         rng = np.random.default_rng(60)
         a, b = sized_state(rng, 5), sized_state(rng, 4)
-        for x, y in fusion_mod._prefilled([(a, b)], 0.37, first):
-            filed = fuse_chernoff(x, y, 0.37, first)
-            got = fuse_chernoff(x, y, 0.37, then)
+        for x, y, table in fusion_mod._prefilled([(a, b)], 0.37, first):
+            filed = fuse_chernoff(x, y, 0.37, first, table=table)
+            got = fuse_chernoff(x, y, 0.37, then, table=table)
         # The group's table serves a fusion at its own floor, whatever the
         # cap; a fusion at any other floor builds its own table.
         own = fusion_mod._floor(first) == fusion_mod._floor(then)

@@ -1,10 +1,12 @@
 """Experiment drivers, output files, determinism, and the CLI."""
 
+import copy
 import dataclasses
 import json
 import multiprocessing
 import pickle
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from possfuse.runner import (
     run_single,
 )
 from possfuse.simulate import ScenarioConfig, SensorConfig
-from support import run_cli
+from support import reference_run_once, run_cli
 
 
 def small_cfg(runs=2, **scenario_kw):
@@ -293,32 +295,108 @@ class TestFailureOrder:
         assert sizes[0] > rows * a.spatial.n_components * b.spatial.n_components
 
     @pytest.mark.parametrize("failure", [None, "kernel", "fusion"])
-    def test_tables_leave_with_their_group(self, failure, monkeypatch):
+    def test_run_leaves_the_fusion_module_as_found(self, failure, monkeypatch):
         # Whether the run is clean, a group's build fails, or a fusion
-        # fails while its group's tables are filed, none outlives the run.
+        # fails while its group's tables are alive, every attribute of
+        # possfuse.fusion is the same object with the same contents after
+        # the run: the tables travel as arguments, never through the module.
         if failure == "kernel":
             a, _ = self.fused_pairs(monkeypatch)[6]
             self.break_kernel_for(monkeypatch, a)
-        filed = []
+        before = {
+            name: (value, copy.deepcopy(value) if isinstance(value, (dict, list, set)) else None)
+            for name, value in vars(fusion_mod).items()
+            if not name.startswith("__")
+        }
+
+        def unchanged():
+            after = {name: value for name, value in vars(fusion_mod).items() if not name.startswith("__")}
+            assert after.keys() == before.keys()
+            for name, (value, contents) in before.items():
+                assert after[name] is value, name
+                assert contents is None or value == contents, name
+
+        tables = []
         inner = runner_mod.fuse_independent
 
         def recording(a, b, **kwargs):
-            filed.append(len(fusion_mod._TABLES))
-            if failure == "fusion" and len(filed) == 3:
+            # Nothing is filed in the module while the tables are in use either.
+            unchanged()
+            tables.append(kwargs["table"])
+            if failure == "fusion" and len(tables) == 3:
                 raise ValueError("injected fusion failure")
             return inner(a, b, **kwargs)
 
         monkeypatch.setattr(runner_mod, "fuse_independent", recording)
         if failure is None:
             run_once(self.CFG, 0, "dependent")
-            assert len(filed) == 10 and max(filed) > 1
+            assert len(tables) == 10 and None not in tables
         else:
             with pytest.raises(NumericsError) as err:
                 run_once(self.CFG, 0, "dependent")
             assert err.value.step == {"kernel": 7, "fusion": 3}[failure]
-            if failure == "fusion":
-                assert filed[-1] > 1
-        assert fusion_mod._TABLES == {}
+            # A group whose build failed hands its steps no table.
+            assert (tables[-1] is None) == (failure == "kernel")
+        unchanged()
+
+
+    @pytest.mark.parametrize("mode", ["independent", "dependent"])
+    def test_no_table_outlives_its_group(self, mode, monkeypatch):
+        # While a group's tables are built, no table of an earlier group is
+        # alive: neither the pass nor the run's loop holds one.
+        built, alive = [], []
+        inner = fusion_mod._product_tables
+
+        def recording(*args):
+            alive.append(sum(ref() is not None for ref in built))
+            tables = inner(*args)
+            built.extend(weakref.ref(table) for table in tables)
+            return tables
+
+        monkeypatch.setattr(fusion_mod, "_product_tables", recording)
+        run_once(self.CFG, 0, mode)
+        assert len(alive) > 1 and alive == [0] * len(alive)
+
+
+class TestReferenceRun:
+    """run_once, which fuses after the recursion and hands each step its
+    group's product table, records what the per-run path of the public
+    per-state calls records, bit for bit."""
+
+    CLUTTER20 = [{"pd_true": p, "noise_var": 2.0, "clutter_rate": 20.0} for p in (0.8, 0.6)]
+
+    @pytest.mark.parametrize(
+        "mode, doc",
+        [
+            pytest.param("single", {}, id="single"),
+            pytest.param("independent", {"fusion": {"omega_strategy": "fixed(0.5)"}}, id="independent-fixed(0.5)"),
+            pytest.param("dependent", {"fusion": {"omega_strategy": "min-trace"}}, id="dependent-min-trace"),
+            pytest.param(
+                "independent",
+                {"scenario": {"sensors": CLUTTER20}, "fusion": {"omega_strategy": "min-trace"}},
+                id="independent-min-trace-clutter20",
+            ),
+        ],
+    )
+    def test_run_once_equals_the_reference(self, mode, doc):
+        cfg = parse_experiment({**doc, "runs": 2})
+        for run_idx in range(cfg.runs):
+            got = run_once(cfg, run_idx, mode)
+            want = reference_run_once(cfg, run_idx, mode)
+            assert [None if p is None else p.tobytes() for p in got.truth_positions] == [
+                None if p is None else p.tobytes() for p in want.truth_positions
+            ]
+            assert list(got.series) == list(want.series)
+            for name, track in got.series.items():
+                other = want.series[name]
+                assert (track.q_absent, track.q_present) == (other.q_absent, other.q_present), name
+                assert track.n_components == other.n_components, name
+                for g, w in zip(track.estimates, other.estimates, strict=True):
+                    assert (g is None) == (w is None), name
+                    if g is not None:
+                        assert g.mean.tobytes() == w.mean.tobytes(), name
+                        assert g.covariance.tobytes() == w.covariance.tobytes(), name
+            assert any(est is not None for track in got.series.values() for est in track.estimates)
 
 
 class TestPoolPayload:
