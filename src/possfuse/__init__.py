@@ -7,112 +7,23 @@ possibility assignment, and every recursion step renormalises suprema to
 one.  On top of the filter sit two fusion rules for combining posteriors
 from different sensors, a Chernoff-style geometric rule that is robust to
 unknown correlation and an independent product rule that assumes none.
+
+The package exports every name its modules list in their __all__; the
+command line front end, possfuse.cli, is imported on its own.
 """
 
-from .bernoulli import (
-    BernoulliPossState,
-    DetectionPossibility,
-    Estimate,
-    MeasurementModel,
-    MotionModel,
-    ReductionConfig,
-    TransitionPossibilityMatrix,
-    extract,
-    predict,
-    probability_interval_to_possibility,
-    reduce,
-    update,
-)
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    default_experiment,
-    load_experiment,
-    parse_experiment,
-    serialize_experiment,
-)
-from .fusion import (
-    FusionResult,
-    fuse_chernoff,
-    fuse_independent,
-    select_omega,
-    selftest,
-)
-from .gaussmax import (
-    GaussianMaxMixture,
-    sup_linear_gaussian_product,
-)
-from .metrics import AggregateResult, RunRecord, SeriesTrack, ospa
-from .runner import (
-    ExperimentResult,
-    NumericsError,
-    run_fusion_dependent,
-    run_fusion_independent,
-    run_once,
-    run_single,
-)
-from .simulate import (
-    BirthConfig,
-    Rect,
-    Scan,
-    ScenarioConfig,
-    SensorConfig,
-    build_birth_mixture,
-    cv_process_noise,
-    cv_transition,
-    generate_truth,
-    ignorance_mixture,
-    position_observation,
-)
+from . import bernoulli, config, fusion, gaussmax, metrics, runner, simulate
+from .bernoulli import *
+from .config import *
+from .fusion import *
+from .gaussmax import *
+from .metrics import *
+from .runner import *
+from .simulate import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BernoulliPossState",
-    "DetectionPossibility",
-    "Estimate",
-    "MeasurementModel",
-    "MotionModel",
-    "ReductionConfig",
-    "TransitionPossibilityMatrix",
-    "extract",
-    "predict",
-    "probability_interval_to_possibility",
-    "reduce",
-    "update",
-    "ConfigError",
-    "ExperimentConfig",
-    "default_experiment",
-    "load_experiment",
-    "parse_experiment",
-    "serialize_experiment",
-    "FusionResult",
-    "fuse_chernoff",
-    "fuse_independent",
-    "select_omega",
-    "selftest",
-    "GaussianMaxMixture",
-    "sup_linear_gaussian_product",
-    "AggregateResult",
-    "RunRecord",
-    "SeriesTrack",
-    "ospa",
-    "ExperimentResult",
-    "NumericsError",
-    "run_fusion_dependent",
-    "run_fusion_independent",
-    "run_once",
-    "run_single",
-    "BirthConfig",
-    "Rect",
-    "Scan",
-    "ScenarioConfig",
-    "SensorConfig",
-    "build_birth_mixture",
-    "cv_process_noise",
-    "cv_transition",
-    "generate_truth",
-    "ignorance_mixture",
-    "position_observation",
     "__version__",
+    *(name for module in (bernoulli, config, fusion, gaussmax, metrics, runner, simulate) for name in module.__all__),
 ]

@@ -34,6 +34,16 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
 
+# The run subcommands, in --help order: name -> (driver, help text).
+RUN_COMMANDS = {
+    "single": (run_single, "run each sensor's filter separately"),
+    "fuse-independent": (run_fusion_independent, "fuse two filters fed by independent sensors"),
+    "fuse-dependent": (
+        run_fusion_dependent,
+        "fuse one sensor's filter with itself, as two identical filters would be",
+    ),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -42,7 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_flags(p: argparse.ArgumentParser) -> None:
+    for name, (_, help_text) in RUN_COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="FILE", help="JSON experiment configuration")
         p.add_argument("--runs", type=int, metavar="N", help="override Monte Carlo run count")
         p.add_argument("--seed", type=int, metavar="S", help="override the master seed")
@@ -52,20 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="also write scans.csv with every labelled measurement",
         )
-
-    p_single = sub.add_parser("single", help="run each sensor's filter separately")
-    add_run_flags(p_single)
-
-    p_ind = sub.add_parser(
-        "fuse-independent", help="fuse two filters fed by independent sensors"
-    )
-    add_run_flags(p_ind)
-
-    p_dep = sub.add_parser(
-        "fuse-dependent",
-        help="fuse one sensor's filter with itself, as two identical filters would be",
-    )
-    add_run_flags(p_dep)
 
     p_self = sub.add_parser("selftest", help="check closed forms against grid evaluation")
     p_self.add_argument("--pairs", type=int, default=12, metavar="N",
@@ -109,11 +106,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise ConfigError("--pairs", f"must be at least 1, got {args.pairs}")
             return EXIT_OK if selftest(n_pairs=args.pairs, seed=args.seed) else EXIT_NUMERICS
         cfg = _load_config(args)
-        driver = {
-            "single": run_single,
-            "fuse-independent": run_fusion_independent,
-            "fuse-dependent": run_fusion_dependent,
-        }[args.command]
+        driver, _ = RUN_COMMANDS[args.command]
         result = driver(cfg, out_dir=None, dump_scans=args.dump_scans)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from .bernoulli import (
     probability_interval_to_possibility,
 )
 from .fusion import parse_omega_strategy
-from .simulate import ScenarioConfig, SensorConfig, _check_finite, _check_int
+from .simulate import ScenarioConfig, _check_finite, _check_int
 
 __all__ = [
     "ConfigError",
@@ -148,13 +148,7 @@ def _parse(obj: Any, tp: Any, default: Any, path: str) -> Any:
     default is None) and change only the keys the document gives.
     """
     if is_dataclass(tp):
-        section = _parse_section(obj, tp, default, path)
-        if tp is SensorConfig:
-            try:
-                section.check_drawable()
-            except ValueError as exc:
-                raise ConfigError(_join(path, "clutter_rate"), str(exc)) from None
-        return section
+        return _parse_section(obj, tp, default, path)
     origin, args = get_origin(tp), get_args(tp)
     if origin is Union:
         if obj is None:
@@ -172,7 +166,10 @@ def _parse(obj: Any, tp: Any, default: Any, path: str) -> Any:
     if tp is float:
         if isinstance(obj, bool) or not isinstance(obj, (int, float)):
             raise ConfigError(path, f"expected a number, got {type(obj).__name__}")
-        value = float(obj)
+        try:
+            value = float(obj)
+        except OverflowError:
+            raise ConfigError(path, "expected a finite number, got an integer no float holds") from None
         if not math.isfinite(value):
             raise ConfigError(path, f"expected a finite number, got {value}")
         return value

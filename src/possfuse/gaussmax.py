@@ -403,6 +403,9 @@ def sup_linear_gaussian_product(z, H, R, m, P) -> float:
     z = np.atleast_1d(np.asarray(z, dtype=float))
     m = np.atleast_1d(np.asarray(m, dtype=float))
     H = np.atleast_2d(np.asarray(H, dtype=float))
+    for name, value in (("z", z), ("H", H), ("R", R), ("m", m), ("P", P)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite")
     if H.shape != (z.size, m.size):
         raise ValueError(f"H must have shape ({z.size}, {m.size}), got {H.shape}")
     R = _conditioned_covariance(R, dim=z.size)

@@ -77,6 +77,13 @@ def _min_cost_assignment(costs: np.ndarray) -> float:
     return min(dp[mask] for mask in range(1 << n) if mask.bit_count() == m)
 
 
+def _checked_cutoff(cutoff) -> float:
+    cutoff = float(cutoff)
+    if not 0.0 < cutoff < np.inf:
+        raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
+    return cutoff
+
+
 def _sorted_points(points: list[np.ndarray]) -> list[tuple[float, ...]]:
     return sorted(tuple(p.tolist()) for p in points)
 
@@ -86,17 +93,18 @@ def ospa(X: Sequence, Y: Sequence, cutoff: float = 10.0, order: float = 1.0) -> 
 
     :param X: first set, any sequence of coordinate vectors
     :param Y: second set
-    :param cutoff: cardinality penalty and distance saturation, > 0
-    :param order: exponent p >= 1
+    :param cutoff: cardinality penalty and distance saturation, finite and > 0
+    :param order: exponent p, finite and >= 1
     """
-    cutoff = float(cutoff)
+    cutoff = _checked_cutoff(cutoff)
     order = float(order)
-    if cutoff <= 0.0:
-        raise ValueError(f"cutoff must be positive, got {cutoff}")
-    if order < 1.0:
-        raise ValueError(f"order must be at least 1, got {order}")
+    if not 1.0 <= order < np.inf:
+        raise ValueError(f"order must be finite and at least 1, got {order}")
     xs = [np.atleast_1d(np.asarray(x, dtype=float)) for x in X]
     ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in Y]
+    for name, points in (("X", xs), ("Y", ys)):
+        if not all(np.isfinite(p).all() for p in points):
+            raise ValueError(f"{name} must hold finite points")
     if len(xs) == 0 and len(ys) == 0:
         return 0.0
     # The smaller set gives the rows; of two equal sizes, the one whose
@@ -199,9 +207,7 @@ def score_run(record: RunRecord, cutoff: float = 10.0) -> RunScores:
     cancel, so no order is taken here, and each value equals what ospa
     returns for the pair at order 1.
     """
-    cutoff = float(cutoff)
-    if cutoff <= 0.0:
-        raise ValueError(f"cutoff must be positive, got {cutoff}")
+    cutoff = _checked_cutoff(cutoff)
     names = tuple(record.series)
     table = np.zeros((5, len(names), record.steps))
     ospa, trace, present, q_absent, q_present = table

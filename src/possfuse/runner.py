@@ -243,8 +243,9 @@ def run_once(
             for engine, name, stream in zip(engines, names, streams):
                 engine.advance(stream[step - 1], audit, name, step)
                 _append_state(tracks[name], engine.state)
-            # Dependent mode has one filter, fused with itself.
-            pairs.append((engines[0].state, engines[-1].state))
+            if fused_names:
+                # Dependent mode has one filter, fused with itself.
+                pairs.append((engines[0].state, engines[-1].state))
     except _FAILURES as exc:
         failure = (step, exc)
 

@@ -42,6 +42,10 @@ __all__ = [
 
 # Sub-stream tags for per-purpose random generators.
 _TRUTH, _DETECT, _NOISE, _CLUTTER, _ORDER = 0, 1, 2, 3, 4
+# Largest mean numpy's Poisson sampler draws (its POISSON_LAM_MAX, computed
+# the same way), so the largest clutter rate a scan can be simulated at.
+_INT64_MAX = 2**63 - 1
+POISSON_RATE_MAX = _INT64_MAX - math.sqrt(_INT64_MAX) * 10
 
 
 def _check_int(name: str, value) -> None:
@@ -51,8 +55,13 @@ def _check_int(name: str, value) -> None:
 
 
 def _check_finite(name: str, value) -> None:
-    """Reject a NaN or infinite value for the float field name."""
-    if not math.isfinite(value):
+    """Reject a NaN or infinite value, or an integer no float holds, for
+    the float field name."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
@@ -115,17 +124,11 @@ class SensorConfig:
             raise ValueError(f"noise_var must be positive, got {self.noise_var}")
         if self.clutter_rate < 0.0:
             raise ValueError(f"clutter_rate must be nonnegative, got {self.clutter_rate}")
-
-    def check_drawable(self) -> None:
-        """Raise ValueError when numpy's Poisson sampler, which draws each
-        scan's clutter count, refuses clutter_rate (as it does above about
-        9.2e18).  One throwaway draw decides; config parsing makes it for
-        every sensor a document gives, so importing the package loads no
-        random generator."""
-        try:
-            np.random.default_rng(0).poisson(self.clutter_rate)
-        except ValueError as exc:
-            raise ValueError(f"clutter_rate {self.clutter_rate!r} cannot be drawn: {exc}") from None
+        if self.clutter_rate > POISSON_RATE_MAX:
+            raise ValueError(
+                f"clutter_rate must be at most {POISSON_RATE_MAX!r}, the largest mean "
+                f"numpy's Poisson sampler draws, got {self.clutter_rate}"
+            )
 
 
 @dataclass(frozen=True)

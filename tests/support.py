@@ -11,7 +11,8 @@ against the permutation oracle), and the eigenvalue form of the
 covariance check, which the package's faster versions must match bit for
 bit.  reference_run_once is the per-run path written against the public
 per-state calls alone, the oracle of runner.run_once.  run_cli runs a
-command line in a child Python process.
+command line in a child Python process, and FLOAT_EXTREMES are the float
+values the config tests try in every field.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ from possfuse.bernoulli import (
 from possfuse.fusion import fuse_chernoff, fuse_independent, parse_omega_strategy, select_omega
 from possfuse.gaussmax import EIG_FLOOR, SYMMETRY_TOL, GaussianMaxMixture
 from possfuse.metrics import POSITION_INDICES, RunRecord, SeriesTrack, ospa
+from possfuse.runner import _FAILURES as RUN_FAILURES
+from possfuse.runner import NumericsError
 from possfuse.simulate import (
     BirthConfig,
     build_birth_mixture,
@@ -325,6 +328,11 @@ def aggregate_reference(records, cutoff: float, order: float):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+# Float values the config tests try in a field: signed zeros and units,
+# the extremes of the float range, and values around the usual scales.
+FLOAT_EXTREMES = (0.0, -0.0, 1e300, -1e300, 5e-324, 1e-12, 1e12, -1.0, 0.5, 1.0)
+
+
 def run_cli(
     args: list[str], *, env: dict | None = None, memory_bytes: int | None = None, timeout: float = 60.0
 ) -> subprocess.CompletedProcess:
@@ -360,61 +368,83 @@ def reference_run_once(cfg, run_idx: int, mode: str) -> RunRecord:
     one per configured sensor; dependent mode feeds only the first
     sensor's stream to one filter and fuses it with itself; birth uses
     filter.birth.pos_var, or the sensor's noise_var + 1 when null; a
-    model clutter rate of at least 1e-6.
+    model clutter rate of at least 1e-6.  Each pair is fused without a
+    reduction, and the fused state's component count applies the
+    documented keep rule to that full fusion: the pairs whose weight is at
+    least prune_ratio times the largest, at most max_components of them,
+    except when an omega of 0 or 1 returns an input verbatim.  Only the
+    heaviest component reaches the estimate, and it heads both fusions.
+
+    A failure raises NumericsError naming the run and the step it met, step
+    0 being the run's setup; the first step that fails is the one named.
     """
     scenario, settings = cfg.scenario, cfg.filter
-    sequence = np.random.SeedSequence(entropy=(int(cfg.master_seed), int(run_idx)))
-    seeds = [int(w) for w in sequence.generate_state(1 + len(scenario.sensors), dtype=np.uint64)]
-    sensors = scenario.sensors[:1] if mode == "dependent" else scenario.sensors
-    with np.errstate(over="raise", invalid="raise"):
-        truth = generate_truth(scenario, seeds[0])
-        streams = [
-            [scan for scan, _ in generate_labeled_measurements(truth, sensor, scenario.region, seeds[1 + i])]
-            for i, sensor in enumerate(sensors)
-        ]
-    motion = MotionModel(cv_transition(scenario.dt), cv_process_noise(scenario.dt, scenario.psd))
-    phi = TransitionPossibilityMatrix.from_matrix(settings.phi)
-    det = probability_interval_to_possibility(*settings.pd_interval)
-    filters = []
-    for sensor in sensors:
-        meas = MeasurementModel(
-            observation=position_observation(),
-            noise=sensor.noise_var * np.eye(2),
-            clutter_rate=max(sensor.clutter_rate, 1e-6),
-            region=scenario.region,
-        )
-        pos_var = settings.birth.pos_var
-        birth = BirthConfig(
-            region=scenario.region,
-            pos_var=sensor.noise_var + 1.0 if pos_var is None else pos_var,
-            vel_var=settings.birth.vel_var,
-        )
-        start = BernoulliPossState(1.0, 1.0, ignorance_mixture(scenario.region, settings.birth.vel_var))
-        filters.append({"meas": meas, "birth": birth, "state": start, "prev": None})
-    names = ["single"] if mode == "dependent" else [f"sensor{i + 1}" for i in range(len(sensors))]
+    reduction = settings.reduction
+    names = ["single"] if mode == "dependent" else [f"sensor{i + 1}" for i in range(len(scenario.sensors))]
     fused_names = [] if mode == "single" else ["chernoff", "centralized"]
     tracks = {name: SeriesTrack() for name in names + fused_names}
 
-    def append(name, state):
+    def append(name, state, n_components=None):
         tracks[name].estimates.append(extract(state))
         tracks[name].q_absent.append(state.q_absent)
         tracks[name].q_present.append(state.q_present)
-        tracks[name].n_components.append(state.spatial.n_components)
+        tracks[name].n_components.append(state.spatial.n_components if n_components is None else n_components)
 
-    fixed_omega = parse_omega_strategy(cfg.fusion.omega_strategy)
-    for step in range(1, scenario.steps + 1):
-        for f, name, stream in zip(filters, names, streams):
-            scan = stream[step - 1]
-            pred = predict(f["state"], motion, phi, build_birth_mixture(f["prev"], f["birth"]))
-            post = update(pred, scan, f["meas"], det)
-            f["state"] = BernoulliPossState(post.q_absent, post.q_present, reduce(post.spatial, settings.reduction))
-            f["prev"] = scan
-            append(name, f["state"])
-        if fused_names:
-            a, b = filters[0]["state"], filters[-1]["state"]
-            omega = select_omega(a, b) if fixed_omega is None else fixed_omega
-            append("chernoff", fuse_chernoff(a, b, omega, settings.reduction).state)
-            append("centralized", fuse_independent(a, b, settings.reduction).state)
+    def append_fused(name, a, b, result):
+        state = result.state
+        if state is a or state is b:
+            append(name, state)
+        else:
+            kept = np.count_nonzero(state.spatial.weights >= reduction.prune_ratio)
+            append(name, state, min(kept, reduction.max_components))
+
+    step = 0
+    try:
+        sequence = np.random.SeedSequence(entropy=(int(cfg.master_seed), int(run_idx)))
+        seeds = [int(w) for w in sequence.generate_state(1 + len(scenario.sensors), dtype=np.uint64)]
+        sensors = scenario.sensors[:1] if mode == "dependent" else scenario.sensors
+        with np.errstate(over="raise", invalid="raise"):
+            truth = generate_truth(scenario, seeds[0])
+            streams = [
+                [scan for scan, _ in generate_labeled_measurements(truth, sensor, scenario.region, seeds[1 + i])]
+                for i, sensor in enumerate(sensors)
+            ]
+        motion = MotionModel(cv_transition(scenario.dt), cv_process_noise(scenario.dt, scenario.psd))
+        phi = TransitionPossibilityMatrix.from_matrix(settings.phi)
+        det = probability_interval_to_possibility(*settings.pd_interval)
+        filters = []
+        for sensor in sensors:
+            meas = MeasurementModel(
+                observation=position_observation(),
+                noise=sensor.noise_var * np.eye(2),
+                clutter_rate=max(sensor.clutter_rate, 1e-6),
+                region=scenario.region,
+            )
+            pos_var = settings.birth.pos_var
+            birth = BirthConfig(
+                region=scenario.region,
+                pos_var=sensor.noise_var + 1.0 if pos_var is None else pos_var,
+                vel_var=settings.birth.vel_var,
+            )
+            start = BernoulliPossState(1.0, 1.0, ignorance_mixture(scenario.region, settings.birth.vel_var))
+            filters.append({"meas": meas, "birth": birth, "state": start, "prev": None})
+
+        fixed_omega = parse_omega_strategy(cfg.fusion.omega_strategy)
+        for step in range(1, scenario.steps + 1):
+            for f, name, stream in zip(filters, names, streams):
+                scan = stream[step - 1]
+                pred = predict(f["state"], motion, phi, build_birth_mixture(f["prev"], f["birth"]))
+                post = update(pred, scan, f["meas"], det)
+                f["state"] = BernoulliPossState(post.q_absent, post.q_present, reduce(post.spatial, reduction))
+                f["prev"] = scan
+                append(name, f["state"])
+            if fused_names:
+                a, b = filters[0]["state"], filters[-1]["state"]
+                omega = select_omega(a, b) if fixed_omega is None else fixed_omega
+                append_fused("chernoff", a, b, fuse_chernoff(a, b, omega))
+                append_fused("centralized", a, b, fuse_independent(a, b))
+    except RUN_FAILURES as exc:
+        raise NumericsError(run_idx, step, exc) from exc
     H = position_observation()
     positions = [None if x is None else H @ x for x in truth]
     return RunRecord(truth_positions=positions, series=tracks)

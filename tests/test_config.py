@@ -1,8 +1,12 @@
 """Experiment configuration: defaults, parsing, round-trips, errors."""
 
+import dataclasses
 import json
+import math
 import re
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -21,8 +25,8 @@ from possfuse.config import (
 )
 from possfuse.gaussmax import NORM_TOL
 from possfuse.runner import _Filter
-from possfuse.simulate import BirthConfig, Rect, ScenarioConfig
-from support import run_cli
+from possfuse.simulate import POISSON_RATE_MAX, BirthConfig, Rect, ScenarioConfig, SensorConfig
+from support import FLOAT_EXTREMES, run_cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -225,17 +229,22 @@ class TestValidation:
         assert err.value.path == path
 
     def test_largest_drawable_clutter_rate_is_accepted(self):
-        # numpy's Poisson sampler draws at 9.2e18 and refuses 9.3e18; such a
-        # run still fails for memory, but the config does not reject it.
+        # Below numpy's Poisson bound; such a run still fails for memory,
+        # but the config does not reject it.
         cfg = parse_experiment({"scenario": {"sensors": [{"clutter_rate": 9.2e18}, {}]}})
         assert cfg.scenario.sensors[0].clutter_rate == 9.2e18
 
-    def test_importing_the_package_loads_no_random_generator(self):
-        # Only a sensor read from a config document makes the throwaway
-        # clutter draw, so a CLI parent does not import numpy.random.
-        code = "import sys, possfuse, possfuse.cli; print('numpy.random' in sys.modules)"
-        proc = run_cli(["-c", code])
-        assert (proc.returncode, proc.stdout.strip()) == (0, "False")
+    def test_importing_the_package_loads_no_random_generator(self, tmp_path):
+        # The clutter bound is a constant, so neither importing the CLI nor
+        # parsing sensors imports numpy.random into a CLI parent.
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"scenario": {"sensors": [{"clutter_rate": 9.2e18}, {}]}}))
+        code = (
+            "import sys, possfuse.cli; print('numpy.random' in sys.modules); "
+            "possfuse.config.load_experiment(sys.argv[1]); print('numpy.random' in sys.modules)"
+        )
+        proc = run_cli(["-c", code, str(path)])
+        assert (proc.returncode, proc.stdout.split()) == (0, ["False", "False"]), proc.stderr
 
     def test_unconsumed_scenario_probabilities_are_unknown(self):
         with pytest.raises(ConfigError) as err:
@@ -321,3 +330,64 @@ class TestLoadErrors:
         with pytest.raises(ConfigError) as err:
             parse_experiment({"runs": -3})
         assert err.value.path == "runs"
+
+
+def _scalar_fields(cls=ExperimentConfig, section=()):
+    """(section path, field) of every scalar float or int field of every
+    config section; a tuple of sections, the sensors, is entered at 0."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        tp = hints[f.name]
+        if is_dataclass(tp):
+            yield from _scalar_fields(tp, (*section, f.name))
+        elif get_origin(tp) is tuple and is_dataclass(get_args(tp)[0]):
+            yield from _scalar_fields(get_args(tp)[0], (*section, f.name, 0))
+        elif tp in (float, int, Optional[float]):
+            yield section, f.name
+
+
+ABOVE_POISSON_BOUND = float(np.nextafter(POISSON_RATE_MAX, np.inf))
+# 10**400 is a JSON integer literal that no float holds.
+PARITY_VALUES = (*FLOAT_EXTREMES, math.nan, math.inf, -math.inf, 9.3e18, ABOVE_POISSON_BOUND, 10**400)
+
+
+class TestEntryPointParity:
+    """A config document and a section built in Python obey one rule
+    set: the parser holds no range rule of its own."""
+
+    @pytest.mark.parametrize(
+        "section, name", list(_scalar_fields()), ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else v
+    )
+    def test_parser_rejects_exactly_what_the_section_rejects(self, section, name):
+        base = default_experiment()
+        for key in section:
+            base = base[key] if isinstance(key, int) else getattr(base, key)
+        differ = []
+        for value in PARITY_VALUES:
+            try:
+                dataclasses.replace(base, **{name: value})
+            except ValueError:
+                built = False
+            else:
+                built = True
+            doc = {name: value}
+            for key in reversed(section):
+                doc = [doc] if isinstance(key, int) else {key: doc}
+            try:
+                parse_experiment(doc)
+            except ConfigError:
+                parsed = False
+            else:
+                parsed = True
+            if parsed != built:
+                differ.append((value, f"parsed {parsed}, built {built}"))
+        assert not differ
+
+    def test_poisson_bound_draws_and_the_next_float_does_not(self):
+        assert POISSON_RATE_MAX == 9.223372006484771e18
+        assert SensorConfig(clutter_rate=POISSON_RATE_MAX).clutter_rate == POISSON_RATE_MAX
+        np.random.default_rng(0).poisson(POISSON_RATE_MAX)
+        with pytest.raises(ValueError, match="^clutter_rate must be at most 9.223372006484771e"):
+            SensorConfig(clutter_rate=ABOVE_POISSON_BOUND)
+        with pytest.raises(ValueError, match="lam value too large"):
+            np.random.default_rng(0).poisson(ABOVE_POISSON_BOUND)

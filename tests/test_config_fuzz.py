@@ -19,13 +19,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from possfuse.config import default_experiment, serialize_experiment
-from support import run_cli
+from support import FLOAT_EXTREMES, run_cli
 
 DEFAULT = serialize_experiment(default_experiment())
 # Every run is short: 4 steps, the target alive throughout.
 BASE = {"scenario": {"steps": 4, "death_step": 4}}
 COMMANDS = ("single", "fuse-independent", "fuse-dependent")
-FLOAT_EXTREMES = (0.0, -0.0, 1e300, -1e300, 5e-324, 1e-12, 1e12, -1.0, 0.5, 1.0)
 STRATEGIES = ("min-trace", "fixed(0.0)", "fixed(1.0)", "fixed(0.37)", "fixed(2)", "max-trace")
 MEMORY_CAP = 2 * 2**30
 

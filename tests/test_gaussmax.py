@@ -242,6 +242,15 @@ class TestSupLinearGaussianProduct:
         val = sup_linear_gaussian_product(m, np.eye(2), np.eye(2), m, np.eye(2))
         assert val == 1.0
 
+    @pytest.mark.parametrize("name", ["z", "H", "R", "m", "P"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_argument_named(self, name, bad):
+        args = {"z": np.zeros(2), "H": np.eye(2), "R": np.eye(2), "m": np.zeros(2), "P": np.eye(2)}
+        args[name] = args[name].copy()
+        args[name][0, ...] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            sup_linear_gaussian_product(**args)
+
 
 def spd_stack(rng, shape, dim):
     A = rng.normal(size=(*shape, dim, dim))

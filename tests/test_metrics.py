@@ -52,6 +52,22 @@ class TestOspaExamples:
         with pytest.raises(ValueError):
             ospa([], [], cutoff=10.0, order=0.5)
 
+    @pytest.mark.parametrize(
+        "X, Y, kwargs, name",
+        [
+            ([[0.0, 0.0]], [], {"cutoff": np.nan}, "cutoff"),
+            ([[0.0, 0.0]], [], {"cutoff": np.inf}, "cutoff"),
+            ([[0.0, 0.0]], [[1.0, 1.0]], {"order": np.inf}, "order"),
+            ([[0.0, 0.0]], [[1.0, 1.0]], {"order": np.nan}, "order"),
+            ([[np.nan, 0.0]], [[0.0, 0.0]], {}, "X"),
+            ([[0.0, 0.0]], [[0.0, -np.inf]], {}, "Y"),
+        ],
+        ids=["cutoff-nan", "cutoff-inf", "order-inf", "order-nan", "X-nan", "Y-inf"],
+    )
+    def test_non_finite_argument_named(self, X, Y, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            ospa(X, Y, **kwargs)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             ospa([np.array([0.0])], [np.array([0.0, 1.0])], cutoff=10.0, order=1.0)
@@ -251,7 +267,7 @@ class TestAggregate:
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes(), (field, name)
 
-    @pytest.mark.parametrize("cutoff", [0.0, -1.0])
+    @pytest.mark.parametrize("cutoff", [0.0, -1.0, np.nan, np.inf])
     def test_bad_cutoff_rejected(self, cutoff):
         rec = mk_record([[0.0, 0.0]], [[0.0, 0.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="cutoff must be positive"):

@@ -2,14 +2,21 @@
 
 import copy
 import dataclasses
+import itertools
 import json
 import multiprocessing
 import pickle
 import sys
 import weakref
+from typing import Optional
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import support
 
 import possfuse.fusion as fusion_mod
 import possfuse.runner as runner_mod
@@ -29,8 +36,10 @@ from possfuse.runner import (
     run_once,
     run_single,
 )
-from possfuse.simulate import ScenarioConfig, SensorConfig
+from possfuse.simulate import POISSON_RATE_MAX, ScenarioConfig, SensorConfig
 from support import reference_run_once, run_cli
+
+ABOVE_POISSON_BOUND = float(np.nextafter(POISSON_RATE_MAX, np.inf))
 
 
 def small_cfg(runs=2, **scenario_kw):
@@ -358,6 +367,88 @@ class TestFailureOrder:
         assert len(alive) > 1 and alive == [0] * len(alive)
 
 
+def assert_same_record(got, want):
+    """Two run records hold the same bits: truth, series, existence pairs,
+    component counts and estimates."""
+    assert [None if p is None else p.tobytes() for p in got.truth_positions] == [
+        None if p is None else p.tobytes() for p in want.truth_positions
+    ]
+    assert list(got.series) == list(want.series)
+    for name, track in got.series.items():
+        other = want.series[name]
+        assert (track.q_absent, track.q_present) == (other.q_absent, other.q_present), name
+        assert track.n_components == other.n_components, name
+        for g, w in zip(track.estimates, other.estimates, strict=True):
+            assert (g is None) == (w is None), name
+            if g is not None:
+                assert g.mean.tobytes() == w.mean.tobytes(), name
+                assert g.covariance.tobytes() == w.covariance.tobytes(), name
+
+
+def outcome(run, *args):
+    """run(*args)'s record, or the step its NumericsError names."""
+    try:
+        return run(*args)
+    except NumericsError as exc:
+        return exc.step
+
+
+def failing_at(call: Optional[int], inner):
+    """inner, except that its call number call raises ValueError."""
+    calls = itertools.count(1)
+
+    def wrapped(*args, **kwargs):
+        if next(calls) == call:
+            raise ValueError("injected failure")
+        return inner(*args, **kwargs)
+
+    return wrapped
+
+
+OMEGA_STRATEGIES = ("fixed(0)", "fixed(5e-324)", "fixed(0.37)", "fixed(0.5)", "fixed(1)", "min-trace")
+
+
+@st.composite
+def drawn_runs(draw):
+    """A moderate config, a mode and a run index, and the calls of update
+    and of fuse_independent, counted over the run, made to fail (or None)."""
+    steps = draw(st.integers(2, 8))
+    birth_step = draw(st.integers(1, steps))
+    sensors = [
+        {
+            "pd_true": draw(st.floats(0.3, 1.0)),
+            "noise_var": draw(st.floats(0.1, 50.0)),
+            "clutter_rate": draw(st.floats(0.0, 30.0)),
+        }
+        for _ in range(2)
+    ]
+    doc = {
+        "scenario": {
+            "steps": steps,
+            "birth_step": birth_step,
+            "death_step": draw(st.integers(birth_step, steps)),
+            "sensors": sensors,
+        },
+        "filter": {
+            "reduction": {
+                "prune_ratio": draw(st.sampled_from((0.0, 1e-3, 0.2))),
+                "max_components": draw(st.sampled_from((1, 3, 100))),
+                "merge_mahalanobis": draw(st.sampled_from((0.0, 2.0, 1e6))),
+            }
+        },
+        "fusion": {"omega_strategy": draw(st.sampled_from(OMEGA_STRATEGIES))},
+    }
+    mode = draw(st.sampled_from(("single", "independent", "dependent")))
+    filters = 1 if mode == "dependent" else 2
+    fail_update = draw(st.none() | st.integers(1, steps * filters))
+    fail_fusion = draw(st.none() | st.integers(1, steps))
+    return doc, mode, draw(st.integers(0, 999)), fail_update, fail_fusion
+
+
+CLUTTER30 = [{"pd_true": p, "noise_var": 2.0, "clutter_rate": 30.0} for p in (0.8, 0.6)]
+PRUNE0 = {"prune_ratio": 0.0, "max_components": 100, "merge_mahalanobis": 0.0}
+
+
 class TestReferenceRun:
     """run_once, which fuses after the recursion and hands each step its
     group's product table, records what the per-run path of the public
@@ -382,21 +473,36 @@ class TestReferenceRun:
         cfg = parse_experiment({**doc, "runs": 2})
         for run_idx in range(cfg.runs):
             got = run_once(cfg, run_idx, mode)
-            want = reference_run_once(cfg, run_idx, mode)
-            assert [None if p is None else p.tobytes() for p in got.truth_positions] == [
-                None if p is None else p.tobytes() for p in want.truth_positions
-            ]
-            assert list(got.series) == list(want.series)
-            for name, track in got.series.items():
-                other = want.series[name]
-                assert (track.q_absent, track.q_present) == (other.q_absent, other.q_present), name
-                assert track.n_components == other.n_components, name
-                for g, w in zip(track.estimates, other.estimates, strict=True):
-                    assert (g is None) == (w is None), name
-                    if g is not None:
-                        assert g.mean.tobytes() == w.mean.tobytes(), name
-                        assert g.covariance.tobytes() == w.covariance.tobytes(), name
+            assert_same_record(got, reference_run_once(cfg, run_idx, mode))
             assert any(est is not None for track in got.series.values() for est in track.estimates)
+
+    @given(drawn_runs())
+    @example((
+        {"scenario": {"steps": 8, "death_step": 8, "sensors": CLUTTER30}, "fusion": {"omega_strategy": "min-trace"}},
+        "independent", 3, None, None,
+    ))
+    @example((
+        {"scenario": {"steps": 8, "death_step": 8}, "filter": {"reduction": PRUNE0}},
+        "independent", 0, None, None,
+    ))
+    # A fusion failure at step 2 comes before a filter failure at step 5.
+    @example(({"scenario": {"steps": 6, "death_step": 6}}, "independent", 0, 9, 2))
+    @settings(max_examples=30, deadline=None)
+    def test_run_once_equals_the_reference_on_drawn_configs(self, case):
+        doc, mode, run_idx, fail_update, fail_fusion = case
+        cfg = parse_experiment(doc)
+        outcomes = []
+        for run, module in ((run_once, runner_mod), (reference_run_once, support)):
+            with (
+                mock.patch.object(module, "update", failing_at(fail_update, module.update)),
+                mock.patch.object(module, "fuse_independent", failing_at(fail_fusion, module.fuse_independent)),
+            ):
+                outcomes.append(outcome(run, cfg, run_idx, mode))
+        got, want = outcomes
+        if isinstance(want, int) or isinstance(got, int):
+            assert got == want, "run_once and the reference fail at different steps, or only one fails"
+        else:
+            assert_same_record(got, want)
 
 
 class TestPoolPayload:
@@ -716,8 +822,10 @@ class TestCli:
             ({"steps": 2**63, "death_step": 8}, "scenario.steps"),
             ({"steps": 8, "death_step": 8, "sensors": [{"clutter_rate": 1e300}, {}]},
              "scenario.sensors[0].clutter_rate"),
+            ({"steps": 8, "death_step": 8, "sensors": [{}, {"clutter_rate": ABOVE_POISSON_BOUND}]},
+             "scenario.sensors[1].clutter_rate"),
         ],
-        ids=["steps-2**63", "clutter-1e300"],
+        ids=["steps-2**63", "clutter-1e300", "clutter-above-poisson-bound"],
     )
     def test_value_no_run_can_use_is_exit_2(self, scenario, field, workers, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("POSSFUSE_THREADS", workers)
