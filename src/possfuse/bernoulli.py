@@ -293,11 +293,57 @@ def _normalized_pair(a: float, b: float) -> tuple[float, float]:
     return a / top, b / top
 
 
+def _stage_for(source: np.ndarray, stage: Optional[tuple]):
+    """The result of a handed-in (source, result) stage when it was
+    computed from this very covariance array, else None."""
+    return stage[1] if stage is not None and stage[0] is source else None
+
+
+def _propagated(P: np.ndarray, motion: MotionModel) -> np.ndarray:
+    """F P F' + Q for every covariance of the stack P, conditioned.
+
+    The survival branch of predict.  Every product acts on one matrix, so
+    each result has the bits it would have in a stack of its own."""
+    F, Q = motion.transition, motion.process_noise
+    return _conditioned_covariance(
+        np.einsum("ij,njk,lk->nil", F, P, F) + Q, terms=((F, P), (None, Q))
+    )
+
+
+def _gains(P: np.ndarray, meas: MeasurementModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S, K, P_upd) for every prior covariance of the stack P.
+
+    The scan-independent half of update: the innovation covariance
+    S = H P H' + R, the Kalman gain K = P H' inv(S) and the Joseph-form
+    updated covariance, conditioned.  Like _propagated, each matrix's
+    result does not depend on the rest of the stack."""
+    H = meas.observation
+    R = meas.noise
+    nx = P.shape[-1]
+    S = np.einsum("ij,njk,lk->nil", H, P, H) + R
+    S = 0.5 * (S + S.swapaxes(1, 2))
+    # Kalman gain via solves: K = P H' inv(S), using (inv(S) H P)' with P, S symmetric.
+    HP = np.einsum("ij,njk->nik", H, P)
+    K = np.linalg.solve(S, HP).swapaxes(1, 2)
+    IKH = np.eye(nx) - np.einsum("nij,jk->nik", K, H)
+    # Joseph form keeps the updated covariance symmetric positive definite;
+    # it equals P - P H' inv(S) H P in exact arithmetic.
+    P_upd = np.einsum("nij,njk,nlk->nil", IKH, P, IKH) + np.einsum(
+        "nij,jk,nlk->nil", K, R, K
+    )
+    P_upd = _conditioned_covariance(
+        0.5 * (P_upd + P_upd.swapaxes(1, 2)), terms=((IKH, P), (K, R))
+    )
+    return S, K, P_upd
+
+
 def predict(
     state: BernoulliPossState,
     motion: MotionModel,
     phi: TransitionPossibilityMatrix,
     birth: GaussianMaxMixture,
+    *,
+    propagated: Optional[tuple] = None,
 ) -> BernoulliPossState:
     """One prediction step of the Bernoulli recursion.
 
@@ -309,6 +355,12 @@ def predict(
     pointwise max with the survival branch, in which every component is
     pushed through the motion model; the union is renormalised, which
     divides out exactly q_present'.
+
+    propagated may hand in the survival branch's covariances as a pair
+    (source, _propagated(source, motion)) computed for many states at
+    once.  It is read only when source is this state's own covariance
+    array; otherwise predict computes its own, so the keyword never
+    changes a result, only the cost.
     """
     mix = state.spatial
     if motion.dim != mix.dim:
@@ -328,13 +380,8 @@ def predict(
         F = motion.transition
         w_parts.append(survive_scale * mix.weights)
         m_parts.append(mix.means @ F.T)
-        Q = motion.process_noise
-        P_parts.append(
-            _conditioned_covariance(
-                np.einsum("ij,njk,lk->nil", F, mix.covariances, F) + Q,
-                terms=((F, mix.covariances), (None, Q)),
-            )
-        )
+        moved = _stage_for(mix.covariances, propagated)
+        P_parts.append(_propagated(mix.covariances, motion) if moved is None else moved)
     if birth_scale > 0.0:
         w_parts.append(birth_scale * birth.weights)
         m_parts.append(birth.means)
@@ -353,6 +400,8 @@ def update(
     scan: Scan,
     meas: MeasurementModel,
     det: DetectionPossibility,
+    *,
+    gains: Optional[tuple] = None,
 ) -> BernoulliPossState:
     """One measurement update of the Bernoulli recursion.
 
@@ -370,6 +419,10 @@ def update(
     exactly 1.  Components whose renormalised weight underflows are
     dropped by the one rule, _surviving, that fusion applies too, there
     at a floor raised to the prune ratio when the fusion is reduced.
+
+    gains may hand in (source, _gains(source, meas)) computed for many
+    states at once.  As with predict's propagated, it is read only when
+    source is this state's own covariance array.
     """
     mix = pred.spatial
     if meas.state_dim != mix.dim:
@@ -383,26 +436,12 @@ def update(
         )
 
     H = meas.observation
-    R = meas.noise
     P = mix.covariances
     m = mix.means
     n_comp, nx = m.shape
     n_meas = points.shape[0]
-
-    S = np.einsum("ij,njk,lk->nil", H, P, H) + R
-    S = 0.5 * (S + S.swapaxes(1, 2))
-    # Kalman gain via solves: K = P H' inv(S), using (inv(S) H P)' with P, S symmetric.
-    HP = np.einsum("ij,njk->nik", H, P)
-    K = np.linalg.solve(S, HP).swapaxes(1, 2)
-    IKH = np.eye(nx) - np.einsum("nij,jk->nik", K, H)
-    # Joseph form keeps the updated covariance symmetric positive definite;
-    # it equals P - P H' inv(S) H P in exact arithmetic.
-    P_upd = np.einsum("nij,njk,nlk->nil", IKH, P, IKH) + np.einsum(
-        "nij,jk,nlk->nil", K, R, K
-    )
-    P_upd = _conditioned_covariance(
-        0.5 * (P_upd + P_upd.swapaxes(1, 2)), terms=((IKH, P), (K, R))
-    )
+    staged = _stage_for(P, gains)
+    S, K, P_upd = _gains(P, meas) if staged is None else staged
 
     # log[clutter_ratio * w_i * N(z; H m_i, S_i)] for every (z, component).
     nu = points[:, None, :] - (m @ H.T)[None, :, :]

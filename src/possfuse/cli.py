@@ -9,7 +9,9 @@ Subcommands map one-to-one onto the experiment drivers:
 * ``possfuse selftest``: closed-form fusion and supremum checks against
   brute-force grid evaluation.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 a
+pool worker died (killed by a signal, as the kernel's out-of-memory
+killer does) before every run had returned; the message names those runs.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .config import ConfigError, ExperimentConfig, default_experiment, load_expe
 from .fusion import selftest
 from .runner import (
     NumericsError,
+    WorkerDiedError,
     run_fusion_dependent,
     run_fusion_independent,
     run_single,
@@ -33,6 +36,7 @@ __all__ = ["main", "build_parser"]
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
+EXIT_WORKER_DIED = 4
 
 # The run subcommands, in --help order: name -> (driver, help text).
 RUN_COMMANDS = {
@@ -114,6 +118,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NumericsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
+    except WorkerDiedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WORKER_DIED
     _report(result, sys.stdout)
     return EXIT_OK
 

@@ -1,6 +1,6 @@
 """Monte Carlo experiment drivers and CSV output.
 
-Three experiment shapes share one per-run engine:
+Three experiment shapes share one engine:
 
 * single: every configured sensor feeds its own filter, no fusion;
 * independent: two sensors with independent noise and clutter feed two
@@ -12,24 +12,37 @@ Three experiment shapes share one per-run engine:
   deliberately fully-correlated setup that shows why the independent
   product double-counts and Chernoff fusion does not.
 
+Runs advance in blocks of at most RUNS_PER_BLOCK, in lockstep
+(_recurse).  The covariance half of a filter step does not depend on the
+scan, so each step of a block runs predict's F P F' + Q once over every
+filter of every run, and update's gains, innovation covariances and
+updated covariances once per measurement model; each predict and update
+call then reads its own rows, bit for bit what it would compute alone.
+A run that fails drops out of its block, naming its own step.
+
 Fusion here is reporting, not feedback: each local filter keeps recursing
 on its own posterior.  So a run first recurses through every step, then
 fuses step by step, the product tables of many steps' pairs built
 together in one kernel call and each passed to its step's fusion calls.
 A failure still names the earliest step that fails.
 
-Runs are distributed over a process pool whose size comes from the CPU
+Blocks are distributed over a process pool whose size comes from the CPU
 count, overridable through the POSSFUSE_THREADS environment variable.
-Every run is a pure function of (configuration, run index).  A worker
-scores its run and returns the scores (and, for --dump-scans, the run's
-labelled scans), and the parent folds the scores in run order, so output
-files are byte-identical no matter how many workers computed them.
+Every run is a pure function of (configuration, run index), whatever
+block it is in.  A worker scores each run of its block and returns the
+scores (and, for --dump-scans, the runs' labelled scans), and the parent
+folds the scores in run order, so output files are byte-identical no
+matter how many workers computed them or how the runs were blocked.  A
+worker that dies (a SIGKILL, as the kernel's out-of-memory killer sends)
+fails the command with WorkerDiedError, naming the runs whose blocks had
+not returned.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -41,6 +54,8 @@ from .bernoulli import (
     MeasurementModel,
     MotionModel,
     TransitionPossibilityMatrix,
+    _gains,
+    _propagated,
     extract,
     predict,
     probability_interval_to_possibility,
@@ -58,7 +73,6 @@ from .fusion import (
 from .metrics import AggregateResult, RunRecord, RunScores, SeriesTrack, fold_scores, score_run
 from .simulate import (
     BirthConfig,
-    Scan,
     SensorConfig,
     build_birth_mixture,
     cv_process_noise,
@@ -70,6 +84,7 @@ from .simulate import (
 
 __all__ = [
     "NumericsError",
+    "WorkerDiedError",
     "run_once",
     "run_single",
     "run_fusion_independent",
@@ -81,11 +96,25 @@ __all__ = [
 # in the filter model, where it only rescales detection weights.
 MIN_MODEL_CLUTTER = 1e-6
 
+# Most runs a pool task advances together.  More lanes per covariance
+# stage cost less per state, but each run adds its states to the task's
+# peak memory, and fewer, larger blocks balance worse over the workers.
+RUNS_PER_BLOCK = 8
+
 # What a run turns into a NumericsError.
 _FAILURES = (ValueError, ArithmeticError, np.linalg.LinAlgError, MemoryError)
 
 SERIES_CHERNOFF = "chernoff"
 SERIES_CENTRALIZED = "centralized"
+
+
+class WorkerDiedError(RuntimeError):
+    """A pool worker died, killed by a signal or by the kernel's
+    out-of-memory killer, before the runs it names had returned."""
+
+    def __init__(self, runs: list[int]):
+        self.runs = runs
+        super().__init__(f"a pool worker died before runs {_spans(runs)} returned")
 
 
 class NumericsError(RuntimeError):
@@ -113,11 +142,11 @@ def _append_state(track: SeriesTrack, state: BernoulliPossState) -> None:
 
 
 class _Filter:
-    """One recursing filter for one sensor, its models built from the config.
+    """One sensor's filter models, built from the config and shared by
+    every run of a block.
 
     Birth uses filter.birth.pos_var, or the sensor's noise variance plus
-    one when that is None.  The state starts at total ignorance, and
-    prev_scan is the scan that feeds the next step's birth.
+    one when that is None.  Every filter starts at total ignorance.
     """
 
     def __init__(self, cfg: ExperimentConfig, sensor: SensorConfig):
@@ -140,20 +169,148 @@ class _Filter:
             pos_var=sensor.noise_var + 1.0 if pos_var is None else pos_var,
             vel_var=settings.birth.vel_var,
         )
-        self.state = BernoulliPossState(q_absent=1.0, q_present=1.0, spatial=self.birth.ignorance)
-        self.prev_scan: Optional[Scan] = None
+        self.start = BernoulliPossState(q_absent=1.0, q_present=1.0, spatial=self.birth.ignorance)
 
-    def advance(self, scan: Scan, audit: Optional[list], series: str, step: int) -> None:
-        birth = build_birth_mixture(self.prev_scan, self.birth)
-        pred = predict(self.state, self.motion, self.phi, birth)
-        if audit is not None:
-            audit.append((step, "predicted", series, pred))
-        post = update(pred, scan, self.meas, self.det)
-        reduced = reduce(post.spatial, self.reduction)
-        self.state = BernoulliPossState(post.q_absent, post.q_present, reduced)
-        if audit is not None:
-            audit.append((step, "updated", series, self.state))
-        self.prev_scan = scan
+
+class _Recursion:
+    """One run's filter recursion: what its fusion and record read.
+
+    positions and tracks are None when the run failed at setup (step 0).
+    failure is (step, exception) for a run that failed; pairs then holds
+    the states of the steps before it.
+    """
+
+    def __init__(self, audit: Optional[list]):
+        self.audit = audit
+        self.labeled: list = []
+        self.positions: Optional[list] = None
+        self.tracks: Optional[dict[str, SeriesTrack]] = None
+        self.pairs: list = []
+        self.failure: Optional[tuple[int, BaseException]] = None
+        # Advancing: each filter's scans, state and predicted state.
+        self.streams: list = []
+        self.states: list = []
+        self.predicted: list = []
+
+
+def _staged(stage, groups: list, lanes: list[list[np.ndarray]]) -> list[list]:
+    """Per run, each filter's handed-in stage, or None.
+
+    lanes[r][i] is run r's covariance array for filter i.  For each
+    (model, filters) group, stage(stack, model) runs once over those
+    filters' arrays in every run, and each array gets its rows back as
+    (source, rows).  A stage that fails as a run can fail, or warns under
+    a warnings-as-errors filter, gives no lane of its group a stage: each
+    call then computes its own, so a failing lane fails in its own run
+    with its own message.
+    """
+    out = [[None] * len(row) for row in lanes]
+    for model, members in groups:
+        try:
+            result = stage(np.concatenate([row[i] for row in lanes for i in members]), model)
+        except (*_FAILURES, Warning):
+            continue
+        stop = 0
+        for row, staged in zip(lanes, out):
+            for i in members:
+                start, stop = stop, stop + len(row[i])
+                rows = (tuple(a[start:stop] for a in result) if isinstance(result, tuple)
+                        else result[start:stop])
+                staged[i] = (row[i], rows)
+    return out
+
+
+def _recurse(
+    cfg: ExperimentConfig, run_indices, mode: str, audits: Optional[list] = None
+) -> list[_Recursion]:
+    """Advance the filters of every run in run_indices step by step, in
+    lockstep; one _Recursion per run, in order.
+
+    Each step propagates the covariances of every live filter in one
+    _propagated call (they share one motion model), births and predicts
+    each filter, computes one _gains stage per measurement model over
+    every run, then updates, reduces and extracts each filter.  possbench
+    and the tests still see one predict, update, reduce and extract call
+    per state, and the stages change no bit of any state.  A run that
+    fails records its step and drops out of the block; the others go on.
+    audits, when given, holds one audit list per run.
+    """
+    scenario = cfg.scenario
+    fuses = mode != "single"
+    names = ["single"] if mode == "dependent" else [f"sensor{i + 1}" for i in range(len(scenario.sensors))]
+    filters: Optional[list[_Filter]] = None
+    runs, live = [], []
+    for i, run_idx in enumerate(run_indices):
+        run = _Recursion(None if audits is None else audits[i])
+        runs.append(run)
+        try:
+            truth, run.labeled = _simulate_run(cfg, run_idx, mode)
+            run.positions = _truth_positions(truth)
+            if filters is None:
+                filters = [_Filter(cfg, s) for s in scenario.sensors[: len(names)]]
+        except _FAILURES as exc:
+            run.failure = (0, exc)
+            continue
+        run.streams = [[scan for scan, _ in sensor_scans] for sensor_scans in run.labeled]
+        run.states = [f.start for f in filters]
+        run.tracks = {name: SeriesTrack() for name in names}
+        live.append(run)
+
+    if not live:
+        return runs
+    # Every filter shares the scenario's motion model.  Gains read only a
+    # measurement model's observation and noise, so filters whose two
+    # matrices are equal share one gains stage.
+    motion_groups = [(filters[0].motion, range(len(filters)))]
+    by_matrices: dict[tuple, list[int]] = {}
+    for i, f in enumerate(filters):
+        by_matrices.setdefault((f.meas.observation.tobytes(), f.meas.noise.tobytes()), []).append(i)
+    gain_groups = [(filters[members[0]].meas, members) for members in by_matrices.values()]
+
+    for step in range(1, scenario.steps + 1):
+        moved = _staged(_propagated, motion_groups,
+                        [[s.spatial.covariances for s in run.states] for run in live])
+        survivors = []
+        for run, stages in zip(live, moved):
+            try:
+                # The previous scan feeds birth.
+                run.predicted = [
+                    predict(state, f.motion, f.phi,
+                            build_birth_mixture(stream[step - 2] if step > 1 else None, f.birth),
+                            propagated=stage)
+                    for f, state, stream, stage in zip(filters, run.states, run.streams, stages)
+                ]
+            except _FAILURES as exc:
+                run.failure = (step, exc)
+            else:
+                survivors.append(run)
+        live = survivors
+        gains = _staged(_gains, gain_groups,
+                        [[s.spatial.covariances for s in run.predicted] for run in live])
+        survivors = []
+        for run, stages in zip(live, gains):
+            try:
+                for i, (f, name) in enumerate(zip(filters, names)):
+                    pred, scan = run.predicted[i], run.streams[i][step - 1]
+                    if run.audit is not None:
+                        run.audit.append((step, "predicted", name, pred))
+                    post = update(pred, scan, f.meas, f.det, gains=stages[i])
+                    state = BernoulliPossState(post.q_absent, post.q_present, reduce(post.spatial, f.reduction))
+                    if run.audit is not None:
+                        run.audit.append((step, "updated", name, state))
+                    run.states[i] = state
+                    _append_state(run.tracks[name], state)
+            except _FAILURES as exc:
+                run.failure = (step, exc)
+                continue
+            if fuses:
+                # Dependent mode has one filter, fused with itself.
+                run.pairs.append((run.states[0], run.states[-1]))
+            survivors.append(run)
+        live = survivors
+        if not live:
+            break
+    return runs
 
 
 def _check_sensor_count(scenario, mode: str) -> None:
@@ -197,6 +354,8 @@ def run_once(
     mode: str,
     audit: Optional[list] = None,
     scans: Optional[list] = None,
+    *,
+    recursion: Optional[_Recursion] = None,
 ) -> RunRecord:
     """Execute one Monte Carlo run and return its record.
 
@@ -208,6 +367,12 @@ def run_once(
     "updated" or "fused", and series names the filter or fusion rule.
     When a scans list is supplied, the labelled scans of every sensor the
     run feeds are appended to it, in sensor order, as (scan, labels) lists.
+
+    recursion is this run's filter recursion when a block of runs was
+    advanced together (_recurse); without it the run recurses as a block
+    of one.  Either way run_once then fuses and records the run, and its
+    record has the same bits.  An audit given with a recursion receives
+    only the fused states.
 
     A numerical failure raises NumericsError naming the run and the step,
     where step 0 is the run's setup: simulating its scenario and building
@@ -222,32 +387,13 @@ def run_once(
     """
     if mode not in ("single", "independent", "dependent"):
         raise ValueError(f"unknown run mode {mode!r}")
-    scenario = cfg.scenario
-    _check_sensor_count(scenario, mode)
+    _check_sensor_count(cfg.scenario, mode)
+    if recursion is None:
+        (recursion,) = _recurse(cfg, [run_idx], mode, None if audit is None else [audit])
+    if scans is not None:
+        scans.extend(recursion.labeled)
     fused_names = () if mode == "single" else (SERIES_CHERNOFF, SERIES_CENTRALIZED)
     fixed_omega = parse_omega_strategy(cfg.fusion.omega_strategy)
-
-    # The recursion first, keeping each step's pair of states.
-    step, failure = 0, None
-    pairs = []
-    try:
-        truth, labeled = _simulate_run(cfg, run_idx, mode)
-        if scans is not None:
-            scans.extend(labeled)
-        positions = _truth_positions(truth)
-        streams = [[scan for scan, _ in sensor_scans] for sensor_scans in labeled]
-        engines = [_Filter(cfg, s) for s in scenario.sensors[: len(streams)]]
-        names = ["single"] if mode == "dependent" else [f"sensor{i + 1}" for i in range(len(streams))]
-        tracks = {name: SeriesTrack() for name in names}
-        for step in range(1, scenario.steps + 1):
-            for engine, name, stream in zip(engines, names, streams):
-                engine.advance(stream[step - 1], audit, name, step)
-                _append_state(tracks[name], engine.state)
-            if fused_names:
-                # Dependent mode has one filter, fused with itself.
-                pairs.append((engines[0].state, engines[-1].state))
-    except _FAILURES as exc:
-        failure = (step, exc)
 
     fused_tracks = {name: SeriesTrack() for name in fused_names}
     if fused_tracks:
@@ -255,7 +401,7 @@ def run_once(
         # Neither enumerate's cached tuple nor the loop holds a table while
         # _prefilled builds the next group.
         try:
-            for a, b, table in _prefilled(pairs, fixed_omega, reduction):
+            for a, b, table in _prefilled(recursion.pairs, fixed_omega, reduction):
                 step += 1
                 omega = select_omega(a, b, table=table) if fixed_omega is None else fixed_omega
                 fused = (
@@ -269,26 +415,33 @@ def run_once(
                 del table
         except _FAILURES as exc:
             raise NumericsError(run_idx, step, exc) from exc
-    if failure is not None:
-        raise NumericsError(run_idx, *failure) from failure[1]
-
-    tracks.update(fused_tracks)
-    return RunRecord(truth_positions=positions, series=tracks)
+    if recursion.failure is not None:
+        step, exc = recursion.failure
+        raise NumericsError(run_idx, step, exc) from exc
+    return RunRecord(truth_positions=recursion.positions, series={**recursion.tracks, **fused_tracks})
 
 
 # --- worker pool ------------------------------------------------------------
 
 
-def _pool_entry(args: tuple) -> tuple[RunScores, Optional[list]]:
-    """One run's scores, plus its labelled scans when they are dumped.
+def _pool_entry(args: tuple) -> list[tuple[RunScores, Optional[list]]]:
+    """A block of runs' scores, each with its labelled scans when they
+    are dumped, in run order.
 
-    Scores are a few arrays, much smaller to send back than the run's
-    record of estimates.
+    The block recurses together (_recurse); then each run is fused,
+    recorded and scored on its own.  Scores are a few arrays, much
+    smaller to send back than the runs' records of estimates.
     """
-    cfg, run_idx, mode, dump_scans = args
-    scans = [] if dump_scans else None
-    record = run_once(cfg, run_idx, mode, scans=scans)
-    return score_run(record, cfg.metrics.ospa_cutoff), scans
+    cfg, run_indices, mode, dump_scans = args
+    recursions = _recurse(cfg, run_indices, mode)
+    results = []
+    for run_idx in run_indices:
+        # Popped, so each run's states are freed once it is scored.
+        recursion = recursions.pop(0)
+        scans = [] if dump_scans else None
+        record = run_once(cfg, run_idx, mode, scans=scans, recursion=recursion)
+        results.append((score_run(record, cfg.metrics.ospa_cutoff), scans))
+    return results
 
 
 def _worker_count(runs: int) -> int:
@@ -305,17 +458,56 @@ def _worker_count(runs: int) -> int:
     return max(1, min(runs, cap))
 
 
+def _blocks(runs: int, workers: int) -> list[range]:
+    """Consecutive blocks of runs, at most RUNS_PER_BLOCK each, as many as
+    a multiple of the worker count (or one per run, when there are fewer
+    runs) and equal in size to within one run, the larger ones first, so
+    the blocks a pool hands out last are the shorter ones."""
+    count = -(-runs // RUNS_PER_BLOCK)
+    count = min(runs, -(-count // workers) * workers)
+    blocks, start = [], 0
+    for i in range(count):
+        size = runs // count + (i < runs % count)
+        blocks.append(range(start, start + size))
+        start += size
+    return blocks
+
+
+def _spans(runs: list[int]) -> str:
+    """Run indices in ascending order as "0-7, 16, 20-23"."""
+    spans: list[list[int]] = []
+    for i in runs:
+        if spans and spans[-1][1] == i - 1:
+            spans[-1][1] = i
+        else:
+            spans.append([i, i])
+    return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in spans)
+
+
 def _collect_runs(
     cfg: ExperimentConfig, mode: str, dump_scans: bool, workers: int
 ) -> list[tuple[RunScores, Optional[list]]]:
-    jobs = [(cfg, i, mode, dump_scans) for i in range(cfg.runs)]
+    jobs = [(cfg, block, mode, dump_scans) for block in _blocks(cfg.runs, workers)]
     if workers == 1:
-        return [_pool_entry(job) for job in jobs]
-    chunk = max(1, cfg.runs // (workers * 4))
+        return [result for job in jobs for result in _pool_entry(job)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        # map preserves submission order, which keeps the fold and every
-        # downstream file independent of scheduling.
-        return list(pool.map(_pool_entry, jobs, chunksize=chunk))
+        futures = [pool.submit(_pool_entry, job) for job in jobs]
+        try:
+            # Read in submission order, which keeps the fold and every
+            # downstream file independent of scheduling.
+            return [result for future in futures for result in future.result()]
+        except BrokenProcessPool:
+            # A worker that dies fails every block not yet returned.
+            lost = [
+                i
+                for future, (_, block, *_) in zip(futures, jobs)
+                if isinstance(future.exception(), BrokenProcessPool)
+                for i in block
+            ]
+            raise WorkerDiedError(lost) from None
+        finally:
+            for future in futures:
+                future.cancel()
 
 
 # --- output files -----------------------------------------------------------

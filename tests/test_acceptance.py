@@ -6,11 +6,13 @@ The heavier experiments assert their runtime budgets too.
 """
 
 import dataclasses
+import json
 import time
 
 import numpy as np
 import pytest
 
+import possfuse.runner as runner_mod
 from possfuse.bernoulli import (
     BernoulliPossState,
     probability_interval_to_possibility,
@@ -245,4 +247,55 @@ def test_criterion_8_determinism(tmp_path, monkeypatch):
     print(
         "criterion 8 PASS: byte-identical CSVs across repeated invocations and "
         "worker-pool sizes 1 and 2"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, omega",
+    [
+        ("single", None),
+        ("fuse-independent", None),
+        ("fuse-dependent", "fixed(0.5)"),
+        ("fuse-dependent", "min-trace"),
+    ],
+    ids=["single-dump-scans", "fuse-independent", "fuse-dependent-fixed", "fuse-dependent-min-trace"],
+)
+def test_criterion_8_block_size(command, omega, tmp_path, monkeypatch):
+    # Runs a pool task advances together: 1, 3 or 8 per block, at pool
+    # sizes 1 and 2.  Every file is byte-identical to one run per block.
+    doc = {"scenario": {"steps": 10, "death_step": 10}}
+    if omega is not None:
+        doc["fusion"] = {"omega_strategy": omega}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    args = [command, "--config", str(path), "--runs", "7", "--seed", "11"]
+    if command == "single":
+        args.append("--dump-scans")
+    recurse = runner_mod._recurse
+    blocks = []
+
+    def recording(cfg, run_indices, mode, *rest):
+        blocks.append(len(run_indices))
+        return recurse(cfg, run_indices, mode, *rest)
+
+    monkeypatch.setattr(runner_mod, "_recurse", recording)
+    outputs = {}
+    for block in (1, 3, 8):
+        monkeypatch.setattr(runner_mod, "RUNS_PER_BLOCK", block)
+        for workers in ("1", "2"):
+            monkeypatch.setenv("POSSFUSE_THREADS", workers)
+            blocks.clear()
+            out = tmp_path / f"{block}-{workers}"
+            assert main(args + ["--out", str(out)]) == 0
+            outputs[block, workers] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            if workers == "1":
+                # The runs went through blocks of the patched size, with
+                # --dump-scans too.
+                assert blocks == {1: [1] * 7, 3: [3, 2, 2], 8: [7]}[block]
+    assert ("scans.csv" in outputs[1, "1"]) == (command == "single")
+    for key, files in outputs.items():
+        assert files == outputs[1, "1"], key
+    print(
+        f"criterion 8 PASS ({command}{'' if omega is None else ' ' + omega}): byte-identical "
+        "CSVs at 1, 3 and 8 runs per block and worker-pool sizes 1 and 2"
     )

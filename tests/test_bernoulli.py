@@ -17,6 +17,8 @@ from possfuse.bernoulli import (
     MotionModel,
     ReductionConfig,
     TransitionPossibilityMatrix,
+    _gains,
+    _propagated,
     extract,
     predict,
     probability_interval_to_possibility,
@@ -24,7 +26,15 @@ from possfuse.bernoulli import (
     update,
 )
 from possfuse.gaussmax import GaussianMaxMixture, sup_linear_gaussian_product
-from possfuse.simulate import Rect, Scan, cv_process_noise, cv_transition
+from possfuse.simulate import (
+    BirthConfig,
+    Rect,
+    Scan,
+    build_birth_mixture,
+    cv_process_noise,
+    cv_transition,
+    position_observation,
+)
 from support import gauss_value, mixture_value, random_mixture, reduce_reference
 
 BENCH_PHI = TransitionPossibilityMatrix.from_matrix([[1.0, 0.01], [0.01, 1.0]])
@@ -643,3 +653,84 @@ class TestStateAndExtract:
         mix = GaussianMaxMixture([1.0], [[0.0]], [[[1.0]]])
         assert extract(BernoulliPossState(1.0, 0.4, mix)) is None
         assert extract(BernoulliPossState(1.0, 1.0, mix)) is None
+
+
+def drawn_cv_states(rng, count):
+    """count constant-velocity states over the benchmark region, each with
+    up to 6 random components and its own existence pair."""
+    states = []
+    for _ in range(count):
+        w, m, P = random_mixture(rng, 4, max_comps=6)
+        q = float(rng.uniform(0.05, 1.0))
+        q0, q1 = (1.0, q) if rng.integers(2) else (q, 1.0)
+        states.append(BernoulliPossState(q0, q1, GaussianMaxMixture(w, 10.0 * m + 30.0, P)))
+    return states
+
+
+def assert_same_state(got, want):
+    assert (got.q_absent, got.q_present) == (want.q_absent, want.q_present)
+    for field in ("weights", "means", "covariances"):
+        assert getattr(got.spatial, field).tobytes() == getattr(want.spatial, field).tobytes(), field
+
+
+def lane_stage(stage, states, lane, model):
+    """(source, rows) for states[lane], cut from one stage call over the
+    stacked covariances of every state, as the runner hands it in."""
+    covs = [s.spatial.covariances for s in states]
+    start = sum(len(P) for P in covs[:lane])
+    stop = start + len(covs[lane])
+    result = stage(np.concatenate(covs), model)
+    rows = tuple(a[start:stop] for a in result) if isinstance(result, tuple) else result[start:stop]
+    return covs[lane], rows
+
+
+class TestHandedInStages:
+    """predict and update give the same bits with their own lane's stage
+    from a stacked call, with none, and with a stage computed from any
+    other array, which they ignore; they read a stage only when its source
+    is their own covariance array."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 5), st.floats(0.01, 50.0))
+    @settings(max_examples=40, deadline=None)
+    def test_predict(self, seed, lane, psd):
+        rng = np.random.default_rng(seed)
+        states = drawn_cv_states(rng, 6)
+        motion = MotionModel(cv_transition(2.0), cv_process_noise(2.0, psd))
+        scan = Scan(1, rng.uniform(0.0, 60.0, size=(int(rng.integers(0, 4)), 2)))
+        birth = build_birth_mixture(scan, BirthConfig(REGION))
+        state = states[lane]
+        P = state.spatial.covariances
+        want = predict(state, motion, BENCH_PHI, birth)
+        stage = lane_stage(_propagated, states, lane, motion)
+        assert_same_state(predict(state, motion, BENCH_PHI, birth, propagated=stage), want)
+        other = lane_stage(_propagated, states, lane - 1, motion)
+        assert_same_state(predict(state, motion, BENCH_PHI, birth, propagated=other), want)
+        # An equal copy is not this state's array, so its rows are not read.
+        junk = (P.copy(), np.full_like(stage[1], np.nan))
+        assert_same_state(predict(state, motion, BENCH_PHI, birth, propagated=junk), want)
+        # This state's own array is read: the rows handed in are the ones used.
+        used = predict(state, motion, BENCH_PHI, birth, propagated=(P, junk[1]))
+        assert np.isnan(used.spatial.covariances[: len(P)]).all()
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 5), st.floats(0.1, 50.0), st.integers(0, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_update(self, seed, lane, noise, n_points):
+        rng = np.random.default_rng(seed)
+        states = drawn_cv_states(rng, 6)
+        meas = MeasurementModel(position_observation(), noise * np.eye(2), 4.0, REGION)
+        scan = Scan(1, rng.uniform(0.0, 60.0, size=(n_points, 2)))
+        state = states[lane]
+        P = state.spatial.covariances
+        want = update(state, scan, meas, DET_BENCH)
+        stage = lane_stage(_gains, states, lane, meas)
+        assert_same_state(update(state, scan, meas, DET_BENCH, gains=stage), want)
+        other = lane_stage(_gains, states, lane - 1, meas)
+        assert_same_state(update(state, scan, meas, DET_BENCH, gains=other), want)
+        junk = tuple(np.full_like(a, np.nan) for a in stage[1])
+        assert_same_state(update(state, scan, meas, DET_BENCH, gains=(P.copy(), junk)), want)
+        # This state's own array is read: the updated covariances handed in
+        # are the ones a detection at the heaviest mean gets.
+        S, K, P_upd = stage[1]
+        at_head = Scan(1, (meas.observation @ state.spatial.means[state.spatial.argmax_component()])[None])
+        used = update(state, at_head, meas, DET_BENCH, gains=(P, (S, K, np.full_like(P_upd, np.nan))))
+        assert np.isnan(used.spatial.covariances).any()

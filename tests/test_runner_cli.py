@@ -5,9 +5,15 @@ import dataclasses
 import itertools
 import json
 import multiprocessing
+import os
 import pickle
+import re
+import signal
+import subprocess
 import sys
+import time
 import weakref
+from pathlib import Path
 from typing import Optional
 from unittest import mock
 
@@ -28,6 +34,7 @@ from possfuse.config import (
     parse_experiment,
     serialize_experiment,
 )
+from possfuse.gaussmax import GaussianMaxMixture
 from possfuse.metrics import RunScores, fold_scores, score_run
 from possfuse.runner import (
     NumericsError,
@@ -46,6 +53,23 @@ def small_cfg(runs=2, **scenario_kw):
     cfg = default_experiment()
     scenario = dataclasses.replace(cfg.scenario, **scenario_kw) if scenario_kw else cfg.scenario
     return dataclasses.replace(cfg, runs=runs, scenario=scenario)
+
+
+def pool_worker(pid: int, timeout: float = 30.0) -> int:
+    """A pool worker of process pid: a child forked from it, so running its
+    command line, found in /proc/<pid>/task/<pid>/children."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        # Read each time: until pid has exec'd, this is the test's own.
+        own = Path(f"/proc/{pid}/cmdline").read_bytes()
+        for child in Path(f"/proc/{pid}/task/{pid}/children").read_text().split():
+            try:
+                if Path(f"/proc/{child}/cmdline").read_bytes() == own:
+                    return int(child)
+            except FileNotFoundError:
+                pass
+        time.sleep(0.01)
+    raise AssertionError(f"process {pid} started no pool worker in {timeout} s")
 
 
 class TestRunOnce:
@@ -505,14 +529,119 @@ class TestReferenceRun:
             assert_same_record(got, want)
 
 
+def block_outcomes(cfg, runs, mode):
+    """Each run's record, or its NumericsError, when the runs advance as
+    one block, as a pool task runs them."""
+    results = []
+    for run_idx, recursion in zip(runs, runner_mod._recurse(cfg, runs, mode)):
+        try:
+            results.append(run_once(cfg, run_idx, mode, recursion=recursion))
+        except NumericsError as exc:
+            results.append(exc)
+    return results
+
+
+class TestBlock:
+    """A run that fails inside a block drops out alone: every other run
+    records what it records on its own, bit for bit, and the failing run
+    raises what it raises on its own."""
+
+    RUNS = range(4)
+    TARGET, STEP = 2, 4
+
+    @pytest.fixture
+    def target_scan(self, monkeypatch):
+        """Returns the first sensor's scan at STEP of the run TARGET's
+        latest simulation, or None before that run is simulated."""
+        seen = {}
+        inner = runner_mod._simulate_run
+
+        def recording(cfg, run_idx, mode):
+            truth, labeled = inner(cfg, run_idx, mode)
+            seen[run_idx] = labeled[0][self.STEP - 1][0]
+            return truth, labeled
+
+        monkeypatch.setattr(runner_mod, "_simulate_run", recording)
+        return lambda: seen.get(self.TARGET)
+
+    def assert_isolated(self, cfg, mode, block):
+        for run_idx, got in zip(self.RUNS, block, strict=True):
+            try:
+                want = run_once(cfg, run_idx, mode)
+            except NumericsError as exc:
+                want = exc
+            if run_idx == self.TARGET:
+                assert isinstance(got, NumericsError) and isinstance(want, NumericsError)
+                assert (got.run, got.step, str(got)) == (want.run, want.step, str(want))
+            else:
+                assert_same_record(got, want)
+
+    @pytest.mark.parametrize("mode", ["single", "independent", "dependent"])
+    def test_update_failure_in_one_run(self, mode, target_scan, monkeypatch):
+        inner = runner_mod.update
+
+        def failing(pred, scan, *args, **kwargs):
+            if scan is target_scan():
+                raise ValueError("injected failure")
+            return inner(pred, scan, *args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "update", failing)
+        cfg = small_cfg(runs=len(self.RUNS), steps=8, death_step=8)
+        block = block_outcomes(cfg, self.RUNS, mode)
+        assert str(block[self.TARGET]).endswith(f"run {self.TARGET} at step {self.STEP}: injected failure")
+        self.assert_isolated(cfg, mode, block)
+
+    @pytest.mark.parametrize("mode", ["single", "independent", "dependent"])
+    def test_lane_that_fails_the_stacked_stage(self, mode, target_scan, monkeypatch):
+        # After STEP, the run TARGET holds one component whose covariance is
+        # negative definite (reduce keeps a lone component as it is), so the
+        # next step's stacked propagation over every run raises.
+        inner = runner_mod.update
+
+        def corrupting(pred, scan, *args, **kwargs):
+            post = inner(pred, scan, *args, **kwargs)
+            if scan is not target_scan():
+                return post
+            mix = post.spatial
+            bad = GaussianMaxMixture._derived(np.ones(1), mix.means[:1].copy(), -mix.covariances[:1])
+            return BernoulliPossState(post.q_absent, post.q_present, bad)
+
+        failed_stacks = []
+        stage = runner_mod._propagated
+
+        def watched(P, motion):
+            try:
+                return stage(P, motion)
+            except ValueError:
+                failed_stacks.append(len(P))
+                raise
+
+        monkeypatch.setattr(runner_mod, "update", corrupting)
+        monkeypatch.setattr(runner_mod, "_propagated", watched)
+        cfg = small_cfg(runs=len(self.RUNS), steps=8, death_step=8)
+        block = block_outcomes(cfg, self.RUNS, mode)
+        in_block = failed_stacks.copy()
+        failed_stacks.clear()
+        # With fusion, the fused pair of step STEP meets the bad state first.
+        step = self.STEP + 1 if mode == "single" else self.STEP
+        assert str(block[self.TARGET]).endswith(
+            f"run {self.TARGET} at step {step}: covariance is not positive definite"
+        )
+        self.assert_isolated(cfg, mode, block)
+        # One stacked stage failed in the block and one when the target ran
+        # alone; the block's held the other runs' lanes too.
+        assert len(in_block) == len(failed_stacks) == 1
+        assert in_block[0] > failed_stacks[0]
+
+
 class TestPoolPayload:
     def test_worker_returns_scores_and_scans_only_when_dumped(self):
         cfg = small_cfg(steps=6, death_step=6)
-        scores, scans = runner_mod._pool_entry((cfg, 1, "independent", False))
+        [(scores, scans)] = runner_mod._pool_entry((cfg, [1], "independent", False))
         assert isinstance(scores, RunScores) and scans is None
         record = run_once(cfg, 1, "independent")
         assert len(pickle.dumps(scores)) < len(pickle.dumps(record)) / 2
-        _, scans = runner_mod._pool_entry((cfg, 1, "independent", True))
+        [(_, scans)] = runner_mod._pool_entry((cfg, [1], "independent", True))
         assert [len(labeled) for labeled in scans] == [6, 6]
 
     @pytest.mark.parametrize("mode", ["single", "independent", "dependent"])
@@ -786,6 +915,27 @@ class TestCli:
         code = main(args)
         assert code == 2
         assert capsys.readouterr().err.startswith("configuration error: scenario.sensors:")
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="finds the pool worker under /proc")
+    def test_killed_worker_is_exit_4_naming_the_runs(self, tmp_path):
+        # One of the command's own pool workers gets SIGKILL while every
+        # block still runs, as the kernel's out-of-memory killer would
+        # send it.
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"runs": 16, "scenario": {"steps": 400, "death_step": 400}}))
+        out = tmp_path / "res"
+        env = {**os.environ, "POSSFUSE_THREADS": "2"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(support.SRC), env.get("PYTHONPATH")]))
+        command = [sys.executable, "-m", "possfuse.cli", "single", "--config", str(path), "--out", str(out)]
+        with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as child:
+            try:
+                os.kill(pool_worker(child.pid), signal.SIGKILL)
+                _, err = child.communicate(timeout=60)
+            finally:
+                child.kill()
+        assert child.returncode == 4, err
+        assert re.fullmatch(r"error: a pool worker died before runs \d+-\d+(, \d+-\d+)* returned\n", err), err
+        assert list(out.iterdir()) == []
 
     def test_bad_flag_value_is_exit_2(self, tmp_path, capsys):
         code = main(["single", "--runs", "0", "--out", str(tmp_path / "x")])
