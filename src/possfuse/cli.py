@@ -12,6 +12,8 @@ Subcommands map one-to-one onto the experiment drivers:
 Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 a
 pool worker died (killed by a signal, as the kernel's out-of-memory
 killer does) before every run had returned; the message names those runs.
+143 (128 + SIGTERM): a SIGTERM while the pool runs; the command stops its
+workers, which finish the blocks they hold, and writes no output file.
 """
 
 from __future__ import annotations

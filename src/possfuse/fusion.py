@@ -14,15 +14,15 @@ separation factor, the fused existence possibilities are the matching
 max-combinations, and the overall normaliser is exactly the largest
 cross-component weight.  No grids, no sampling.
 
-A step fuses the same pair of states up to three ways: the min-trace
+A run fuses each step's pair of states up to three ways: the min-trace
 search over OMEGA_GRID, Chernoff fusion at one omega and the independent
 product.  All three read one product table of the pair, which holds every
 row they need.  One builder makes every table: in a run, _prefilled
 builds the tables of consecutive steps' pairs in groups, one kernel call
 per group, and yields each pair with its table, which the runner passes
 to the step's three calls as their keyword table.  A call given no table,
-or one that does not fit, builds its own as a batch of one, so the table
-never changes a result, and the module keeps no state.
+or one that does not fit, builds one of the rows it reads alone, so the
+table never changes a result, and the module keeps no state.
 
 A fused state is reported, never fed back to a filter, so fusion never
 merges components: a reduction keeps pairs by weight alone, down to its
@@ -75,12 +75,14 @@ TRACE_TIE_RTOL = 1e-9
 # group of steps are built together only up to this many, and a larger
 # table is built in blocks of rows.
 SEARCH_BLOCK_PAIRS = 1024
-# Exponents of independent-product fusion.  Every product table holds this
-# row, so a step's independent fusion reuses the table its Chernoff fusion
-# or omega search built.
+# Exponents of independent-product fusion.  Every table _prefilled builds
+# holds this row, so a step's independent fusion reuses the table its
+# Chernoff fusion or omega search reads.
 INDEPENDENT = (1.0, 1.0)
-# The rows the min-trace search reads: the grid, then the independent row.
-_SEARCH_ROWS = [(1.0 - omega, omega) for omega in OMEGA_GRID] + [INDEPENDENT]
+# The rows the min-trace search reads: the grid.
+_SEARCH_ROWS = [(1.0 - omega, omega) for omega in OMEGA_GRID]
+# What a fusion or a run fails with numerically (LinAlgError is a ValueError).
+_FAILURES = (ValueError, ArithmeticError, MemoryError)
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,8 +237,8 @@ def _table(a, b, rows: list, floor: Optional[float], table: Optional[_ProductTab
 def _prefilled(pairs: list, omega: Optional[float], reduction: Optional[ReductionConfig]):
     """Yield (a, b, table) for each state pair (a, b) of pairs in order,
     table being the pair's product table with the rows that fusing it
-    reads: the search rows when omega is None (min-trace), otherwise
-    omega's row and the independent row, kept at reduction's floor.  The
+    reads, kept at reduction's floor: the search rows when omega is None
+    (min-trace), otherwise omega's row, and then the independent row.  The
     caller passes it as table= to select_omega, fuse_chernoff and
     fuse_independent.
 
@@ -249,7 +251,7 @@ def _prefilled(pairs: list, omega: Optional[float], reduction: Optional[Reductio
     each builds its own when fused and raises that error.
     """
     if omega is None:
-        rows = _SEARCH_ROWS
+        rows = _SEARCH_ROWS + [INDEPENDENT]
     elif 1.0 - omega == 1.0 or omega == 1.0:
         # fuse_chernoff returns an input verbatim and reads no table.
         rows = [INDEPENDENT]
@@ -261,7 +263,7 @@ def _prefilled(pairs: list, omega: Optional[float], reduction: Optional[Reductio
     for lo, hi in zip(cuts, cuts[1:]):
         try:
             tables = _product_tables(mixtures[lo:hi], rows, floor)
-        except (ValueError, ArithmeticError, MemoryError):
+        except _FAILURES:
             tables = [None] * (hi - lo)
         for a, b in pairs[lo:hi]:
             yield a, b, tables.pop(0)
@@ -277,15 +279,14 @@ def _fused_mixture(
 ) -> tuple[GaussianMaxMixture, float]:
     """Fused mixture, normalised; returns (mixture, log_alpha).
 
-    The row is read from _table, given table, with the independent row
-    beside it, so a step's Chernoff and independent fusions share one
-    table.  The mixture is a copy of the row's leading pairs, heaviest
+    The row (e1, e2) is read from _table, given table, which builds a
+    table of that row alone when table does not hold it.  The mixture is
+    a copy of the row's leading pairs, heaviest
     first: every pair not below reduction's floor (WEIGHT_UNDERFLOW
     without one), and at most max_components of them under a reduction.
     """
     row = (e1, e2)
-    rows = [row] if row == INDEPENDENT else [row, INDEPENDENT]
-    table = _table(a, b, rows, _floor(reduction), table)
+    table = _table(a, b, [row], _floor(reduction), table)
     r = table.index[row]
     lo, hi = table.bounds[r], table.bounds[r + 1]
     if reduction is not None:
@@ -360,8 +361,8 @@ def fuse_chernoff(
     the fused top component; merge_mahalanobis applies to the filter's
     reduce only.  The top component, and so extract's estimate, is the
     exact fusion either way.  table (see _prefilled) is read when it was
-    built for this pair with this omega's and the independent row at this
-    floor; otherwise the call builds its own, to the same bits.
+    built for this pair with this omega's row at this floor; otherwise the
+    call builds a table of that row alone, to the same bits.
     """
     omega = float(omega)
     if not (0.0 <= omega <= 1.0):
@@ -417,18 +418,18 @@ def select_omega(
 ) -> float:
     """Choose the Chernoff exponent by the min-trace rule.
 
-    Picks, from OMEGA_GRID, the exponent whose fused top component has
-    the smallest covariance trace.  Traces within a relative
-    TRACE_TIE_RTOL of the smallest are tied, and ties break toward 0.5,
-    then toward the smaller exponent, so the choice is deterministic.  The
-    search reads one product table over the whole grid plus the
-    independent row: building it runs every check that fusing at each
-    exponent would (finite, positive definite covariances and finite
-    weights in each trial mixture) and computes every row's top trace, so
-    the search compares 19 precomputed traces without building the trial
-    mixtures.  table (see _prefilled) is read when it was built for this
-    pair with every search row, at any floor (every row keeps its top pair
-    at all of them); otherwise the call builds its own, to the same choice.
+    Picks, from OMEGA_GRID, the exponent whose fused top component has the
+    smallest covariance trace.  Traces within a relative TRACE_TIE_RTOL of
+    the smallest are tied, and ties break toward 0.5, then toward the
+    smaller exponent, so the choice is deterministic.  The search reads
+    one product table over the whole grid, the leading rows of a run's
+    table: building it runs every check that fusing at each exponent would
+    (finite, positive definite covariances and finite weights in each
+    trial mixture) and computes every row's top trace, so the search
+    compares 19 precomputed traces without building the trial mixtures.
+    table (see _prefilled) is read when it was built for this pair with
+    every search row, at any floor (every row keeps its top pair at all of
+    them); otherwise the call builds its own, to the same choice.
     """
     _check_pair(a, b)
     traces = _table(a.spatial, b.spatial, _SEARCH_ROWS, None, table).head_trace[: len(OMEGA_GRID)]

@@ -35,12 +35,16 @@ folds the scores in run order, so output files are byte-identical no
 matter how many workers computed them or how the runs were blocked.  A
 worker that dies (a SIGKILL, as the kernel's out-of-memory killer sends)
 fails the command with WorkerDiedError, naming the runs whose blocks had
-not returned.
+not returned.  While the pool runs, SIGTERM raises SystemExit(143) in the
+parent, whose pool then shuts down: each worker finishes the block it
+holds and exits, and the previous SIGTERM handler is restored.
 """
 
 from __future__ import annotations
 
 import os
+import signal
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -64,6 +68,7 @@ from .bernoulli import (
 )
 from .config import ConfigError, ExperimentConfig
 from .fusion import (
+    _FAILURES,
     _prefilled,
     fuse_chernoff,
     fuse_independent,
@@ -100,9 +105,6 @@ MIN_MODEL_CLUTTER = 1e-6
 # stage cost less per state, but each run adds its states to the task's
 # peak memory, and fewer, larger blocks balance worse over the workers.
 RUNS_PER_BLOCK = 8
-
-# What a run turns into a NumericsError.
-_FAILURES = (ValueError, ArithmeticError, np.linalg.LinAlgError, MemoryError)
 
 SERIES_CHERNOFF = "chernoff"
 SERIES_CENTRALIZED = "centralized"
@@ -187,10 +189,8 @@ class _Recursion:
         self.tracks: Optional[dict[str, SeriesTrack]] = None
         self.pairs: list = []
         self.failure: Optional[tuple[int, BaseException]] = None
-        # Advancing: each filter's scans, state and predicted state.
-        self.streams: list = []
+        # Advancing: each filter's state.
         self.states: list = []
-        self.predicted: list = []
 
 
 def _staged(stage, groups: list, lanes: list[list[np.ndarray]]) -> list[list]:
@@ -251,7 +251,6 @@ def _recurse(
         except _FAILURES as exc:
             run.failure = (0, exc)
             continue
-        run.streams = [[scan for scan, _ in sensor_scans] for sensor_scans in run.labeled]
         run.states = [f.start for f in filters]
         run.tracks = {name: SeriesTrack() for name in names}
         live.append(run)
@@ -270,28 +269,27 @@ def _recurse(
     for step in range(1, scenario.steps + 1):
         moved = _staged(_propagated, motion_groups,
                         [[s.spatial.covariances for s in run.states] for run in live])
-        survivors = []
+        survivors, predicted = [], []
         for run, stages in zip(live, moved):
             try:
                 # The previous scan feeds birth.
-                run.predicted = [
+                predicted.append([
                     predict(state, f.motion, f.phi,
-                            build_birth_mixture(stream[step - 2] if step > 1 else None, f.birth),
+                            build_birth_mixture(labeled[step - 2][0] if step > 1 else None, f.birth),
                             propagated=stage)
-                    for f, state, stream, stage in zip(filters, run.states, run.streams, stages)
-                ]
+                    for f, state, labeled, stage in zip(filters, run.states, run.labeled, stages)
+                ])
             except _FAILURES as exc:
                 run.failure = (step, exc)
             else:
                 survivors.append(run)
         live = survivors
-        gains = _staged(_gains, gain_groups,
-                        [[s.spatial.covariances for s in run.predicted] for run in live])
+        gains = _staged(_gains, gain_groups, [[s.spatial.covariances for s in p] for p in predicted])
         survivors = []
-        for run, stages in zip(live, gains):
+        for run, preds, stages in zip(live, predicted, gains):
             try:
                 for i, (f, name) in enumerate(zip(filters, names)):
-                    pred, scan = run.predicted[i], run.streams[i][step - 1]
+                    pred, scan = preds[i], run.labeled[i][step - 1][0]
                     if run.audit is not None:
                         run.audit.append((step, "predicted", name, pred))
                     post = update(pred, scan, f.meas, f.det, gains=stages[i])
@@ -353,7 +351,6 @@ def run_once(
     run_idx: int,
     mode: str,
     audit: Optional[list] = None,
-    scans: Optional[list] = None,
     *,
     recursion: Optional[_Recursion] = None,
 ) -> RunRecord:
@@ -365,8 +362,6 @@ def run_once(
     the order the run computes them: every step's predicted and updated
     states, then every step's fused states.  phase is "predicted",
     "updated" or "fused", and series names the filter or fusion rule.
-    When a scans list is supplied, the labelled scans of every sensor the
-    run feeds are appended to it, in sensor order, as (scan, labels) lists.
 
     recursion is this run's filter recursion when a block of runs was
     advanced together (_recurse); without it the run recurses as a block
@@ -390,8 +385,6 @@ def run_once(
     _check_sensor_count(cfg.scenario, mode)
     if recursion is None:
         (recursion,) = _recurse(cfg, [run_idx], mode, None if audit is None else [audit])
-    if scans is not None:
-        scans.extend(recursion.labeled)
     fused_names = () if mode == "single" else (SERIES_CHERNOFF, SERIES_CENTRALIZED)
     fixed_omega = parse_omega_strategy(cfg.fusion.omega_strategy)
 
@@ -438,8 +431,8 @@ def _pool_entry(args: tuple) -> list[tuple[RunScores, Optional[list]]]:
     for run_idx in run_indices:
         # Popped, so each run's states are freed once it is scored.
         recursion = recursions.pop(0)
-        scans = [] if dump_scans else None
-        record = run_once(cfg, run_idx, mode, scans=scans, recursion=recursion)
+        record = run_once(cfg, run_idx, mode, recursion=recursion)
+        scans = recursion.labeled if dump_scans else None
         results.append((score_run(record, cfg.metrics.ospa_cutoff), scans))
     return results
 
@@ -484,24 +477,69 @@ def _spans(runs: list[int]) -> str:
     return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in spans)
 
 
+class _SigtermExit:
+    """Within a with block, SIGTERM becomes SystemExit(143), raised once,
+    so that leaving a pool's with block shuts the pool down; the previous
+    handler is put back after.  Until arm(), a SIGTERM is only recorded,
+    and arm() raises it: a pool starting its workers runs fork hooks that
+    lose an exception raised in them, and a pool stopped while it starts
+    can leave a worker that its shutdown never ends.  A second SIGTERM is
+    ignored, so it cannot cut the shutdown short.  Only the main thread
+    can set a handler, and only one set from Python can be put back;
+    otherwise SIGTERM is left as it is."""
+
+    def __init__(self):
+        self.received: Optional[int] = None
+        self.armed = False
+        self.previous = None
+
+    def __enter__(self) -> "_SigtermExit":
+        if threading.current_thread() is threading.main_thread() and signal.getsignal(signal.SIGTERM) is not None:
+            self.previous = signal.signal(signal.SIGTERM, self._handle)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.previous is not None:
+            signal.signal(signal.SIGTERM, self.previous)
+
+    def _handle(self, signum, frame) -> None:
+        if self.received is None:
+            self.received = signum
+            if self.armed:
+                raise SystemExit(128 + signum)
+
+    def arm(self) -> None:
+        self.armed = True
+        if self.received is not None:
+            raise SystemExit(128 + self.received)
+
+
 def _collect_runs(
     cfg: ExperimentConfig, mode: str, dump_scans: bool, workers: int
 ) -> list[tuple[RunScores, Optional[list]]]:
     jobs = [(cfg, block, mode, dump_scans) for block in _blocks(cfg.runs, workers)]
     if workers == 1:
         return [result for job in jobs for result in _pool_entry(job)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_pool_entry, job) for job in jobs]
+    # Workers take SIGTERM's default action, whatever the parent's: a broken
+    # pool ends the workers left with SIGTERM.
+    with _SigtermExit() as sigterm, ProcessPoolExecutor(
+        max_workers=workers, initializer=signal.signal, initargs=(signal.SIGTERM, signal.SIG_DFL)
+    ) as pool:
+        futures = []
         try:
+            for job in jobs:
+                futures.append(pool.submit(_pool_entry, job))
+            sigterm.arm()
             # Read in submission order, which keeps the fold and every
             # downstream file independent of scheduling.
             return [result for future in futures for result in future.result()]
         except BrokenProcessPool:
-            # A worker that dies fails every block not yet returned.
+            # A worker that dies fails every block not yet returned,
+            # submitted or not.
             lost = [
                 i
-                for future, (_, block, *_) in zip(futures, jobs)
-                if isinstance(future.exception(), BrokenProcessPool)
+                for k, (_, block, *_) in enumerate(jobs)
+                if k >= len(futures) or isinstance(futures[k].exception(), BrokenProcessPool)
                 for i in block
             ]
             raise WorkerDiedError(lost) from None

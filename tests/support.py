@@ -11,8 +11,9 @@ against the permutation oracle), and the eigenvalue form of the
 covariance check, which the package's faster versions must match bit for
 bit.  reference_run_once is the per-run path written against the public
 per-state calls alone, the oracle of runner.run_once.  run_cli runs a
-command line in a child Python process, and FLOAT_EXTREMES are the float
-values the config tests try in every field.
+command line in a child Python process, live_children lists a command's
+running pool workers, and FLOAT_EXTREMES are the float values the config
+tests try in every field.
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ from possfuse.bernoulli import (
     reduce,
     update,
 )
-from possfuse.fusion import fuse_chernoff, fuse_independent, parse_omega_strategy, select_omega
+from possfuse.fusion import _FAILURES, fuse_chernoff, fuse_independent, parse_omega_strategy, select_omega
 from possfuse.gaussmax import EIG_FLOOR, SYMMETRY_TOL, GaussianMaxMixture
 from possfuse.metrics import POSITION_INDICES, RunRecord, SeriesTrack, ospa
-from possfuse.runner import _FAILURES as RUN_FAILURES
 from possfuse.runner import NumericsError
 from possfuse.simulate import (
     BirthConfig,
@@ -357,6 +357,29 @@ def run_cli(
     )
 
 
+def live_children(pid: int, argv: list[str], seen=()) -> list[int]:
+    """The live processes running command line argv among process pid's
+    children, listed in /proc/<pid>/task/<pid>/children, and among the
+    pids in seen.  A command's forked pool workers run its command line.
+    The list of children goes with pid, so a test that waits for workers
+    to end after their command has ended passes the ones it saw as seen.
+    A process that has ended is not listed, nor is a zombie, whose
+    cmdline reads empty."""
+    cmdline = b"".join(os.fsencode(arg) + b"\0" for arg in argv)
+    try:
+        children = Path(f"/proc/{pid}/task/{pid}/children").read_text().split()
+    except OSError:
+        children = []
+    live = []
+    for child in sorted({*map(int, children), *seen}):
+        try:
+            if Path(f"/proc/{child}/cmdline").read_bytes() == cmdline:
+                live.append(child)
+        except OSError:
+            pass
+    return live
+
+
 def reference_run_once(cfg, run_idx: int, mode: str) -> RunRecord:
     """runner.run_once's record of one run, computed one step at a time:
     each filter predicts, updates and reduces, then the step's pair is
@@ -443,7 +466,7 @@ def reference_run_once(cfg, run_idx: int, mode: str) -> RunRecord:
                 omega = select_omega(a, b) if fixed_omega is None else fixed_omega
                 append_fused("chernoff", a, b, fuse_chernoff(a, b, omega))
                 append_fused("centralized", a, b, fuse_independent(a, b))
-    except RUN_FAILURES as exc:
+    except _FAILURES as exc:
         raise NumericsError(run_idx, step, exc) from exc
     H = position_observation()
     positions = [None if x is None else H @ x for x in truth]

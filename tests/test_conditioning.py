@@ -259,10 +259,9 @@ class TestCholeskyScreen:
         monkeypatch.setattr(fusion_mod, "_product_tables", recording)
         eigvalsh_calls.clear()
         select_omega(a, b)
-        # One table of the 19 grid rows and the independent row, all
-        # cleared by the screen.
+        # One table of the 19 grid rows, all cleared by the screen.
         (table,) = built
-        assert len(table.index) == len(OMEGA_GRID) + 1
+        assert len(table.index) == len(OMEGA_GRID)
         assert eigvalsh_calls == []
 
 

@@ -649,10 +649,10 @@ class TestProductTable:
         other = 0.05 if omega != 0.05 else 0.95
         # 0.37 is not on the grid.
         got = self.fusions(a, b, [omega, other, 0.37], reduction)
-        # Given no table, nothing is kept: the search builds its table, each
-        # Chernoff fusion one of its row and the independent row, and the
-        # independent fusion one of its row alone.
-        assert kernel_calls == [(len(OMEGA_GRID) + 1) * pairs] + [2 * pairs] * 3 + [pairs]
+        # Given no table, nothing is kept, and each call builds a table of
+        # the rows it reads alone: the search one of the grid, each fusion
+        # one of its own row.
+        assert kernel_calls == [len(OMEGA_GRID) * pairs] + [pairs] * 3 + [pairs]
         fa = fresh(a)
         fb = fa if b is a else fresh(b)
         assert select_omega(fa, fb) == omega

@@ -1,5 +1,6 @@
 """Experiment drivers, output files, determinism, and the CLI."""
 
+import contextlib
 import copy
 import dataclasses
 import itertools
@@ -13,6 +14,8 @@ import subprocess
 import sys
 import time
 import weakref
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Optional
 from unittest import mock
@@ -55,21 +58,13 @@ def small_cfg(runs=2, **scenario_kw):
     return dataclasses.replace(cfg, runs=runs, scenario=scenario)
 
 
-def pool_worker(pid: int, timeout: float = 30.0) -> int:
-    """A pool worker of process pid: a child forked from it, so running its
-    command line, found in /proc/<pid>/task/<pid>/children."""
+def wait_for(probe, timeout: float = 30.0):
+    """Poll probe() until it returns a truthy value, which is returned, or
+    until timeout seconds have passed; then its last, falsy, value."""
     deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        # Read each time: until pid has exec'd, this is the test's own.
-        own = Path(f"/proc/{pid}/cmdline").read_bytes()
-        for child in Path(f"/proc/{pid}/task/{pid}/children").read_text().split():
-            try:
-                if Path(f"/proc/{child}/cmdline").read_bytes() == own:
-                    return int(child)
-            except FileNotFoundError:
-                pass
+    while not (value := probe()) and time.monotonic() < deadline:
         time.sleep(0.01)
-    raise AssertionError(f"process {pid} started no pool worker in {timeout} s")
+    return value
 
 
 class TestRunOnce:
@@ -257,10 +252,11 @@ class TestFailureOrder:
         return pairs
 
     @staticmethod
-    def break_kernel_for(monkeypatch, state):
+    def break_kernel_for(monkeypatch, state, independent_only=False):
         """Make every fused covariance of a component of state's mixture
-        non-positive definite; the runs are deterministic, so its means
-        find it bit for bit.  Returns the size of each kernel call."""
+        non-positive definite, or with independent_only those in the
+        independent row (1, 1) alone; the runs are deterministic, so its
+        means find it bit for bit.  Returns the size of each kernel call."""
         target = state.spatial.means
         original = fusion_mod._cross_arrays
         sizes = []
@@ -268,6 +264,9 @@ class TestFailureOrder:
         def patched(components, e1, i1, *rest):
             log_alpha, weights, kept, means, covs = original(components, e1, i1, *rest)
             hit = (components[1][i1[kept]][:, None] == target[None]).all(axis=-1).any(axis=-1)
+            if independent_only:
+                # No grid row has e1 = 1 - omega = 1.
+                hit &= e1[kept] == 1.0
             covs[hit] = -np.eye(covs.shape[-1])
             sizes.append(len(e1))
             return log_alpha, weights, kept, means, covs
@@ -323,9 +322,24 @@ class TestFailureOrder:
             run_once(self.CFG, 0, "dependent")
         assert err.value.step == 7
         assert str(err.value) == f"numerical failure in run 0 at step 7: {one_pair.value}"
-        # The run's first call held step 7 together with other steps.
-        rows = len(fusion_mod._SEARCH_ROWS)
+        # The run's first call held step 7 together with other steps; a
+        # run's min-trace table holds the grid and the independent row.
+        rows = len(fusion_mod._SEARCH_ROWS) + 1
         assert sizes[0] > rows * a.spatial.n_components * b.spatial.n_components
+
+    def test_independent_row_failure_fails_a_run_at_its_step(self, monkeypatch):
+        # A direct search or Chernoff fusion builds no independent row, so
+        # a pair whose (1, 1) row fails a check still fuses that way; a
+        # run's table holds that row, and the run fails at the pair's step.
+        a, b = self.fused_pairs(monkeypatch)[2]
+        self.break_kernel_for(monkeypatch, a, independent_only=True)
+        fusion_mod.fuse_chernoff(a, b, fusion_mod.select_omega(a, b))
+        with pytest.raises(ValueError, match="not positive definite"):
+            fusion_mod.fuse_independent(a, b)
+        with pytest.raises(NumericsError) as err:
+            run_once(self.CFG, 0, "dependent")
+        assert err.value.step == 3
+        assert "not positive definite" in str(err.value)
 
     @pytest.mark.parametrize("failure", [None, "kernel", "fusion"])
     def test_run_leaves_the_fusion_module_as_found(self, failure, monkeypatch):
@@ -916,26 +930,110 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith("configuration error: scenario.sensors:")
 
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="finds the pool worker under /proc")
-    def test_killed_worker_is_exit_4_naming_the_runs(self, tmp_path):
-        # One of the command's own pool workers gets SIGKILL while every
-        # block still runs, as the kernel's out-of-memory killer would
-        # send it.
+    @staticmethod
+    def signal_pooled_single(tmp_path, stop):
+        """Start a 2-worker `single` command of 16 runs of 400 steps, call
+        stop(command pid, its pool workers) once both workers run, and
+        return (exit code, stderr, output directory) once the command has
+        exited and, within a bounded wait, every worker with it.  Workers
+        still running then fail the test and are killed."""
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({"runs": 16, "scenario": {"steps": 400, "death_step": 400}}))
         out = tmp_path / "res"
         env = {**os.environ, "POSSFUSE_THREADS": "2"}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(support.SRC), env.get("PYTHONPATH")]))
         command = [sys.executable, "-m", "possfuse.cli", "single", "--config", str(path), "--out", str(out)]
-        with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as child:
+        workers = []
+        # stderr goes to a file: a leaked worker would hold a pipe open.
+        with open(tmp_path / "stderr", "w+") as err, subprocess.Popen(
+            command, env=env, stdout=subprocess.DEVNULL, stderr=err
+        ) as child:
             try:
-                os.kill(pool_worker(child.pid), signal.SIGKILL)
-                _, err = child.communicate(timeout=60)
+                workers = wait_for(lambda: len(found := support.live_children(child.pid, command)) == 2 and found) or []
+                assert workers, "the command did not start its 2 pool workers"
+                stop(child.pid, workers)
+                child.wait(timeout=60)
+                assert wait_for(lambda: not support.live_children(child.pid, command, workers)), (
+                    "pool workers outlived their command"
+                )
             finally:
                 child.kill()
-        assert child.returncode == 4, err
+                for pid in support.live_children(child.pid, command, workers):
+                    with contextlib.suppress(ProcessLookupError):
+                        os.kill(pid, signal.SIGKILL)
+            err.seek(0)
+            return child.returncode, err.read(), out
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="finds the pool workers under /proc")
+    def test_killed_worker_is_exit_4_naming_the_runs(self, tmp_path):
+        # One of the command's own pool workers gets SIGKILL while every
+        # block still runs, as the kernel's out-of-memory killer would
+        # send it.
+        code, err, out = self.signal_pooled_single(tmp_path, lambda pid, workers: os.kill(workers[0], signal.SIGKILL))
+        assert code == 4, err
         assert re.fullmatch(r"error: a pool worker died before runs \d+-\d+(, \d+-\d+)* returned\n", err), err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="finds the pool workers under /proc")
+    @pytest.mark.parametrize("delay", [0.0, 0.5], ids=["pool-starting", "blocks-running"])
+    def test_sigterm_stops_the_pool_and_is_exit_143(self, delay, tmp_path):
+        # At once, the signal most likely lands while the pool still starts
+        # its workers; half a second later, while they run their blocks.
+        def stop(pid, workers):
+            time.sleep(delay)
+            os.kill(pid, signal.SIGTERM)
+
+        code, err, out = self.signal_pooled_single(tmp_path, stop)
+        assert code == 128 + signal.SIGTERM, err
+        assert err == ""
+        assert list(out.iterdir()) == []
+
+    def test_sigterm_handler_is_restored_after_the_pool(self, tmp_path, monkeypatch):
+        # A caller that set its own handler, as possbench does, keeps it.
+        def own(signum, frame):
+            pass
+
+        monkeypatch.setenv("POSSFUSE_THREADS", "2")
+        previous = signal.signal(signal.SIGTERM, own)
+        try:
+            run_single(small_cfg(runs=2, steps=4, death_step=4), out_dir=tmp_path)
+            assert signal.getsignal(signal.SIGTERM) is own
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+
+    def test_pool_broken_while_submitting_is_exit_4(self, tmp_path, capsys, monkeypatch):
+        # A worker that dies while blocks are still being submitted makes
+        # submit raise; a block never submitted has not returned either.
+        class SubmitBreaks:
+            def __init__(self, **kwargs):
+                self.submitted = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def submit(self, fn, *args):
+                self.submitted += 1
+                if self.submitted == 2:
+                    raise BrokenProcessPool("A child process terminated abruptly")
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", SubmitBreaks)
+        monkeypatch.setenv("POSSFUSE_THREADS", "3")
+        # Three runs at three workers are three blocks of one run each.
+        doc = {"runs": 3, "scenario": {"steps": 4, "death_step": 4}}
+        with pytest.raises(runner_mod.WorkerDiedError) as err:
+            run_single(parse_experiment(doc), out_dir=tmp_path / "a")
+        assert err.value.runs == [1, 2]
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(doc))
+        assert main(["single", "--config", str(path), "--out", str(tmp_path / "b")]) == 4
+        assert capsys.readouterr().err == "error: a pool worker died before runs 1-2 returned\n"
+        assert list((tmp_path / "b").iterdir()) == []
 
     def test_bad_flag_value_is_exit_2(self, tmp_path, capsys):
         code = main(["single", "--runs", "0", "--out", str(tmp_path / "x")])
