@@ -9,7 +9,9 @@ Subcommands map one-to-one onto the experiment drivers:
 * ``possfuse selftest``: closed-form fusion and supremum checks against
   brute-force grid evaluation.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 a
+Exit codes: 0 success, 2 configuration error (an output file that is a
+directory or cannot be written included; no file of the set is
+replaced), 3 numerical failure, 4 a
 pool worker died (killed by a signal, as the kernel's out-of-memory
 killer does) before every run had returned; the message names those runs.
 143 (128 + SIGTERM): a SIGTERM while the pool runs; the command stops its

@@ -252,11 +252,9 @@ def _prefilled(pairs: list, omega: Optional[float], reduction: Optional[Reductio
     """
     if omega is None:
         rows = _SEARCH_ROWS + [INDEPENDENT]
-    elif 1.0 - omega == 1.0 or omega == 1.0:
-        # fuse_chernoff returns an input verbatim and reads no table.
-        rows = [INDEPENDENT]
     else:
-        rows = [(1.0 - omega, omega), INDEPENDENT]
+        chernoff = _chernoff_row(omega)
+        rows = [INDEPENDENT] if chernoff is None else [chernoff, INDEPENDENT]
     floor = _floor(reduction)
     mixtures = [(a.spatial, b.spatial) for a, b in pairs]
     cuts = _cuts([len(rows) * a.n_components * b.n_components for a, b in mixtures])
@@ -333,6 +331,15 @@ def _fuse(
     return FusionResult(state=state, normalizer=math.exp(log_norm), alpha=math.exp(log_alpha))
 
 
+def _chernoff_row(omega: float) -> Optional[tuple[float, float]]:
+    """The exponents (1 - omega, omega) that Chernoff fusion at omega
+    reads, or None when it returns an input verbatim and reads no table:
+    at omega 1, and where 1 - omega rounds to 1."""
+    if 1.0 - omega == 1.0 or omega == 1.0:
+        return None
+    return (1.0 - omega, omega)
+
+
 def fuse_chernoff(
     a: BernoulliPossState,
     b: BernoulliPossState,
@@ -367,11 +374,10 @@ def fuse_chernoff(
     omega = float(omega)
     if not (0.0 <= omega <= 1.0):
         raise ValueError(f"omega must lie in [0, 1], got {omega}")
-    if 1.0 - omega == 1.0:
-        return FusionResult(state=a, normalizer=1.0, alpha=1.0)
-    if omega == 1.0:
-        return FusionResult(state=b, normalizer=1.0, alpha=1.0)
-    return _fuse(a, b, 1.0 - omega, omega, reduction, table)
+    row = _chernoff_row(omega)
+    if row is None:
+        return FusionResult(state=b if omega == 1.0 else a, normalizer=1.0, alpha=1.0)
+    return _fuse(a, b, *row, reduction, table)
 
 
 def fuse_independent(

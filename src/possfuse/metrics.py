@@ -1,22 +1,19 @@
 """Scoring: OSPA distance, per-run scores, and their Monte Carlo fold.
 
-OSPA compares two point sets of possibly different sizes.  With cutoff c
-and order p it is
+OSPA (Schuhmacher, Vo & Vo 2008) compares two point sets of possibly
+different sizes.  With cutoff c and order p it is
 
     ( (1/n) * ( min_assignment sum min(c, d_ij)^p + c^p * (n - m) ) )^(1/p)
 
-where m <= n are the two cardinalities.  Missed or spurious points cost
-the cutoff; matched points cost their distance, saturated at the cutoff.
-Comparing two empty sets gives 0 by convention.
-
-The optimal assignment is solved exactly by dynamic programming over
-column subsets.  That is deliberate: tests check it against brute-force
-permutation search, so the solver must not itself be a permutation
-search.  This tracker reports at most one estimate against at most one
-true target, so score_run scores every (run, step) with the single-pair
-closed form over whole arrays, into one RunScores table per run, and
-fold_scores adds the tables in run order.  ospa serves general sets and
-is the reference that closed form is tested against.
+where m <= n are the two cardinalities.  This tracker reports at most one
+estimate against at most one true target, so every set it scores holds 0
+or 1 point, and there the metric has a closed form: 0 when both sets are
+empty, c when one is, and min(c, |x - y|) for one point each, since the
+power and root of p cancel on a single pair.  ospa computes that form
+for one pair of sets and rejects a larger set; score_run computes it for
+every (run, step) of a run at once, into one RunScores table, and
+fold_scores adds the tables in run order.  Both take the capped distance
+from _capped_distances, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -38,43 +35,8 @@ __all__ = [
     "fold_scores",
 ]
 
-# Largest set size the exact assignment DP accepts (2^8 subsets).
-ASSIGNMENT_LIMIT = 8
 # State-vector indices holding the position coordinates (x, vx, y, vy).
 POSITION_INDICES = (0, 2)
-
-
-def _min_cost_assignment(costs: np.ndarray) -> float:
-    """Exact minimum-cost row-to-column assignment, m rows <= n columns.
-
-    dp[mask] is the cheapest way to assign the first popcount(mask) rows
-    to the column subset mask; each step adds one row, so every candidate
-    total accumulates costs in ascending row order.
-    """
-    m, n = costs.shape
-    if m > n:
-        raise ValueError("assignment expects no more rows than columns")
-    if n > ASSIGNMENT_LIMIT:
-        raise ValueError(f"assignment solver handles at most {ASSIGNMENT_LIMIT} points")
-    dp = [np.inf] * (1 << n)
-    dp[0] = 0.0
-    for mask in range(1, 1 << n):
-        row = mask.bit_count() - 1
-        if row >= m:
-            continue
-        best = np.inf
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            j = bit.bit_length() - 1
-            prev = dp[mask ^ bit]
-            if prev < np.inf:
-                cand = prev + costs[row, j]
-                if cand < best:
-                    best = cand
-            rest ^= bit
-        dp[mask] = best
-    return min(dp[mask] for mask in range(1 << n) if mask.bit_count() == m)
 
 
 def _checked_cutoff(cutoff) -> float:
@@ -84,14 +46,25 @@ def _checked_cutoff(cutoff) -> float:
     return cutoff
 
 
-def _sorted_points(points: list[np.ndarray]) -> list[tuple[float, ...]]:
-    return sorted(tuple(p.tolist()) for p in points)
+def _capped_distances(x: np.ndarray, y: np.ndarray, cutoff: float) -> np.ndarray:
+    """min(cutoff, |x - y|) for each row of two (n, dim) point arrays."""
+    if x.shape != y.shape:
+        raise ValueError(
+            f"all points must share a dimension, got {x.shape[1:]} and {y.shape[1:]}"
+        )
+    d = x - y
+    # vecdot matches the dot inside np.linalg.norm bit for bit.
+    return np.minimum(cutoff, np.sqrt(np.vecdot(d, d)))
 
 
 def ospa(X: Sequence, Y: Sequence, cutoff: float = 10.0, order: float = 1.0) -> float:
-    """OSPA distance between two point sets.
+    """OSPA distance between two sets of at most one point each.
 
-    :param X: first set, any sequence of coordinate vectors
+    Returns 0 when both sets are empty, the cutoff when one is, and
+    min(cutoff, |x - y|) for one point each.  The order is checked but
+    cancels: on a single pair its power and root undo each other.
+
+    :param X: first set, a sequence of at most one coordinate vector
     :param Y: second set
     :param cutoff: cardinality penalty and distance saturation, finite and > 0
     :param order: exponent p, finite and >= 1
@@ -100,34 +73,18 @@ def ospa(X: Sequence, Y: Sequence, cutoff: float = 10.0, order: float = 1.0) -> 
     order = float(order)
     if not 1.0 <= order < np.inf:
         raise ValueError(f"order must be finite and at least 1, got {order}")
-    xs = [np.atleast_1d(np.asarray(x, dtype=float)) for x in X]
-    ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in Y]
-    for name, points in (("X", xs), ("Y", ys)):
-        if not all(np.isfinite(p).all() for p in points):
+    sets = []
+    for name, points in (("X", X), ("Y", Y)):
+        rows = [np.asarray(p, dtype=float).reshape(1, -1) for p in points]
+        if len(rows) > 1:
+            raise ValueError(f"{name} must hold at most one point, got {len(rows)}")
+        if not all(np.isfinite(r).all() for r in rows):
             raise ValueError(f"{name} must hold finite points")
-    if len(xs) == 0 and len(ys) == 0:
-        return 0.0
-    # The smaller set gives the rows; of two equal sizes, the one whose
-    # sorted points compare lexicographically smaller.  The assignment adds
-    # costs in row order, so a rule that ignores argument order keeps the
-    # distance bitwise symmetric.  A single pair costs the same either way.
-    if len(xs) > len(ys) or (
-        len(xs) == len(ys) > 1 and _sorted_points(xs) > _sorted_points(ys)
-    ):
-        xs, ys = ys, xs
-    n = len(ys)
-    if len(xs) == 0:
-        return cutoff
-    dims = {v.size for v in xs} | {v.size for v in ys}
-    if len(dims) != 1:
-        raise ValueError(f"all points must share a dimension, got sizes {sorted(dims)}")
-    costs = np.empty((len(xs), n))
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            costs[i, j] = min(cutoff, float(np.linalg.norm(x - y))) ** order
-    localization = _min_cost_assignment(costs)
-    total = localization + (cutoff**order) * (n - len(xs))
-    return float((total / n) ** (1.0 / order))
+        sets.append(rows)
+    xs, ys = sets
+    if not (xs and ys):
+        return cutoff if xs or ys else 0.0
+    return float(_capped_distances(xs[0], ys[0], cutoff)[0])
 
 
 @dataclass
@@ -202,10 +159,8 @@ def score_run(record: RunRecord, cutoff: float = 10.0) -> RunScores:
 
     Truth and estimate sets hold at most one point each, so the OSPA of a
     step is min(cutoff, |t - e|) when both points exist, cutoff when one is
-    missing, and 0 when both are.  The order p of ospa only weighs an
-    assignment between several points; for one pair its power and root
-    cancel, so no order is taken here, and each value equals what ospa
-    returns for the pair at order 1.
+    missing, and 0 when both are: what ospa returns for the step's pair of
+    sets, bit for bit.  The order cancels there, so none is taken here.
     """
     cutoff = _checked_cutoff(cutoff)
     names = tuple(record.series)
@@ -229,14 +184,7 @@ def score_run(record: RunRecord, cutoff: float = 10.0) -> RunScores:
             if both.any():
                 truth_xy = np.array(truth, dtype=float)[both[has_truth]]
                 est_xy = np.array([e.mean for e in est])[both[has_est]][:, POSITION_INDICES]
-                if truth_xy.shape != est_xy.shape:
-                    raise ValueError(
-                        "all points must share a dimension, got "
-                        f"{truth_xy.shape[1:]} and {est_xy.shape[1:]}"
-                    )
-                d = truth_xy - est_xy
-                # vecdot matches the dot inside np.linalg.norm bit for bit.
-                ospa[row, both] = np.minimum(cutoff, np.sqrt(np.vecdot(d, d)))
+                ospa[row, both] = _capped_distances(truth_xy, est_xy, cutoff)
     return RunScores(series=names, table=table)
 
 

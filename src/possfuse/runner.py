@@ -32,12 +32,13 @@ Every run is a pure function of (configuration, run index), whatever
 block it is in.  A worker scores each run of its block and returns the
 scores (and, for --dump-scans, the runs' labelled scans), and the parent
 folds the scores in run order, so output files are byte-identical no
-matter how many workers computed them or how the runs were blocked.  A
-worker that dies (a SIGKILL, as the kernel's out-of-memory killer sends)
-fails the command with WorkerDiedError, naming the runs whose blocks had
-not returned.  While the pool runs, SIGTERM raises SystemExit(143) in the
-parent, whose pool then shuts down: each worker finishes the block it
-holds and exits, and the previous SIGTERM handler is restored.
+matter how many workers computed them or how the runs were blocked, and
+are written all or none (_write_all).  A worker that dies (a SIGKILL, as
+the kernel's out-of-memory killer sends) fails the command with
+WorkerDiedError, naming the runs whose blocks had not returned.  While
+the pool runs, SIGTERM raises SystemExit(143) in the parent, whose pool
+then shuts down: each worker finishes the block it holds and exits, and
+the previous SIGTERM handler is restored.
 """
 
 from __future__ import annotations
@@ -555,32 +556,35 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _text(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
 
 
-def _write_outputs(out_dir: Path, agg: AggregateResult) -> dict[str, Path]:
-    tables = [
-        ("ospa", "mean_ospa,runs",
-         lambda s, k: f"{_fmt(agg.mean_ospa[s][k])},{agg.runs}"),
-        ("trace", "mean_trace,present_count",
-         lambda s, k: f"{_fmt(agg.mean_trace[s][k])},{int(agg.present_count[s][k])}"),
-        ("presence", "mean_q_absent,mean_q_present",
-         lambda s, k: f"{_fmt(agg.mean_q_absent[s][k])},{_fmt(agg.mean_q_present[s][k])}"),
-    ]
-    files: dict[str, Path] = {}
-    for name, header, row in tables:
+# The aggregate's CSVs by name: the columns after step and series, and
+# one series' row at one step.
+_TABLES = {
+    "ospa": ("mean_ospa,runs",
+             lambda agg, s, k: f"{_fmt(agg.mean_ospa[s][k])},{agg.runs}"),
+    "trace": ("mean_trace,present_count",
+              lambda agg, s, k: f"{_fmt(agg.mean_trace[s][k])},{int(agg.present_count[s][k])}"),
+    "presence": ("mean_q_absent,mean_q_present",
+                 lambda agg, s, k: f"{_fmt(agg.mean_q_absent[s][k])},{_fmt(agg.mean_q_present[s][k])}"),
+}
+
+
+def _output_texts(agg: AggregateResult) -> dict[str, str]:
+    texts = {}
+    for name, (header, row) in _TABLES.items():
         lines = [f"step,series,{header}"]
         for k in range(agg.steps):
             for s in agg.series:
-                lines.append(f"{k + 1},{s},{row(s, k)}")
-        files[name] = out_dir / f"{name}.csv"
-        _write_lines(files[name], lines)
-    return files
+                lines.append(f"{k + 1},{s},{row(agg, s, k)}")
+        texts[name] = _text(lines)
+    return texts
 
 
-def _write_scan_dump(out_dir: Path, runs: list[list]) -> Path:
-    """Dump the labelled scans each run fed its filters, in run order."""
+def _scan_dump_text(runs: list[list]) -> str:
+    """The labelled scans each run fed its filters, in run order."""
     lines = ["run,step,sensor,x_km,y_km,is_clutter"]
     for run_idx, labeled_by_sensor in enumerate(runs):
         for i, labeled in enumerate(labeled_by_sensor):
@@ -589,9 +593,41 @@ def _write_scan_dump(out_dir: Path, runs: list[list]) -> Path:
                     lines.append(
                         f"{run_idx},{scan.time_index},{i + 1},{_fmt(p[0])},{_fmt(p[1])},{int(is_clutter)}"
                     )
-    path = out_dir / "scans.csv"
-    _write_lines(path, lines)
-    return path
+    return _text(lines)
+
+
+def _check_targets(out_dir: Path, names) -> None:
+    """Reject an out_dir/<name>.csv that is a directory, which a file
+    cannot replace."""
+    for name in names:
+        path = out_dir / f"{name}.csv"
+        if path.is_dir():
+            raise ConfigError("output_dir", f"cannot write {path}: it is a directory")
+
+
+def _write_all(out_dir: Path, texts: dict[str, str]) -> dict[str, Path]:
+    """Write each text to out_dir/<name>.csv, all files or none.
+
+    Each text is written to a temporary file in out_dir, named for this
+    process, and the temporary files replace the targets only once all
+    are written and no target is a directory, so a failed write replaces
+    no file of the set.  An OSError is a ConfigError naming the target
+    (exit 2), and no temporary file is left.
+    """
+    files = {name: out_dir / f"{name}.csv" for name in texts}
+    temps = {name: out_dir / f".{name}.csv.{os.getpid()}.tmp" for name in texts}
+    try:
+        for name, path in files.items():
+            temps[name].write_text(texts[name], encoding="utf-8")
+        _check_targets(out_dir, texts)
+        for name, path in files.items():
+            os.replace(temps[name], path)
+    except OSError as exc:
+        raise ConfigError("output_dir", f"cannot write {path}: {exc.strerror or exc}") from None
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+    return files
 
 
 @dataclass
@@ -601,8 +637,9 @@ class ExperimentResult:
 
 
 def _drive(cfg: ExperimentConfig, mode: str, out_dir, dump_scans: bool) -> ExperimentResult:
-    # A bad sensor count (run_once checks it too), worker count or output
-    # directory is one ConfigError before the pool starts, and leaves no file.
+    # A bad sensor count (run_once checks it too), worker count, output
+    # directory or output file is one ConfigError before the pool starts,
+    # and leaves no file.
     _check_sensor_count(cfg.scenario, mode)
     workers = _worker_count(cfg.runs)
     out_path = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
@@ -610,12 +647,13 @@ def _drive(cfg: ExperimentConfig, mode: str, out_dir, dump_scans: bool) -> Exper
         out_path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError("output_dir", f"cannot create {out_path}: {exc.strerror}") from None
+    _check_targets(out_path, [*_TABLES, "scans"] if dump_scans else _TABLES)
     results = _collect_runs(cfg, mode, dump_scans, workers)
     agg = fold_scores([scores for scores, _ in results])
-    files = _write_outputs(out_path, agg)
+    texts = _output_texts(agg)
     if dump_scans:
-        files["scans"] = _write_scan_dump(out_path, [scans for _, scans in results])
-    return ExperimentResult(aggregate=agg, files=files)
+        texts["scans"] = _scan_dump_text([scans for _, scans in results])
+    return ExperimentResult(aggregate=agg, files=_write_all(out_path, texts))
 
 
 def run_single(cfg: ExperimentConfig, out_dir=None, dump_scans: bool = False) -> ExperimentResult:

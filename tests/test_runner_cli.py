@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import dataclasses
+import errno
 import itertools
 import json
 import multiprocessing
@@ -227,6 +228,53 @@ class TestRunOnce:
             for r, k, s, x, y, c in (line.split(",") for line in lines[1:])
         ]
         assert dumped == rows
+
+
+def stress_cfg(steps=None, sensor=None, **scenario_kw):
+    """The default experiment with one setting changed; a sensor setting
+    applies to every sensor, and steps sets the death step with it."""
+    cfg = default_experiment()
+    if steps is not None:
+        scenario_kw.update(steps=steps, death_step=steps)
+    if sensor is not None:
+        scenario_kw["sensors"] = tuple(dataclasses.replace(s, **sensor) for s in cfg.scenario.sensors)
+    return dataclasses.replace(cfg, runs=1, scenario=dataclasses.replace(cfg.scenario, **scenario_kw))
+
+
+STRESS = {
+    "pd-0": stress_cfg(sensor={"pd_true": 0.0}),
+    "pd-1": stress_cfg(sensor={"pd_true": 1.0}),
+    "clutter-0": stress_cfg(sensor={"clutter_rate": 0.0}),
+    "clutter-50": stress_cfg(steps=10, sensor={"clutter_rate": 50.0}),
+    "psd-0": stress_cfg(psd=0.0),
+    "noise-0.01": stress_cfg(sensor={"noise_var": 0.01}),
+    "noise-100": stress_cfg(sensor={"noise_var": 100.0}),
+    "steps-1": stress_cfg(steps=1),
+    "start-outside": stress_cfg(initial_state=(-30.0, 0.3, 90.0, -0.35)),
+    "birth-40-death-42": stress_cfg(birth_step=40, death_step=42),
+}
+
+
+class TestStressMatrix:
+    @pytest.mark.parametrize("mode", ["single", "independent", "dependent"])
+    @pytest.mark.parametrize("name", list(STRESS))
+    def test_extreme_scenario_keeps_the_invariants(self, name, mode):
+        # Criterion 3's normalisation at extreme settings, and the component
+        # cap wherever a reduction or a fusion keep rule applies; predicted
+        # states are not reduced, so they are not capped.
+        cfg = STRESS[name]
+        if mode == "dependent":
+            cfg = dataclasses.replace(cfg, fusion=dataclasses.replace(cfg.fusion, omega_strategy="min-trace"))
+        cap = cfg.filter.reduction.max_components
+        audit = []
+        run_once(cfg, 0, mode, audit=audit)
+        assert audit
+        for step, phase, series, state in audit:
+            where = (step, phase, series)
+            assert abs(max(state.q_absent, state.q_present) - 1.0) <= 1e-12, where
+            assert abs(state.spatial.max_weight - 1.0) <= 1e-12, where
+            if phase != "predicted":
+                assert state.spatial.n_components <= cap, where
 
 
 class TestFailureOrder:
@@ -860,6 +908,60 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"configuration error: output_dir: cannot create {out}: ")
         assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("target", ["ospa.csv", "trace.csv"])
+    def test_directory_target_is_exit_2_before_any_run(self, target, workers, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("POSSFUSE_THREADS", workers)
+        out = tmp_path / "res"
+        args = ["single", "--runs", "2", "--out", str(out), "--dump-scans"]
+        assert main(args + ["--seed", "1"]) == 0
+        (out / target).unlink()
+        (out / target).mkdir()
+        before = {p.name: p.is_dir() or p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        monkeypatch.setattr(runner_mod, "_collect_runs", lambda *args: pytest.fail("runs were computed"))
+        assert main(args + ["--seed", "2"]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: output_dir: cannot write {out / target}: it is a directory\n"
+        )
+        assert {p.name: p.is_dir() or p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("failure", ["disk-full", "directory-made-during-the-runs"])
+    def test_failed_write_replaces_no_file(self, failure, workers, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("POSSFUSE_THREADS", workers)
+        out = tmp_path / "res"
+        args = ["single", "--runs", "2", "--out", str(out), "--dump-scans"]
+        assert main(args + ["--seed", "1"]) == 0
+        before = read_all_outputs(out)
+        capsys.readouterr()
+        if failure == "disk-full":
+            # The third file fails part-way, after two were written in full.
+            target, reason = out / "presence.csv", os.strerror(errno.ENOSPC)
+            write_text = Path.write_text
+
+            def fill_up(path, text, **kwargs):
+                if path.name.startswith(".presence.csv."):
+                    write_text(path, text[:10], **kwargs)
+                    raise OSError(errno.ENOSPC, reason, str(path))
+                return write_text(path, text, **kwargs)
+
+            monkeypatch.setattr(Path, "write_text", fill_up)
+        else:
+            target, reason = out / "trace.csv", "it is a directory"
+            fold = runner_mod.fold_scores
+
+            def block_then_fold(scores):
+                target.unlink()
+                target.mkdir()
+                return fold(scores)
+
+            monkeypatch.setattr(runner_mod, "fold_scores", block_then_fold)
+            del before["trace.csv"]
+        assert main(args + ["--seed", "2"]) == 2
+        assert capsys.readouterr().err == f"configuration error: output_dir: cannot write {target}: {reason}\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
 
     def test_bad_worker_count_is_exit_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("POSSFUSE_THREADS", "0")
