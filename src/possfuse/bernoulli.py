@@ -354,7 +354,8 @@ def predict(
     Spatial: the birth mixture scaled by become_present * q0 competes by
     pointwise max with the survival branch, in which every component is
     pushed through the motion model; the union is renormalised, which
-    divides out exactly q_present'.
+    divides out exactly q_present'.  When q_present' is 0, the state is
+    (1, 0) and its spatial part is the survival branch at unit scale.
 
     propagated may hand in the survival branch's covariances as a pair
     (source, _propagated(source, motion)) computed for many states at
@@ -376,9 +377,11 @@ def predict(
     w_parts: list[np.ndarray] = []
     m_parts: list[np.ndarray] = []
     P_parts: list[np.ndarray] = []
-    if survive_scale > 0.0:
+    # With both scales 0 presence is impossible, and the survival branch at
+    # unit scale is the spatial part of the state (1, 0).
+    if survive_scale > 0.0 or birth_scale == 0.0:
         F = motion.transition
-        w_parts.append(survive_scale * mix.weights)
+        w_parts.append((survive_scale or 1.0) * mix.weights)
         m_parts.append(mix.means @ F.T)
         moved = _stage_for(mix.covariances, propagated)
         P_parts.append(_propagated(mix.covariances, motion) if moved is None else moved)
@@ -386,8 +389,6 @@ def predict(
         w_parts.append(birth_scale * birth.weights)
         m_parts.append(birth.means)
         P_parts.append(birth.covariances)
-    if not w_parts:
-        raise ValueError("prediction is degenerate: no birth and no survival possibility")
     w = np.concatenate(w_parts)
     spatial = GaussianMaxMixture._derived(
         w / w.max(), np.concatenate(m_parts), np.concatenate(P_parts)

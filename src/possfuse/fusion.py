@@ -22,7 +22,8 @@ builds the tables of consecutive steps' pairs in groups, one kernel call
 per group, and yields each pair with its table, which the runner passes
 to the step's three calls as their keyword table.  A call given no table,
 or one that does not fit, builds one of the rows it reads alone, so the
-table never changes a result, and the module keeps no state.
+table never changes a result, and the module keeps no state.  Both rules
+and selftest turn a row into a fused state through one routine, _fuse.
 
 A fused state is reported, never fed back to a filter, so fusion never
 merges components: a reduction keeps pairs by weight alone, down to its
@@ -267,34 +268,6 @@ def _prefilled(pairs: list, omega: Optional[float], reduction: Optional[Reductio
             yield a, b, tables.pop(0)
 
 
-def _fused_mixture(
-    a: GaussianMaxMixture,
-    b: GaussianMaxMixture,
-    e1: float,
-    e2: float,
-    reduction: Optional[ReductionConfig] = None,
-    table: Optional[_ProductTable] = None,
-) -> tuple[GaussianMaxMixture, float]:
-    """Fused mixture, normalised; returns (mixture, log_alpha).
-
-    The row (e1, e2) is read from _table, given table, which builds a
-    table of that row alone when table does not hold it.  The mixture is
-    a copy of the row's leading pairs, heaviest
-    first: every pair not below reduction's floor (WEIGHT_UNDERFLOW
-    without one), and at most max_components of them under a reduction.
-    """
-    row = (e1, e2)
-    table = _table(a, b, [row], _floor(reduction), table)
-    r = table.index[row]
-    lo, hi = table.bounds[r], table.bounds[r + 1]
-    if reduction is not None:
-        hi = min(hi, lo + reduction.max_components)
-    mixture = GaussianMaxMixture._derived(
-        table.kept_weights[lo:hi].copy(), table.means[lo:hi].copy(), table.covs[lo:hi].copy()
-    )
-    return mixture, float(table.log_alpha[r])
-
-
 def _check_pair(a: BernoulliPossState, b: BernoulliPossState) -> None:
     """Reject a pair that no exponents in (0, 1] can fuse."""
     if a.spatial.dim != b.spatial.dim:
@@ -311,17 +284,30 @@ def _check_pair(a: BernoulliPossState, b: BernoulliPossState) -> None:
 def _fuse(
     a: BernoulliPossState,
     b: BernoulliPossState,
-    e1: float,
-    e2: float,
+    row: tuple[float, float],
     reduction: Optional[ReductionConfig],
     table: Optional[_ProductTable] = None,
 ) -> FusionResult:
+    """a and b fused at exponents row = (e1, e2): a copy of the row's
+    leading pairs read through _table, heaviest first (every pair not below
+    reduction's floor, at most max_components of them under a reduction),
+    and the existence pair (q0_a^e1 q0_b^e2, q1_a^e1 q1_b^e2 alpha) over
+    its max."""
     _check_pair(a, b)
-    mixture, log_alpha = _fused_mixture(a.spatial, b.spatial, e1, e2, reduction, table)
+    table = _table(a.spatial, b.spatial, [row], _floor(reduction), table)
+    r = table.index[row]
+    lo, hi = table.bounds[r], table.bounds[r + 1]
+    if reduction is not None:
+        hi = min(hi, lo + reduction.max_components)
+    mixture = GaussianMaxMixture._derived(
+        table.kept_weights[lo:hi].copy(), table.means[lo:hi].copy(), table.covs[lo:hi].copy()
+    )
+    log_alpha = float(table.log_alpha[r])
 
     def _log(q: float) -> float:
         return math.log(q) if q > 0.0 else -math.inf
 
+    e1, e2 = row
     log_absent = e1 * _log(a.q_absent) + e2 * _log(b.q_absent)
     log_present = e1 * _log(a.q_present) + e2 * _log(b.q_present) + log_alpha
     log_norm = max(log_absent, log_present)
@@ -377,7 +363,7 @@ def fuse_chernoff(
     row = _chernoff_row(omega)
     if row is None:
         return FusionResult(state=b if omega == 1.0 else a, normalizer=1.0, alpha=1.0)
-    return _fuse(a, b, *row, reduction, table)
+    return _fuse(a, b, row, reduction, table)
 
 
 def fuse_independent(
@@ -394,7 +380,7 @@ def fuse_independent(
     fused components come heaviest first, and a reduction keeps pairs by
     weight alone, as in fuse_chernoff, which also says how table is read.
     """
-    return _fuse(a, b, 1.0, 1.0, reduction, table)
+    return _fuse(a, b, INDEPENDENT, reduction, table)
 
 
 def parse_omega_strategy(strategy: str) -> Optional[float]:
@@ -474,17 +460,22 @@ def _grid_points(
 
 
 def _check_pair_exactness(
-    a: GaussianMaxMixture, b: GaussianMaxMixture, e1: float, e2: float
+    a: GaussianMaxMixture, b: GaussianMaxMixture, row: tuple[float, float]
 ) -> float:
-    """Worst pointwise deviation between the closed form and the raw product.
+    """Worst deviation between _fuse, on unit-existence states, and the raw product.
 
     Evaluates the fused mixture and the directly exponentiated product,
-    both divided by the closed-form normaliser, on a dense grid plus the
-    input and fused component means.  Also verifies that the normalised
-    product never exceeds 1 and that it reaches 1 at the heaviest fused
-    mean, which pins the normaliser as the true supremum.
+    both divided by the fused alpha, on a dense grid plus the input and
+    fused component means.  Also verifies that the normalised product
+    never exceeds 1 and reaches 1 at the heaviest fused mean, which pins
+    alpha as the true supremum, and that the existence pair is (1, alpha)
+    over the normaliser.
     """
-    mixture, log_alpha = _fused_mixture(a, b, e1, e2)
+    e1, e2 = row
+    fused = _fuse(BernoulliPossState(1.0, 1.0, a), BernoulliPossState(1.0, 1.0, b), row, None)
+    state, norm = fused.state, fused.normalizer
+    mixture, log_alpha = state.spatial, math.log(fused.alpha)
+    existence_gap = max(abs(state.q_absent * norm - 1.0), abs(state.q_present * norm - fused.alpha))
     pts = _grid_points([a, b], 25 if a.dim == 2 else 401, mixture.means)
     direct = np.exp(
         e1 * np.log(np.maximum(a.values(pts), 1e-320))
@@ -500,15 +491,16 @@ def _check_pair_exactness(
         - log_alpha
     )
     peak_gap = abs(da - 1.0)
-    return max(err, overshoot, peak_gap)
+    return max(err, overshoot, peak_gap, existence_gap)
 
 
 def selftest(n_pairs: int = 12, seed: int = 2024) -> bool:
     """Grid-based exactness checks for the fusion closed forms.
 
     Random mixture pairs in one and two dimensions are fused with several
-    exponents; the closed-form fused mixture is compared pointwise on a
-    dense grid against the directly exponentiated product.  The supremum
+    exponents by the routine both fusion rules call; the fused mixture is
+    compared pointwise on a dense grid against the directly exponentiated
+    product, and the fused existence pair against (1, alpha).  The supremum
     identity for linear-Gaussian products is checked the same way.
     Prints one line per check and returns True when everything passes.
     Raises ValueError, naming the parameter, when n_pairs < 1 or seed < 0.
@@ -526,8 +518,8 @@ def selftest(n_pairs: int = 12, seed: int = 2024) -> bool:
         a = _random_mixture(rng, dim)
         b = _random_mixture(rng, dim)
         for omega in (0.1, 0.3, 0.5, 0.7, 0.9):
-            worst = max(worst, _check_pair_exactness(a, b, 1.0 - omega, omega))
-        worst = max(worst, _check_pair_exactness(a, b, 1.0, 1.0))
+            worst = max(worst, _check_pair_exactness(a, b, (1.0 - omega, omega)))
+        worst = max(worst, _check_pair_exactness(a, b, INDEPENDENT))
     passed = worst <= 1e-9
     ok &= passed
     print(f"{'PASS' if passed else 'FAIL'} fusion closed form vs grid product "

@@ -178,7 +178,7 @@ class _Filter:
 class _Recursion:
     """One run's filter recursion: what its fusion and record read.
 
-    positions and tracks are None when the run failed at setup (step 0).
+    positions and tracks are None when the run failed at step 0, simulating.
     failure is (step, exception) for a run that failed; pairs then holds
     the states of the steps before it.
     """
@@ -227,10 +227,12 @@ def _recurse(
     """Advance the filters of every run in run_indices step by step, in
     lockstep; one _Recursion per run, in order.
 
-    Each step propagates the covariances of every live filter in one
-    _propagated call (they share one motion model), births and predicts
-    each filter, computes one _gains stage per measurement model over
-    every run, then updates, reduces and extracts each filter.  possbench
+    The block's filters are built once, before any run is simulated, so
+    a run's step 0 is its simulation alone.  Each step then propagates the
+    covariances of every live filter in one _propagated call (they share
+    one motion model), births and predicts each filter, computes one
+    _gains stage per measurement model over every run, then updates,
+    reduces and extracts each filter.  possbench
     and the tests still see one predict, update, reduce and extract call
     per state, and the stages change no bit of any state.  A run that
     fails records its step and drops out of the block; the others go on.
@@ -239,25 +241,7 @@ def _recurse(
     scenario = cfg.scenario
     fuses = mode != "single"
     names = ["single"] if mode == "dependent" else [f"sensor{i + 1}" for i in range(len(scenario.sensors))]
-    filters: Optional[list[_Filter]] = None
-    runs, live = [], []
-    for i, run_idx in enumerate(run_indices):
-        run = _Recursion(None if audits is None else audits[i])
-        runs.append(run)
-        try:
-            truth, run.labeled = _simulate_run(cfg, run_idx, mode)
-            run.positions = _truth_positions(truth)
-            if filters is None:
-                filters = [_Filter(cfg, s) for s in scenario.sensors[: len(names)]]
-        except _FAILURES as exc:
-            run.failure = (0, exc)
-            continue
-        run.states = [f.start for f in filters]
-        run.tracks = {name: SeriesTrack() for name in names}
-        live.append(run)
-
-    if not live:
-        return runs
+    filters = [_Filter(cfg, s) for s in scenario.sensors[: len(names)]]
     # Every filter shares the scenario's motion model.  Gains read only a
     # measurement model's observation and noise, so filters whose two
     # matrices are equal share one gains stage.
@@ -266,8 +250,24 @@ def _recurse(
     for i, f in enumerate(filters):
         by_matrices.setdefault((f.meas.observation.tobytes(), f.meas.noise.tobytes()), []).append(i)
     gain_groups = [(filters[members[0]].meas, members) for members in by_matrices.values()]
+    H = filters[0].meas.observation
+    runs, live = [], []
+    for i, run_idx in enumerate(run_indices):
+        run = _Recursion(None if audits is None else audits[i])
+        runs.append(run)
+        try:
+            truth, run.labeled = _simulate_run(cfg, run_idx, mode)
+        except _FAILURES as exc:
+            run.failure = (0, exc)
+            continue
+        run.positions = [None if x is None else H @ x for x in truth]
+        run.states = [f.start for f in filters]
+        run.tracks = {name: SeriesTrack() for name in names}
+        live.append(run)
 
     for step in range(1, scenario.steps + 1):
+        if not live:
+            break
         moved = _staged(_propagated, motion_groups,
                         [[s.spatial.covariances for s in run.states] for run in live])
         survivors, predicted = [], []
@@ -307,8 +307,6 @@ def _recurse(
                 run.pairs.append((run.states[0], run.states[-1]))
             survivors.append(run)
         live = survivors
-        if not live:
-            break
     return runs
 
 
@@ -342,11 +340,6 @@ def _simulate_run(cfg: ExperimentConfig, run_idx: int, mode: str) -> tuple[list,
     return truth, labeled
 
 
-def _truth_positions(truth) -> list[Optional[np.ndarray]]:
-    H = position_observation()
-    return [None if x is None else H @ x for x in truth]
-
-
 def run_once(
     cfg: ExperimentConfig,
     run_idx: int,
@@ -371,10 +364,10 @@ def run_once(
     only the fused states.
 
     A numerical failure raises NumericsError naming the run and the step,
-    where step 0 is the run's setup: simulating its scenario and building
-    its filters.  Parsing the config rejects a dt, psd or region that the
-    truth or the filters cannot be built from, so step 0 is left for
-    failures met while simulating, such as a truth that overflows.  A run
+    where step 0 is simulating the run's scenario.  Parsing the config
+    rejects a dt, psd or region that the truth or the filters cannot be
+    built from, so step 0 is left for failures met while simulating, such
+    as a truth that overflows.  A run
     that runs out of memory, as a valid but enormous clutter rate makes
     it, fails the same way.  Fusion runs after the recursion, so when a
     filter fails, the steps before it are fused first, and a fusion

@@ -97,10 +97,6 @@ def product_values(points, mix1, mix2, e1: float, e2: float) -> np.ndarray:
     return v1**e1 * v2**e2
 
 
-def grid_points_1d(lo: float, hi: float, n: int) -> np.ndarray:
-    return np.linspace(lo, hi, n)[:, None]
-
-
 def grid_points_2d(lo, hi, n: int) -> np.ndarray:
     xs = np.linspace(lo[0], hi[0], n)
     ys = np.linspace(lo[1], hi[1], n)

@@ -1,6 +1,9 @@
 """Every exported name resolves, so a stale re-export fails the suite;
-and the names the benchmark harness reads keep their shape."""
+every private name has a caller in the package, so code only its own
+tests use fails it too; and the names the benchmark harness reads keep
+their shape."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -43,6 +46,40 @@ def test_package_reexports_are_the_module_objects():
         assert len(modules) == 1, f"{name} is exported by {[m.__name__ for m in modules]}"
         (home,) = modules
         assert getattr(possfuse, name) is getattr(home, name), f"possfuse.{name} is not {home.__name__}.{name}"
+
+
+def private_definitions(tree):
+    """(name, node) for each single-underscore module-level function, class
+    and constant of a module's tree, and each single-underscore method."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            found += [(m.name, m) for m in node.body if isinstance(m, ast.FunctionDef)]
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.id, node) for t in targets if isinstance(t, ast.Name)]
+    return [(name, node) for name, node in found if name.startswith("_") and not name.startswith("__")]
+
+
+def test_every_private_name_has_a_caller():
+    # A reference is a loaded Name or Attribute anywhere in the package,
+    # outside the definition itself; an import alone is not one.
+    trees = [ast.parse(path.read_text()) for path in sorted(Path(possfuse.__file__).parent.glob("*.py"))]
+    references = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                references.setdefault(node.id if isinstance(node, ast.Name) else node.attr, []).append(node)
+    definitions = [d for tree in trees for d in private_definitions(tree)]
+    assert len(definitions) > 50
+    unused = []
+    for name, definition in definitions:
+        inside = set(map(id, ast.walk(definition)))
+        if all(id(ref) in inside for ref in references.get(name, [])):
+            unused.append(name)
+    assert not unused, f"private names no code in the package reads: {unused}"
 
 
 def test_benchmark_harness_pins():

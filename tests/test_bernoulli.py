@@ -194,6 +194,20 @@ class TestPredict:
             expected = max(survival, birth) / 1.0
             assert got == pytest.approx(expected, abs=1e-5)
 
+    @pytest.mark.parametrize("q", [(1.0, 1.0), (1.0, 0.0)])
+    def test_impossible_presence_keeps_the_survival_branch(self, q):
+        # No birth and no survival: the state is (1, 0), and its spatial
+        # part is the survival branch at unit scale, as a certain survivor's.
+        no_presence = TransitionPossibilityMatrix.from_matrix([[1.0, 0.0], [1.0, 0.0]])
+        state = one_d_state(*q, [1.0, 0.6], [0.0, 3.0], [1.0, 2.0])
+        pred = predict(state, self.MOTION, no_presence, self.BIRTH)
+        assert (pred.q_absent, pred.q_present) == (1.0, 0.0)
+        keep = TransitionPossibilityMatrix.from_matrix([[1.0, 0.0], [0.0, 1.0]])
+        survivor = one_d_state(0.0, 1.0, [1.0, 0.6], [0.0, 3.0], [1.0, 2.0])
+        want = predict(survivor, self.MOTION, keep, self.BIRTH).spatial
+        for name in ("weights", "means", "covariances"):
+            assert getattr(pred.spatial, name).tobytes() == getattr(want, name).tobytes(), name
+
     def test_dimension_mismatch(self):
         state = one_d_state(1.0, 1.0, [1.0], [0.0], [1.0])
         bad_motion = MotionModel(np.eye(2), np.zeros((2, 2)))

@@ -188,6 +188,12 @@ class TestValidation:
             # impossible, which the filter's detection model rejects.
             ({"filter": {"pd_interval": [0.0, 0.0]}}, "filter.pd_interval"),
             ({"filter": {"pd_interval": [1.0, 1.0]}}, "filter.pd_interval"),
+            # The parser's own shape and type rejections.
+            ({"scenario": {"initial_state": 5}}, "scenario.initial_state"),
+            ({"scenario": {"initial_state": [1, 2, 3]}}, "scenario.initial_state"),
+            ({"filter": {"phi": [[1.0, 0.01]]}}, "filter.phi"),
+            ({"scenario": {"sensors": {}}}, "scenario.sensors"),
+            ({"fusion": {"omega_strategy": 5}}, "fusion.omega_strategy"),
         ],
     )
     def test_range_error_names_leaf_field(self, doc, path):

@@ -402,7 +402,7 @@ def reference_select_omega(a, b):
     fresh copies of the inputs."""
     traces = []
     for omega in OMEGA_GRID:
-        mix = _fuse(fresh(a), fresh(b), 1.0 - omega, omega, None).state.spatial
+        mix = _fuse(fresh(a), fresh(b), (1.0 - omega, omega), None).state.spatial
         traces.append(float(np.trace(mix.covariances[mix.argmax_component()])))
     floor = min(traces)
     tied = [o for o, t in zip(OMEGA_GRID, traces) if t - floor <= 1e-9 * floor]

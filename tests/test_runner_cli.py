@@ -241,6 +241,11 @@ def stress_cfg(steps=None, sensor=None, **scenario_kw):
     return dataclasses.replace(cfg, runs=1, scenario=dataclasses.replace(cfg.scenario, **scenario_kw))
 
 
+def stress_doc(**doc):
+    """The experiment of a config document, at one run."""
+    return parse_experiment({**doc, "runs": 1})
+
+
 STRESS = {
     "pd-0": stress_cfg(sensor={"pd_true": 0.0}),
     "pd-1": stress_cfg(sensor={"pd_true": 1.0}),
@@ -252,6 +257,22 @@ STRESS = {
     "steps-1": stress_cfg(steps=1),
     "start-outside": stress_cfg(initial_state=(-30.0, 0.3, 90.0, -0.35)),
     "birth-40-death-42": stress_cfg(birth_step=40, death_step=42),
+    "steps-500": stress_cfg(steps=500),
+    # The extreme configs of TestComputedRounding at full length; dt 1e12
+    # is left out, since F P F' overflows by step 20.
+    "psd-1e300": stress_cfg(psd=1e300),
+    "noise-5e-324": stress_doc(scenario={"sensors": [{"pd_true": 0.8, "noise_var": 5e-324}, {"pd_true": 0.6}]}),
+    "noise-1e-300": stress_doc(scenario={"sensors": [{"pd_true": 0.8, "noise_var": 1e-300}, {"pd_true": 0.6}]}),
+    "pos_var-1e300": stress_doc(filter={"birth": {"pos_var": 1e300}}),
+    "vel_var-1e300": stress_doc(filter={"birth": {"vel_var": 1e300}}),
+    # Presence impossible from step 1: no birth and no survival.
+    "phi-no-presence": stress_doc(filter={"phi": [[1, 0], [1, 0]]}),
+    # Blind sensors and no birth: q_present falls by the nondetection
+    # possibility 0.01 each step and underflows to 0 at step 162.
+    "presence-underflow": stress_doc(
+        scenario={"steps": 200, "sensors": [{"pd_true": 0, "clutter_rate": 0}] * 2},
+        filter={"phi": [[1, 0], [0, 1]], "pd_interval": [0.99, 1.0]},
+    ),
 }
 
 
