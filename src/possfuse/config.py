@@ -141,12 +141,27 @@ def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
+class _Repeated(dict):
+    """A JSON object that repeats key; _parse rejects it at its path."""
+
+
+def _json_object(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set = set()
+        obj = _Repeated(obj)
+        obj.key = next(k for k, _ in pairs if k in seen or seen.add(k))
+    return obj
+
+
 def _parse(obj: Any, tp: Any, default: Any, path: str) -> Any:
     """Parse the JSON value obj as type tp, reporting errors at path.
 
     Dataclass sections start from default (or the class defaults when
     default is None) and change only the keys the document gives.
     """
+    if isinstance(obj, _Repeated):
+        raise ConfigError(_join(path, obj.key), "repeated key")
     if is_dataclass(tp):
         return _parse_section(obj, tp, default, path)
     origin, args = get_origin(tp), get_args(tp)
@@ -218,24 +233,21 @@ def parse_experiment(data: Any) -> ExperimentConfig:
     return _parse(data, ExperimentConfig, None, "")
 
 
-def serialize_experiment(cfg: ExperimentConfig) -> dict:
-    """Plain-JSON form of a configuration; parse_experiment inverts it."""
-    return _plain(cfg)
-
-
-def _plain(value: Any) -> Any:
-    if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    return value
+def serialize_experiment(cfg: Any) -> Any:
+    """Plain-JSON form of a configuration, or of any part of one;
+    parse_experiment inverts it for a whole configuration."""
+    if is_dataclass(cfg):
+        return {f.name: serialize_experiment(getattr(cfg, f.name)) for f in fields(cfg)}
+    if isinstance(cfg, tuple):
+        return [serialize_experiment(v) for v in cfg]
+    return cfg
 
 
 def load_experiment(path) -> ExperimentConfig:
     """Read and parse a JSON configuration file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_json_object)
     except OSError as exc:
         raise ConfigError("<file>", f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:

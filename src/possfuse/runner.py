@@ -107,9 +107,6 @@ MIN_MODEL_CLUTTER = 1e-6
 # peak memory, and fewer, larger blocks balance worse over the workers.
 RUNS_PER_BLOCK = 8
 
-SERIES_CHERNOFF = "chernoff"
-SERIES_CENTRALIZED = "centralized"
-
 
 class WorkerDiedError(RuntimeError):
     """A pool worker died, killed by a signal or by the kernel's
@@ -135,13 +132,17 @@ class NumericsError(RuntimeError):
         return type(self), (self.run, self.step, str(self).split(": ", 1)[1])
 
 
-def _append_state(track: SeriesTrack, state: BernoulliPossState) -> None:
-    # extract is looked up in this module at call time, so a wrapper set
-    # on runner.extract (as possbench's tracer does) sees every call.
-    track.estimates.append(extract(state))
-    track.q_absent.append(state.q_absent)
-    track.q_present.append(state.q_present)
-    track.n_components.append(state.spatial.n_components)
+def _series(mode: str, sensors: int) -> tuple[list[str], tuple[str, ...]]:
+    """A mode's filter series, one per sensor fed, and its fused series; an
+    unknown mode is a ValueError, a fusion mode without 2 sensors a ConfigError."""
+    filters = [f"sensor{i + 1}" for i in range(sensors)]
+    if mode == "single":
+        return filters, ()
+    if mode not in ("independent", "dependent"):
+        raise ValueError(f"unknown run mode {mode!r}")
+    if sensors != 2:
+        raise ConfigError("scenario.sensors", f"{mode} fusion needs exactly 2 sensors, got {sensors}")
+    return (["single"] if mode == "dependent" else filters), ("chernoff", "centralized")
 
 
 class _Filter:
@@ -178,20 +179,32 @@ class _Filter:
 class _Recursion:
     """One run's filter recursion: what its fusion and record read.
 
-    positions and tracks are None when the run failed at step 0, simulating.
-    failure is (step, exception) for a run that failed; pairs then holds
-    the states of the steps before it.
+    tracks holds a SeriesTrack per series.  positions is None when the run
+    failed at step 0, simulating.  failure is (step, exception) for a run
+    that failed; pairs then holds the states of the steps before it.
     """
 
-    def __init__(self, audit: Optional[list]):
+    def __init__(self, series: tuple[str, ...], audit: Optional[list]):
         self.audit = audit
+        self.tracks = {name: SeriesTrack() for name in series}
         self.labeled: list = []
         self.positions: Optional[list] = None
-        self.tracks: Optional[dict[str, SeriesTrack]] = None
         self.pairs: list = []
         self.failure: Optional[tuple[int, BaseException]] = None
         # Advancing: each filter's state.
         self.states: list = []
+
+    def record(self, step: int, phase: str, name: str, state: BernoulliPossState) -> None:
+        """Report a state to the audit, if any, and, unless predicted, to its track."""
+        if self.audit is not None:
+            self.audit.append((step, phase, name, state))
+        if phase != "predicted":
+            track = self.tracks[name]
+            # Looked up at call time, so a wrapper on runner.extract sees every call.
+            track.estimates.append(extract(state))
+            track.q_absent.append(state.q_absent)
+            track.q_present.append(state.q_present)
+            track.n_components.append(state.spatial.n_components)
 
 
 def _staged(stage, groups: list, lanes: list[list[np.ndarray]]) -> list[list]:
@@ -225,22 +238,18 @@ def _recurse(
     cfg: ExperimentConfig, run_indices, mode: str, audits: Optional[list] = None
 ) -> list[_Recursion]:
     """Advance the filters of every run in run_indices step by step, in
-    lockstep; one _Recursion per run, in order.
+    lockstep (see the module docstring); one _Recursion per run, in order.
 
-    The block's filters are built once, before any run is simulated, so
-    a run's step 0 is its simulation alone.  Each step then propagates the
-    covariances of every live filter in one _propagated call (they share
-    one motion model), births and predicts each filter, computes one
-    _gains stage per measurement model over every run, then updates,
-    reduces and extracts each filter.  possbench
-    and the tests still see one predict, update, reduce and extract call
-    per state, and the stages change no bit of any state.  A run that
-    fails records its step and drops out of the block; the others go on.
-    audits, when given, holds one audit list per run.
+    The block's filters are built once, before any run is simulated, so a
+    run's step 0 is its simulation alone.  Each step makes one _propagated
+    call over every live filter (they share one motion model) and one
+    _gains call per measurement model; possbench and the tests still see
+    one predict, update, reduce and extract call per state.  A run that
+    fails records its step and drops out; the others go on.  audits, when
+    given, holds each run's audit list (see run_once).
     """
     scenario = cfg.scenario
-    fuses = mode != "single"
-    names = ["single"] if mode == "dependent" else [f"sensor{i + 1}" for i in range(len(scenario.sensors))]
+    names, fused_names = _series(mode, len(scenario.sensors))
     filters = [_Filter(cfg, s) for s in scenario.sensors[: len(names)]]
     # Every filter shares the scenario's motion model.  Gains read only a
     # measurement model's observation and noise, so filters whose two
@@ -251,18 +260,16 @@ def _recurse(
         by_matrices.setdefault((f.meas.observation.tobytes(), f.meas.noise.tobytes()), []).append(i)
     gain_groups = [(filters[members[0]].meas, members) for members in by_matrices.values()]
     H = filters[0].meas.observation
-    runs, live = [], []
-    for i, run_idx in enumerate(run_indices):
-        run = _Recursion(None if audits is None else audits[i])
-        runs.append(run)
+    runs = [_Recursion((*names, *fused_names), audits and audits[i]) for i in range(len(run_indices))]
+    live = []
+    for run, run_idx in zip(runs, run_indices):
         try:
-            truth, run.labeled = _simulate_run(cfg, run_idx, mode)
+            truth, run.labeled = _simulate_run(cfg, run_idx, len(names))
         except _FAILURES as exc:
             run.failure = (0, exc)
             continue
         run.positions = [None if x is None else H @ x for x in truth]
         run.states = [f.start for f in filters]
-        run.tracks = {name: SeriesTrack() for name in names}
         live.append(run)
 
     for step in range(1, scenario.steps + 1):
@@ -289,20 +296,16 @@ def _recurse(
         survivors = []
         for run, preds, stages in zip(live, predicted, gains):
             try:
-                for i, (f, name) in enumerate(zip(filters, names)):
-                    pred, scan = preds[i], run.labeled[i][step - 1][0]
-                    if run.audit is not None:
-                        run.audit.append((step, "predicted", name, pred))
-                    post = update(pred, scan, f.meas, f.det, gains=stages[i])
+                for i, (f, name, pred, labeled) in enumerate(zip(filters, names, preds, run.labeled)):
+                    run.record(step, "predicted", name, pred)
+                    post = update(pred, labeled[step - 1][0], f.meas, f.det, gains=stages[i])
                     state = BernoulliPossState(post.q_absent, post.q_present, reduce(post.spatial, f.reduction))
-                    if run.audit is not None:
-                        run.audit.append((step, "updated", name, state))
+                    run.record(step, "updated", name, state)
                     run.states[i] = state
-                    _append_state(run.tracks[name], state)
             except _FAILURES as exc:
                 run.failure = (step, exc)
                 continue
-            if fuses:
+            if fused_names:
                 # Dependent mode has one filter, fused with itself.
                 run.pairs.append((run.states[0], run.states[-1]))
             survivors.append(run)
@@ -310,32 +313,23 @@ def _recurse(
     return runs
 
 
-def _check_sensor_count(scenario, mode: str) -> None:
-    if mode in ("independent", "dependent") and len(scenario.sensors) != 2:
-        raise ConfigError(
-            "scenario.sensors",
-            f"{mode} fusion needs exactly 2 sensors, got {len(scenario.sensors)}",
-        )
-
-
-def _simulate_run(cfg: ExperimentConfig, run_idx: int, mode: str) -> tuple[list, list]:
-    """A run's truth and the labelled scans of every sensor the mode
-    feeds, in sensor order: dependent mode feeds only the first.
+def _simulate_run(cfg: ExperimentConfig, run_idx: int, sensors: int) -> tuple[list, list]:
+    """A run's truth and the labelled scans of the configured sensors
+    numbered 1 to sensors, in sensor order.
 
     Seeds are drawn for every configured sensor, so a sensor's scans do
-    not depend on which sensors the mode feeds.  An overflow or invalid
-    operation raises FloatingPointError rather than warning, so it fails
-    the run the same way under any warning filter.
+    not depend on how many are fed.  An overflow or invalid operation
+    raises FloatingPointError rather than warning, so it fails the run
+    the same way under any warning filter.
     """
     scenario = cfg.scenario
     sequence = np.random.SeedSequence(entropy=(int(cfg.master_seed), int(run_idx)))
     seeds = [int(w) for w in sequence.generate_state(1 + len(scenario.sensors), dtype=np.uint64)]
-    sensors = scenario.sensors[:1] if mode == "dependent" else scenario.sensors
     with np.errstate(over="raise", invalid="raise"):
         truth = generate_truth(scenario, seeds[0])
         labeled = [
             generate_labeled_measurements(truth, sensor, scenario.region, seeds[1 + i])
-            for i, sensor in enumerate(sensors)
+            for i, sensor in enumerate(scenario.sensors[:sensors])
         ]
     return truth, labeled
 
@@ -350,62 +344,53 @@ def run_once(
 ) -> RunRecord:
     """Execute one Monte Carlo run and return its record.
 
-    mode is "single", "independent", or "dependent".  When an audit list
-    is supplied, a tuple (step, phase, series, state) is appended for
-    every predicted, updated, and fused BernoulliPossState in the run, in
-    the order the run computes them: every step's predicted and updated
+    mode is "single", "independent", or "dependent".  The run's audit
+    list, when it has one, receives a tuple (step, phase, series, state)
+    for every predicted, updated and fused BernoulliPossState, in the
+    order the run computes them: every step's predicted and updated
     states, then every step's fused states.  phase is "predicted",
     "updated" or "fused", and series names the filter or fusion rule.
 
     recursion is this run's filter recursion when a block of runs was
-    advanced together (_recurse); without it the run recurses as a block
-    of one.  Either way run_once then fuses and records the run, and its
-    record has the same bits.  An audit given with a recursion receives
-    only the fused states.
+    advanced together (_recurse), with its audit list given there in
+    audits, so passing audit too raises ValueError.  Without it the run
+    recurses as a block of one, to the same bits, with audit as its list.
 
     A numerical failure raises NumericsError naming the run and the step,
     where step 0 is simulating the run's scenario.  Parsing the config
     rejects a dt, psd or region that the truth or the filters cannot be
     built from, so step 0 is left for failures met while simulating, such
-    as a truth that overflows.  A run
-    that runs out of memory, as a valid but enormous clutter rate makes
-    it, fails the same way.  Fusion runs after the recursion, so when a
-    filter fails, the steps before it are fused first, and a fusion
-    failure among them is the one raised.  Each step's three fusion calls
-    read the table _prefilled built for its pair through their table keyword.
+    as a truth that overflows.  A run that runs out of memory, as a valid
+    but enormous clutter rate makes it, fails the same way.  Fusion runs
+    after the recursion (see the module docstring), so when a filter
+    fails, the steps before it are fused first, and a fusion failure
+    among them is the one raised.
     """
-    if mode not in ("single", "independent", "dependent"):
-        raise ValueError(f"unknown run mode {mode!r}")
-    _check_sensor_count(cfg.scenario, mode)
+    if audit is not None and recursion is not None:
+        raise ValueError("a recursion brings its own audit; give it to _recurse")
+    _, fused_names = _series(mode, len(cfg.scenario.sensors))
     if recursion is None:
         (recursion,) = _recurse(cfg, [run_idx], mode, None if audit is None else [audit])
-    fused_names = () if mode == "single" else (SERIES_CHERNOFF, SERIES_CENTRALIZED)
-    fixed_omega = parse_omega_strategy(cfg.fusion.omega_strategy)
-
-    fused_tracks = {name: SeriesTrack() for name in fused_names}
-    if fused_tracks:
+    if fused_names:
         reduction, step = cfg.filter.reduction, 0
+        fixed_omega = parse_omega_strategy(cfg.fusion.omega_strategy)
         # Neither enumerate's cached tuple nor the loop holds a table while
         # _prefilled builds the next group.
         try:
             for a, b, table in _prefilled(recursion.pairs, fixed_omega, reduction):
                 step += 1
                 omega = select_omega(a, b, table=table) if fixed_omega is None else fixed_omega
-                fused = (
-                    fuse_chernoff(a, b, omega, reduction=reduction, table=table),
-                    fuse_independent(a, b, reduction=reduction, table=table),
-                )
-                for name, result in zip(fused_names, fused):
-                    _append_state(fused_tracks[name], result.state)
-                    if audit is not None:
-                        audit.append((step, "fused", name, result.state))
+                chernoff = fuse_chernoff(a, b, omega, reduction=reduction, table=table)
+                centralized = fuse_independent(a, b, reduction=reduction, table=table)
+                for name, result in zip(fused_names, (chernoff, centralized)):
+                    recursion.record(step, "fused", name, result.state)
                 del table
         except _FAILURES as exc:
             raise NumericsError(run_idx, step, exc) from exc
     if recursion.failure is not None:
         step, exc = recursion.failure
         raise NumericsError(run_idx, step, exc) from exc
-    return RunRecord(truth_positions=recursion.positions, series={**recursion.tracks, **fused_tracks})
+    return RunRecord(recursion.positions, recursion.tracks)
 
 
 # --- worker pool ------------------------------------------------------------
@@ -630,10 +615,12 @@ class ExperimentResult:
 
 
 def _drive(cfg: ExperimentConfig, mode: str, out_dir, dump_scans: bool) -> ExperimentResult:
-    # A bad sensor count (run_once checks it too), worker count, output
-    # directory or output file is one ConfigError before the pool starts,
-    # and leaves no file.
-    _check_sensor_count(cfg.scenario, mode)
+    # A bad sensor count, OSPA cutoff (a step's sum reaches cutoff x runs),
+    # worker count, output directory or output file is one ConfigError
+    # before the pool starts, and leaves no file.
+    _series(mode, len(cfg.scenario.sensors))
+    if not np.isfinite(cfg.metrics.ospa_cutoff * cfg.runs):
+        raise ConfigError("metrics.ospa_cutoff", f"its sum over {cfg.runs} runs overflows a float")
     workers = _worker_count(cfg.runs)
     out_path = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     try:

@@ -86,9 +86,9 @@ def test_benchmark_harness_pins():
     """What possbench reads of the package, checked here because the tier-1
     suite does not run possbench's own tests: its span paths, a SeriesTrack
     built from four positional fields, and metrics.ospa on sets of 0 or 1
-    point, equal to score_run's OSPA row.  ROADMAP items 10 (one fusion
-    call per step) and 12 (no SeriesTrack.n_components) will change this
-    contract together with the harness."""
+    point, equal to score_run's OSPA row.  ROADMAP item 16 (one fusion
+    call per step, no SeriesTrack.n_components) will change this contract
+    together with the harness."""
     path = Path(__file__).resolve().parents[1] / "possbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("possbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)

@@ -326,6 +326,25 @@ class TestLoadErrors:
         with pytest.raises(ConfigError):
             load_experiment(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            ('{"runs": 3, "scenario": {"steps": 3, "death_step": 3}, "runs": 2}', "runs"),
+            ('{"scenario": {"steps": 3, "birth_step": 1, "death_step": 3, "steps": 8}}', "scenario.steps"),
+            ('{"scenario": {"sensors": [{}, {"noise_var": 1, "noise_var": 1}]}}', "scenario.sensors[1].noise_var"),
+            ('{"filter": {"phi": {"a": 1, "b": 2, "a": 3}}}', "filter.phi.a"),
+        ],
+        ids=["top-level", "section", "sensor", "where-a-list-belongs"],
+    )
+    def test_repeated_key_is_named_with_its_path(self, text, path, tmp_path):
+        # json.load alone keeps the last value, and a repeated scenario.steps
+        # would be blamed on a birth/death/steps triple the file never wrote.
+        file = tmp_path / "exp.json"
+        file.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_experiment(file)
+        assert (err.value.path, err.value.message) == (path, "repeated key")
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -137,6 +137,32 @@ class TestRunOnce:
         run_once(cfg, 0, "single", audit=audit)
         assert [entry[:3] for entry in audit] == computed(["sensor1", "sensor2"], [])
 
+    @pytest.mark.parametrize("mode", ["single", "independent", "dependent"])
+    def test_block_audit_matches_the_lone_run(self, mode):
+        # A run recursed in a block reports every state it reports alone,
+        # fused ones included, in the same order and with the same bits.
+        def bits(state):
+            spatial = state.spatial
+            return (np.float64(state.q_absent).tobytes(), np.float64(state.q_present).tobytes(),
+                    spatial.weights.tobytes(), spatial.means.tobytes(), spatial.covariances.tobytes())
+
+        cfg = small_cfg(runs=3, steps=8, death_step=8)
+        audits = [[] for _ in range(cfg.runs)]
+        for run_idx, recursion in enumerate(runner_mod._recurse(cfg, range(cfg.runs), mode, audits)):
+            run_once(cfg, run_idx, mode, recursion=recursion)
+        for run_idx, got in enumerate(audits):
+            want = []
+            run_once(cfg, run_idx, mode, audit=want)
+            assert [entry[:3] for entry in got] == [entry[:3] for entry in want]
+            assert [bits(entry[3]) for entry in got] == [bits(entry[3]) for entry in want]
+            assert ("fused" in {entry[1] for entry in got}) == (mode != "single")
+
+    def test_audit_with_a_recursion_raises(self):
+        cfg = small_cfg(steps=3, death_step=3)
+        (recursion,) = runner_mod._recurse(cfg, [0], "independent")
+        with pytest.raises(ValueError, match="audit"):
+            run_once(cfg, 0, "independent", [], recursion=recursion)
+
     def test_dependent_runs_one_filter(self, monkeypatch):
         calls = {"predict": 0, "update": 0, "generate_labeled_measurements": 0}
 
@@ -916,6 +942,43 @@ class TestCli:
         assert err.startswith("configuration error: scenario.sensors:")
         assert err.count("exactly 2 sensors") == 1
         assert not out.exists()
+
+    def test_repeated_config_key_is_exit_2(self, tmp_path, capsys):
+        # json.load alone keeps the last value: 2 runs and exit 0.
+        path = tmp_path / "exp.json"
+        path.write_text('{"runs": 3, "scenario": {"steps": 3, "death_step": 3}, "runs": 2}')
+        out = tmp_path / "x"
+        assert main(["single", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "configuration error: runs: repeated key\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "runs, cutoff, flags", [(10, 1e308, []), (1, 1e307, ["--runs", "100"])], ids=["config-runs", "runs-flag"]
+    )
+    def test_ospa_cutoff_whose_sum_overflows_is_exit_2(self, runs, cutoff, flags, workers, tmp_path, capsys, monkeypatch):
+        # Each step's OSPA sum over the runs can reach cutoff x runs; unchecked,
+        # 1e308 x 10 runs puts inf on 10 of ospa.csv's 16 rows, with exit 0.
+        monkeypatch.setenv("POSSFUSE_THREADS", workers)
+        monkeypatch.setattr(runner_mod, "_collect_runs", lambda *args: pytest.fail("runs were computed"))
+        path = tmp_path / "exp.json"
+        scenario = {"steps": 8, "birth_step": 3, "death_step": 5}
+        path.write_text(json.dumps({"runs": runs, "scenario": scenario, "metrics": {"ospa_cutoff": cutoff}}))
+        out = tmp_path / "x"
+        assert main(["single", "--config", str(path), *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: metrics.ospa_cutoff: ")
+        assert not out.exists()
+
+    def test_ospa_cutoff_whose_sum_stays_finite_is_written(self, tmp_path):
+        # The check reads the run count after --runs: 1e307 x 100 config runs
+        # overflows, 1e307 x 10 does not.
+        path = tmp_path / "exp.json"
+        doc = {"runs": 100, "scenario": {"steps": 8, "birth_step": 3, "death_step": 5}, "metrics": {"ospa_cutoff": 1e307}}
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "x"
+        assert main(["single", "--config", str(path), "--runs", "10", "--out", str(out)]) == 0
+        rows = (out / "ospa.csv").read_text().splitlines()[1:]
+        assert len(rows) == 16 and all(np.isfinite(float(row.split(",")[2])) for row in rows)
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
