@@ -41,7 +41,6 @@ from .gaussmax import (
     _conditioned_covariance,
     _log_sup_product,
     _readonly,
-    _surviving,
 )
 from .simulate import Rect, Scan, _check_finite, _check_int
 
@@ -348,13 +347,13 @@ def predict(
     """One prediction step of the Bernoulli recursion.
 
     Existence:  q_absent' = max(stay_absent q0, become_absent q1) and
-    q_present' = max(become_present q0, stay_present q1).  Row-normalised
-    transitions make the pair come out with max exactly 1 again.
+    q_present' = max(become_present q0, stay_present q1).  Their max is
+    exactly 1 when each row of phi has max exactly 1, else within NORM_TOL.
 
     Spatial: the birth mixture scaled by become_present * q0 competes by
     pointwise max with the survival branch, in which every component is
-    pushed through the motion model; the union is renormalised, which
-    divides out exactly q_present'.  When q_present' is 0, the state is
+    pushed through the motion model; _derived renormalises the union,
+    dividing out exactly q_present'.  When q_present' is 0, the state is
     (1, 0) and its spatial part is the survival branch at unit scale.
 
     propagated may hand in the survival branch's covariances as a pair
@@ -389,9 +388,8 @@ def predict(
         w_parts.append(birth_scale * birth.weights)
         m_parts.append(birth.means)
         P_parts.append(birth.covariances)
-    w = np.concatenate(w_parts)
     spatial = GaussianMaxMixture._derived(
-        w / w.max(), np.concatenate(m_parts), np.concatenate(P_parts)
+        np.concatenate(w_parts), np.concatenate(m_parts), np.concatenate(P_parts)
     )
     return BernoulliPossState(q_absent=q0p, q_present=q1p, spatial=spatial)
 
@@ -416,10 +414,8 @@ def update(
     one Kalman-updated component per (prior component, measurement) pair
     weighted by detection * clutter_ratio * N(z; eta_i, S_i) * w_i / theta.
     Because theta is the exact supremum of those unscaled weights, the
-    posterior max weight lands at 1 up to rounding; it is renormalised to
-    exactly 1.  Components whose renormalised weight underflows are
-    dropped by the one rule, _surviving, that fusion applies too, there
-    at a floor raised to the prune ratio when the fusion is reduced.
+    posterior max weight lands at 1 up to rounding; _derived renormalises
+    it to exactly 1.
 
     gains may hand in (source, _gains(source, meas)) computed for many
     states at once.  As with predict's propagated, it is read only when
@@ -456,13 +452,11 @@ def update(
     det_means = m[None, :, :] + np.einsum("nij,mnj->mni", K, nu)
 
     weights = np.concatenate([nd_w, det_w.reshape(-1)])
-    weights /= weights.max()
     means = np.concatenate([m, det_means.reshape(-1, nx)])
     covs = np.empty((n_comp * (1 + n_meas), nx, nx))
     covs[:n_comp] = P
     covs[n_comp:].reshape(n_meas, n_comp, nx, nx)[...] = P_upd
-    keep = _surviving(weights)
-    spatial = GaussianMaxMixture._derived(weights[keep], means[keep], covs[keep])
+    spatial = GaussianMaxMixture._derived(weights, means, covs)
     return BernoulliPossState(q0, q1, spatial)
 
 
@@ -476,7 +470,7 @@ def reduce(mixture: GaussianMaxMixture, config: ReductionConfig) -> GaussianMaxM
     A merged cluster keeps the head's weight, which preserves the mixture
     supremum, and takes the weight-proportional moment-matched mean and
     covariance.  Finally at most max_components clusters survive, kept by
-    descending weight, and weights are rescaled so the max is exactly 1.
+    descending weight, and _derived rescales them so the max is exactly 1.
     The distances are computed for one window of candidate heads at a
     time, at most MERGE_TABLE_BUDGET entries, so memory stays bounded
     however many components come in.
@@ -485,8 +479,8 @@ def reduce(mixture: GaussianMaxMixture, config: ReductionConfig) -> GaussianMaxM
     w, means, covs = mixture.weights[keep], mixture.means[keep], mixture.covariances[keep]
     n = w.size
     if n == 1:
-        # A lone survivor is its own cluster, and w / w.max() is exactly 1.
-        return GaussianMaxMixture._derived(np.ones(1), means, covs)
+        # A lone survivor is its own cluster.
+        return GaussianMaxMixture._derived(w, means, covs)
 
     # near[j]: component j lies within merge_mahalanobis of the head in
     # the head's metric.  The greedy walk reads heads in weight order, in
@@ -543,7 +537,7 @@ def reduce(mixture: GaussianMaxMixture, config: ReductionConfig) -> GaussianMaxM
             m_out[i] = mbar
             P_merged.append(Pbar)
         P_out[merged] = _conditioned_covariance(np.stack(P_merged))
-    return GaussianMaxMixture._derived(w_out / w_out.max(), m_out, P_out)
+    return GaussianMaxMixture._derived(w_out, m_out, P_out)
 
 
 def extract(state: BernoulliPossState) -> Optional[Estimate]:

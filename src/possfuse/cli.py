@@ -96,7 +96,7 @@ def _report(result, stream) -> None:
     agg = result.aggregate
     print(f"{agg.runs} runs, {agg.steps} steps", file=stream)
     for name in agg.series:
-        mean = sum(agg.mean_ospa[name]) / agg.steps
+        mean = float((agg.mean_ospa[name] / agg.steps).sum())
         print(f"  {name}: mean OSPA over run {mean:.4f}", file=stream)
     for f in sorted(result.files):
         print(f"  wrote {result.files[f]}", file=stream)

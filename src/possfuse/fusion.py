@@ -106,7 +106,7 @@ class _ProductTable:
 
     Row index[row] fuses at exponents row = (e1, e2).  alpha =
     exp(log_alpha[r]) is the row's largest pair weight, and the row keeps
-    the pairs whose weight divided by alpha _surviving keeps at floor.
+    the pairs whose weight divided by alpha is not below floor.
     kept_weights, means and covs hold every kept pair of every row,
     conditioned and checked, and bounds[r]:bounds[r + 1] slices row r's,
     heaviest first, ties in pair order ((i, j) in C order).  head_trace[r]
@@ -300,7 +300,7 @@ def _fuse(
     if reduction is not None:
         hi = min(hi, lo + reduction.max_components)
     mixture = GaussianMaxMixture._derived(
-        table.kept_weights[lo:hi].copy(), table.means[lo:hi].copy(), table.covs[lo:hi].copy()
+        table.kept_weights[lo:hi], table.means[lo:hi].copy(), table.covs[lo:hi].copy()
     )
     log_alpha = float(table.log_alpha[r])
 

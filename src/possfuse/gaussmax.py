@@ -197,14 +197,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _surviving(w: np.ndarray, floor: float = WEIGHT_UNDERFLOW) -> np.ndarray:
     """Mask of the components a mixture keeps, given weights divided by
-    their largest: those not below floor, which is WEIGHT_UNDERFLOW or,
-    for a fused state kept by weight, a larger prune ratio.
+    their largest: all but those in [0, floor), floor being WEIGHT_UNDERFLOW
+    or, for a fused state kept by weight, a larger prune ratio.
 
     floor is below 1 and the heaviest component has weight 1, so it always
     stays, and a mixture is never empty however far apart its sources are.
-    A NaN weight stays too, so that _checked_weights rejects it.
+    A NaN or negative weight stays too, so that _checked_weights rejects it.
     """
-    return ~(w < floor)
+    return (w < 0.0) | ~(w < floor)
 
 
 def _checked_weights(w: np.ndarray) -> np.ndarray:
@@ -263,18 +263,24 @@ class GaussianMaxMixture:
     def _derived(
         cls, weights: np.ndarray, means: np.ndarray, covariances: np.ndarray
     ) -> "GaussianMaxMixture":
-        """A mixture an operation has computed from checked mixtures.
-
-        covariances must be conditioned already: either computed and passed
-        through _conditioned_covariance by the operation, or taken from a
-        checked mixture.  Weights and means are checked here, since every
-        operation computes them anew.  The arrays are frozen in place, not
-        copied, so the caller must not keep a writable reference to them.
+        """The mixture an operation computed from checked mixtures, by the
+        one rule for computed weights: divided by their largest, with the
+        components _surviving drops dropped.  covariances must be
+        conditioned already; weights and means are checked here.  When none
+        is dropped, means and covariances are frozen in place, not copied.
         """
+        top = weights.max()
+        if not 0.0 < top < math.inf:
+            raise ValueError("weights must be finite and strictly positive")
+        weights = weights / top
+        # Weights in [WEIGHT_UNDERFLOW, 1] would pass the check unchanged.
+        if not weights.min() >= WEIGHT_UNDERFLOW:
+            keep = _surviving(weights)
+            weights, means, covariances = _checked_weights(weights[keep]), means[keep], covariances[keep]
         if not np.isfinite(means).all():
             raise ValueError("means must be finite")
         mixture = object.__new__(cls)
-        object.__setattr__(mixture, "weights", _frozen(_checked_weights(weights)))
+        object.__setattr__(mixture, "weights", _frozen(weights))
         object.__setattr__(mixture, "means", _frozen(means))
         object.__setattr__(mixture, "covariances", _frozen(covariances))
         return mixture

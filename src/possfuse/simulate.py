@@ -360,9 +360,9 @@ def build_birth_mixture(
     Each measurement z spawns a component with mean (z_x, 0, z_y, 0) and
     diagonal covariance built from pos_var and vel_var; all weights are 1,
     since any one of these explanations is fully plausible as the birth
-    location.  When there is no previous scan, or it is empty, the single
-    region-covering ignorance component of birth_cfg is returned (the same
-    mixture each time) so that birth is never impossible.
+    location; _derived keeps them 1.  With no previous scan, or an empty
+    one, the single region-covering ignorance component of birth_cfg is
+    returned (the same mixture each time) so that birth is never impossible.
     """
     if previous_scan is None or previous_scan.points.shape[0] == 0:
         return birth_cfg.ignorance

@@ -82,6 +82,20 @@ def test_every_private_name_has_a_caller():
     assert not unused, f"private names no code in the package reads: {unused}"
 
 
+def test_underflow_rule_has_one_owner():
+    # Which components a computed mixture keeps is decided in gaussmax
+    # alone: GaussianMaxMixture._derived and the fusion kernel.
+    outside = []
+    for path in sorted(Path(possfuse.__file__).parent.glob("*.py")):
+        if path.name == "gaussmax.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            # A Name, an Attribute, an imported alias or a definition.
+            if "_surviving" in (getattr(node, key, None) for key in ("id", "attr", "name")):
+                outside.append(f"{path.name}:{node.lineno}")
+    assert not outside, f"_surviving is referenced outside gaussmax.py: {outside}"
+
+
 def test_benchmark_harness_pins():
     """What possbench reads of the package, checked here because the tier-1
     suite does not run possbench's own tests: its span paths, a SeriesTrack

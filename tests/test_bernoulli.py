@@ -208,6 +208,20 @@ class TestPredict:
         for name in ("weights", "means", "covariances"):
             assert getattr(pred.spatial, name).tobytes() == getattr(want, name).tobytes(), name
 
+    def test_component_whose_scaled_weight_underflows_is_dropped(self):
+        # A subnormal q_present scales the lighter component's weight to
+        # exactly 0, which the one underflow rule drops; with no birth, the
+        # heavier component alone is left, at weight 1.
+        q1 = 1.2e-322
+        assert q1 * 0.006 == 0.0
+        keep = TransitionPossibilityMatrix.from_matrix([[1.0, 0.0], [0.0, 1.0]])
+        state = one_d_state(1.0, q1, [1.0, 0.006], [0.0, 3.0], [1.0, 2.0])
+        pred = predict(state, self.MOTION, keep, self.BIRTH)
+        assert (pred.q_absent, pred.q_present) == (1.0, q1)
+        assert pred.spatial.n_components == 1
+        assert pred.spatial.max_weight == 1.0
+        assert pred.spatial.means[0, 0] == 0.0
+
     def test_dimension_mismatch(self):
         state = one_d_state(1.0, 1.0, [1.0], [0.0], [1.0])
         bad_motion = MotionModel(np.eye(2), np.zeros((2, 2)))

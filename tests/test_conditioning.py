@@ -299,29 +299,45 @@ class TestJitterOnce:
             assert got.tobytes() == gaussmax_mod._conditioned_covariance(P).tobytes()
 
 
+def derived(weights):
+    """GaussianMaxMixture._derived of raw weights, with means 0, 1, ... on
+    one axis and unit covariances, and the arrays it was given."""
+    w = np.array(weights, dtype=float)
+    m = np.arange(w.size, dtype=float)[:, None]
+    P = np.ones((w.size, 1, 1))
+    return GaussianMaxMixture._derived(w, m, P), w, m, P
+
+
+# Raw weights at any scale, subnormal included: a float anywhere in
+# [0, 1e308], or a power of two from 2**-1074 up.
+RAW_WEIGHT = st.one_of(
+    st.floats(min_value=0.0, max_value=1e308),
+    st.integers(-1074, 1023).map(lambda e: 2.0**e),
+)
+
+
 class TestDerivedConstructor:
-    def test_freezes_without_copying(self):
-        w, m, P = np.array([1.0, 0.5]), np.zeros((2, 2)), np.stack([np.eye(2)] * 2)
-        mix = GaussianMaxMixture._derived(w, m, P)
-        assert mix.weights is w and mix.means is m and mix.covariances is P
-        for a in (w, m, P):
-            assert not a.flags.writeable
+    """GaussianMaxMixture._derived is the one rule for a computed mixture:
+    raw weights divided by their largest, the components that underflow
+    dropped, then checked."""
+
+    def test_freezes_means_and_covariances_in_place(self):
+        mix, w, m, P = derived([1.0, 0.5])
+        assert mix.means is m and mix.covariances is P
+        assert not (m.flags.writeable or P.flags.writeable or mix.weights.flags.writeable)
+        # The weights are a normalised copy; the caller's array is untouched.
+        assert mix.weights is not w and w.flags.writeable
+        assert mix.weights.tolist() == [1.0, 0.5]
 
     @pytest.mark.parametrize(
-        "weights, match",
-        [
-            ([1.0, np.nan], "finite and strictly positive"),
-            ([1.0, np.inf], "finite and strictly positive"),
-            ([1.0, 0.0], "finite and strictly positive"),
-            ([1.0, -0.5], "finite and strictly positive"),
-            ([1.0, 1.5], "must not exceed 1"),
-        ],
+        "weights",
+        [[1.0, np.nan], [np.nan, 1.0], [1.0, np.inf], [np.inf, np.inf], [1.0, -0.5], [-1.0, -2.0], [0.0, 0.0]],
     )
-    def test_rejects_bad_weights(self, weights, match):
-        with pytest.raises(ValueError, match=match):
-            GaussianMaxMixture._derived(
-                np.array(weights), np.zeros((2, 2)), np.stack([np.eye(2)] * 2)
-            )
+    def test_rejects_bad_weights_without_a_warning(self, weights):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite and strictly positive"):
+                derived(weights)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_means(self, bad):
@@ -329,11 +345,32 @@ class TestDerivedConstructor:
         with pytest.raises(ValueError, match="means must be finite"):
             GaussianMaxMixture._derived(np.array([1.0, 0.5]), means, np.stack([np.eye(2)] * 2))
 
-    def test_clips_weights_within_tolerance_to_one(self):
-        mix = GaussianMaxMixture._derived(
-            np.array([1.0 + 1e-13]), np.zeros((1, 1)), np.ones((1, 1, 1))
-        )
-        assert mix.weights[0] == 1.0
+    @pytest.mark.parametrize(
+        "weights, want",
+        [([1.0, 1.5], [1.0 / 1.5, 1.0]), ([1.0 + 1e-13], [1.0]), ([2e-320, 1e-320], [1.0, 0.5])],
+    )
+    def test_weights_are_divided_by_their_largest(self, weights, want):
+        mix, *_ = derived(weights)
+        assert mix.weights.tolist() == want
+
+    def test_zero_weight_is_dropped(self):
+        mix, *_ = derived([0.0, 1.0, 0.0, 0.25])
+        assert mix.weights.tolist() == [1.0, 0.25]
+        assert mix.means[:, 0].tolist() == [1.0, 3.0]
+        assert mix.covariances.shape == (2, 1, 1)
+
+    @given(st.lists(RAW_WEIGHT, min_size=1, max_size=8).filter(lambda w: max(w) > 0.0))
+    @settings(max_examples=300, deadline=None)
+    def test_one_rule_normalises_and_drops_what_underflows(self, weights):
+        mix, w, m, P = derived(weights)
+        normalised = w / w.max()
+        keep = [i for i, v in enumerate(normalised) if not v < gaussmax_mod.WEIGHT_UNDERFLOW]
+        assert mix.max_weight == 1.0
+        assert mix.weights.tobytes() == normalised[keep].tobytes()
+        assert mix.means[:, 0].tolist() == [float(i) for i in keep]
+        assert mix.covariances.shape == (len(keep), 1, 1)
+        if len(keep) == w.size:
+            assert mix.means is m and mix.covariances is P
 
 
 class TestPublicConstructor:

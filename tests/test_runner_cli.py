@@ -299,6 +299,13 @@ STRESS = {
         scenario={"steps": 200, "sensors": [{"pd_true": 0, "clutter_rate": 0}] * 2},
         filter={"phi": [[1, 0], [0, 1]], "pd_interval": [0.99, 1.0]},
     ),
+    # The same with clutter, so the mixture has more than one component:
+    # once q_present is subnormal, predict scales a light component's
+    # weight to exactly 0 (step 177), and the one underflow rule drops it.
+    "presence-underflow-clutter": stress_doc(
+        scenario={"steps": 200, "sensors": [{"pd_true": 0}] * 2},
+        filter={"phi": [[1, 0], [0, 1]], "pd_interval": [0.99, 1.0]},
+    ),
 }
 
 
@@ -979,6 +986,20 @@ class TestCli:
         assert main(["single", "--config", str(path), "--runs", "10", "--out", str(out)]) == 0
         rows = (out / "ospa.csv").read_text().splitlines()[1:]
         assert len(rows) == 16 and all(np.isfinite(float(row.split(",")[2])) for row in rows)
+
+    @pytest.mark.parametrize("flags", [[], ["-W", "error"]], ids=["default", "W-error"])
+    def test_mean_ospa_near_the_cutoff_is_reported_finite(self, flags, tmp_path):
+        # Summed before dividing, the 8 per-step means near 1e308 overflowed:
+        # "mean OSPA over run inf", or a traceback and exit 1 under -W error.
+        path = tmp_path / "exp.json"
+        doc = {"runs": 1, "scenario": {"steps": 8, "birth_step": 3, "death_step": 5}, "metrics": {"ospa_cutoff": 1e308}}
+        path.write_text(json.dumps(doc))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(support.SRC), os.environ.get("PYTHONPATH")]))}
+        command = [sys.executable, *flags, "-m", "possfuse.cli", "single", "--runs", "1", "--config", str(path), "--out", str(tmp_path / "x")]
+        done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        means = re.findall(r"mean OSPA over run (\S+)\n", done.stdout)
+        assert len(means) == 2 and all(np.isfinite(float(m)) and float(m) > 1e307 for m in means)
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
