@@ -29,6 +29,7 @@ maps to a detection possibility high and a non-detection possibility
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -219,8 +220,8 @@ class BernoulliPossState:
     """Joint possibilistic description of target existence and location.
 
     max(q_absent, q_present) must be 1 and the spatial mixture must be
-    normalised; both are enforced here so every state in a recursion is
-    valid by construction.
+    normalised.  Both are enforced here for a state a caller builds; an
+    operation builds its states through _derived, valid by construction.
     """
 
     q_absent: float
@@ -239,6 +240,18 @@ class BernoulliPossState:
             raise ValueError("spatial mixture must be normalised (max weight 1)")
         object.__setattr__(self, "q_absent", q0)
         object.__setattr__(self, "q_present", q1)
+
+    @classmethod
+    def _derived(cls, q_absent: float, q_present: float, spatial: GaussianMaxMixture) -> "BernoulliPossState":
+        """The state an operation computed: an existence pair it divided by
+        its own max and a mixture from GaussianMaxMixture._derived, whose
+        largest weight is exactly 1.  Both are valid by construction, so
+        the checks of __post_init__ are not run again."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "q_absent", q_absent)
+        object.__setattr__(state, "q_present", q_present)
+        object.__setattr__(state, "spatial", spatial)
+        return state
 
 
 @dataclass(frozen=True)
@@ -292,10 +305,14 @@ def _normalized_pair(a: float, b: float) -> tuple[float, float]:
     return a / top, b / top
 
 
-def _stage_for(source: np.ndarray, stage: Optional[tuple]):
-    """The result of a handed-in (source, result) stage when it was
-    computed from this very covariance array, else None."""
-    return stage[1] if stage is not None and stage[0] is source else None
+def _stage_for(stage: Optional[tuple], *source):
+    """The rows of a handed-in (source, rows) stage when they were computed
+    from these very objects, else None.  A stage computed from several
+    objects names them as a tuple, in the order given here."""
+    if stage is None:
+        return None
+    handed = stage[0] if len(source) > 1 else (stage[0],)
+    return stage[1] if len(handed) == len(source) and all(map(operator.is_, handed, source)) else None
 
 
 def _propagated(P: np.ndarray, motion: MotionModel) -> np.ndarray:
@@ -334,6 +351,41 @@ def _gains(P: np.ndarray, meas: MeasurementModel) -> tuple[np.ndarray, np.ndarra
         0.5 * (P_upd + P_upd.swapaxes(1, 2)), terms=((IKH, P), (K, R))
     )
     return S, K, P_upd
+
+
+def _scanned(lanes: list[tuple], H: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The scan half of update for many states at once.
+
+    lanes holds one (means, points, S, K) per state: its components'
+    means, its scan's points, and the S and K that _gains gives for its
+    covariances.  Every (state, point, component) triple is one row of one
+    flat stack, with no padding: the innovation nu = z - H m, the log
+    supremum -0.5 nu' inv(S) nu (_log_sup_product, one right-hand side per
+    row) and the Kalman-updated mean m + K nu.  Returns per state its
+    (log_sup, means), of shapes (points, components) and
+    (points * components, dim), point-major as update lays them out.  Each
+    row is computed from its own inputs alone (H m by einsum, not by a
+    BLAS product, whose bits depend on the stack), so a state's rows have
+    the bits they have in a call of their own."""
+    means = np.concatenate([lane[0] for lane in lanes])
+    points = np.concatenate([lane[1] for lane in lanes])
+    S = np.concatenate([lane[2] for lane in lanes])
+    K = np.concatenate([lane[3] for lane in lanes])
+    n_comp = np.array([len(lane[0]) for lane in lanes])
+    n_meas = np.array([len(lane[1]) for lane in lanes])
+    bounds = np.concatenate([[0], np.cumsum(n_comp * n_meas)])
+    lane = np.repeat(np.arange(len(lanes)), n_comp * n_meas)
+    # Row k of a state: point k // n_comp, component k % n_comp.
+    k = np.arange(bounds[-1]) - bounds[lane]
+    comp = (np.cumsum(n_comp) - n_comp)[lane] + k % n_comp[lane]
+    point = (np.cumsum(n_meas) - n_meas)[lane] + k // n_comp[lane]
+    nu = points[point] - np.einsum("ij,nj->ni", H, means)[comp]
+    log_sup = _log_sup_product(nu, S[comp])
+    det_means = means[comp] + np.einsum("kij,kj->ki", K[comp], nu)
+    return [
+        (log_sup[a:b].reshape(-1, c), det_means[a:b])
+        for a, b, c in zip(bounds[:-1].tolist(), bounds[1:].tolist(), n_comp.tolist())
+    ]
 
 
 def predict(
@@ -382,7 +434,7 @@ def predict(
         F = motion.transition
         w_parts.append((survive_scale or 1.0) * mix.weights)
         m_parts.append(mix.means @ F.T)
-        moved = _stage_for(mix.covariances, propagated)
+        moved = _stage_for(propagated, mix.covariances)
         P_parts.append(_propagated(mix.covariances, motion) if moved is None else moved)
     if birth_scale > 0.0:
         w_parts.append(birth_scale * birth.weights)
@@ -391,7 +443,7 @@ def predict(
     spatial = GaussianMaxMixture._derived(
         np.concatenate(w_parts), np.concatenate(m_parts), np.concatenate(P_parts)
     )
-    return BernoulliPossState(q_absent=q0p, q_present=q1p, spatial=spatial)
+    return BernoulliPossState._derived(q0p, q1p, spatial)
 
 
 def update(
@@ -401,6 +453,7 @@ def update(
     det: DetectionPossibility,
     *,
     gains: Optional[tuple] = None,
+    scanned: Optional[tuple] = None,
 ) -> BernoulliPossState:
     """One measurement update of the Bernoulli recursion.
 
@@ -419,7 +472,11 @@ def update(
 
     gains may hand in (source, _gains(source, meas)) computed for many
     states at once.  As with predict's propagated, it is read only when
-    source is this state's own covariance array.
+    source is this state's own covariance array.  scanned may hand in this
+    state's rows of a _scanned call over many states, as
+    ((pred.spatial, scan), rows); they are read only when the two objects
+    named are this state's own mixture and this very scan.  Without them
+    update runs the same two functions on its own state.
     """
     mix = pred.spatial
     if meas.state_dim != mix.dim:
@@ -432,35 +489,90 @@ def update(
             f"scan points have dimension {points.shape[1]}, model expects {meas.meas_dim}"
         )
 
-    H = meas.observation
     P = mix.covariances
     m = mix.means
     n_comp, nx = m.shape
     n_meas = points.shape[0]
-    staged = _stage_for(P, gains)
+    staged = _stage_for(gains, P)
     S, K, P_upd = _gains(P, meas) if staged is None else staged
+    half = _stage_for(scanned, mix, scan)
+    log_sup, det_means = _scanned([(m, points, S, K)], meas.observation)[0] if half is None else half
 
     # log[clutter_ratio * w_i * N(z; H m_i, S_i)] for every (z, component).
-    nu = points[:, None, :] - (m @ H.T)[None, :, :]
-    table = math.log(meas.clutter_ratio()) + np.log(mix.weights) + _log_sup_product(nu, S)
+    table = math.log(meas.clutter_ratio()) + np.log(mix.weights) + log_sup
     # An empty scan has no table entries, so theta is nondetection.
     theta = max(d0, d1 * math.exp(float(table.max(initial=-np.inf))))
     q0, q1 = _normalized_pair(pred.q_absent, theta * pred.q_present)
 
     nd_w = (d0 / theta) * mix.weights
     det_w = np.exp(math.log(d1) - math.log(theta) + table)
-    det_means = m[None, :, :] + np.einsum("nij,mnj->mni", K, nu)
 
     weights = np.concatenate([nd_w, det_w.reshape(-1)])
-    means = np.concatenate([m, det_means.reshape(-1, nx)])
+    means = np.concatenate([m, det_means])
     covs = np.empty((n_comp * (1 + n_meas), nx, nx))
     covs[:n_comp] = P
     covs[n_comp:].reshape(n_meas, n_comp, nx, nx)[...] = P_upd
     spatial = GaussianMaxMixture._derived(weights, means, covs)
-    return BernoulliPossState(q0, q1, spatial)
+    return BernoulliPossState._derived(q0, q1, spatial)
 
 
-def reduce(mixture: GaussianMaxMixture, config: ReductionConfig) -> GaussianMaxMixture:
+def _distances(
+    means: np.ndarray, covs: np.ndarray, heads: np.ndarray, start: np.ndarray, size: np.ndarray
+) -> np.ndarray:
+    """Squared Mahalanobis distances from heads, each in its own metric.
+
+    Row r holds the distances from component heads[r] of the stack
+    (means, covs) to the size[r] components from start[r] on, then zeros up
+    to the largest size: a padded column repeats the head.  One Cholesky
+    factorisation of the heads and one multi-column solve serve every row,
+    and each column of the solve has the bits it has among any other
+    columns, so a row's distances do not depend on the rest of the table.
+    """
+    col = np.arange(size.max())
+    idx = np.where(col < size[:, None], start[:, None] + col, heads[:, None])
+    diff = means[idx] - means[heads, None, :]
+    y = np.linalg.solve(np.linalg.cholesky(covs[heads]), diff.swapaxes(1, 2))
+    return (y * y).sum(axis=1)
+
+
+def _survivors(mixtures: list[GaussianMaxMixture], config: ReductionConfig) -> list[tuple]:
+    """What reduce's walk reads of each mixture, for many at once.
+
+    Per mixture (w, means, covs, order, table): the components the prune
+    keeps (weight at least prune_ratio times the largest), their indices
+    heaviest first with ties in index order, and, when more than one
+    survives and all fit one window of MERGE_TABLE_BUDGET entries, the
+    _distances table of every survivor from each head in that order; else
+    table is None.  One pass prunes and sorts every mixture, and one
+    _distances call serves every table.
+    """
+    sizes = np.array([m.n_components for m in mixtures])
+    weights = np.concatenate([m.weights for m in mixtures])
+    lane = np.repeat(np.arange(len(mixtures)), sizes)
+    tops = np.maximum.reduceat(weights, np.cumsum(sizes) - sizes)
+    kept = np.flatnonzero(weights >= config.prune_ratio * tops[lane])
+    w, lane = weights[kept], lane[kept]
+    means = np.concatenate([m.means for m in mixtures])[kept]
+    covs = np.concatenate([m.covariances for m in mixtures])[kept]
+    counts = np.bincount(lane, minlength=len(mixtures))
+    starts = np.cumsum(counts) - counts
+    # Sorted by mixture first, so lane[j] is also the mixture of order[j].
+    order = np.lexsort((-w, lane))
+    fits = (counts > 1) & (counts * counts <= MERGE_TABLE_BUDGET)
+    rows = fits[lane]
+    table = _distances(means, covs, order[rows], starts[lane[rows]], counts[lane[rows]]) if rows.any() else None
+    local = (order - starts[lane]).tolist()
+    out, row = [], 0
+    for a, n, fit in zip(starts.tolist(), counts.tolist(), fits.tolist()):
+        b = a + n
+        out.append((w[a:b], means[a:b], covs[a:b], local[a:b], table[row : row + n, :n] if fit else None))
+        row += n if fit else 0
+    return out
+
+
+def reduce(
+    mixture: GaussianMaxMixture, config: ReductionConfig, *, near: Optional[tuple] = None
+) -> GaussianMaxMixture:
     """Prune, merge, and cap a mixture, then renormalise.
 
     Pruning removes components lighter than prune_ratio times the max
@@ -474,23 +586,30 @@ def reduce(mixture: GaussianMaxMixture, config: ReductionConfig) -> GaussianMaxM
     The distances are computed for one window of candidate heads at a
     time, at most MERGE_TABLE_BUDGET entries, so memory stays bounded
     however many components come in.
+
+    near may hand in this mixture's entry of a _survivors call over many
+    mixtures, as ((mixture, config), entry): its survivors, their order
+    and the first window's table.  It is read only when the two objects
+    named are this very mixture and config; otherwise reduce runs
+    _survivors on its mixture alone, so the keyword never changes a
+    result, only the cost.
     """
-    keep = mixture.weights >= config.prune_ratio * mixture.max_weight
-    w, means, covs = mixture.weights[keep], mixture.means[keep], mixture.covariances[keep]
+    staged = _stage_for(near, mixture, config)
+    w, means, covs, order, table = _survivors([mixture], config)[0] if staged is None else staged
     n = w.size
     if n == 1:
         # A lone survivor is its own cluster.
         return GaussianMaxMixture._derived(w, means, covs)
 
-    # near[j]: component j lies within merge_mahalanobis of the head in
-    # the head's metric.  The greedy walk reads heads in weight order, in
-    # windows of at most `rows` of them, and computes rows only for heads
-    # still alive when their window starts; it stops at max_components
-    # heads, since the cap drops every later cluster.
+    # A row of the table: which components lie within merge_mahalanobis of
+    # the head in the head's metric.  The greedy walk reads heads in weight
+    # order, in windows of at most `rows` of them, and computes rows only
+    # for heads still alive when their window starts; it stops at
+    # max_components heads, since the cap drops every later cluster.  A
+    # table handed in by _survivors is the only window.
     # A product, not a power, so that a huge radius squares to inf.
     radius2 = config.merge_mahalanobis * float(config.merge_mahalanobis)
     rows = max(1, MERGE_TABLE_BUDGET // n)
-    order = np.argsort(-w, kind="stable").tolist()
     alive = [True] * n
     heads: list[int] = []
     clusters: list[list[int]] = []
@@ -498,14 +617,15 @@ def reduce(mixture: GaussianMaxMixture, config: ReductionConfig) -> GaussianMaxM
         block = [h for h in order[start : start + rows] if alive[h]]
         if not block:
             continue
-        # One index array serves both reads; a list would be converted twice.
-        sel = np.array(block)
-        diff = means[None, :, :] - means[sel, None, :]
-        y = np.linalg.solve(np.linalg.cholesky(covs[sel]), diff.swapaxes(1, 2))
-        for head, near in zip(block, ((y * y).sum(axis=1) <= radius2).tolist()):
+        if table is None:
+            sel = np.array(block)
+            window = _distances(means, covs, sel, np.zeros_like(sel), np.full_like(sel, n))
+        else:
+            window = table
+        for head, reach in zip(block, (window <= radius2).tolist()):
             if not alive[head]:
                 continue
-            cluster = [j for j, close in enumerate(near) if close and alive[j]]
+            cluster = [j for j, close in enumerate(reach) if close and alive[j]]
             for j in cluster:
                 alive[j] = False
             heads.append(head)
@@ -545,7 +665,10 @@ def extract(state: BernoulliPossState) -> Optional[Estimate]:
     plausible than absence; ties favour absence and return None."""
     if state.q_present > state.q_absent:
         i = state.spatial.argmax_component()
-        return Estimate(
-            mean=state.spatial.means[i], covariance=state.spatial.covariances[i]
-        )
+        # The mixture's rows are frozen and checked, so they are taken as
+        # they are, without Estimate's conversion.
+        estimate = object.__new__(Estimate)
+        object.__setattr__(estimate, "mean", state.spatial.means[i])
+        object.__setattr__(estimate, "covariance", state.spatial.covariances[i])
+        return estimate
     return None

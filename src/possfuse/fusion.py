@@ -313,7 +313,7 @@ def _fuse(
     log_norm = max(log_absent, log_present)
     q0 = math.exp(log_absent - log_norm)
     q1 = math.exp(log_present - log_norm)
-    state = BernoulliPossState(q_absent=q0, q_present=q1, spatial=mixture)
+    state = BernoulliPossState._derived(q0, q1, mixture)
     return FusionResult(state=state, normalizer=math.exp(log_norm), alpha=math.exp(log_alpha))
 
 

@@ -13,10 +13,13 @@ Three experiment shapes share one engine:
   product double-counts and Chernoff fusion does not.
 
 Runs advance in blocks of at most RUNS_PER_BLOCK, in lockstep
-(_recurse).  The covariance half of a filter step does not depend on the
-scan, so each step of a block runs predict's F P F' + Q once over every
-filter of every run, and update's gains, innovation covariances and
-updated covariances once per measurement model; each predict and update
+(_recurse).  Each step of a block runs four stages, each one array
+program over every filter of every run: propagate (predict's F P F' + Q),
+gains (update's innovation covariances, gains and updated covariances,
+once per measurement model), the scan half (update's innovations, log
+suprema and Kalman-updated means, one row per filter, point and
+component) and the reduce tables (every updated mixture's prune, weight
+order and Mahalanobis distance table).  Each predict, update and reduce
 call then reads its own rows, bit for bit what it would compute alone.
 A run that fails drops out of its block, naming its own step.
 
@@ -26,8 +29,9 @@ fuses step by step, the product tables of many steps' pairs built
 together in one kernel call and each passed to its step's fusion calls.
 A failure still names the earliest step that fails.
 
-Blocks are distributed over a process pool whose size comes from the CPU
-count, overridable through the POSSFUSE_THREADS environment variable.
+Blocks are distributed over a process pool sized to the CPUs this
+process may run on, overridable through the POSSFUSE_THREADS environment
+variable.
 Every run is a pure function of (configuration, run index), whatever
 block it is in.  A worker scores each run of its block and returns the
 scores (and, for --dump-scans, the runs' labelled scans), and the parent
@@ -61,6 +65,8 @@ from .bernoulli import (
     TransitionPossibilityMatrix,
     _gains,
     _propagated,
+    _scanned,
+    _survivors,
     extract,
     predict,
     probability_interval_to_possibility,
@@ -101,6 +107,14 @@ __all__ = [
 # A sensor simulated without clutter still needs a positive clutter rate
 # in the filter model, where it only rescales detection weights.
 MIN_MODEL_CLUTTER = 1e-6
+
+# Most rows one filter brings to a block's scan-half or reduce-table
+# stage: its (point, component) pairs, or its updated mixture's
+# components.  A larger filter's update or reduce runs the stage function
+# on its own state, whose rows already amortise the per-call cost; joining
+# would only copy them into the block's stack.  At the default clutter
+# 99.9% of filters are within it, at clutter 20 about 5%.
+LANE_STAGE_ROWS = 256
 
 # Most runs a pool task advances together.  More lanes per covariance
 # stage cost less per state, but each run adds its states to the task's
@@ -234,6 +248,23 @@ def _staged(stage, groups: list, lanes: list[list[np.ndarray]]) -> list[list]:
     return out
 
 
+def _staged_lanes(stage, inputs: list[list], *args) -> list[list]:
+    """Per run, each filter's handed-in stage, or None, for a stage that
+    takes a list of lanes.
+
+    inputs[r][i] is None or (source, lane); stage(lanes, *args) runs once
+    over every lane given and returns one entry per lane, handed back as
+    (source, entry).  As in _staged, a stage that fails or warns gives no
+    lane its entry.
+    """
+    given = [item for row in inputs for item in row if item is not None]
+    try:
+        entries = iter(stage([lane for _, lane in given], *args) if given else ())
+    except (*_FAILURES, Warning):
+        return [[None] * len(row) for row in inputs]
+    return [[None if item is None else (item[0], next(entries)) for item in row] for row in inputs]
+
+
 def _recurse(
     cfg: ExperimentConfig, run_indices, mode: str, audits: Optional[list] = None
 ) -> list[_Recursion]:
@@ -241,25 +272,31 @@ def _recurse(
     lockstep (see the module docstring); one _Recursion per run, in order.
 
     The block's filters are built once, before any run is simulated, so a
-    run's step 0 is its simulation alone.  Each step makes one _propagated
-    call over every live filter (they share one motion model) and one
-    _gains call per measurement model; possbench and the tests still see
-    one predict, update, reduce and extract call per state.  A run that
-    fails records its step and drops out; the others go on.  audits, when
-    given, holds each run's audit list (see run_once).
+    run's step 0 is its simulation alone.  Each step runs four stages over
+    the block: one _propagated call over every live filter (they share one
+    motion model), one _gains call per measurement model, one _scanned
+    call over every filter given its gains, and, once every filter has
+    updated, one _survivors call over every updated mixture.  possbench
+    and the tests still see one predict, update, reduce and extract call
+    per state.  Every filter of a run updates before any reduces, but a
+    run that fails reports the first failure in the order update, reduce
+    of filter 1, then of filter 2, with the audit entries that order
+    makes; it records its step and drops out, and the others go on.
+    audits, when given, holds each run's audit list (see run_once).
     """
     scenario = cfg.scenario
     names, fused_names = _series(mode, len(scenario.sensors))
     filters = [_Filter(cfg, s) for s in scenario.sensors[: len(names)]]
-    # Every filter shares the scenario's motion model.  Gains read only a
-    # measurement model's observation and noise, so filters whose two
-    # matrices are equal share one gains stage.
+    # Every filter shares the scenario's motion model, observation matrix
+    # and reduction.  Gains read only a measurement model's observation and
+    # noise, so filters whose two matrices are equal share one gains stage.
     motion_groups = [(filters[0].motion, range(len(filters)))]
     by_matrices: dict[tuple, list[int]] = {}
     for i, f in enumerate(filters):
         by_matrices.setdefault((f.meas.observation.tobytes(), f.meas.noise.tobytes()), []).append(i)
     gain_groups = [(filters[members[0]].meas, members) for members in by_matrices.values()]
     H = filters[0].meas.observation
+    reduction = filters[0].reduction
     runs = [_Recursion((*names, *fused_names), audits and audits[i]) for i in range(len(run_indices))]
     live = []
     for run, run_idx in zip(runs, run_indices):
@@ -293,13 +330,40 @@ def _recurse(
                 survivors.append(run)
         live = survivors
         gains = _staged(_gains, gain_groups, [[s.spatial.covariances for s in p] for p in predicted])
+        scans = [[labeled[step - 1][0] for labeled in run.labeled] for run in live]
+        halves = _staged_lanes(_scanned, [
+            [((p.spatial, z), (p.spatial.means, z.points, *g[1][:2]))
+             if g is not None and p.spatial.n_components * len(z.points) <= LANE_STAGE_ROWS else None
+             for p, z, g in zip(preds, row, stages)]
+            for preds, row, stages in zip(predicted, scans, gains)
+        ], H)
+        # Each run updates its filters in order up to the first that fails,
+        # which ends the row with its exception.
+        posts = []
+        for preds, row, stages, halves_of_run in zip(predicted, scans, gains, halves):
+            posts.append([])
+            for f, pred, scan, stage, half in zip(filters, preds, row, stages, halves_of_run):
+                try:
+                    posts[-1].append(update(pred, scan, f.meas, f.det, gains=stage, scanned=half))
+                except _FAILURES as exc:
+                    posts[-1].append(exc)
+                    break
+        near = _staged_lanes(_survivors, [
+            [None if isinstance(post, BaseException) or post.spatial.n_components > LANE_STAGE_ROWS
+             else ((post.spatial, reduction), post.spatial) for post in row]
+            for row in posts
+        ], reduction)
+        # Each run records, reduces and fails in the per-state order:
+        # update, then reduce, of filter 1, then of filter 2.
         survivors = []
-        for run, preds, stages in zip(live, predicted, gains):
+        for run, preds, row, entries in zip(live, predicted, posts, near):
             try:
-                for i, (f, name, pred, labeled) in enumerate(zip(filters, names, preds, run.labeled)):
+                for i, (name, pred, post, entry) in enumerate(zip(names, preds, row, entries)):
                     run.record(step, "predicted", name, pred)
-                    post = update(pred, labeled[step - 1][0], f.meas, f.det, gains=stages[i])
-                    state = BernoulliPossState(post.q_absent, post.q_present, reduce(post.spatial, f.reduction))
+                    if isinstance(post, BaseException):
+                        raise post
+                    spatial = reduce(post.spatial, reduction, near=entry)
+                    state = BernoulliPossState._derived(post.q_absent, post.q_present, spatial)
                     run.record(step, "updated", name, state)
                     run.states[i] = state
             except _FAILURES as exc:
@@ -425,6 +489,10 @@ def _worker_count(runs: int) -> int:
             raise ConfigError("POSSFUSE_THREADS", f"must be an integer, got {env!r}") from None
         if cap < 1:
             raise ConfigError("POSSFUSE_THREADS", f"must be at least 1, got {cap}")
+    elif hasattr(os, "sched_getaffinity"):
+        # The CPUs this process may run on, which taskset or a cgroup's
+        # cpuset can make fewer than the machine's.
+        cap = len(os.sched_getaffinity(0))
     else:
         cap = os.cpu_count() or 1
     return max(1, min(runs, cap))

@@ -19,6 +19,8 @@ from possfuse.bernoulli import (
     TransitionPossibilityMatrix,
     _gains,
     _propagated,
+    _scanned,
+    _survivors,
     extract,
     predict,
     probability_interval_to_possibility,
@@ -762,3 +764,65 @@ class TestHandedInStages:
         at_head = Scan(1, (meas.observation @ state.spatial.means[state.spatial.argmax_component()])[None])
         used = update(state, at_head, meas, DET_BENCH, gains=(P, (S, K, np.full_like(P_upd, np.nan))))
         assert np.isnan(used.spatial.covariances).any()
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 5), st.floats(0.1, 50.0))
+    @settings(max_examples=40, deadline=None)
+    def test_update_scan_half(self, seed, lane, noise):
+        # One _scanned call over six states, some with an empty scan, gives
+        # each state its lone update's bits; another state's rows are ignored.
+        rng = np.random.default_rng(seed)
+        states = drawn_cv_states(rng, 6)
+        meas = MeasurementModel(position_observation(), noise * np.eye(2), 4.0, REGION)
+        scans = [Scan(1, rng.uniform(0.0, 60.0, size=(int(rng.integers(0, 4)), 2))) for _ in states]
+        scans[int(rng.integers(6))] = Scan(1)
+        gains = [_gains(s.spatial.covariances, meas) for s in states]
+        halves = _scanned(
+            [(s.spatial.means, z.points, S, K) for s, z, (S, K, _) in zip(states, scans, gains)],
+            meas.observation,
+        )
+        for state, scan, half in zip(states, scans, halves):
+            want = update(state, scan, meas, DET_BENCH)
+            got = update(state, scan, meas, DET_BENCH, scanned=((state.spatial, scan), half))
+            assert_same_state(got, want)
+        state, scan = states[lane], scans[lane]
+        want = update(state, scan, meas, DET_BENCH)
+        other = ((states[lane - 1].spatial, scans[lane - 1]), halves[lane - 1])
+        assert_same_state(update(state, scan, meas, DET_BENCH, scanned=other), want)
+        equal_scan = ((state.spatial, Scan(1, scan.points)), halves[lane])
+        assert_same_state(update(state, scan, meas, DET_BENCH, scanned=equal_scan), want)
+        # This state's own rows are read: NaN log suprema make NaN weights.
+        if len(scan.points):
+            junk = (np.full_like(halves[lane][0], np.nan), halves[lane][1])
+            with pytest.raises(ValueError, match="weights must be finite"):
+                update(state, scan, meas, DET_BENCH, scanned=((state.spatial, scan), junk))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 7))
+    @settings(max_examples=25, deadline=None)
+    def test_reduce_tables(self, seed, lane):
+        # One _survivors call over eight mixtures, among them one that
+        # prunes to a single component and one with more survivors than
+        # one table window holds, gives each its lone reduce's bits.
+        rng = np.random.default_rng(seed)
+        mixtures = [s.spatial for s in drawn_cv_states(rng, 6)]
+        mixtures.insert(int(rng.integers(7)), GaussianMaxMixture([1.0, 1e-6], np.zeros((2, 4)), np.tile(np.eye(4), (2, 1, 1))))
+        n = 300
+        assert n * n > MERGE_TABLE_BUDGET
+        covs = np.tile(np.eye(4), (n, 1, 1)) * rng.uniform(0.5, 2.0, size=(n, 1, 1))
+        mixtures.insert(int(rng.integers(8)), GaussianMaxMixture(
+            rng.uniform(0.01, 1.0, size=n), rng.uniform(0.0, 60.0, size=(n, 4)), covs))
+        config = ReductionConfig(prune_ratio=1e-3, merge_mahalanobis=float(rng.uniform(0.5, 4.0)), max_components=50)
+        entries = _survivors(mixtures, config)
+        untabled = {len(w) for w, *_, table in entries if table is None}
+        assert {1, n} <= untabled <= {1, n}
+        for mix, entry in zip(mixtures, entries):
+            got = reduce(mix, config, near=((mix, config), entry))
+            for field in ("weights", "means", "covariances"):
+                assert getattr(got, field).tobytes() == getattr(reduce(mix, config), field).tobytes()
+        # An entry is read only for its own mixture and config, and then it
+        # is what reduce reads.
+        mix, entry = mixtures[lane], entries[lane - 1]
+        want = reduce(mix, config)
+        for source in ((mix, ReductionConfig(config.prune_ratio, config.merge_mahalanobis, 50)), (mixtures[lane - 1], config)):
+            assert reduce(mix, config, near=(source, entry)).means.tobytes() == want.means.tobytes()
+        used = reduce(mix, config, near=((mix, config), entry))
+        assert used.means.tobytes() == reduce(mixtures[lane - 1], config).means.tobytes()

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 import support
 
+import possfuse.bernoulli as bernoulli_mod
 import possfuse.fusion as fusion_mod
 import possfuse.runner as runner_mod
 from possfuse.bernoulli import BernoulliPossState
@@ -443,6 +444,22 @@ class TestFailureOrder:
         assert err.value.step == 3
         assert "not positive definite" in str(err.value)
 
+    def test_reduce_of_filter_1_fails_before_update_of_filter_2(self):
+        # Every filter of a block step updates before any reduces, yet a run
+        # whose filter 1 fails to reduce and filter 2 to update at one step
+        # reports filter 1's failure, as the per-state order has it.
+        step = 4
+        errors = []
+        for run, module in ((run_once, runner_mod), (reference_run_once, support)):
+            with (
+                mock.patch.object(module, "reduce", failing_at(2 * step - 1, module.reduce, "filter 1 reduce")),
+                mock.patch.object(module, "update", failing_at(2 * step, module.update, "filter 2 update")),
+                pytest.raises(NumericsError) as err,
+            ):
+                run(self.CFG, 0, "independent")
+            errors.append(str(err.value))
+        assert errors == [f"numerical failure in run 0 at step {step}: filter 1 reduce"] * 2
+
     @pytest.mark.parametrize("failure", [None, "kernel", "fusion"])
     def test_run_leaves_the_fusion_module_as_found(self, failure, monkeypatch):
         # Whether the run is clean, a group's build fails, or a fusion
@@ -533,13 +550,13 @@ def outcome(run, *args):
         return exc.step
 
 
-def failing_at(call: Optional[int], inner):
-    """inner, except that its call number call raises ValueError."""
+def failing_at(call: Optional[int], inner, message: str = "injected failure"):
+    """inner, except that its call number call raises ValueError(message)."""
     calls = itertools.count(1)
 
     def wrapped(*args, **kwargs):
         if next(calls) == call:
-            raise ValueError("injected failure")
+            raise ValueError(message)
         return inner(*args, **kwargs)
 
     return wrapped
@@ -749,6 +766,149 @@ class TestBlock:
         assert len(in_block) == len(failed_stacks) == 1
         assert in_block[0] > failed_stacks[0]
 
+    @pytest.mark.parametrize("mode", ["single", "independent", "dependent"])
+    @pytest.mark.parametrize("stage", ["gains", "tables"])
+    def test_lane_that_fails_a_step_stage(self, mode, stage, target_scan, monkeypatch):
+        # The run TARGET's first filter breaks one stage of a step: the
+        # gains stage, with NaN predicted covariances at the predict whose
+        # birth comes from its scan at STEP, or the reduce tables, with a
+        # pair of negative definite components after its update at STEP.
+        # Then no lane of the block gets that stage's rows at that step:
+        # every update (or reduce) computes its own, and the failing run
+        # fails at its own step with its own message.
+        if stage == "gains":
+            births = []
+            inner_birth, inner_predict = runner_mod.build_birth_mixture, runner_mod.predict
+
+            def marking(scan, birth_cfg):
+                birth = inner_birth(scan, birth_cfg)
+                if scan is not None and scan is target_scan():
+                    births.append(birth)
+                return birth
+
+            def corrupting(state, motion, phi, birth, **kwargs):
+                pred = inner_predict(state, motion, phi, birth, **kwargs)
+                if not any(birth is b for b in births):
+                    return pred
+                mix = pred.spatial
+                bad = GaussianMaxMixture._derived(mix.weights, mix.means, np.full_like(mix.covariances, np.nan))
+                return BernoulliPossState(pred.q_absent, pred.q_present, bad)
+
+            monkeypatch.setattr(runner_mod, "build_birth_mixture", marking)
+            monkeypatch.setattr(runner_mod, "predict", corrupting)
+            step, message = self.STEP + 1, "covariance is not finite"
+            stage_name, op_name = "_gains", "update"
+        else:
+            inner_update = runner_mod.update
+
+            def corrupting(pred, scan, *args, **kwargs):
+                post = inner_update(pred, scan, *args, **kwargs)
+                if scan is not target_scan():
+                    return post
+                mix = post.spatial
+                bad = GaussianMaxMixture._derived(np.ones(2), mix.means[:2].copy(), -mix.covariances[:2])
+                return BernoulliPossState(post.q_absent, post.q_present, bad)
+
+            monkeypatch.setattr(runner_mod, "update", corrupting)
+            step, message = self.STEP, "Matrix is not positive definite"
+            stage_name, op_name = "_survivors", "reduce"
+
+        # Each failed stage call, then, per call of the operation, whether
+        # it was handed no stage at all.
+        events = []
+        inner_stage, inner_op = getattr(runner_mod, stage_name), getattr(runner_mod, op_name)
+
+        def watched_stage(*args):
+            try:
+                return inner_stage(*args)
+            except ValueError:
+                events.append("failed")
+                raise
+
+        def watched_op(*args, **kwargs):
+            events.append(all(value is None for value in kwargs.values()))
+            return inner_op(*args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, stage_name, watched_stage)
+        monkeypatch.setattr(runner_mod, op_name, watched_op)
+        cfg = small_cfg(runs=len(self.RUNS), steps=8, death_step=8)
+        block = block_outcomes(cfg, self.RUNS, mode)
+        assert str(block[self.TARGET]).endswith(f"run {self.TARGET} at step {step}: {message}")
+        # The failing run stops at its first filter; every other lane of
+        # the block gets the stage at every step but this one.
+        filters = 1 if mode == "dependent" else 2
+        lanes = (len(self.RUNS) - 1) * filters + 1
+        assert events.count("failed") == 1
+        at = events.index("failed")
+        assert events[at + 1 : at + 1 + lanes] == [True] * lanes
+        assert not any(events[:at])
+        events.clear()
+        self.assert_isolated(cfg, mode, block)
+
+    @pytest.mark.parametrize("runs", [1, 3, 8])
+    def test_one_scan_and_table_call_per_block_step(self, runs, monkeypatch):
+        # A block step makes one _log_sup_product call for every lane's
+        # scan half, and one _distances call (one Cholesky, one solve) for
+        # the reduce tables of every lane with more than one survivor,
+        # whatever the lane count; no update or reduce computes its own.
+        calls = {"_log_sup_product": 0, "_distances": 0}
+
+        def counted(name):
+            inner = getattr(bernoulli_mod, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(bernoulli_mod, name, counted(name))
+        tabled = []
+        inner = runner_mod._survivors
+
+        def stage(mixtures, config):
+            entries = inner(mixtures, config)
+            tabled.append(any(table is not None for *_, table in entries))
+            return entries
+
+        monkeypatch.setattr(runner_mod, "_survivors", stage)
+        steps = 8
+        cfg = small_cfg(runs=runs, steps=steps, death_step=steps)
+        for mode in ("independent", "dependent"):
+            for name in calls:
+                calls[name] = 0
+            tabled.clear()
+            runner_mod._recurse(cfg, range(runs), mode)
+            assert calls["_log_sup_product"] == len(tabled) == steps
+            assert calls["_distances"] == sum(tabled) > 0
+
+    def test_filters_over_the_stage_bound_run_their_stages_alone(self, monkeypatch):
+        # At clutter 20 most filters bring more than LANE_STAGE_ROWS rows:
+        # their update and reduce get no block stage and run the stage
+        # functions on their own state; the smaller ones still join.
+        bound = runner_mod.LANE_STAGE_ROWS
+        handed = {"update": [], "reduce": []}
+        inner_update, inner_reduce = runner_mod.update, runner_mod.reduce
+
+        def update(pred, scan, *args, scanned, **kwargs):
+            handed["update"].append((scanned is not None, pred.spatial.n_components * len(scan.points) <= bound))
+            return inner_update(pred, scan, *args, scanned=scanned, **kwargs)
+
+        def reduce(mixture, config, *, near):
+            handed["reduce"].append((near is not None, mixture.n_components <= bound))
+            return inner_reduce(mixture, config, near=near)
+
+        monkeypatch.setattr(runner_mod, "update", update)
+        monkeypatch.setattr(runner_mod, "reduce", reduce)
+        sensors = [{"pd_true": p, "noise_var": 2.0, "clutter_rate": 20.0} for p in (0.8, 0.6)]
+        cfg = parse_experiment({"runs": 3, "scenario": {"steps": 10, "death_step": 10, "sensors": sensors}})
+        for run_idx, got in enumerate(block_outcomes(cfg, range(cfg.runs), "single")):
+            assert_same_record(got, run_once(cfg, run_idx, "single"))
+        for name, calls in handed.items():
+            assert all(staged == small for staged, small in calls), name
+            assert {small for _, small in calls} == {False, True}, name
+
 
 class TestPoolPayload:
     def test_worker_returns_scores_and_scans_only_when_dumped(self):
@@ -880,6 +1040,18 @@ class TestWorkerCount:
     def test_default_is_cpu_bounded(self, monkeypatch):
         monkeypatch.delenv("POSSFUSE_THREADS", raising=False)
         assert 1 <= runner_mod._worker_count(64) <= 64
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+    def test_default_follows_the_cpu_affinity_mask(self):
+        # A process pinned to one CPU, as `taskset -c 0` starts it, sizes its
+        # pool to that CPU, however many the machine has.
+        code = (
+            "import os; os.environ.pop('POSSFUSE_THREADS', None); "
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+            "from possfuse.runner import _worker_count; print(_worker_count(30))"
+        )
+        result = run_cli(["-c", code])
+        assert (result.returncode, result.stdout) == (0, "1\n"), result.stderr
 
 
 class TestCli:
