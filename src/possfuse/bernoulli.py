@@ -306,8 +306,8 @@ def _normalized_pair(a: float, b: float) -> tuple[float, float]:
 
 
 def _stage_for(stage: Optional[tuple], *source):
-    """The rows of a handed-in (source, rows) stage when they were computed
-    from these very objects, else None.  A stage computed from several
+    """The entry of a handed-in (source, entry) stage when it was computed
+    from these very objects, else None.  An entry computed from several
     objects names them as a tuple, in the order given here."""
     if stage is None:
         return None
@@ -315,64 +315,49 @@ def _stage_for(stage: Optional[tuple], *source):
     return stage[1] if len(handed) == len(source) and all(map(operator.is_, handed, source)) else None
 
 
-def _propagated(P: np.ndarray, motion: MotionModel) -> np.ndarray:
-    """F P F' + Q for every covariance of the stack P, conditioned.
+def _propagated(lanes: list[np.ndarray], motion: MotionModel) -> list[np.ndarray]:
+    """F P F' + Q, conditioned, for each lane's stack of covariances P.
 
-    The survival branch of predict.  Every product acts on one matrix, so
-    each result has the bits it would have in a stack of its own."""
+    The survival branch of predict for many states in one stack.  Every
+    product acts on one matrix, so each lane's result has the bits it
+    would have in a call of its own."""
     F, Q = motion.transition, motion.process_noise
-    return _conditioned_covariance(
-        np.einsum("ij,njk,lk->nil", F, P, F) + Q, terms=((F, P), (None, Q))
-    )
+    P = np.concatenate(lanes)
+    moved = _conditioned_covariance(np.einsum("ij,njk,lk->nil", F, P, F) + Q, terms=((F, P), (None, Q)))
+    return np.split(moved, np.cumsum([len(lane) for lane in lanes[:-1]]))
 
 
-def _gains(P: np.ndarray, meas: MeasurementModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S, K, P_upd) for every prior covariance of the stack P.
+def _detected(lanes: list[tuple], H: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The detection branch of update for many states at once.
 
-    The scan-independent half of update: the innovation covariance
+    lanes holds one (P, R, means, points) per state: its components'
+    covariances, its measurement noise, its components' means and its
+    scan's points.  Per component: the innovation covariance
     S = H P H' + R, the Kalman gain K = P H' inv(S) and the Joseph-form
-    updated covariance, conditioned.  Like _propagated, each matrix's
-    result does not depend on the rest of the stack."""
-    H = meas.observation
-    R = meas.noise
-    nx = P.shape[-1]
+    updated covariance, conditioned.  Per (state, point, component) row of
+    one flat stack, with no padding: the innovation nu = z - H m, the log
+    supremum -0.5 nu' inv(S) nu (_log_sup_product, one right-hand side per
+    row) and the Kalman-updated mean m + K nu.  Returns per state its
+    (P_upd, log_sup, means), of shapes (components, dim, dim),
+    (points, components) and (points * components, dim), point-major as
+    update lays them out.  Every product is an einsum over one row's own
+    matrices, R included, not a BLAS product, whose bits depend on the
+    stack, so a state's entry has the bits it has in a call of its own."""
+    P = np.concatenate([lane[0] for lane in lanes])
+    means = np.concatenate([lane[2] for lane in lanes])
+    points = np.concatenate([lane[3] for lane in lanes])
+    n_comp = np.array([len(lane[0]) for lane in lanes])
+    n_meas = np.array([len(lane[3]) for lane in lanes])
+    R = np.repeat(np.stack([lane[1] for lane in lanes]), n_comp, axis=0)
     S = np.einsum("ij,njk,lk->nil", H, P, H) + R
     S = 0.5 * (S + S.swapaxes(1, 2))
     # Kalman gain via solves: K = P H' inv(S), using (inv(S) H P)' with P, S symmetric.
-    HP = np.einsum("ij,njk->nik", H, P)
-    K = np.linalg.solve(S, HP).swapaxes(1, 2)
-    IKH = np.eye(nx) - np.einsum("nij,jk->nik", K, H)
+    K = np.linalg.solve(S, np.einsum("ij,njk->nik", H, P)).swapaxes(1, 2)
+    IKH = np.eye(P.shape[-1]) - np.einsum("nij,jk->nik", K, H)
     # Joseph form keeps the updated covariance symmetric positive definite;
     # it equals P - P H' inv(S) H P in exact arithmetic.
-    P_upd = np.einsum("nij,njk,nlk->nil", IKH, P, IKH) + np.einsum(
-        "nij,jk,nlk->nil", K, R, K
-    )
-    P_upd = _conditioned_covariance(
-        0.5 * (P_upd + P_upd.swapaxes(1, 2)), terms=((IKH, P), (K, R))
-    )
-    return S, K, P_upd
-
-
-def _scanned(lanes: list[tuple], H: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The scan half of update for many states at once.
-
-    lanes holds one (means, points, S, K) per state: its components'
-    means, its scan's points, and the S and K that _gains gives for its
-    covariances.  Every (state, point, component) triple is one row of one
-    flat stack, with no padding: the innovation nu = z - H m, the log
-    supremum -0.5 nu' inv(S) nu (_log_sup_product, one right-hand side per
-    row) and the Kalman-updated mean m + K nu.  Returns per state its
-    (log_sup, means), of shapes (points, components) and
-    (points * components, dim), point-major as update lays them out.  Each
-    row is computed from its own inputs alone (H m by einsum, not by a
-    BLAS product, whose bits depend on the stack), so a state's rows have
-    the bits they have in a call of their own."""
-    means = np.concatenate([lane[0] for lane in lanes])
-    points = np.concatenate([lane[1] for lane in lanes])
-    S = np.concatenate([lane[2] for lane in lanes])
-    K = np.concatenate([lane[3] for lane in lanes])
-    n_comp = np.array([len(lane[0]) for lane in lanes])
-    n_meas = np.array([len(lane[1]) for lane in lanes])
+    P_upd = np.einsum("nij,njk,nlk->nil", IKH, P, IKH) + np.einsum("nij,njk,nlk->nil", K, R, K)
+    P_upd = _conditioned_covariance(0.5 * (P_upd + P_upd.swapaxes(1, 2)), terms=((IKH, P), (K, R)))
     bounds = np.concatenate([[0], np.cumsum(n_comp * n_meas)])
     lane = np.repeat(np.arange(len(lanes)), n_comp * n_meas)
     # Row k of a state: point k // n_comp, component k % n_comp.
@@ -383,8 +368,10 @@ def _scanned(lanes: list[tuple], H: np.ndarray) -> list[tuple[np.ndarray, np.nda
     log_sup = _log_sup_product(nu, S[comp])
     det_means = means[comp] + np.einsum("kij,kj->ki", K[comp], nu)
     return [
-        (log_sup[a:b].reshape(-1, c), det_means[a:b])
-        for a, b, c in zip(bounds[:-1].tolist(), bounds[1:].tolist(), n_comp.tolist())
+        (P_lane, log_sup[a:b].reshape(-1, c), det_means[a:b])
+        for P_lane, a, b, c in zip(
+            np.split(P_upd, np.cumsum(n_comp)[:-1]), bounds[:-1].tolist(), bounds[1:].tolist(), n_comp.tolist()
+        )
     ]
 
 
@@ -394,7 +381,7 @@ def predict(
     phi: TransitionPossibilityMatrix,
     birth: GaussianMaxMixture,
     *,
-    propagated: Optional[tuple] = None,
+    staged: Optional[tuple] = None,
 ) -> BernoulliPossState:
     """One prediction step of the Bernoulli recursion.
 
@@ -408,10 +395,10 @@ def predict(
     dividing out exactly q_present'.  When q_present' is 0, the state is
     (1, 0) and its spatial part is the survival branch at unit scale.
 
-    propagated may hand in the survival branch's covariances as a pair
-    (source, _propagated(source, motion)) computed for many states at
-    once.  It is read only when source is this state's own covariance
-    array; otherwise predict computes its own, so the keyword never
+    staged may hand in this state's entry of a _propagated call over many
+    states, the survival branch's covariances, as (state.spatial, entry).
+    It is read only when the mixture named is this state's own; otherwise
+    predict runs _propagated on its state alone, so the keyword never
     changes a result, only the cost.
     """
     mix = state.spatial
@@ -434,8 +421,8 @@ def predict(
         F = motion.transition
         w_parts.append((survive_scale or 1.0) * mix.weights)
         m_parts.append(mix.means @ F.T)
-        moved = _stage_for(propagated, mix.covariances)
-        P_parts.append(_propagated(mix.covariances, motion) if moved is None else moved)
+        moved = _stage_for(staged, mix)
+        P_parts.append(_propagated([mix.covariances], motion)[0] if moved is None else moved)
     if birth_scale > 0.0:
         w_parts.append(birth_scale * birth.weights)
         m_parts.append(birth.means)
@@ -452,8 +439,7 @@ def update(
     meas: MeasurementModel,
     det: DetectionPossibility,
     *,
-    gains: Optional[tuple] = None,
-    scanned: Optional[tuple] = None,
+    staged: Optional[tuple] = None,
 ) -> BernoulliPossState:
     """One measurement update of the Bernoulli recursion.
 
@@ -470,13 +456,11 @@ def update(
     posterior max weight lands at 1 up to rounding; _derived renormalises
     it to exactly 1.
 
-    gains may hand in (source, _gains(source, meas)) computed for many
-    states at once.  As with predict's propagated, it is read only when
-    source is this state's own covariance array.  scanned may hand in this
-    state's rows of a _scanned call over many states, as
-    ((pred.spatial, scan), rows); they are read only when the two objects
-    named are this state's own mixture and this very scan.  Without them
-    update runs the same two functions on its own state.
+    staged may hand in this state's entry of a _detected call over many
+    states, as ((pred.spatial, scan), entry).  It is read only when the
+    two objects named are this state's own mixture and this very scan;
+    otherwise update runs _detected on its state alone, so the keyword
+    never changes a result, only the cost.
     """
     mix = pred.spatial
     if meas.state_dim != mix.dim:
@@ -493,10 +477,8 @@ def update(
     m = mix.means
     n_comp, nx = m.shape
     n_meas = points.shape[0]
-    staged = _stage_for(gains, P)
-    S, K, P_upd = _gains(P, meas) if staged is None else staged
-    half = _stage_for(scanned, mix, scan)
-    log_sup, det_means = _scanned([(m, points, S, K)], meas.observation)[0] if half is None else half
+    entry = _stage_for(staged, mix, scan)
+    P_upd, log_sup, det_means = _detected([(P, meas.noise, m, points)], meas.observation)[0] if entry is None else entry
 
     # log[clutter_ratio * w_i * N(z; H m_i, S_i)] for every (z, component).
     table = math.log(meas.clutter_ratio()) + np.log(mix.weights) + log_sup
@@ -571,7 +553,7 @@ def _survivors(mixtures: list[GaussianMaxMixture], config: ReductionConfig) -> l
 
 
 def reduce(
-    mixture: GaussianMaxMixture, config: ReductionConfig, *, near: Optional[tuple] = None
+    mixture: GaussianMaxMixture, config: ReductionConfig, *, staged: Optional[tuple] = None
 ) -> GaussianMaxMixture:
     """Prune, merge, and cap a mixture, then renormalise.
 
@@ -587,15 +569,15 @@ def reduce(
     time, at most MERGE_TABLE_BUDGET entries, so memory stays bounded
     however many components come in.
 
-    near may hand in this mixture's entry of a _survivors call over many
+    staged may hand in this mixture's entry of a _survivors call over many
     mixtures, as ((mixture, config), entry): its survivors, their order
     and the first window's table.  It is read only when the two objects
     named are this very mixture and config; otherwise reduce runs
     _survivors on its mixture alone, so the keyword never changes a
     result, only the cost.
     """
-    staged = _stage_for(near, mixture, config)
-    w, means, covs, order, table = _survivors([mixture], config)[0] if staged is None else staged
+    entry = _stage_for(staged, mixture, config)
+    w, means, covs, order, table = _survivors([mixture], config)[0] if entry is None else entry
     n = w.size
     if n == 1:
         # A lone survivor is its own cluster.

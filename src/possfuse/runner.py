@@ -13,15 +13,16 @@ Three experiment shapes share one engine:
   product double-counts and Chernoff fusion does not.
 
 Runs advance in blocks of at most RUNS_PER_BLOCK, in lockstep
-(_recurse).  Each step of a block runs four stages, each one array
-program over every filter of every run: propagate (predict's F P F' + Q),
-gains (update's innovation covariances, gains and updated covariances,
-once per measurement model), the scan half (update's innovations, log
-suprema and Kalman-updated means, one row per filter, point and
-component) and the reduce tables (every updated mixture's prune, weight
-order and Mahalanobis distance table).  Each predict, update and reduce
-call then reads its own rows, bit for bit what it would compute alone.
-A run that fails drops out of its block, naming its own step.
+(_recurse).  Each step of a block runs three stages, each one array
+program over a list of lanes, one per filter of every run: propagate
+(predict's F P F' + Q), update (innovation covariances, gains and
+updated covariances per component, each lane with its own measurement
+noise, then innovations, log suprema and Kalman-updated means, one row
+per filter, point and component) and the reduce tables (every updated
+mixture's prune, weight order and Mahalanobis distance table).  Each
+predict, update and reduce call then reads its lane's entry through its
+staged keyword, bit for bit what it would compute alone.  A run that
+fails drops out of its block, naming its own step.
 
 Fusion here is reporting, not feedback: each local filter keeps recursing
 on its own posterior.  So a run first recurses through every step, then
@@ -63,9 +64,8 @@ from .bernoulli import (
     MeasurementModel,
     MotionModel,
     TransitionPossibilityMatrix,
-    _gains,
+    _detected,
     _propagated,
-    _scanned,
     _survivors,
     extract,
     predict,
@@ -108,12 +108,12 @@ __all__ = [
 # in the filter model, where it only rescales detection weights.
 MIN_MODEL_CLUTTER = 1e-6
 
-# Most rows one filter brings to a block's scan-half or reduce-table
-# stage: its (point, component) pairs, or its updated mixture's
-# components.  A larger filter's update or reduce runs the stage function
-# on its own state, whose rows already amortise the per-call cost; joining
-# would only copy them into the block's stack.  At the default clutter
-# 99.9% of filters are within it, at clutter 20 about 5%.
+# Most rows one filter brings to a block's update or reduce stage: its
+# (point, component) pairs, or its updated mixture's components.  A larger
+# filter's update or reduce runs the stage function on its own state,
+# whose rows already amortise the per-call cost; joining would only copy
+# them into the block's stack.  At the default clutter 99.9% of filters
+# are within it, at clutter 20 about 5%.
 LANE_STAGE_ROWS = 256
 
 # Most runs a pool task advances together.  More lanes per covariance
@@ -221,41 +221,16 @@ class _Recursion:
             track.n_components.append(state.spatial.n_components)
 
 
-def _staged(stage, groups: list, lanes: list[list[np.ndarray]]) -> list[list]:
-    """Per run, each filter's handed-in stage, or None.
+def _staged(stage, inputs: list[list], *args) -> list[list]:
+    """Per run, each filter's handed-in stage entry, or None.
 
-    lanes[r][i] is run r's covariance array for filter i.  For each
-    (model, filters) group, stage(stack, model) runs once over those
-    filters' arrays in every run, and each array gets its rows back as
-    (source, rows).  A stage that fails as a run can fail, or warns under
-    a warnings-as-errors filter, gives no lane of its group a stage: each
-    call then computes its own, so a failing lane fails in its own run
-    with its own message.
-    """
-    out = [[None] * len(row) for row in lanes]
-    for model, members in groups:
-        try:
-            result = stage(np.concatenate([row[i] for row in lanes for i in members]), model)
-        except (*_FAILURES, Warning):
-            continue
-        stop = 0
-        for row, staged in zip(lanes, out):
-            for i in members:
-                start, stop = stop, stop + len(row[i])
-                rows = (tuple(a[start:stop] for a in result) if isinstance(result, tuple)
-                        else result[start:stop])
-                staged[i] = (row[i], rows)
-    return out
-
-
-def _staged_lanes(stage, inputs: list[list], *args) -> list[list]:
-    """Per run, each filter's handed-in stage, or None, for a stage that
-    takes a list of lanes.
-
-    inputs[r][i] is None or (source, lane); stage(lanes, *args) runs once
-    over every lane given and returns one entry per lane, handed back as
-    (source, entry).  As in _staged, a stage that fails or warns gives no
-    lane its entry.
+    inputs[r][i] is None or (source, lane) for filter i of run r.
+    stage(lanes, *args) runs once over every lane given and returns one
+    entry per lane, handed back as (source, entry), the staged keyword of
+    that filter's operation.  A stage that fails as a run can fail, or
+    warns under a warnings-as-errors filter, gives no lane its entry: each
+    operation then computes its own, so a failing lane fails in its own
+    run with its own message.
     """
     given = [item for row in inputs for item in row if item is not None]
     try:
@@ -272,13 +247,15 @@ def _recurse(
     lockstep (see the module docstring); one _Recursion per run, in order.
 
     The block's filters are built once, before any run is simulated, so a
-    run's step 0 is its simulation alone.  Each step runs four stages over
-    the block: one _propagated call over every live filter (they share one
-    motion model), one _gains call per measurement model, one _scanned
-    call over every filter given its gains, and, once every filter has
-    updated, one _survivors call over every updated mixture.  possbench
-    and the tests still see one predict, update, reduce and extract call
-    per state.  Every filter of a run updates before any reduces, but a
+    run's step 0 is its simulation alone.  Each step makes three stage
+    calls, each over a list of lanes, one per filter state (_staged): one
+    _propagated call over every live filter (they share one motion
+    model), one _detected call over every predicted filter, each lane
+    with its own measurement noise, and, once every filter has updated,
+    one _survivors call over every updated mixture.  A filter over
+    LANE_STAGE_ROWS joins neither of the last two.  possbench and the
+    tests still see one predict, update, reduce and extract call per
+    state.  Every filter of a run updates before any reduces, but a
     run that fails reports the first failure in the order update, reduce
     of filter 1, then of filter 2, with the audit entries that order
     makes; it records its step and drops out, and the others go on.
@@ -288,13 +265,8 @@ def _recurse(
     names, fused_names = _series(mode, len(scenario.sensors))
     filters = [_Filter(cfg, s) for s in scenario.sensors[: len(names)]]
     # Every filter shares the scenario's motion model, observation matrix
-    # and reduction.  Gains read only a measurement model's observation and
-    # noise, so filters whose two matrices are equal share one gains stage.
-    motion_groups = [(filters[0].motion, range(len(filters)))]
-    by_matrices: dict[tuple, list[int]] = {}
-    for i, f in enumerate(filters):
-        by_matrices.setdefault((f.meas.observation.tobytes(), f.meas.noise.tobytes()), []).append(i)
-    gain_groups = [(filters[members[0]].meas, members) for members in by_matrices.values()]
+    # and reduction; each brings its own measurement noise to the update stage.
+    motion = filters[0].motion
     H = filters[0].meas.observation
     reduction = filters[0].reduction
     runs = [_Recursion((*names, *fused_names), audits and audits[i]) for i in range(len(run_indices))]
@@ -312,8 +284,8 @@ def _recurse(
     for step in range(1, scenario.steps + 1):
         if not live:
             break
-        moved = _staged(_propagated, motion_groups,
-                        [[s.spatial.covariances for s in run.states] for run in live])
+        moved = _staged(_propagated, [[(s.spatial, s.spatial.covariances) for s in run.states] for run in live],
+                        motion)
         survivors, predicted = [], []
         for run, stages in zip(live, moved):
             try:
@@ -321,7 +293,7 @@ def _recurse(
                 predicted.append([
                     predict(state, f.motion, f.phi,
                             build_birth_mixture(labeled[step - 2][0] if step > 1 else None, f.birth),
-                            propagated=stage)
+                            staged=stage)
                     for f, state, labeled, stage in zip(filters, run.states, run.labeled, stages)
                 ])
             except _FAILURES as exc:
@@ -329,26 +301,25 @@ def _recurse(
             else:
                 survivors.append(run)
         live = survivors
-        gains = _staged(_gains, gain_groups, [[s.spatial.covariances for s in p] for p in predicted])
         scans = [[labeled[step - 1][0] for labeled in run.labeled] for run in live]
-        halves = _staged_lanes(_scanned, [
-            [((p.spatial, z), (p.spatial.means, z.points, *g[1][:2]))
-             if g is not None and p.spatial.n_components * len(z.points) <= LANE_STAGE_ROWS else None
-             for p, z, g in zip(preds, row, stages)]
-            for preds, row, stages in zip(predicted, scans, gains)
+        detected = _staged(_detected, [
+            [((p.spatial, z), (p.spatial.covariances, f.meas.noise, p.spatial.means, z.points))
+             if p.spatial.n_components * len(z.points) <= LANE_STAGE_ROWS else None
+             for f, p, z in zip(filters, preds, row)]
+            for preds, row in zip(predicted, scans)
         ], H)
         # Each run updates its filters in order up to the first that fails,
         # which ends the row with its exception.
         posts = []
-        for preds, row, stages, halves_of_run in zip(predicted, scans, gains, halves):
+        for preds, row, stages in zip(predicted, scans, detected):
             posts.append([])
-            for f, pred, scan, stage, half in zip(filters, preds, row, stages, halves_of_run):
+            for f, pred, scan, stage in zip(filters, preds, row, stages):
                 try:
-                    posts[-1].append(update(pred, scan, f.meas, f.det, gains=stage, scanned=half))
+                    posts[-1].append(update(pred, scan, f.meas, f.det, staged=stage))
                 except _FAILURES as exc:
                     posts[-1].append(exc)
                     break
-        near = _staged_lanes(_survivors, [
+        tables = _staged(_survivors, [
             [None if isinstance(post, BaseException) or post.spatial.n_components > LANE_STAGE_ROWS
              else ((post.spatial, reduction), post.spatial) for post in row]
             for row in posts
@@ -356,13 +327,13 @@ def _recurse(
         # Each run records, reduces and fails in the per-state order:
         # update, then reduce, of filter 1, then of filter 2.
         survivors = []
-        for run, preds, row, entries in zip(live, predicted, posts, near):
+        for run, preds, row, entries in zip(live, predicted, posts, tables):
             try:
                 for i, (name, pred, post, entry) in enumerate(zip(names, preds, row, entries)):
                     run.record(step, "predicted", name, pred)
                     if isinstance(post, BaseException):
                         raise post
-                    spatial = reduce(post.spatial, reduction, near=entry)
+                    spatial = reduce(post.spatial, reduction, staged=entry)
                     state = BernoulliPossState._derived(post.q_absent, post.q_present, spatial)
                     run.record(step, "updated", name, state)
                     run.states[i] = state

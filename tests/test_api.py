@@ -6,6 +6,7 @@ their shape."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -94,6 +95,14 @@ def test_underflow_rule_has_one_owner():
             if "_surviving" in (getattr(node, key, None) for key in ("id", "attr", "name")):
                 outside.append(f"{path.name}:{node.lineno}")
     assert not outside, f"_surviving is referenced outside gaussmax.py: {outside}"
+
+
+@pytest.mark.parametrize("name", ["predict", "update", "reduce"])
+def test_one_staged_hand_in_per_operation(name):
+    # A block stage's entry reaches its operation through one keyword, so
+    # a later stage extends that entry instead of adding a second keyword.
+    parameters = inspect.signature(getattr(possfuse.bernoulli, name)).parameters.values()
+    assert [p.name for p in parameters if p.kind is inspect.Parameter.KEYWORD_ONLY] == ["staged"]
 
 
 def test_benchmark_harness_pins():

@@ -17,9 +17,8 @@ from possfuse.bernoulli import (
     MotionModel,
     ReductionConfig,
     TransitionPossibilityMatrix,
-    _gains,
+    _detected,
     _propagated,
-    _scanned,
     _survivors,
     extract,
     predict,
@@ -703,22 +702,28 @@ def assert_same_state(got, want):
         assert getattr(got.spatial, field).tobytes() == getattr(want.spatial, field).tobytes(), field
 
 
-def lane_stage(stage, states, lane, model):
-    """(source, rows) for states[lane], cut from one stage call over the
-    stacked covariances of every state, as the runner hands it in."""
-    covs = [s.spatial.covariances for s in states]
-    start = sum(len(P) for P in covs[:lane])
-    stop = start + len(covs[lane])
-    result = stage(np.concatenate(covs), model)
-    rows = tuple(a[start:stop] for a in result) if isinstance(result, tuple) else result[start:stop]
-    return covs[lane], rows
+def assert_same_entry(got, want):
+    """Two entries of a stage, element by element: arrays bit for bit, and
+    anything else (an order list, a missing table) by equality."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if isinstance(b, np.ndarray):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        else:
+            assert a == b
+
+
+def nan_entry(entry, index):
+    """entry with its array at index replaced by NaN."""
+    return tuple(np.full_like(a, np.nan) if i == index else a for i, a in enumerate(entry))
 
 
 class TestHandedInStages:
-    """predict and update give the same bits with their own lane's stage
-    from a stacked call, with none, and with a stage computed from any
-    other array, which they ignore; they read a stage only when its source
-    is their own covariance array."""
+    """Each stage takes a list of lanes, one per state, and returns one
+    entry per lane, bit for bit the entry of that lane's lone call.  An
+    operation handed staged=(source, entry) reads the entry only when
+    source names its own inputs, the very objects, not equal copies; then
+    the entry is what it reads, and its result is its lone result."""
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 5), st.floats(0.01, 50.0))
     @settings(max_examples=40, deadline=None)
@@ -728,80 +733,66 @@ class TestHandedInStages:
         motion = MotionModel(cv_transition(2.0), cv_process_noise(2.0, psd))
         scan = Scan(1, rng.uniform(0.0, 60.0, size=(int(rng.integers(0, 4)), 2)))
         birth = build_birth_mixture(scan, BirthConfig(REGION))
+        entries = _propagated([s.spatial.covariances for s in states], motion)
+        for state, entry in zip(states, entries):
+            assert_same_entry([entry], _propagated([state.spatial.covariances], motion))
+            got = predict(state, motion, BENCH_PHI, birth, staged=(state.spatial, entry))
+            assert_same_state(got, predict(state, motion, BENCH_PHI, birth))
         state = states[lane]
-        P = state.spatial.covariances
+        mix = state.spatial
         want = predict(state, motion, BENCH_PHI, birth)
-        stage = lane_stage(_propagated, states, lane, motion)
-        assert_same_state(predict(state, motion, BENCH_PHI, birth, propagated=stage), want)
-        other = lane_stage(_propagated, states, lane - 1, motion)
-        assert_same_state(predict(state, motion, BENCH_PHI, birth, propagated=other), want)
-        # An equal copy is not this state's array, so its rows are not read.
-        junk = (P.copy(), np.full_like(stage[1], np.nan))
-        assert_same_state(predict(state, motion, BENCH_PHI, birth, propagated=junk), want)
-        # This state's own array is read: the rows handed in are the ones used.
-        used = predict(state, motion, BENCH_PHI, birth, propagated=(P, junk[1]))
-        assert np.isnan(used.spatial.covariances[: len(P)]).all()
+        junk = np.full_like(entries[lane], np.nan)
+        # Named for another state, or for an equal copy of this mixture: not read.
+        for source in (states[lane - 1].spatial, GaussianMaxMixture(mix.weights, mix.means, mix.covariances)):
+            assert_same_state(predict(state, motion, BENCH_PHI, birth, staged=(source, junk)), want)
+        # Named for this mixture: read, so its NaN rows reach the output.
+        used = predict(state, motion, BENCH_PHI, birth, staged=(mix, junk))
+        assert np.isnan(used.spatial.covariances[: mix.n_components]).all()
 
-    @given(st.integers(0, 2**32 - 1), st.integers(0, 5), st.floats(0.1, 50.0), st.integers(0, 5))
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 5))
     @settings(max_examples=40, deadline=None)
-    def test_update(self, seed, lane, noise, n_points):
+    def test_update(self, seed, lane):
+        # Six states, each with its own noise matrix and scan, one scan empty.
         rng = np.random.default_rng(seed)
         states = drawn_cv_states(rng, 6)
-        meas = MeasurementModel(position_observation(), noise * np.eye(2), 4.0, REGION)
-        scan = Scan(1, rng.uniform(0.0, 60.0, size=(n_points, 2)))
-        state = states[lane]
-        P = state.spatial.covariances
-        want = update(state, scan, meas, DET_BENCH)
-        stage = lane_stage(_gains, states, lane, meas)
-        assert_same_state(update(state, scan, meas, DET_BENCH, gains=stage), want)
-        other = lane_stage(_gains, states, lane - 1, meas)
-        assert_same_state(update(state, scan, meas, DET_BENCH, gains=other), want)
-        junk = tuple(np.full_like(a, np.nan) for a in stage[1])
-        assert_same_state(update(state, scan, meas, DET_BENCH, gains=(P.copy(), junk)), want)
-        # This state's own array is read: the updated covariances handed in
-        # are the ones a detection at the heaviest mean gets.
-        S, K, P_upd = stage[1]
-        at_head = Scan(1, (meas.observation @ state.spatial.means[state.spatial.argmax_component()])[None])
-        used = update(state, at_head, meas, DET_BENCH, gains=(P, (S, K, np.full_like(P_upd, np.nan))))
-        assert np.isnan(used.spatial.covariances).any()
-
-    @given(st.integers(0, 2**32 - 1), st.integers(0, 5), st.floats(0.1, 50.0))
-    @settings(max_examples=40, deadline=None)
-    def test_update_scan_half(self, seed, lane, noise):
-        # One _scanned call over six states, some with an empty scan, gives
-        # each state its lone update's bits; another state's rows are ignored.
-        rng = np.random.default_rng(seed)
-        states = drawn_cv_states(rng, 6)
-        meas = MeasurementModel(position_observation(), noise * np.eye(2), 4.0, REGION)
+        models = []
+        for _ in states:
+            A = rng.normal(size=(2, 2))
+            models.append(MeasurementModel(position_observation(), A @ A.T + rng.uniform(0.1, 5.0) * np.eye(2), 4.0, REGION))
         scans = [Scan(1, rng.uniform(0.0, 60.0, size=(int(rng.integers(0, 4)), 2))) for _ in states]
         scans[int(rng.integers(6))] = Scan(1)
-        gains = [_gains(s.spatial.covariances, meas) for s in states]
-        halves = _scanned(
-            [(s.spatial.means, z.points, S, K) for s, z, (S, K, _) in zip(states, scans, gains)],
-            meas.observation,
-        )
-        for state, scan, half in zip(states, scans, halves):
-            want = update(state, scan, meas, DET_BENCH)
-            got = update(state, scan, meas, DET_BENCH, scanned=((state.spatial, scan), half))
-            assert_same_state(got, want)
-        state, scan = states[lane], scans[lane]
+        H = position_observation()
+
+        def lane_of(state, meas, scan):
+            return state.spatial.covariances, meas.noise, state.spatial.means, scan.points
+
+        entries = _detected([lane_of(*args) for args in zip(states, models, scans)], H)
+        for state, meas, scan, entry in zip(states, models, scans, entries):
+            assert_same_entry(entry, _detected([lane_of(state, meas, scan)], H)[0])
+            got = update(state, scan, meas, DET_BENCH, staged=((state.spatial, scan), entry))
+            assert_same_state(got, update(state, scan, meas, DET_BENCH))
+        state, meas, scan = states[lane], models[lane], scans[lane]
         want = update(state, scan, meas, DET_BENCH)
-        other = ((states[lane - 1].spatial, scans[lane - 1]), halves[lane - 1])
-        assert_same_state(update(state, scan, meas, DET_BENCH, scanned=other), want)
-        equal_scan = ((state.spatial, Scan(1, scan.points)), halves[lane])
-        assert_same_state(update(state, scan, meas, DET_BENCH, scanned=equal_scan), want)
-        # This state's own rows are read: NaN log suprema make NaN weights.
-        if len(scan.points):
-            junk = (np.full_like(halves[lane][0], np.nan), halves[lane][1])
-            with pytest.raises(ValueError, match="weights must be finite"):
-                update(state, scan, meas, DET_BENCH, scanned=((state.spatial, scan), junk))
+        junk = tuple(np.full_like(a, np.nan) for a in entries[lane])
+        # Named for another state, or for an equal copy of this scan: not read.
+        for source in ((states[lane - 1].spatial, scans[lane - 1]), (state.spatial, Scan(1, scan.points))):
+            assert_same_state(update(state, scan, meas, DET_BENCH, staged=(source, junk)), want)
+        # Named for this state and scan: read.  At a detection on the
+        # heaviest mean, NaN updated covariances reach the output, and NaN
+        # log suprema make NaN weights.
+        mix = state.spatial
+        at_head = Scan(1, (H @ mix.means[mix.argmax_component()])[None])
+        entry = _detected([lane_of(state, meas, at_head)], H)[0]
+        used = update(state, at_head, meas, DET_BENCH, staged=((mix, at_head), nan_entry(entry, 0)))
+        assert np.isnan(used.spatial.covariances).any()
+        with pytest.raises(ValueError, match="weights must be finite"):
+            update(state, at_head, meas, DET_BENCH, staged=((mix, at_head), nan_entry(entry, 1)))
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 7))
     @settings(max_examples=25, deadline=None)
     def test_reduce_tables(self, seed, lane):
-        # One _survivors call over eight mixtures, among them one that
-        # prunes to a single component and one with more survivors than
-        # one table window holds, gives each its lone reduce's bits.
+        # Eight mixtures, among them one that prunes to a single component
+        # and one with more survivors than one table window holds.
         rng = np.random.default_rng(seed)
         mixtures = [s.spatial for s in drawn_cv_states(rng, 6)]
         mixtures.insert(int(rng.integers(7)), GaussianMaxMixture([1.0, 1e-6], np.zeros((2, 4)), np.tile(np.eye(4), (2, 1, 1))))
@@ -815,14 +806,16 @@ class TestHandedInStages:
         untabled = {len(w) for w, *_, table in entries if table is None}
         assert {1, n} <= untabled <= {1, n}
         for mix, entry in zip(mixtures, entries):
-            got = reduce(mix, config, near=((mix, config), entry))
+            assert_same_entry(entry, _survivors([mix], config)[0])
+            got = reduce(mix, config, staged=((mix, config), entry))
             for field in ("weights", "means", "covariances"):
                 assert getattr(got, field).tobytes() == getattr(reduce(mix, config), field).tobytes()
-        # An entry is read only for its own mixture and config, and then it
-        # is what reduce reads.
-        mix, entry = mixtures[lane], entries[lane - 1]
+        mix = mixtures[lane]
         want = reduce(mix, config)
-        for source in ((mix, ReductionConfig(config.prune_ratio, config.merge_mahalanobis, 50)), (mixtures[lane - 1], config)):
-            assert reduce(mix, config, near=(source, entry)).means.tobytes() == want.means.tobytes()
-        used = reduce(mix, config, near=((mix, config), entry))
-        assert used.means.tobytes() == reduce(mixtures[lane - 1], config).means.tobytes()
+        junk = nan_entry(entries[lane], 1)
+        # Named for another mixture, or for an equal copy of this config: not read.
+        for source in ((mixtures[lane - 1], config), (mix, ReductionConfig(config.prune_ratio, config.merge_mahalanobis, 50))):
+            assert reduce(mix, config, staged=(source, junk)).means.tobytes() == want.means.tobytes()
+        # Named for this mixture and config: read, so NaN means are rejected.
+        with pytest.raises(ValueError, match="means must be finite"):
+            reduce(mix, config, staged=((mix, config), junk))

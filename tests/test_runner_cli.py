@@ -742,11 +742,11 @@ class TestBlock:
         failed_stacks = []
         stage = runner_mod._propagated
 
-        def watched(P, motion):
+        def watched(lanes, motion):
             try:
-                return stage(P, motion)
+                return stage(lanes, motion)
             except ValueError:
-                failed_stacks.append(len(P))
+                failed_stacks.append(sum(map(len, lanes)))
                 raise
 
         monkeypatch.setattr(runner_mod, "update", corrupting)
@@ -770,12 +770,12 @@ class TestBlock:
     @pytest.mark.parametrize("stage", ["gains", "tables"])
     def test_lane_that_fails_a_step_stage(self, mode, stage, target_scan, monkeypatch):
         # The run TARGET's first filter breaks one stage of a step: the
-        # gains stage, with NaN predicted covariances at the predict whose
-        # birth comes from its scan at STEP, or the reduce tables, with a
-        # pair of negative definite components after its update at STEP.
-        # Then no lane of the block gets that stage's rows at that step:
-        # every update (or reduce) computes its own, and the failing run
-        # fails at its own step with its own message.
+        # update stage's gains, with NaN predicted covariances at the
+        # predict whose birth comes from its scan at STEP, or the reduce
+        # tables, with a pair of negative definite components after its
+        # update at STEP.  Then no lane of the block gets that stage's
+        # entry at that step: every update (or reduce) computes its own,
+        # and the failing run fails at its own step with its own message.
         if stage == "gains":
             births = []
             inner_birth, inner_predict = runner_mod.build_birth_mixture, runner_mod.predict
@@ -797,7 +797,7 @@ class TestBlock:
             monkeypatch.setattr(runner_mod, "build_birth_mixture", marking)
             monkeypatch.setattr(runner_mod, "predict", corrupting)
             step, message = self.STEP + 1, "covariance is not finite"
-            stage_name, op_name = "_gains", "update"
+            stage_name, op_name = "_detected", "update"
         else:
             inner_update = runner_mod.update
 
@@ -847,23 +847,27 @@ class TestBlock:
 
     @pytest.mark.parametrize("runs", [1, 3, 8])
     def test_one_scan_and_table_call_per_block_step(self, runs, monkeypatch):
-        # A block step makes one _log_sup_product call for every lane's
-        # scan half, and one _distances call (one Cholesky, one solve) for
-        # the reduce tables of every lane with more than one survivor,
-        # whatever the lane count; no update or reduce computes its own.
-        calls = {"_log_sup_product": 0, "_distances": 0}
+        # A block step makes one call of each of its three stages, whatever
+        # the lane count, and also when the sensors' noise matrices differ.
+        # Within them, one _log_sup_product call serves every lane's scan
+        # half and one _distances call (one Cholesky, one solve) the reduce
+        # tables of every lane with more than one survivor; no update or
+        # reduce computes its own.
+        calls = dict.fromkeys(["_log_sup_product", "_distances", "_propagated", "_detected"], 0)
 
-        def counted(name):
-            inner = getattr(bernoulli_mod, name)
+        def counted(module, name):
+            inner = getattr(module, name)
 
             def wrapper(*args):
                 calls[name] += 1
                 return inner(*args)
 
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
-        for name in calls:
-            monkeypatch.setattr(bernoulli_mod, name, counted(name))
+        for name in ("_log_sup_product", "_distances"):
+            counted(bernoulli_mod, name)
+        for name in ("_propagated", "_detected"):
+            counted(runner_mod, name)
         tabled = []
         inner = runner_mod._survivors
 
@@ -875,13 +879,19 @@ class TestBlock:
         monkeypatch.setattr(runner_mod, "_survivors", stage)
         steps = 8
         cfg = small_cfg(runs=runs, steps=steps, death_step=steps)
-        for mode in ("independent", "dependent"):
+        noisy = small_cfg(runs=runs, steps=steps, death_step=steps, sensors=tuple(
+            dataclasses.replace(s, noise_var=v) for s, v in zip(cfg.scenario.sensors, (2.0, 3.0))))
+        for config, mode in ((cfg, "independent"), (cfg, "dependent"), (noisy, "independent")):
             for name in calls:
                 calls[name] = 0
             tabled.clear()
-            runner_mod._recurse(cfg, range(runs), mode)
-            assert calls["_log_sup_product"] == len(tabled) == steps
+            recursions = runner_mod._recurse(config, range(runs), mode)
+            assert calls["_propagated"] == calls["_detected"] == len(tabled) == steps
+            assert calls["_log_sup_product"] == steps
             assert calls["_distances"] == sum(tabled) > 0
+            for run_idx, recursion in zip(range(runs), recursions):
+                got = run_once(config, run_idx, mode, recursion=recursion)
+                assert_same_record(got, reference_run_once(config, run_idx, mode))
 
     def test_filters_over_the_stage_bound_run_their_stages_alone(self, monkeypatch):
         # At clutter 20 most filters bring more than LANE_STAGE_ROWS rows:
@@ -891,13 +901,13 @@ class TestBlock:
         handed = {"update": [], "reduce": []}
         inner_update, inner_reduce = runner_mod.update, runner_mod.reduce
 
-        def update(pred, scan, *args, scanned, **kwargs):
-            handed["update"].append((scanned is not None, pred.spatial.n_components * len(scan.points) <= bound))
-            return inner_update(pred, scan, *args, scanned=scanned, **kwargs)
+        def update(pred, scan, *args, staged):
+            handed["update"].append((staged is not None, pred.spatial.n_components * len(scan.points) <= bound))
+            return inner_update(pred, scan, *args, staged=staged)
 
-        def reduce(mixture, config, *, near):
-            handed["reduce"].append((near is not None, mixture.n_components <= bound))
-            return inner_reduce(mixture, config, near=near)
+        def reduce(mixture, config, *, staged):
+            handed["reduce"].append((staged is not None, mixture.n_components <= bound))
+            return inner_reduce(mixture, config, staged=staged)
 
         monkeypatch.setattr(runner_mod, "update", update)
         monkeypatch.setattr(runner_mod, "reduce", reduce)
