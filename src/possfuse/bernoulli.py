@@ -306,13 +306,12 @@ def _normalized_pair(a: float, b: float) -> tuple[float, float]:
 
 
 def _stage_for(stage: Optional[tuple], *source):
-    """The entry of a handed-in (source, entry) stage when it was computed
-    from these very objects, else None.  An entry computed from several
-    objects names them as a tuple, in the order given here."""
-    if stage is None:
-        return None
-    handed = stage[0] if len(source) > 1 else (stage[0],)
-    return stage[1] if len(handed) == len(source) and all(map(operator.is_, handed, source)) else None
+    """The entry of a handed-in (source, entry) stage when source is the
+    tuple of every object the entry was computed from, these very objects
+    in this order, else None: a source of another shape is not read."""
+    handed = stage and stage[0]
+    ours = isinstance(handed, tuple) and len(handed) == len(source) and all(map(operator.is_, handed, source))
+    return stage[1] if ours else None
 
 
 def _propagated(lanes: list[np.ndarray], motion: MotionModel) -> list[np.ndarray]:
@@ -396,10 +395,10 @@ def predict(
     (1, 0) and its spatial part is the survival branch at unit scale.
 
     staged may hand in this state's entry of a _propagated call over many
-    states, the survival branch's covariances, as (state.spatial, entry).
-    It is read only when the mixture named is this state's own; otherwise
-    predict runs _propagated on its state alone, so the keyword never
-    changes a result, only the cost.
+    states, the survival branch's covariances, as ((state.spatial, motion),
+    entry).  It is read only when the two objects named are this state's
+    own mixture and this very motion model; otherwise predict runs
+    _propagated on its state alone, so the keyword never changes a result.
     """
     mix = state.spatial
     if motion.dim != mix.dim:
@@ -421,7 +420,7 @@ def predict(
         F = motion.transition
         w_parts.append((survive_scale or 1.0) * mix.weights)
         m_parts.append(mix.means @ F.T)
-        moved = _stage_for(staged, mix)
+        moved = _stage_for(staged, mix, motion)
         P_parts.append(_propagated([mix.covariances], motion)[0] if moved is None else moved)
     if birth_scale > 0.0:
         w_parts.append(birth_scale * birth.weights)
@@ -457,10 +456,10 @@ def update(
     it to exactly 1.
 
     staged may hand in this state's entry of a _detected call over many
-    states, as ((pred.spatial, scan), entry).  It is read only when the
-    two objects named are this state's own mixture and this very scan;
-    otherwise update runs _detected on its state alone, so the keyword
-    never changes a result, only the cost.
+    states, as ((pred.spatial, scan, meas), entry).  It is read only when
+    the three objects named are this state's own mixture, this very scan
+    and this very measurement model; otherwise update runs _detected on
+    its state alone, so the keyword never changes a result, only the cost.
     """
     mix = pred.spatial
     if meas.state_dim != mix.dim:
@@ -477,7 +476,7 @@ def update(
     m = mix.means
     n_comp, nx = m.shape
     n_meas = points.shape[0]
-    entry = _stage_for(staged, mix, scan)
+    entry = _stage_for(staged, mix, scan, meas)
     P_upd, log_sup, det_means = _detected([(P, meas.noise, m, points)], meas.observation)[0] if entry is None else entry
 
     # log[clutter_ratio * w_i * N(z; H m_i, S_i)] for every (z, component).

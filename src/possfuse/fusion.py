@@ -19,11 +19,12 @@ search over OMEGA_GRID, Chernoff fusion at one omega and the independent
 product.  All three read one product table of the pair, which holds every
 row they need.  One builder makes every table: in a run, _prefilled
 builds the tables of consecutive steps' pairs in groups, one kernel call
-per group, and yields each pair with its table, which the runner passes
-to the step's three calls as their keyword table.  A call given no table,
-or one that does not fit, builds one of the rows it reads alone, so the
-table never changes a result, and the module keeps no state.  Both rules
-and selftest turn a row into a fused state through one routine, _fuse.
+per group, and yields each pair with staged = ((a.spatial, b.spatial),
+table), the runner's hand-in to the step's three calls, read through
+bernoulli._stage_for as the filter's stages are.  A call given no table,
+one named for other mixtures or one that does not fit builds one of the
+rows it reads alone, so the table never changes a result, and the module
+keeps no state.  Both rules and selftest fuse through one routine, _fuse.
 
 A fused state is reported, never fed back to a filter, so fusion never
 merges components: a reduction keeps pairs by weight alone, down to its
@@ -44,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bernoulli import BernoulliPossState, ReductionConfig
+from .bernoulli import BernoulliPossState, ReductionConfig, _stage_for
 from .gaussmax import (
     WEIGHT_UNDERFLOW,
     GaussianMaxMixture,
@@ -102,7 +103,7 @@ class FusionResult:
 
 @dataclass(frozen=True, eq=False)
 class _ProductTable:
-    """Every fused component pair of the mixtures in pair at several rows.
+    """Every fused component pair of two mixtures at several rows.
 
     Row index[row] fuses at exponents row = (e1, e2).  alpha =
     exp(log_alpha[r]) is the row's largest pair weight, and the row keeps
@@ -113,7 +114,6 @@ class _ProductTable:
     is the covariance trace of the first of them, the row's top component.
     """
 
-    pair: tuple
     index: dict
     floor: float
     log_alpha: np.ndarray
@@ -199,12 +199,11 @@ def _product_tables(
     head_trace = np.trace(covs[starts[:-1]], axis1=-2, axis2=-1)
     index = {row: r for r, row in enumerate(rows)}
     tables = []
-    for p, pair in enumerate(pairs):
+    for p in range(len(pairs)):
         units = slice(p * n_rows, (p + 1) * n_rows)
         bounds = starts[units.start : units.stop + 1]
         base, top = int(bounds[0]), int(bounds[-1])
         tables.append(_ProductTable(
-            pair=pair,
             index=index,
             floor=floor,
             log_alpha=log_alpha[units],
@@ -217,39 +216,36 @@ def _product_tables(
     return tables
 
 
-def _table(a, b, rows: list, floor: Optional[float], table: Optional[_ProductTable]):
-    """The product table of mixtures (a, b) with every row of rows: table
-    when it was built for these very objects, holds those rows and was kept
-    at floor, or else one built here and kept nowhere.  floor None takes a
-    table at any floor, since every row keeps its top pair at all of them,
-    and builds one at WEIGHT_UNDERFLOW.  A batch build equals a one-pair
-    build bit for bit, so which table is read never changes a result.
+def _table(a, b, rows: list, floor: Optional[float], staged: Optional[tuple]):
+    """The product table of mixtures (a, b) with every row of rows: the
+    table handed in as staged = ((a, b), table), read through _stage_for,
+    when it holds those rows and was kept at floor, or else one built here
+    and kept nowhere.  floor None takes a table at any floor, since every
+    row keeps its top pair at all of them, and builds one at
+    WEIGHT_UNDERFLOW.  A batch build equals a one-pair build bit for bit,
+    so which table is read never changes a result.
     """
-    if (
-        table is None
-        or table.pair != (a, b)
-        or not table.index.keys() >= set(rows)
-        or floor is not None and table.floor != floor
-    ):
+    table = _stage_for(staged, a, b)
+    if table is None or not table.index.keys() >= set(rows) or floor is not None and table.floor != floor:
         (table,) = _product_tables([(a, b)], rows, WEIGHT_UNDERFLOW if floor is None else floor)
     return table
 
 
 def _prefilled(pairs: list, omega: Optional[float], reduction: Optional[ReductionConfig]):
-    """Yield (a, b, table) for each state pair (a, b) of pairs in order,
-    table being the pair's product table with the rows that fusing it
-    reads, kept at reduction's floor: the search rows when omega is None
-    (min-trace), otherwise omega's row, and then the independent row.  The
-    caller passes it as table= to select_omega, fuse_chernoff and
-    fuse_independent.
+    """Yield (a, b, staged) for each state pair (a, b) of pairs in order,
+    staged being ((a.spatial, b.spatial), table), the pair's product table
+    with the rows that fusing it reads, kept at reduction's floor: the
+    search rows when omega is None (min-trace), otherwise omega's row, and
+    then the independent row.  The caller passes it as staged= to
+    select_omega, fuse_chernoff and fuse_independent.
 
     The tables are built a group of consecutive pairs at a time, each
     group holding at most SEARCH_BLOCK_PAIRS (row, component pair)
     combinations, or one larger pair alone: one kernel call per group.
-    Nothing is filed anywhere and each table is let go once yielded, so
-    when the caller drops it too, one group's tables are alive at a time.
-    A group whose build fails yields table None for each of its pairs, so
-    each builds its own when fused and raises that error.
+    Nothing is filed anywhere and no local holds a table once it is
+    yielded, so when the caller drops it too, one group's tables are alive
+    at a time.  A group whose build fails yields table None for each of
+    its pairs, so each builds its own when fused and raises that error.
     """
     if omega is None:
         rows = _SEARCH_ROWS + [INDEPENDENT]
@@ -264,8 +260,8 @@ def _prefilled(pairs: list, omega: Optional[float], reduction: Optional[Reductio
             tables = _product_tables(mixtures[lo:hi], rows, floor)
         except _FAILURES:
             tables = [None] * (hi - lo)
-        for a, b in pairs[lo:hi]:
-            yield a, b, tables.pop(0)
+        for (a, b), mixture_pair in zip(pairs[lo:hi], mixtures[lo:hi]):
+            yield a, b, (mixture_pair, tables.pop(0))
 
 
 def _check_pair(a: BernoulliPossState, b: BernoulliPossState) -> None:
@@ -286,7 +282,7 @@ def _fuse(
     b: BernoulliPossState,
     row: tuple[float, float],
     reduction: Optional[ReductionConfig],
-    table: Optional[_ProductTable] = None,
+    staged: Optional[tuple] = None,
 ) -> FusionResult:
     """a and b fused at exponents row = (e1, e2): a copy of the row's
     leading pairs read through _table, heaviest first (every pair not below
@@ -294,7 +290,7 @@ def _fuse(
     and the existence pair (q0_a^e1 q0_b^e2, q1_a^e1 q1_b^e2 alpha) over
     its max."""
     _check_pair(a, b)
-    table = _table(a.spatial, b.spatial, [row], _floor(reduction), table)
+    table = _table(a.spatial, b.spatial, [row], _floor(reduction), staged)
     r = table.index[row]
     lo, hi = table.bounds[r], table.bounds[r + 1]
     if reduction is not None:
@@ -331,7 +327,7 @@ def fuse_chernoff(
     b: BernoulliPossState,
     omega: float,
     reduction: Optional[ReductionConfig] = None,
-    *, table: Optional[_ProductTable] = None,
+    *, staged: Optional[tuple] = None,
 ) -> FusionResult:
     """Chernoff fusion with exponents (1 - omega, omega).
 
@@ -353,9 +349,10 @@ def fuse_chernoff(
     max_components of them.  Nothing is merged, since merging would move
     the fused top component; merge_mahalanobis applies to the filter's
     reduce only.  The top component, and so extract's estimate, is the
-    exact fusion either way.  table (see _prefilled) is read when it was
-    built for this pair with this omega's row at this floor; otherwise the
-    call builds a table of that row alone, to the same bits.
+    exact fusion either way.  staged, ((a.spatial, b.spatial), table) from
+    _prefilled, is read when it names these very mixtures and the table
+    holds this omega's row at this floor; otherwise the call builds a
+    table of that row alone, to the same bits.
     """
     omega = float(omega)
     if not (0.0 <= omega <= 1.0):
@@ -363,14 +360,14 @@ def fuse_chernoff(
     row = _chernoff_row(omega)
     if row is None:
         return FusionResult(state=b if omega == 1.0 else a, normalizer=1.0, alpha=1.0)
-    return _fuse(a, b, row, reduction, table)
+    return _fuse(a, b, row, reduction, staged)
 
 
 def fuse_independent(
     a: BernoulliPossState,
     b: BernoulliPossState,
     reduction: Optional[ReductionConfig] = None,
-    *, table: Optional[_ProductTable] = None,
+    *, staged: Optional[tuple] = None,
 ) -> FusionResult:
     """Product fusion assuming the two posteriors are independent.
 
@@ -378,9 +375,9 @@ def fuse_independent(
     existence possibilities and halves component covariances.  Use it as
     the centralised reference, or when independence genuinely holds.  The
     fused components come heaviest first, and a reduction keeps pairs by
-    weight alone, as in fuse_chernoff, which also says how table is read.
+    weight alone, as in fuse_chernoff, which also says how staged is read.
     """
-    return _fuse(a, b, INDEPENDENT, reduction, table)
+    return _fuse(a, b, INDEPENDENT, reduction, staged)
 
 
 def parse_omega_strategy(strategy: str) -> Optional[float]:
@@ -405,9 +402,7 @@ def parse_omega_strategy(strategy: str) -> Optional[float]:
     )
 
 
-def select_omega(
-    a: BernoulliPossState, b: BernoulliPossState, *, table: Optional[_ProductTable] = None
-) -> float:
+def select_omega(a: BernoulliPossState, b: BernoulliPossState, *, staged: Optional[tuple] = None) -> float:
     """Choose the Chernoff exponent by the min-trace rule.
 
     Picks, from OMEGA_GRID, the exponent whose fused top component has the
@@ -419,12 +414,13 @@ def select_omega(
     (finite, positive definite covariances and finite weights in each
     trial mixture) and computes every row's top trace, so the search
     compares 19 precomputed traces without building the trial mixtures.
-    table (see _prefilled) is read when it was built for this pair with
-    every search row, at any floor (every row keeps its top pair at all of
-    them); otherwise the call builds its own, to the same choice.
+    staged, ((a.spatial, b.spatial), table) from _prefilled, is read when
+    it names these very mixtures and the table holds every search row, at
+    any floor (every row keeps its top pair at all of them); otherwise the
+    call builds its own, to the same choice.
     """
     _check_pair(a, b)
-    traces = _table(a.spatial, b.spatial, _SEARCH_ROWS, None, table).head_trace[: len(OMEGA_GRID)]
+    traces = _table(a.spatial, b.spatial, _SEARCH_ROWS, None, staged).head_trace[: len(OMEGA_GRID)]
     floor = traces.min()
     tied = (traces - floor <= TRACE_TIE_RTOL * floor).tolist()
     return min((abs(omega - 0.5), omega) for omega, t in zip(OMEGA_GRID, tied) if t)[1]

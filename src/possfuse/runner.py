@@ -21,14 +21,16 @@ noise, then innovations, log suprema and Kalman-updated means, one row
 per filter, point and component) and the reduce tables (every updated
 mixture's prune, weight order and Mahalanobis distance table).  Each
 predict, update and reduce call then reads its lane's entry through its
-staged keyword, bit for bit what it would compute alone.  A run that
+staged keyword, (source, entry), source naming every object the entry
+was computed from, bit for bit what it would compute alone.  A run that
 fails drops out of its block, naming its own step.
 
 Fusion here is reporting, not feedback: each local filter keeps recursing
 on its own posterior.  So a run first recurses through every step, then
 fuses step by step, the product tables of many steps' pairs built
-together in one kernel call and each passed to its step's fusion calls.
-A failure still names the earliest step that fails.
+together in one kernel call and each handed to its step's fusion calls
+as staged too, named for the pair's two mixtures.  A failure still names
+the earliest step that fails.
 
 Blocks are distributed over a process pool sized to the CPUs this
 process may run on, overridable through the POSSFUSE_THREADS environment
@@ -253,19 +255,21 @@ def _recurse(
     model), one _detected call over every predicted filter, each lane
     with its own measurement noise, and, once every filter has updated,
     one _survivors call over every updated mixture.  A filter over
-    LANE_STAGE_ROWS joins neither of the last two.  possbench and the
-    tests still see one predict, update, reduce and extract call per
-    state.  Every filter of a run updates before any reduces, but a
-    run that fails reports the first failure in the order update, reduce
-    of filter 1, then of filter 2, with the audit entries that order
-    makes; it records its step and drops out, and the others go on.
-    audits, when given, holds each run's audit list (see run_once).
+    LANE_STAGE_ROWS joins neither of the last two.  Each operation gets
+    the objects its lane's source names (predict the block's motion model).
+    possbench and the tests still see one predict, update, reduce and
+    extract call per state.  A run's filters all predict before any
+    updates, and update before any reduces, but a run that fails reports
+    the first failure in the order predict, update, reduce of filter 1,
+    then of filter 2, with the audit entries that order makes; it records
+    its step and drops out, and the others go on.  audits, when given,
+    holds each run's audit list (see run_once).
     """
     scenario = cfg.scenario
     names, fused_names = _series(mode, len(scenario.sensors))
     filters = [_Filter(cfg, s) for s in scenario.sensors[: len(names)]]
-    # Every filter shares the scenario's motion model, observation matrix
-    # and reduction; each brings its own measurement noise to the update stage.
+    # Every filter shares the scenario's motion model, observation matrix (an
+    # equal one in each model) and reduction; each brings its own noise to update.
     motion = filters[0].motion
     H = filters[0].meas.observation
     reduction = filters[0].reduction
@@ -284,26 +288,24 @@ def _recurse(
     for step in range(1, scenario.steps + 1):
         if not live:
             break
-        moved = _staged(_propagated, [[(s.spatial, s.spatial.covariances) for s in run.states] for run in live],
-                        motion)
-        survivors, predicted = [], []
+        moved = _staged(_propagated, [[((s.spatial, motion), s.spatial.covariances) for s in run.states]
+                                      for run in live], motion)
+        # A run predicts its filters up to the first that fails, whose failure
+        # stands unless an earlier filter fails to update or reduce below.
+        predicted = []
         for run, stages in zip(live, moved):
-            try:
-                # The previous scan feeds birth.
-                predicted.append([
-                    predict(state, f.motion, f.phi,
-                            build_birth_mixture(labeled[step - 2][0] if step > 1 else None, f.birth),
-                            staged=stage)
-                    for f, state, labeled, stage in zip(filters, run.states, run.labeled, stages)
-                ])
-            except _FAILURES as exc:
-                run.failure = (step, exc)
-            else:
-                survivors.append(run)
-        live = survivors
+            predicted.append([])
+            for f, state, labeled, stage in zip(filters, run.states, run.labeled, stages):
+                try:
+                    # The previous scan feeds birth.
+                    birth = build_birth_mixture(labeled[step - 2][0] if step > 1 else None, f.birth)
+                    predicted[-1].append(predict(state, motion, f.phi, birth, staged=stage))
+                except _FAILURES as exc:
+                    run.failure = (step, exc)
+                    break
         scans = [[labeled[step - 1][0] for labeled in run.labeled] for run in live]
         detected = _staged(_detected, [
-            [((p.spatial, z), (p.spatial.covariances, f.meas.noise, p.spatial.means, z.points))
+            [((p.spatial, z, f.meas), (p.spatial.covariances, f.meas.noise, p.spatial.means, z.points))
              if p.spatial.n_components * len(z.points) <= LANE_STAGE_ROWS else None
              for f, p, z in zip(filters, preds, row)]
             for preds, row in zip(predicted, scans)
@@ -325,7 +327,7 @@ def _recurse(
             for row in posts
         ], reduction)
         # Each run records, reduces and fails in the per-state order:
-        # update, then reduce, of filter 1, then of filter 2.
+        # predict, update, then reduce, of filter 1, then of filter 2.
         survivors = []
         for run, preds, row, entries in zip(live, predicted, posts, tables):
             try:
@@ -339,6 +341,7 @@ def _recurse(
                     run.states[i] = state
             except _FAILURES as exc:
                 run.failure = (step, exc)
+            if run.failure is not None:
                 continue
             if fused_names:
                 # Dependent mode has one filter, fused with itself.
@@ -412,14 +415,14 @@ def run_once(
         # Neither enumerate's cached tuple nor the loop holds a table while
         # _prefilled builds the next group.
         try:
-            for a, b, table in _prefilled(recursion.pairs, fixed_omega, reduction):
+            for a, b, staged in _prefilled(recursion.pairs, fixed_omega, reduction):
                 step += 1
-                omega = select_omega(a, b, table=table) if fixed_omega is None else fixed_omega
-                chernoff = fuse_chernoff(a, b, omega, reduction=reduction, table=table)
-                centralized = fuse_independent(a, b, reduction=reduction, table=table)
+                omega = select_omega(a, b, staged=staged) if fixed_omega is None else fixed_omega
+                chernoff = fuse_chernoff(a, b, omega, reduction=reduction, staged=staged)
+                centralized = fuse_independent(a, b, reduction=reduction, staged=staged)
                 for name, result in zip(fused_names, (chernoff, centralized)):
                     recursion.record(step, "fused", name, result.state)
-                del table
+                del staged
         except _FAILURES as exc:
             raise NumericsError(run_idx, step, exc) from exc
     if recursion.failure is not None:

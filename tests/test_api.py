@@ -97,11 +97,14 @@ def test_underflow_rule_has_one_owner():
     assert not outside, f"_surviving is referenced outside gaussmax.py: {outside}"
 
 
-@pytest.mark.parametrize("name", ["predict", "update", "reduce"])
+@pytest.mark.parametrize(
+    "name", ["predict", "update", "reduce", "select_omega", "fuse_chernoff", "fuse_independent"]
+)
 def test_one_staged_hand_in_per_operation(name):
-    # A block stage's entry reaches its operation through one keyword, so
-    # a later stage extends that entry instead of adding a second keyword.
-    parameters = inspect.signature(getattr(possfuse.bernoulli, name)).parameters.values()
+    # A block stage's entry, or a fused pair's product table, reaches its
+    # operation through one keyword, so a later stage extends that entry
+    # instead of adding a second keyword.
+    parameters = inspect.signature(getattr(possfuse, name)).parameters.values()
     assert [p.name for p in parameters if p.kind is inspect.Parameter.KEYWORD_ONLY] == ["staged"]
 
 

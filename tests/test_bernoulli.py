@@ -722,8 +722,17 @@ class TestHandedInStages:
     """Each stage takes a list of lanes, one per state, and returns one
     entry per lane, bit for bit the entry of that lane's lone call.  An
     operation handed staged=(source, entry) reads the entry only when
-    source names its own inputs, the very objects, not equal copies; then
-    the entry is what it reads, and its result is its lone result."""
+    source is the tuple of every input the entry was computed from, the
+    very objects, not equal copies; then the entry is what it reads, and
+    its result is its lone result.  A source that is not such a tuple is
+    not read, and raises nothing."""
+
+    @staticmethod
+    def misshapen(*source):
+        """Sources of the wrong shape for an operation whose source is the
+        tuple source: its first object alone, a list, a shorter and a
+        longer tuple."""
+        return [source[0], list(source), source[:-1], (*source, source[-1])]
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 5), st.floats(0.01, 50.0))
     @settings(max_examples=40, deadline=None)
@@ -736,17 +745,25 @@ class TestHandedInStages:
         entries = _propagated([s.spatial.covariances for s in states], motion)
         for state, entry in zip(states, entries):
             assert_same_entry([entry], _propagated([state.spatial.covariances], motion))
-            got = predict(state, motion, BENCH_PHI, birth, staged=(state.spatial, entry))
+            got = predict(state, motion, BENCH_PHI, birth, staged=((state.spatial, motion), entry))
             assert_same_state(got, predict(state, motion, BENCH_PHI, birth))
         state = states[lane]
         mix = state.spatial
         want = predict(state, motion, BENCH_PHI, birth)
         junk = np.full_like(entries[lane], np.nan)
-        # Named for another state, or for an equal copy of this mixture: not read.
-        for source in (states[lane - 1].spatial, GaussianMaxMixture(mix.weights, mix.means, mix.covariances)):
+        # Named for another state, for an equal copy of this mixture or of
+        # the motion model, or of the wrong shape: not read.
+        copy = GaussianMaxMixture(mix.weights, mix.means, mix.covariances)
+        twin = MotionModel(motion.transition, motion.process_noise)
+        for source in ((states[lane - 1].spatial, motion), (copy, motion), (mix, twin), *self.misshapen(mix, motion)):
             assert_same_state(predict(state, motion, BENCH_PHI, birth, staged=(source, junk)), want)
-        # Named for this mixture: read, so its NaN rows reach the output.
-        used = predict(state, motion, BENCH_PHI, birth, staged=(mix, junk))
+        # The entry of another motion model, named for it: not read.
+        other = MotionModel(cv_transition(1.0), cv_process_noise(1.0, 2.0 * psd))
+        staged = ((mix, other), _propagated([mix.covariances], other)[0])
+        assert_same_state(predict(state, motion, BENCH_PHI, birth, staged=staged), want)
+        # Named for this mixture and motion model: read, so its NaN rows
+        # reach the output.
+        used = predict(state, motion, BENCH_PHI, birth, staged=((mix, motion), junk))
         assert np.isnan(used.spatial.covariances[: mix.n_components]).all()
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 5))
@@ -769,24 +786,32 @@ class TestHandedInStages:
         entries = _detected([lane_of(*args) for args in zip(states, models, scans)], H)
         for state, meas, scan, entry in zip(states, models, scans, entries):
             assert_same_entry(entry, _detected([lane_of(state, meas, scan)], H)[0])
-            got = update(state, scan, meas, DET_BENCH, staged=((state.spatial, scan), entry))
+            got = update(state, scan, meas, DET_BENCH, staged=((state.spatial, scan, meas), entry))
             assert_same_state(got, update(state, scan, meas, DET_BENCH))
         state, meas, scan = states[lane], models[lane], scans[lane]
+        mix = state.spatial
         want = update(state, scan, meas, DET_BENCH)
         junk = tuple(np.full_like(a, np.nan) for a in entries[lane])
-        # Named for another state, or for an equal copy of this scan: not read.
-        for source in ((states[lane - 1].spatial, scans[lane - 1]), (state.spatial, Scan(1, scan.points))):
+        # Named for another state, for an equal copy of this scan or of the
+        # measurement model, or of the wrong shape: not read.
+        twin = MeasurementModel(meas.observation, meas.noise, meas.clutter_rate, meas.region)
+        for source in ((states[lane - 1].spatial, scans[lane - 1], models[lane - 1]),
+                       (mix, Scan(1, scan.points), meas), (mix, scan, twin), *self.misshapen(mix, scan, meas)):
             assert_same_state(update(state, scan, meas, DET_BENCH, staged=(source, junk)), want)
-        # Named for this state and scan: read.  At a detection on the
-        # heaviest mean, NaN updated covariances reach the output, and NaN
-        # log suprema make NaN weights.
-        mix = state.spatial
+        # The entry of another measurement model, of other noise, named for
+        # it: not read.
+        other = MeasurementModel(meas.observation, 2.0 * meas.noise, meas.clutter_rate, meas.region)
+        staged = ((mix, scan, other), _detected([lane_of(state, other, scan)], H)[0])
+        assert_same_state(update(state, scan, meas, DET_BENCH, staged=staged), want)
+        # Named for this state, scan and model: read.  At a detection on
+        # the heaviest mean, NaN updated covariances reach the output, and
+        # NaN log suprema make NaN weights.
         at_head = Scan(1, (H @ mix.means[mix.argmax_component()])[None])
         entry = _detected([lane_of(state, meas, at_head)], H)[0]
-        used = update(state, at_head, meas, DET_BENCH, staged=((mix, at_head), nan_entry(entry, 0)))
+        used = update(state, at_head, meas, DET_BENCH, staged=((mix, at_head, meas), nan_entry(entry, 0)))
         assert np.isnan(used.spatial.covariances).any()
         with pytest.raises(ValueError, match="weights must be finite"):
-            update(state, at_head, meas, DET_BENCH, staged=((mix, at_head), nan_entry(entry, 1)))
+            update(state, at_head, meas, DET_BENCH, staged=((mix, at_head, meas), nan_entry(entry, 1)))
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 7))
     @settings(max_examples=25, deadline=None)
@@ -813,8 +838,10 @@ class TestHandedInStages:
         mix = mixtures[lane]
         want = reduce(mix, config)
         junk = nan_entry(entries[lane], 1)
-        # Named for another mixture, or for an equal copy of this config: not read.
-        for source in ((mixtures[lane - 1], config), (mix, ReductionConfig(config.prune_ratio, config.merge_mahalanobis, 50))):
+        # Named for another mixture, for an equal copy of this config, or
+        # of the wrong shape: not read.
+        twin = ReductionConfig(config.prune_ratio, config.merge_mahalanobis, 50)
+        for source in ((mixtures[lane - 1], config), (mix, twin), *self.misshapen(mix, config)):
             assert reduce(mix, config, staged=(source, junk)).means.tobytes() == want.means.tobytes()
         # Named for this mixture and config: read, so NaN means are rejected.
         with pytest.raises(ValueError, match="means must be finite"):

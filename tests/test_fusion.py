@@ -632,10 +632,10 @@ class TestProductTable:
 
     REDUCTION = ReductionConfig(prune_ratio=1e-3, merge_mahalanobis=2.0, max_components=100)
 
-    def fusions(self, a, b, omegas, reduction, table=None):
+    def fusions(self, a, b, omegas, reduction, staged=None):
         """Chernoff at each omega, then independent, in the runner's order."""
-        return [fuse_chernoff(a, b, o, reduction, table=table) for o in omegas] + [
-            fuse_independent(a, b, reduction, table=table)
+        return [fuse_chernoff(a, b, o, reduction, staged=staged) for o in omegas] + [
+            fuse_independent(a, b, reduction, staged=staged)
         ]
 
     @pytest.mark.parametrize("reduction", [None, REDUCTION])
@@ -667,16 +667,17 @@ class TestProductTable:
         # still fit.
         pairs = [(a, b), (b, a), (a, c), (c, a)]
         got, filed = [], []
-        for x, y, table in fusion_mod._prefilled(pairs, 0.3, None):
-            filed.append(table)
-            got.append(self.fusions(x, y, [0.3], None, table))
+        for x, y, staged in fusion_mod._prefilled(pairs, 0.3, None):
+            filed.append(staged)
+            got.append(self.fusions(x, y, [0.3], None, staged))
         # One group, one kernel call; every fusion read its own pair's table.
         assert kernel_calls == [len(pairs) * 2 * 9]
-        assert [table.pair for table in filed] == [(x.spatial, y.spatial) for x, y in pairs]
+        for (source, _), (x, y) in zip(filed, pairs):
+            assert source[0] is x.spatial and source[1] is y.spatial and len(source) == 2
         # A table handed to another pair is not read: that call builds its own.
-        assert_same_result(fuse_independent(b, a, table=filed[0]), got[1][-1])
+        assert_same_result(fuse_independent(b, a, staged=filed[0]), got[1][-1])
         assert kernel_calls == [len(pairs) * 2 * 9, 9]
-        for (x, y), results, table in zip(pairs, got, filed):
+        for (x, y), results, (_, table) in zip(pairs, got, filed):
             for g, want in zip(results, self.fusions(fresh(x), fresh(y), [0.3], None)):
                 assert_same_result(g, want)
                 # A fused mixture copies its slice of the table.
@@ -687,9 +688,9 @@ class TestProductTable:
         rng = np.random.default_rng(31)
         a = sized_state(rng, 8)
         b = a if self_fusion else sized_state(rng, 8)
-        for x, y, table in fusion_mod._prefilled([(a, b)], None, None):
-            omega = select_omega(x, y, table=table)
-            got = {o: self.fusions(x, y, [o], None, table) for o in (omega, 0.05, 0.95)}
+        for x, y, staged in fusion_mod._prefilled([(a, b)], None, None):
+            omega = select_omega(x, y, staged=staged)
+            got = {o: self.fusions(x, y, [o], None, staged) for o in (omega, 0.05, 0.95)}
         # 64 pairs: 16 rows per block, so the grid and the independent row
         # take two blocks.  The one table holds both: the search and rows
         # from the first (0.05) and the second (0.95 and independent) block
@@ -717,22 +718,31 @@ class TestProductTable:
     @settings(max_examples=60, deadline=None)
     def test_table_argument_never_changes_a_result(self, seed, n_a, n_b, omega, reduction, self_fusion):
         # omega None is a min-trace step.  Each call gives the same result
-        # with its group's table, with none, and with a table built for
-        # another pair (of the same shapes, so a misread would fit), for
-        # the swapped pair, at another floor or without the rows it needs.
+        # with its group's table, with none, with a table built for another
+        # pair (of the same shapes, so a misread would fit) or for the
+        # swapped pair, each named for the mixtures it was built from, with
+        # one of its own pair at another floor or without the rows it
+        # needs, and with another pair's table under a source that is not
+        # a tuple of two mixtures; none of these raises.
         rng = np.random.default_rng(seed)
         a = sized_state(rng, n_a)
         b = a if self_fusion else sized_state(rng, n_b)
         c = sized_state(rng, n_b)
         ((x, y, own),) = fusion_mod._prefilled([(a, b)], omega, reduction)
-        assert (x, y) == (a, b) and own.pair == (a.spatial, b.spatial)
-        rows = list(own.index)
+        assert (x, y) == (a, b) and own[0][0] is a.spatial and own[0][1] is b.spatial
+        rows = list(own[1].index)
         floor = fusion_mod._floor(reduction)
+        foreign = _product_tables([(a.spatial, c.spatial)], rows, floor)[0]
         others = [
-            _product_tables([(a.spatial, c.spatial)], rows, floor)[0],
-            _product_tables([(b.spatial, a.spatial)], rows, floor)[0],
-            _product_tables([(a.spatial, b.spatial)], rows, 0.5 if floor < 0.5 else WEIGHT_UNDERFLOW)[0],
-            _product_tables([(a.spatial, b.spatial)], [fusion_mod.INDEPENDENT], floor)[0],
+            ((a.spatial, c.spatial), foreign),
+            ((b.spatial, a.spatial), _product_tables([(b.spatial, a.spatial)], rows, floor)[0]),
+            ((a.spatial, b.spatial),
+             _product_tables([(a.spatial, b.spatial)], rows, 0.5 if floor < 0.5 else WEIGHT_UNDERFLOW)[0]),
+            ((a.spatial, b.spatial), _product_tables([(a.spatial, b.spatial)], [fusion_mod.INDEPENDENT], floor)[0]),
+            (a.spatial, foreign),
+            ([a.spatial, b.spatial], foreign),
+            ((a.spatial,), foreign),
+            ((a.spatial, b.spatial, c.spatial), foreign),
         ]
         want_omega = select_omega(a, b) if omega is None else omega
         want = (fuse_chernoff(a, b, want_omega, reduction), fuse_independent(a, b, reduction))
@@ -740,18 +750,18 @@ class TestProductTable:
         with pytest.MonkeyPatch.context() as mp:
             inner = fusion_mod._cross_arrays
             mp.setattr(fusion_mod, "_cross_arrays", lambda *args: calls.append(1) or inner(*args))
-            got_omega = select_omega(a, b, table=own) if omega is None else omega
+            got_omega = select_omega(a, b, staged=own) if omega is None else omega
             got = (
-                fuse_chernoff(a, b, got_omega, reduction, table=own),
-                fuse_independent(a, b, reduction, table=own),
+                fuse_chernoff(a, b, got_omega, reduction, staged=own),
+                fuse_independent(a, b, reduction, staged=own),
             )
             # The group's table serves all three calls.
             assert calls == []
-            for table in others:
-                assert select_omega(a, b, table=table) == select_omega(a, b)
+            for staged in others:
+                assert select_omega(a, b, staged=staged) == select_omega(a, b)
                 got += (
-                    fuse_chernoff(a, b, want_omega, reduction, table=table),
-                    fuse_independent(a, b, reduction, table=table),
+                    fuse_chernoff(a, b, want_omega, reduction, staged=staged),
+                    fuse_independent(a, b, reduction, staged=staged),
                 )
         for g, w in zip(got, want * (1 + len(others))):
             assert_same_result(g, w)
@@ -1019,9 +1029,9 @@ class TestKeptByWeight:
     def test_table_serves_only_its_floor(self, first, then, kernel_calls):
         rng = np.random.default_rng(60)
         a, b = sized_state(rng, 5), sized_state(rng, 4)
-        for x, y, table in fusion_mod._prefilled([(a, b)], 0.37, first):
-            filed = fuse_chernoff(x, y, 0.37, first, table=table)
-            got = fuse_chernoff(x, y, 0.37, then, table=table)
+        for x, y, staged in fusion_mod._prefilled([(a, b)], 0.37, first):
+            filed = fuse_chernoff(x, y, 0.37, first, staged=staged)
+            got = fuse_chernoff(x, y, 0.37, then, staged=staged)
         # The group's table serves a fusion at its own floor, whatever the
         # cap; a fusion at any other floor builds its own table.
         own = fusion_mod._floor(first) == fusion_mod._floor(then)

@@ -444,21 +444,58 @@ class TestFailureOrder:
         assert err.value.step == 3
         assert "not positive definite" in str(err.value)
 
-    def test_reduce_of_filter_1_fails_before_update_of_filter_2(self):
-        # Every filter of a block step updates before any reduces, yet a run
-        # whose filter 1 fails to reduce and filter 2 to update at one step
-        # reports filter 1's failure, as the per-state order has it.
-        step = 4
+    STEP = 4
+
+    def failures(self, first, then):
+        """The message run_once, then reference_run_once, raises when call
+        2 * STEP - 1 of the operation named first (filter 1's at STEP) and
+        call 2 * STEP of the one named then (filter 2's) fail."""
         errors = []
         for run, module in ((run_once, runner_mod), (reference_run_once, support)):
+            failing_first = failing_at(2 * self.STEP - 1, getattr(module, first), f"filter 1 {first}")
+            failing_then = failing_at(2 * self.STEP, getattr(module, then), f"filter 2 {then}")
             with (
-                mock.patch.object(module, "reduce", failing_at(2 * step - 1, module.reduce, "filter 1 reduce")),
-                mock.patch.object(module, "update", failing_at(2 * step, module.update, "filter 2 update")),
+                mock.patch.object(module, first, failing_first),
+                mock.patch.object(module, then, failing_then),
                 pytest.raises(NumericsError) as err,
             ):
                 run(self.CFG, 0, "independent")
             errors.append(str(err.value))
-        assert errors == [f"numerical failure in run 0 at step {step}: filter 1 reduce"] * 2
+        return errors
+
+    def test_reduce_of_filter_1_fails_before_update_of_filter_2(self):
+        # Every filter of a block step updates before any reduces, yet a run
+        # whose filter 1 fails to reduce and filter 2 to update at one step
+        # reports filter 1's failure, as the per-state order has it.
+        want = f"numerical failure in run 0 at step {self.STEP}: filter 1 reduce"
+        assert self.failures("reduce", "update") == [want] * 2
+
+    @pytest.mark.parametrize("first", ["update", "reduce"])
+    def test_update_of_filter_1_fails_before_predict_of_filter_2(self, first):
+        # Every filter of a block step predicts before any updates, yet a
+        # run whose filter 1 fails to update (or reduce) and filter 2 to
+        # predict at one step reports filter 1's failure.
+        want = f"numerical failure in run 0 at step {self.STEP}: filter 1 {first}"
+        assert self.failures(first, "predict") == [want] * 2
+
+    def test_audit_holds_filter_1_at_the_step_filter_2_fails_to_predict(self):
+        # Filter 1 predicts, updates and reduces before filter 2's predict
+        # fails, so the audit holds its states at that step, those of a
+        # clean run, bit for bit.
+        clean, audit = [], []
+        run_once(self.CFG, 0, "independent", clean)
+        failing = failing_at(2 * self.STEP, runner_mod.predict, "filter 2 predict")
+        with mock.patch.object(runner_mod, "predict", failing), pytest.raises(NumericsError) as err:
+            run_once(self.CFG, 0, "independent", audit)
+        assert str(err.value) == f"numerical failure in run 0 at step {self.STEP}: filter 2 predict"
+        at_step = {(self.STEP, "predicted", "sensor1"), (self.STEP, "updated", "sensor1")}
+        want = [entry for entry in clean if entry[0] < self.STEP or entry[:3] in at_step]
+        assert [entry[:3] for entry in audit] == [entry[:3] for entry in want]
+        assert at_step <= {entry[:3] for entry in audit}
+        for (*_, got), (*_, state) in zip(audit, want):
+            assert (got.q_absent, got.q_present) == (state.q_absent, state.q_present)
+            for field in ("weights", "means", "covariances"):
+                assert getattr(got.spatial, field).tobytes() == getattr(state.spatial, field).tobytes()
 
     @pytest.mark.parametrize("failure", [None, "kernel", "fusion"])
     def test_run_leaves_the_fusion_module_as_found(self, failure, monkeypatch):
@@ -488,7 +525,9 @@ class TestFailureOrder:
         def recording(a, b, **kwargs):
             # Nothing is filed in the module while the tables are in use either.
             unchanged()
-            tables.append(kwargs["table"])
+            source, table = kwargs["staged"]
+            assert source[0] is a.spatial and source[1] is b.spatial
+            tables.append(table)
             if failure == "fusion" and len(tables) == 3:
                 raise ValueError("injected fusion failure")
             return inner(a, b, **kwargs)
@@ -543,11 +582,12 @@ def assert_same_record(got, want):
 
 
 def outcome(run, *args):
-    """run(*args)'s record, or the step its NumericsError names."""
+    """run(*args)'s record, or its NumericsError's message, which names the
+    step and the failure."""
     try:
         return run(*args)
     except NumericsError as exc:
-        return exc.step
+        return str(exc)
 
 
 def failing_at(call: Optional[int], inner, message: str = "injected failure"):
@@ -567,8 +607,9 @@ OMEGA_STRATEGIES = ("fixed(0)", "fixed(5e-324)", "fixed(0.37)", "fixed(0.5)", "f
 
 @st.composite
 def drawn_runs(draw):
-    """A moderate config, a mode and a run index, and the calls of update
-    and of fuse_independent, counted over the run, made to fail (or None)."""
+    """A moderate config, a mode and a run index, and the calls of predict,
+    of update and of fuse_independent, counted over the run, made to fail
+    (or None)."""
     steps = draw(st.integers(2, 8))
     birth_step = draw(st.integers(1, steps))
     sensors = [
@@ -597,9 +638,10 @@ def drawn_runs(draw):
     }
     mode = draw(st.sampled_from(("single", "independent", "dependent")))
     filters = 1 if mode == "dependent" else 2
+    fail_predict = draw(st.none() | st.integers(1, steps * filters))
     fail_update = draw(st.none() | st.integers(1, steps * filters))
     fail_fusion = draw(st.none() | st.integers(1, steps))
-    return doc, mode, draw(st.integers(0, 999)), fail_update, fail_fusion
+    return doc, mode, draw(st.integers(0, 999)), fail_predict, fail_update, fail_fusion
 
 
 CLUTTER30 = [{"pd_true": p, "noise_var": 2.0, "clutter_rate": 30.0} for p in (0.8, 0.6)]
@@ -636,28 +678,33 @@ class TestReferenceRun:
     @given(drawn_runs())
     @example((
         {"scenario": {"steps": 8, "death_step": 8, "sensors": CLUTTER30}, "fusion": {"omega_strategy": "min-trace"}},
-        "independent", 3, None, None,
+        "independent", 3, None, None, None,
     ))
     @example((
         {"scenario": {"steps": 8, "death_step": 8}, "filter": {"reduction": PRUNE0}},
-        "independent", 0, None, None,
+        "independent", 0, None, None, None,
     ))
     # A fusion failure at step 2 comes before a filter failure at step 5.
-    @example(({"scenario": {"steps": 6, "death_step": 6}}, "independent", 0, 9, 2))
+    @example(({"scenario": {"steps": 6, "death_step": 6}}, "independent", 0, None, 9, 2))
+    # Filter 1's update at step 4 fails before filter 2's predict.
+    @example(({"scenario": {"steps": 6, "death_step": 6}}, "independent", 0, 8, 7, None))
     @settings(max_examples=30, deadline=None)
     def test_run_once_equals_the_reference_on_drawn_configs(self, case):
-        doc, mode, run_idx, fail_update, fail_fusion = case
+        doc, mode, run_idx, fail_predict, fail_update, fail_fusion = case
         cfg = parse_experiment(doc)
         outcomes = []
         for run, module in ((run_once, runner_mod), (reference_run_once, support)):
             with (
-                mock.patch.object(module, "update", failing_at(fail_update, module.update)),
-                mock.patch.object(module, "fuse_independent", failing_at(fail_fusion, module.fuse_independent)),
+                mock.patch.object(module, "predict", failing_at(fail_predict, module.predict, "predict failure")),
+                mock.patch.object(module, "update", failing_at(fail_update, module.update, "update failure")),
+                mock.patch.object(
+                    module, "fuse_independent", failing_at(fail_fusion, module.fuse_independent, "fusion failure")
+                ),
             ):
                 outcomes.append(outcome(run, cfg, run_idx, mode))
         got, want = outcomes
-        if isinstance(want, int) or isinstance(got, int):
-            assert got == want, "run_once and the reference fail at different steps, or only one fails"
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want, "run_once and the reference fail differently, or only one fails"
         else:
             assert_same_record(got, want)
 
@@ -851,9 +898,15 @@ class TestBlock:
         # the lane count, and also when the sensors' noise matrices differ.
         # Within them, one _log_sup_product call serves every lane's scan
         # half and one _distances call (one Cholesky, one solve) the reduce
-        # tables of every lane with more than one survivor; no update or
-        # reduce computes its own.
+        # tables of every lane with more than one survivor; no predict,
+        # update or reduce computes its own, since each is called with the
+        # objects its lane's source names.
         calls = dict.fromkeys(["_log_sup_product", "_distances", "_propagated", "_detected"], 0)
+        alone = []
+        for name in ("_propagated", "_detected", "_survivors"):
+            inner_stage = getattr(bernoulli_mod, name)
+            monkeypatch.setattr(bernoulli_mod, name, lambda *args, name=name, inner_stage=inner_stage: (
+                alone.append(name) or inner_stage(*args)))
 
         def counted(module, name):
             inner = getattr(module, name)
@@ -885,7 +938,9 @@ class TestBlock:
             for name in calls:
                 calls[name] = 0
             tabled.clear()
+            alone.clear()
             recursions = runner_mod._recurse(config, range(runs), mode)
+            assert alone == []
             assert calls["_propagated"] == calls["_detected"] == len(tabled) == steps
             assert calls["_log_sup_product"] == steps
             assert calls["_distances"] == sum(tabled) > 0
