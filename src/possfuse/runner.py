@@ -42,16 +42,19 @@ folds the scores in run order, so output files are byte-identical no
 matter how many workers computed them or how the runs were blocked, and
 are written all or none (_write_all).  A worker that dies (a SIGKILL, as
 the kernel's out-of-memory killer sends) fails the command with
-WorkerDiedError, naming the runs whose blocks had not returned.  While
-the pool runs, SIGTERM raises SystemExit(143) in the parent, whose pool
-then shuts down: each worker finishes the block it holds and exits, and
-the previous SIGTERM handler is restored.
+WorkerDiedError, naming the runs whose blocks had not returned.  At any
+point of the pool's life, start-up included, SIGTERM raises
+SystemExit(143) in the parent, whose pool then shuts down: each worker
+finishes the block it holds and exits (_collect_runs), and the previous
+SIGTERM handler is restored.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
+import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -499,20 +502,14 @@ def _spans(runs: list[int]) -> str:
 
 
 class _SigtermExit:
-    """Within a with block, SIGTERM becomes SystemExit(143), raised once,
-    so that leaving a pool's with block shuts the pool down; the previous
-    handler is put back after.  Until arm(), a SIGTERM is only recorded,
-    and arm() raises it: a pool starting its workers runs fork hooks that
-    lose an exception raised in them, and a pool stopped while it starts
-    can leave a worker that its shutdown never ends.  A second SIGTERM is
-    ignored, so it cannot cut the shutdown short.  Only the main thread
-    can set a handler, and only one set from Python can be put back;
-    otherwise SIGTERM is left as it is."""
+    """Within a with block, SIGTERM becomes SystemExit(143), raised at
+    once, so that leaving a pool's with block shuts the pool down; the
+    previous handler is put back after.  Later SIGTERMs are ignored, so
+    they cannot cut the shutdown short.  Only the main thread can set a
+    handler, and only one set from Python can be put back; otherwise
+    SIGTERM is left as it is."""
 
-    def __init__(self):
-        self.received: Optional[int] = None
-        self.armed = False
-        self.previous = None
+    previous = None
 
     def __enter__(self) -> "_SigtermExit":
         if threading.current_thread() is threading.main_thread() and signal.getsignal(signal.SIGTERM) is not None:
@@ -524,33 +521,38 @@ class _SigtermExit:
             signal.signal(signal.SIGTERM, self.previous)
 
     def _handle(self, signum, frame) -> None:
-        if self.received is None:
-            self.received = signum
-            if self.armed:
-                raise SystemExit(128 + signum)
+        signal.signal(signum, signal.SIG_IGN)
+        raise SystemExit(128 + signum)
 
-    def arm(self) -> None:
-        self.armed = True
-        if self.received is not None:
-            raise SystemExit(128 + self.received)
+
+def _worker_start() -> None:
+    """A pool worker's initializer.  The worker was forked with SIGTERM
+    blocked; it takes SIGTERM's default action and only then unblocks it,
+    so a SIGTERM sent since the fork ends the worker here."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
 
 
 def _collect_runs(
     cfg: ExperimentConfig, mode: str, dump_scans: bool, workers: int
 ) -> list[tuple[RunScores, Optional[list]]]:
+    """Every run's scores and scans, in run order.  The pool forks all its
+    workers at the first submit, with SIGTERM blocked (_worker_start); the
+    caller's mask is back before anything waits on the workers."""
     jobs = [(cfg, block, mode, dump_scans) for block in _blocks(cfg.runs, workers)]
     if workers == 1:
         return [result for job in jobs for result in _pool_entry(job)]
-    # Workers take SIGTERM's default action, whatever the parent's: a broken
-    # pool ends the workers left with SIGTERM.
-    with _SigtermExit() as sigterm, ProcessPoolExecutor(
-        max_workers=workers, initializer=signal.signal, initargs=(signal.SIGTERM, signal.SIG_DFL)
+    with _SigtermExit(), ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context("fork"), initializer=_worker_start
     ) as pool:
         futures = []
         try:
-            for job in jobs:
-                futures.append(pool.submit(_pool_entry, job))
-            sigterm.arm()
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+            try:
+                for job in jobs:
+                    futures.append(pool.submit(_pool_entry, job))
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             # Read in submission order, which keeps the fold and every
             # downstream file independent of scheduling.
             return [result for future in futures for result in future.result()]
@@ -661,14 +663,14 @@ def _drive(cfg: ExperimentConfig, mode: str, out_dir, dump_scans: bool) -> Exper
     # worker count, output directory or output file is one ConfigError
     # before the pool starts, and leaves no file.
     _series(mode, len(cfg.scenario.sensors))
-    if not np.isfinite(cfg.metrics.ospa_cutoff * cfg.runs):
+    if cfg.runs > sys.float_info.max or not np.isfinite(cfg.metrics.ospa_cutoff * cfg.runs):
         raise ConfigError("metrics.ospa_cutoff", f"its sum over {cfg.runs} runs overflows a float")
     workers = _worker_count(cfg.runs)
     out_path = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     try:
         out_path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError("output_dir", f"cannot create {out_path}: {exc.strerror}") from None
+    except (OSError, ValueError) as exc:
+        raise ConfigError("output_dir", f"cannot create {out_path}: {getattr(exc, 'strerror', None) or exc}") from None
     _check_targets(out_path, [*_TABLES, "scans"] if dump_scans else _TABLES)
     results = _collect_runs(cfg, mode, dump_scans, workers)
     agg = fold_scores([scores for scores, _ in results])

@@ -1119,6 +1119,14 @@ class TestWorkerCount:
         assert (result.returncode, result.stdout) == (0, "1\n"), result.stderr
 
 
+def _signal_state(job) -> list[tuple]:
+    """A pool entry reporting its worker's pid, SIGTERM handler and whether
+    SIGTERM is blocked, once as many workers as _signal_state.barrier's
+    parties hold a block."""
+    _signal_state.barrier.wait(timeout=30)
+    return [(os.getpid(), signal.getsignal(signal.SIGTERM), signal.SIGTERM in signal.pthread_sigmask(signal.SIG_BLOCK, []))]
+
+
 class TestCli:
     def test_single_subcommand(self, tmp_path, capsys):
         out = tmp_path / "res"
@@ -1198,11 +1206,14 @@ class TestCli:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize(
-        "runs, cutoff, flags", [(10, 1e308, []), (1, 1e307, ["--runs", "100"])], ids=["config-runs", "runs-flag"]
+        "runs, cutoff, flags",
+        [(10, 1e308, []), (1, 1e307, ["--runs", "100"]), (10**400, 10.0, []), (1, 10.0, ["--runs", str(10**400)])],
+        ids=["config-runs", "runs-flag", "config-runs-no-float", "runs-flag-no-float"],
     )
     def test_ospa_cutoff_whose_sum_overflows_is_exit_2(self, runs, cutoff, flags, workers, tmp_path, capsys, monkeypatch):
         # Each step's OSPA sum over the runs can reach cutoff x runs; unchecked,
         # 1e308 x 10 runs puts inf on 10 of ospa.csv's 16 rows, with exit 0.
+        # A run count that no float holds raised OverflowError: exit 1.
         monkeypatch.setenv("POSSFUSE_THREADS", workers)
         monkeypatch.setattr(runner_mod, "_collect_runs", lambda *args: pytest.fail("runs were computed"))
         path = tmp_path / "exp.json"
@@ -1239,17 +1250,30 @@ class TestCli:
         assert len(means) == 2 and all(np.isfinite(float(m)) and float(m) > 1e307 for m in means)
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
-    def test_unusable_out_is_exit_2_before_any_run(self, under_file, workers, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("name", ["taken", "taken/res", "x\0y"], ids=["file", "under-file", "nul-byte"])
+    def test_unusable_out_is_exit_2_before_any_run(self, name, workers, tmp_path, capsys, monkeypatch):
+        # A NUL byte in the path raised ValueError from mkdir: exit 1.
         monkeypatch.setenv("POSSFUSE_THREADS", workers)
         monkeypatch.setattr(runner_mod, "_collect_runs", lambda *args: pytest.fail("runs were computed"))
         blocker = tmp_path / "taken"
         blocker.write_text("")
-        out = blocker / "res" if under_file else blocker
+        out = tmp_path / name
         code = main(["fuse-independent", "--runs", "2", "--out", str(out)])
         assert code == 2
-        assert capsys.readouterr().err.startswith(f"configuration error: output_dir: cannot create {out}: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: output_dir: cannot create {out}: ")
+        assert not err.endswith(": None\n"), err
         assert blocker.read_text() == ""
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["taken"]
+
+    def test_output_dir_with_a_nul_byte_in_the_config_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(runner_mod, "_collect_runs", lambda *args: pytest.fail("runs were computed"))
+        out = tmp_path / "x\0y"
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"runs": 2, "output_dir": str(out)}))
+        assert main(["single", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"configuration error: output_dir: cannot create {out}: embedded null byte\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("target", ["ospa.csv", "trace.csv"])
@@ -1374,19 +1398,40 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith("configuration error: scenario.sensors:")
 
+    # A command line's possfuse.cli, run with every pool worker's
+    # initializer called 0.3 s late: a window in which a worker runs
+    # only what it was forked with.
+    SLOW_WORKER_START = """\
+import sys, time
+import possfuse.runner as runner
+from possfuse.cli import main
+
+class Pool(runner.ProcessPoolExecutor):
+    def __init__(self, *, initializer, initargs=(), **kwargs):
+        def late(*args):
+            time.sleep(0.3)
+            initializer(*args)
+
+        super().__init__(initializer=late, initargs=initargs, **kwargs)
+
+runner.ProcessPoolExecutor = Pool
+sys.exit(main(sys.argv[1:]))
+"""
+
     @staticmethod
-    def signal_pooled_single(tmp_path, stop):
+    def signal_pooled_single(tmp_path, stop, entry=("-m", "possfuse.cli")):
         """Start a 2-worker `single` command of 16 runs of 400 steps, call
         stop(command pid, its pool workers) once both workers run, and
         return (exit code, stderr, output directory) once the command has
         exited and, within a bounded wait, every worker with it.  Workers
-        still running then fail the test and are killed."""
+        still running then fail the test and are killed.  entry is the
+        Python arguments that run the command line."""
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({"runs": 16, "scenario": {"steps": 400, "death_step": 400}}))
         out = tmp_path / "res"
         env = {**os.environ, "POSSFUSE_THREADS": "2"}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(support.SRC), env.get("PYTHONPATH")]))
-        command = [sys.executable, "-m", "possfuse.cli", "single", "--config", str(path), "--out", str(out)]
+        command = [sys.executable, *entry, "single", "--config", str(path), "--out", str(out)]
         workers = []
         # stderr goes to a file: a leaked worker would hold a pipe open.
         with open(tmp_path / "stderr", "w+") as err, subprocess.Popen(
@@ -1419,6 +1464,19 @@ class TestCli:
         assert list(out.iterdir()) == []
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="finds the pool workers under /proc")
+    def test_worker_killed_while_the_pool_starts_is_exit_4(self, tmp_path):
+        # Both workers are still before their initializers when one gets
+        # SIGKILL, so the broken pool's SIGTERM reaches the other there.
+        # A worker that ran the parent's handler then went on running
+        # blocks, and the command waited for it forever.
+        code, err, out = self.signal_pooled_single(
+            tmp_path, lambda pid, workers: os.kill(workers[0], signal.SIGKILL), ("-c", self.SLOW_WORKER_START)
+        )
+        assert code == 4, err
+        assert re.fullmatch(r"error: a pool worker died before runs \d+-\d+(, \d+-\d+)* returned\n", err), err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="finds the pool workers under /proc")
     @pytest.mark.parametrize("delay", [0.0, 0.5], ids=["pool-starting", "blocks-running"])
     def test_sigterm_stops_the_pool_and_is_exit_143(self, delay, tmp_path):
         # At once, the signal most likely lands while the pool still starts
@@ -1444,6 +1502,67 @@ class TestCli:
             assert signal.getsignal(signal.SIGTERM) is own
         finally:
             signal.signal(signal.SIGTERM, previous)
+
+    def test_workers_take_sigterm_unblocked_with_its_default_action(self, monkeypatch):
+        # Each of the two workers holds a block when it reports, so both do.
+        def own(signum, frame):
+            pass
+
+        monkeypatch.setattr(runner_mod, "_pool_entry", _signal_state)
+        monkeypatch.setattr(_signal_state, "barrier", multiprocessing.get_context("fork").Barrier(2), raising=False)
+        previous = signal.signal(signal.SIGTERM, own)
+        try:
+            states = runner_mod._collect_runs(small_cfg(runs=2), "single", False, 2)
+            assert signal.getsignal(signal.SIGTERM) is own
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert len({pid for pid, _, _ in states}) == 2
+        assert [state for _, *state in states] == [[signal.SIG_DFL, False]] * 2
+        assert signal.SIGTERM not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+
+    @pytest.mark.parametrize("outcome", ["breaks", "sigterm"])
+    def test_sigterm_is_blocked_only_while_blocks_are_submitted(self, outcome, monkeypatch):
+        # A pool that breaks at its first submit, or whose submit gets a
+        # SIGTERM: raised once the caller's mask is back, as SystemExit(143).
+        blocked = []
+
+        class Pool:
+            def __init__(self, **kwargs):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def submit(self, fn, *args):
+                blocked.append(signal.SIGTERM in signal.pthread_sigmask(signal.SIG_BLOCK, []))
+                if outcome == "breaks":
+                    raise BrokenProcessPool("A child process terminated abruptly")
+                os.kill(os.getpid(), signal.SIGTERM)
+                future = Future()
+                future.set_result([])
+                return future
+
+        def own(signum, frame):
+            pytest.fail("the caller's handler got the pool's SIGTERM")
+
+        monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", Pool)
+        expected = (runner_mod.WorkerDiedError, SystemExit)[outcome == "sigterm"]
+        previous = signal.signal(signal.SIGTERM, own)
+        try:
+            with pytest.raises(expected) as err:
+                runner_mod._collect_runs(small_cfg(runs=2), "single", False, 2)
+            assert signal.getsignal(signal.SIGTERM) is own
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        if outcome == "breaks":
+            assert (blocked, err.value.runs) == ([True], [0, 1])
+        else:
+            # Both blocks were submitted before the SIGTERM was delivered.
+            assert (blocked, err.value.code) == ([True, True], 128 + signal.SIGTERM)
+        assert signal.SIGTERM not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
 
     def test_pool_broken_while_submitting_is_exit_4(self, tmp_path, capsys, monkeypatch):
         # A worker that dies while blocks are still being submitted makes
